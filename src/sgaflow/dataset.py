@@ -7,7 +7,8 @@ PCG64 so a seed reproduces bit-identical draws across runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -21,6 +22,10 @@ class Dataset:
     x: np.ndarray  # shape (m, d)
     y: np.ndarray  # shape (m,)
     tag: str = "original"
+    # the model layer's feature matrices of x, one per feature map, built on
+    # first use; x is read-only, so a stored matrix never goes stale
+    feature_cache: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -55,7 +60,8 @@ class Dataset:
 def load_csv(path) -> Dataset:
     """Read a dataset from CSV with header x1,...,xd,y.
 
-    Malformed rows are reported with their 1-based line number.
+    Malformed rows, and rows holding nan or inf, are reported with their
+    1-based line number.
     """
     try:
         fh = open(path, newline="")
@@ -80,9 +86,12 @@ def load_csv(path) -> Dataset:
                     f"{path}:{lineno}: expected {ncols} columns, got {len(row)}"
                 )
             try:
-                rows.append([float(tok) for tok in row])
+                vals = [float(tok) for tok in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value in row {row}")
+            if not all(map(isfinite, vals)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {row}")
+            rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no rows")
     arr = np.asarray(rows, dtype=float)

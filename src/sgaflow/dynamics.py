@@ -13,10 +13,14 @@ states from those values, so no interpolation is ever done.
 The forward kernel advances a stack of B independent flows at once: theta
 has shape (B, p), member b runs under its own control u_b = C_b Psi(t) with
 C of shape (B, p, n), and each RK4 stage makes one oracle call for the whole
-stack.  Psi is evaluated once at each stage time, in vectorised blocks of
-PSI_BLOCK steps, so no stage calls eval_basis.  integrate_forward is the
-B = 1 case and keeps every state; final_states keeps only the (B, p) final
-states.
+stack.  integrate_forward is the B = 1 case and keeps every state;
+final_states keeps only the (B, p) final states.
+
+Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
+that _stage_psi evaluates once per stage time, in vectorised blocks of
+PSI_BLOCK steps; each pass checks its grid against the basis's range once,
+so no stage calls eval_basis or eval_control.  Only the costate sweep's
+fallback for hand-built trajectories still calls eval_control per stage.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .dataset import Dataset
 from .model import ModelOracle, loss_gradient, loss_hvp, phi_gradient
 
 DEFAULT_DIVERGENCE_BOUND = 1e8
-# steps per block of the forward kernel's Psi table, which so holds at most
+# steps per block of a pass's Psi table, which so holds at most
 # 3 * PSI_BLOCK * n values however long the grid
 PSI_BLOCK = 512
 
@@ -44,6 +48,14 @@ class DivergenceError(RuntimeError):
         super().__init__(f"state diverged at t={t:.6g} (|theta|={norm:.3e})")
         self.t = t
         self.norm = norm
+
+
+class NonFiniteCostateError(RuntimeError):
+    """The costate became nan or inf during the backward sweep."""
+
+    def __init__(self, t: float):
+        super().__init__(f"adjoint became non-finite at t={t:.6g}")
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,16 @@ def forward_rhs(oracle: ModelOracle, theta: np.ndarray, u: np.ndarray,
     return -g + eps * (gt * gt) * np.asarray(u, dtype=float)
 
 
+def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
+    """Psi at the RK4 stage times t, t + d/2 and t + d of each step, t = k*|d|
+    for k in ks (d < 0 steps backward): one triple of (n,) rows per step,
+    from tables built PSI_BLOCK steps at a time."""
+    for lo in range(0, ks.shape[0], PSI_BLOCK):
+        t = ks[lo:lo + PSI_BLOCK] * abs(d)
+        yield from zip(*(eval_basis_grid(basis, s)
+                         for s in (t, t + 0.5 * d, t + d)))
+
+
 def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
                  basis: BasisSpec | None, eps: float, z_train: Dataset,
                  z_dith: Dataset, grid: TimeGrid, divergence_bound: float,
@@ -135,14 +157,9 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
     th = theta0
     if keep_states:
         out[0] = th
+    psi = None if c is None else _stage_psi(basis, np.arange(nsteps), h)
     for k in range(nsteps):
-        j = k % PSI_BLOCK
-        if c is not None and j == 0:
-            # Psi at the stage times t, t + h/2 and t + h of the next block
-            # of steps, with t = k*h as a step-by-step loop computes it
-            t = np.arange(k, min(k + PSI_BLOCK, nsteps)) * h
-            psi = [eval_basis_grid(basis, s) for s in (t, t + 0.5 * h, t + h)]
-        u1, u2, u4 = (None,) * 3 if c is None else (c @ q[j] for q in psi)
+        u1, u2, u4 = (None,) * 3 if c is None else (c @ q for q in next(psi))
         k1 = rhs(th, u1)
         k2 = rhs(th + 0.5 * h * k1, u2)
         k3 = rhs(th + 0.5 * h * k2, u2)
@@ -228,7 +245,9 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     """Integrate the costate backward from p(T) = -grad Phi(theta(T)).
 
     Stage states come from the stored node/midpoint values of the forward
-    trajectory, so no re-integration or interpolation happens here.
+    trajectory, so no re-integration or interpolation happens here.  Raises
+    ValueError if the grid lies beyond the basis's range, and
+    NonFiniteCostateError if the costate becomes nan or inf.
     """
     grid = traj.grid
     h = grid.h
@@ -236,38 +255,44 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     M = grid.steps
     p_dim = oracle.param_dim
 
-    def u_at(t):
-        if coeffs is None:
-            return np.zeros(p_dim)
-        return eval_control(coeffs, t)
-
-    def rhs(t, theta, p):
-        return adjoint_rhs(oracle, theta, p, u_at(t), eps, z_train, z_dith)
+    def rhs(u, theta, p):
+        return adjoint_rhs(oracle, theta, p, u, eps, z_train, z_dith)
 
     p0 = -phi_gradient(oracle, traj.theta_final, z_val)
 
     if traj.theta_fine is not None:
         # half-step backward sweep; stage states are exact quarter-step
-        # values from the forward pass
+        # values from the forward pass, u at the stage times t_hi = j*hh,
+        # t_hi - hh/2 and t_hi - hh comes from a Psi table
         hh = 0.5 * h
         fine = traj.theta_fine
         out = np.empty((2 * M + 1, p_dim))
         p = p0
         out[2 * M] = p
+        if coeffs is None:
+            zero = np.zeros(p_dim)
+        else:
+            _check_time(coeffs.basis, 2 * M * hh)
+            psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
         for j in range(2 * M, 0, -1):
-            t_hi = j * hh
-            k1 = rhs(t_hi, fine[2 * j], p)
-            k2 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k1)
-            k3 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k2)
-            k4 = rhs(t_hi - hh, fine[2 * j - 2], p - hh * k3)
+            u1, u2, u4 = ((zero,) * 3 if coeffs is None
+                          else (coeffs.c @ q for q in next(psi)))
+            k1 = rhs(u1, fine[2 * j], p)
+            k2 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k1)
+            k3 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k2)
+            k4 = rhs(u4, fine[2 * j - 2], p - hh * k3)
             p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(p)):
-                raise RuntimeError(
-                    f"adjoint became non-finite at t={t_hi - hh:.6g}")
+                raise NonFiniteCostateError(j * hh - hh)
             out[j - 1] = p
         return AdjointTrajectory(grid, out[::2].copy(), out[1::2].copy())
 
     # fallback for hand-built trajectories: full steps with stored midpoints
+    def u_at(t):
+        if coeffs is None:
+            return np.zeros(p_dim)
+        return eval_control(coeffs, t)
+
     out = np.empty((M + 1, p_dim))
     p = p0
     out[M] = p
@@ -278,13 +303,13 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         th_hi = traj.theta_nodes[k]
         th_mid = traj.theta_mid[k - 1]
         th_lo = traj.theta_nodes[k - 1]
-        k1 = rhs(t_hi, th_hi, p)
-        k2 = rhs(t_mid, th_mid, p - 0.5 * h * k1)
-        k3 = rhs(t_mid, th_mid, p - 0.5 * h * k2)
-        k4 = rhs(t_lo, th_lo, p - h * k3)
+        k1 = rhs(u_at(t_hi), th_hi, p)
+        k2 = rhs(u_at(t_mid), th_mid, p - 0.5 * h * k1)
+        k3 = rhs(u_at(t_mid), th_mid, p - 0.5 * h * k2)
+        k4 = rhs(u_at(t_lo), th_lo, p - h * k3)
         p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(p)):
-            raise RuntimeError(f"adjoint became non-finite at t={t_lo:.6g}")
+            raise NonFiniteCostateError(t_lo)
         out[k - 1] = p
     return AdjointTrajectory(grid, out)
 

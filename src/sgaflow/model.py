@@ -4,9 +4,12 @@ Two families are supported:
 
 * ``linear_features`` -- h(x) = theta . phi(x) with an elementwise polynomial
   feature map; squared loss gives a constant Hessian (2/m) Phi^T Phi, so
-  value/gradient/hvp are all closed form.
+  value/gradient/hvp are all closed form.  The feature matrix Phi of a
+  dataset is built the first time an oracle needs it and kept with the
+  dataset, one read-only matrix per feature map (feature_matrix).
 * ``mlp_tanh`` -- one hidden tanh layer of configurable width; gradients are
-  analytic, Hessian-vector products use a central difference of the gradient.
+  analytic, Hessian-vector products use a central difference of the gradient,
+  both gradients taken in one stacked call.
 
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.
@@ -80,6 +83,18 @@ class ModelOracle:
         return np.tanh(x @ w1.T + b1) @ w2 + b2
 
 
+def feature_matrix(oracle: ModelOracle, z: Dataset) -> np.ndarray:
+    """phi(z.x) for the linear family, shape (m, p), built on first use and
+    kept with z: one read-only matrix per feature map (degree, bias)."""
+    key = (oracle.degree, oracle.include_bias)
+    phi = z.feature_cache.get(key)
+    if phi is None:
+        phi = oracle.features(z.x)
+        phi.flags.writeable = False
+        z.feature_cache[key] = phi
+    return phi
+
+
 def _check_dims(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
                 stack: bool = False) -> np.ndarray:
     """theta as a (p,) vector, or with stack=True a 2-d input as a (B, p)
@@ -101,7 +116,10 @@ def _check_dims(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
 def loss_value(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> float:
     """Mean squared error of the model on z."""
     theta = _check_dims(oracle, theta, z)
-    r = oracle.predict(theta, z.x) - z.y
+    if oracle.family == "linear_features":
+        r = feature_matrix(oracle, z) @ theta - z.y
+    else:
+        r = oracle.predict(theta, z.x) - z.y
     return float(np.mean(r * r))
 
 
@@ -116,7 +134,7 @@ def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndar
     """
     theta = _check_dims(oracle, theta, z, stack=True)
     if oracle.family == "linear_features":
-        phi = oracle.features(z.x)
+        phi = feature_matrix(oracle, z)
         # one matrix @ vector product per row, so each row matches a (p,) call
         r = (phi @ theta[..., None])[..., 0] - z.y       # (..., m)
         return (2.0 / z.m) * (phi.T @ r[..., None])[..., 0]
@@ -137,7 +155,8 @@ def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
     """Hessian-vector product of loss_value at theta in direction v.
 
     Closed form for the linear family; central difference of the analytic
-    gradient for the mlp, with step sqrt(eps)*(1+|theta|)/|v|.
+    gradient for the mlp, with step sqrt(eps)*(1+|theta|)/|v|, the gradients
+    at theta +/- h v taken as one (2, p) stack.
     """
     theta = _check_dims(oracle, theta, z)
     v = np.asarray(v, dtype=float).ravel()
@@ -147,11 +166,10 @@ def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
     if vnorm == 0.0:
         return np.zeros_like(v)
     if oracle.family == "linear_features":
-        phi = oracle.features(z.x)
+        phi = feature_matrix(oracle, z)
         return (2.0 / z.m) * (phi.T @ (phi @ v))
     h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm
-    gp = loss_gradient(oracle, theta + h * v, z)
-    gm = loss_gradient(oracle, theta - h * v, z)
+    gp, gm = loss_gradient(oracle, np.stack([theta + h * v, theta - h * v]), z)
     return (gp - gm) / (2.0 * h)
 
 

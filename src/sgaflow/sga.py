@@ -8,20 +8,23 @@ gradient of the Hamiltonian with respect to the control coefficients,
 and updates C <- project(C + gamma G).  With the terminal condition
 p(T) = -grad Phi, ascending the Hamiltonian descends the validation cost,
 and the variational identity dJ/dC = -G makes the update self-checking: an
-Armijo backtracking line search enforces sufficient decrease of J.
+Armijo backtracking line search enforces sufficient decrease of J, a trial
+step whose flow diverges counting as J = +inf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 
 from .basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
                     project_admissible, zero_coefficients)
 from .dataset import Dataset
-from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, final_states,
-                       integrate_adjoint, integrate_forward)
+from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
+                       Trajectory, final_states, integrate_adjoint,
+                       integrate_forward)
 from .model import ModelOracle, loss_gradient, phi_value
 
 ARMIJO_C = 1e-4
@@ -204,8 +207,8 @@ def step(oracle: ModelOracle, coeffs: ControlCoefficients,
          config: SolverConfig, data: ProblemData,
          ) -> tuple[ControlCoefficients, IterationRecord]:
     """One coefficient update C <- project(C + gamma G) with line search."""
-    _, _, grad = sweep(oracle, coeffs, config, data)
-    j0 = cost(oracle, coeffs, config, data)
+    traj, _, grad = sweep(oracle, coeffs, config, data)
+    j0 = phi_value(oracle, traj.theta_final, data.z_val)
     return _apply_update(oracle, coeffs, config, data, grad, j0, k=0)
 
 
@@ -222,7 +225,10 @@ def _apply_update(oracle, coeffs, config, data, grad, j0, k):
         gamma = config.gamma0 * 0.5**q
         cand = replace(coeffs, c=coeffs.c + gamma * grad)
         new = project_admissible(cand, config.projection_grid)
-        j_new = cost(oracle, new, config, data)
+        try:
+            j_new = cost(oracle, new, config, data)
+        except DivergenceError:
+            j_new = inf  # a trial whose flow diverges is backtracked from
         if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
             return new, IterationRecord(k, j0, gnorm, gamma, new is not cand)
     return coeffs, IterationRecord(k, j0, gnorm, 0.0, False)

@@ -33,6 +33,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=":3:"):
             load_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, token):
+        path = write_csv(tmp_path, f"x1,y\n1,2\n1.0,{token}\n")
+        with pytest.raises(ValueError, match=":3: non-finite"):
+            load_csv(path)
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "x1,y\n1,2\n1,2,3\n")
         with pytest.raises(ValueError, match=":3:"):

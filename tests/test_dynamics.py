@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle
-from sgaflow.basis import BasisSpec, ControlCoefficients, zero_coefficients
-from sgaflow.dynamics import (DivergenceError, TimeGrid, adjoint_rhs,
+from sgaflow import Dataset, ModelOracle, dynamics
+from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_control,
+                           zero_coefficients)
+from sgaflow.dynamics import (DivergenceError, NonFiniteCostateError,
+                              TimeGrid, Trajectory, adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
                               integrate_adjoint, integrate_forward)
-from sgaflow.model import loss_gradient, loss_hvp
+from sgaflow.model import loss_gradient, loss_hvp, phi_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
 
@@ -225,7 +227,87 @@ class TestAdjointRhs:
         assert np.max(np.abs(out - expect)) / np.max(np.abs(expect)) <= 1e-5
 
 
+def per_stage_adjoint(o, traj, coeffs, eps, data):
+    """The half-step costate sweep with u from eval_control at every stage;
+    returns the costate at the nodes and at the midpoints."""
+    hh = 0.5 * traj.grid.h
+    fine = traj.theta_fine
+
+    def rhs(t, theta, p):
+        return adjoint_rhs(o, theta, p, eval_control(coeffs, t), eps,
+                           data.z_train, data.z_dith)
+
+    p = -phi_gradient(o, traj.theta_final, data.z_val)
+    out = [p]
+    for j in range(2 * traj.grid.steps, 0, -1):
+        t_hi = j * hh
+        k1 = rhs(t_hi, fine[2 * j], p)
+        k2 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k1)
+        k3 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k2)
+        k4 = rhs(t_hi - hh, fine[2 * j - 2], p - hh * k3)
+        p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(p)
+    out = np.array(out[::-1])
+    return out[::2], out[1::2]
+
+
 class TestIntegrateAdjoint:
+    @pytest.mark.parametrize("family,kind", [("linear", "legendre_shifted"),
+                                             ("mlp", "fourier")])
+    def test_matches_per_stage_control_bitwise(self, family, kind,
+                                               monkeypatch):
+        # 40 half steps in blocks of 7: five full Psi tables and a partial
+        monkeypatch.setattr(dynamics, "PSI_BLOCK", 7)
+        rng = np.random.default_rng(8)
+        if family == "linear":
+            o, data = linear_problem(d=3, seed=25)
+        else:
+            o, data = mlp_problem(d=2, seed=24)
+        basis = BasisSpec(kind, 3, 1.0)
+        coeffs = ControlCoefficients(
+            rng.uniform(-1.0, 1.0, (o.param_dim, 3)), basis, 5.0)
+        theta0 = 0.5 * rng.standard_normal(o.param_dim)
+        traj = integrate_forward(o, theta0, coeffs, 0.3, data.z_train,
+                                 data.z_dith, TimeGrid(1.0, 20))
+        adj = integrate_adjoint(o, traj, coeffs, 0.3, data.z_train,
+                                data.z_dith, data.z_val)
+        p_nodes, p_mid = per_stage_adjoint(o, traj, coeffs, 0.3, data)
+        np.testing.assert_array_equal(adj.p_nodes, p_nodes)
+        np.testing.assert_array_equal(adj.p_mid, p_mid)
+        # the control moves the costate, so the check covers it
+        free = integrate_adjoint(o, traj, None, 0.3, data.z_train,
+                                 data.z_dith, data.z_val)
+        assert np.all(free.p_nodes[0] != adj.p_nodes[0])
+
+    def test_grid_beyond_basis_range_rejected(self):
+        # a null-control forward pass to t=2 is valid, but the Legendre
+        # basis of the control is defined on [0, 1] only
+        o, z1, zd, zv = quad_oracle()
+        traj = integrate_forward(o, [1.0], None, 0.1, z1, zd,
+                                 TimeGrid(2.0, 10))
+        coeffs = ControlCoefficients(
+            np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            integrate_adjoint(o, traj, coeffs, 0.1, z1, zd, zv)
+
+    def test_non_finite_costate_raises_typed_error(self):
+        # a training Hessian of 2e200 overflows the backward sweep, while
+        # theta0 = 0 with y = 0 keeps the forward state exactly 0
+        x = [[1e100]]
+        z1, zd = Dataset(x, [0.0], "train"), Dataset(x, [0.0], "dithered")
+        zv = Dataset([[1.0]], [1.0], "validation")
+        o = ModelOracle("linear_features", 1)
+        grid = TimeGrid(1.0, 10)
+        traj = integrate_forward(o, [0.0], None, 0.1, z1, zd, grid)
+        hand_built = Trajectory(grid, traj.theta_nodes, traj.theta_mid)
+        for tr in (traj, hand_built):
+            with (pytest.raises(NonFiniteCostateError) as exc,
+                  np.errstate(over="ignore", invalid="ignore")):
+                integrate_adjoint(o, tr, None, 0.1, z1, zd, zv)
+            # the CLI reports a RuntimeError with exit code 2
+            assert isinstance(exc.value, RuntimeError)
+            assert 0.0 <= exc.value.t < 1.0
+
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
         grid = TimeGrid(1.0, 200)

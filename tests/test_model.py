@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle
-from sgaflow.model import (d_matrix, loss_gradient, loss_hvp, loss_value,
-                           phi_gradient, phi_value)
+from sgaflow.model import (d_matrix, feature_matrix, loss_gradient,
+                           loss_hvp, loss_value, phi_gradient, phi_value)
 from sgaflow.verify import fd_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
@@ -98,6 +98,36 @@ class TestLossGradientStack:
             loss_gradient(o, np.ones((4, o.param_dim + 1)), data.z_train)
 
 
+class TestFeatureMatrix:
+    def test_one_dataset_serves_two_feature_maps(self):
+        _, data = linear_problem(d=2, seed=12)
+        z = data.z_train
+        oracles = (ModelOracle("linear_features", 2),
+                   ModelOracle("linear_features", 2, degree=2,
+                               include_bias=True))
+        rng = np.random.default_rng(10)
+        thetas = [rng.standard_normal(o.param_dim) for o in oracles]
+        v = [rng.standard_normal(o.param_dim) for o in oracles]
+
+        def oracle_calls(o, theta, v, z):
+            return (loss_value(o, theta, z), loss_gradient(o, theta, z),
+                    loss_hvp(o, theta, z, v))
+
+        shared = [oracle_calls(o, th, w, z)
+                  for o, th, w in zip(oracles, thetas, v)]
+        for o, th, w, got in zip(oracles, thetas, v, shared):
+            # a dataset of its own, so no other oracle's features are stored
+            alone = oracle_calls(o, th, w, Dataset(z.x, z.y, z.tag))
+            for a, b in zip(got, alone):
+                np.testing.assert_array_equal(a, b)
+            phi = feature_matrix(o, z)
+            assert phi.shape == (z.m, o.param_dim)
+            np.testing.assert_array_equal(phi, o.features(z.x))
+            assert feature_matrix(o, z) is phi
+            with pytest.raises(ValueError):
+                phi[0, 0] = 1.0
+
+
 class TestLossHvp:
     def test_identity_hessian(self):
         z1, _, _ = quadratic_datasets(2)
@@ -120,6 +150,18 @@ class TestLossHvp:
         np.testing.assert_array_equal(
             loss_hvp(o, theta, data.z_train, np.zeros(o.param_dim)),
             np.zeros(o.param_dim))
+
+    def test_mlp_stacked_difference_equals_two_calls(self):
+        o, data = mlp_problem(d=2, seed=14)
+        rng = np.random.default_rng(11)
+        theta = rng.standard_normal(o.param_dim)
+        v = rng.standard_normal(o.param_dim)
+        h = (np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(theta))
+             / np.linalg.norm(v))
+        gp = loss_gradient(o, theta + h * v, data.z_train)
+        gm = loss_gradient(o, theta - h * v, data.z_train)
+        np.testing.assert_array_equal(loss_hvp(o, theta, data.z_train, v),
+                                      (gp - gm) / (2.0 * h))
 
     @pytest.mark.parametrize("family,tol", [("linear", 1e-8), ("mlp", 1e-4)])
     def test_symmetry(self, family, tol):

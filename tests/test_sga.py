@@ -176,6 +176,21 @@ class TestSolve:
         costs = [r.cost for r in report.iterations]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
+    def test_divergent_trial_step_backtracks(self):
+        # the first full step (gamma0 = 1) drives the flow past the
+        # divergence bound (t = 0.045); the line search must halve it
+        # rather than abort the solve
+        z1, zd, zv = quadratic_datasets(1)
+        data = ProblemData(z1, zd, Dataset(zv.x, [50.0], "validation"))
+        o = ModelOracle("linear_features", 1)
+        config = quad_config(steps=50, n=4, eps=1.0, u_max=1e4, gamma0=1.0)
+        report = solve(o, config, data)
+        j_null = cost(o, zero_coefficients(1, config.basis, config.u_max),
+                      config, data)
+        assert np.isfinite(report.final_cost)
+        assert report.final_cost <= j_null
+        assert 0.0 < report.iterations[0].gamma < config.gamma0
+
     def test_every_iterate_admissible(self):
         o, data = linear_problem(seed=31)
         config = SolverConfig(eps=0.5, t_final=1.0, steps=50,
