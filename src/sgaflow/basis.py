@@ -39,6 +39,8 @@ class ControlCoefficients:
             raise ValueError(
                 f"C has {c.shape[1]} columns, basis has n={self.basis.n}"
             )
+        if not np.all(np.isfinite(c)):
+            raise ValueError("C has non-finite entries")
         if self.u_max < 0:
             raise ValueError("u_max must be >= 0")
         c.flags.writeable = False
@@ -63,13 +65,9 @@ def _check_time(basis: BasisSpec, t: float) -> None:
 def eval_basis(basis: BasisSpec, t: float) -> np.ndarray:
     """Evaluate Psi(t), the vector of n basis functions at time t."""
     _check_time(basis, t)
-    T = basis.t_final
     if basis.kind == "legendre_shifted":
-        # orthonormal shifted Legendre: sqrt((2j+1)/T) * P_j(2t/T - 1)
-        s = 2.0 * t / T - 1.0
-        vals = npleg.legvander(np.atleast_1d(s), basis.n - 1)[0]
-        scale = np.sqrt((2.0 * np.arange(basis.n) + 1.0) / T)
-        return scale * vals
+        return eval_basis_grid(basis, np.array([t]))[0]
+    T = basis.t_final
     # fourier: constant, then sin/cos pairs of increasing frequency
     out = np.empty(basis.n)
     out[0] = np.sqrt(1.0 / T)
@@ -84,6 +82,7 @@ def eval_basis_grid(basis: BasisSpec, ts: np.ndarray) -> np.ndarray:
     """Psi evaluated at each time in ts; shape (len(ts), n)."""
     ts = np.asarray(ts, dtype=float)
     if basis.kind == "legendre_shifted":
+        # orthonormal shifted Legendre: sqrt((2j+1)/T) * P_j(2t/T - 1)
         s = 2.0 * ts / basis.t_final - 1.0
         vals = npleg.legvander(s, basis.n - 1)
         scale = np.sqrt((2.0 * np.arange(basis.n) + 1.0) / basis.t_final)

@@ -10,6 +10,10 @@ p(T) = -grad Phi, ascending the Hamiltonian descends the validation cost,
 and the variational identity dJ/dC = -G makes the update self-checking: an
 Armijo backtracking line search enforces sufficient decrease of J, a trial
 step whose flow diverges counting as J = +inf.
+
+Each Armijo trial integrates its control forward, and the accepted trial's
+trajectory is the next sweep's forward pass, so a solver iteration runs one
+forward integration per trial and one backward integration.
 """
 
 from __future__ import annotations
@@ -54,11 +58,10 @@ class SolverConfig:
     theta0: np.ndarray | None = None   # default: zeros
     c0: np.ndarray | None = None       # default: zeros
     divergence_bound: float = 1e8
-    eps_max: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.eps <= self.eps_max):
-            raise ValueError(f"eps must lie in [0, {self.eps_max}]")
+        if not (0.0 <= self.eps <= 1.0):
+            raise ValueError("eps must lie in [0, 1.0]")
         if self.t_final <= 0 or self.steps < 1:
             raise ValueError("need t_final > 0 and steps >= 1")
         if not (0.0 < self.gamma0 <= 1.0):
@@ -143,13 +146,19 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     return np.array([phi_value(oracle, th, data.z_val) for th in thetas])
 
 
+def _forward(oracle: ModelOracle, coeffs: ControlCoefficients,
+             config: SolverConfig, data: ProblemData) -> Trajectory:
+    """The controlled flow from config.initial_theta under coeffs."""
+    return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
+                             coeffs, config.eps, data.z_train, data.z_dith,
+                             config.grid, config.divergence_bound)
+
+
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
          config: SolverConfig, data: ProblemData) -> float:
     """Validation cost at final time of the controlled flow."""
-    traj = integrate_forward(oracle, config.initial_theta(oracle.param_dim),
-                             coeffs, config.eps, data.z_train, data.z_dith,
-                             config.grid, config.divergence_bound)
-    return phi_value(oracle, traj.theta_final, data.z_val)
+    return phi_value(oracle, _forward(oracle, coeffs, config, data).theta_final,
+                     data.z_val)
 
 
 def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
@@ -192,11 +201,15 @@ def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
-          config: SolverConfig, data: ProblemData):
-    """One forward/backward pass; returns (trajectory, adjoint, G)."""
-    theta0 = config.initial_theta(oracle.param_dim)
-    traj = integrate_forward(oracle, theta0, coeffs, config.eps, data.z_train,
-                             data.z_dith, config.grid, config.divergence_bound)
+          config: SolverConfig, data: ProblemData,
+          traj: Trajectory | None = None):
+    """One forward/backward pass; returns (trajectory, adjoint, G).
+
+    traj, when given, must be the forward trajectory under coeffs; the
+    forward integration is then skipped.
+    """
+    if traj is None:
+        traj = _forward(oracle, coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, coeffs, config.eps, data.z_train,
                             data.z_dith, data.z_val)
     grad = coefficient_gradient(oracle, traj, adj, coeffs, config, data)
@@ -209,29 +222,34 @@ def step(oracle: ModelOracle, coeffs: ControlCoefficients,
     """One coefficient update C <- project(C + gamma G) with line search."""
     traj, _, grad = sweep(oracle, coeffs, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
-    return _apply_update(oracle, coeffs, config, data, grad, j0, k=0)
+    new, rec, _ = _apply_update(oracle, coeffs, config, data, grad, j0, k=0)
+    return new, rec
 
 
 def _apply_update(oracle, coeffs, config, data, grad, j0, k):
+    """Returns (new coefficients, record, trajectory under them), the
+    trajectory being the accepted Armijo trial's, or None without one."""
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
-        return coeffs, IterationRecord(k, j0, 0.0, 0.0, False)
+        return coeffs, IterationRecord(k, j0, 0.0, 0.0, False), None
     if config.line_search == "none":
         cand = replace(coeffs, c=coeffs.c + config.gamma0 * grad)
         new = project_admissible(cand, config.projection_grid)
         return new, IterationRecord(k, j0, gnorm, config.gamma0,
-                                    new is not cand)
+                                    new is not cand), None
     for q in range(MAX_BACKTRACKS + 1):
         gamma = config.gamma0 * 0.5**q
         cand = replace(coeffs, c=coeffs.c + gamma * grad)
         new = project_admissible(cand, config.projection_grid)
         try:
-            j_new = cost(oracle, new, config, data)
+            traj = _forward(oracle, new, config, data)
+            j_new = phi_value(oracle, traj.theta_final, data.z_val)
         except DivergenceError:
-            j_new = inf  # a trial whose flow diverges is backtracked from
+            traj, j_new = None, inf  # a divergent trial is backtracked from
         if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
-            return new, IterationRecord(k, j0, gnorm, gamma, new is not cand)
-    return coeffs, IterationRecord(k, j0, gnorm, 0.0, False)
+            return (new, IterationRecord(k, j0, gnorm, gamma, new is not cand),
+                    traj)
+    return coeffs, IterationRecord(k, j0, gnorm, 0.0, False), None
 
 
 def solve(oracle: ModelOracle, config: SolverConfig,
@@ -240,14 +258,17 @@ def solve(oracle: ModelOracle, config: SolverConfig,
 
     Stops when the Frobenius norm of the coefficient gradient falls below
     eps_tol, after max_iters sweeps, or when the line search cannot find a
-    decreasing step.
+    decreasing step.  The accepted Armijo trial's trajectory is the next
+    sweep's forward pass and gives theta_star and final_cost, so only the
+    line_search 'none' path integrates forward after an update.
     """
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
     converged = False
+    traj = None  # the forward trajectory under coeffs, when one is held
     for k in range(config.max_iters):
-        traj, adj, grad = sweep(oracle, coeffs, config, data)
+        traj, adj, grad = sweep(oracle, coeffs, config, data, traj)
         j0 = phi_value(oracle, traj.theta_final, data.z_val)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.eps_tol:
@@ -255,18 +276,18 @@ def solve(oracle: ModelOracle, config: SolverConfig,
             converged = True
             stop_reason = "tolerance"
             break
-        coeffs, rec = _apply_update(oracle, coeffs, config, data, grad, j0, k)
+        coeffs, rec, trial = _apply_update(oracle, coeffs, config, data,
+                                           grad, j0, k)
         records.append(rec)
         if rec.gamma == 0.0:
+            # coeffs did not change, so the sweep's trajectory still holds
             stop_reason = "line_search_failure"
             break
-    final_traj = integrate_forward(oracle,
-                                   config.initial_theta(oracle.param_dim),
-                                   coeffs, config.eps, data.z_train,
-                                   data.z_dith, config.grid,
-                                   config.divergence_bound)
-    final_cost = phi_value(oracle, final_traj.theta_final, data.z_val)
-    return SolverReport(records, coeffs, final_traj.theta_final.copy(),
+        traj = trial
+    if traj is None:
+        traj = _forward(oracle, coeffs, config, data)
+    final_cost = phi_value(oracle, traj.theta_final, data.z_val)
+    return SolverReport(records, coeffs, traj.theta_final.copy(),
                         final_cost, converged, stop_reason)
 
 

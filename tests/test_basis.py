@@ -59,6 +59,15 @@ class TestEvalBasis:
         with pytest.raises(ValueError):
             eval_basis(basis, 1.1)
 
+    @pytest.mark.parametrize("kind", ["legendre_shifted", "fourier"])
+    def test_matches_grid_row_bitwise(self, kind):
+        basis = BasisSpec(kind, 7, 1.5)
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([[0.0, 1.5], rng.uniform(0.0, 1.5, 20)])
+        grid = eval_basis_grid(basis, ts)
+        for t, row in zip(ts, grid):
+            np.testing.assert_array_equal(eval_basis(basis, t), row)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             BasisSpec("chebyshev", 2, 1.0)
@@ -66,6 +75,14 @@ class TestEvalBasis:
             BasisSpec("fourier", 0, 1.0)
         with pytest.raises(ValueError):
             BasisSpec("fourier", 2, -1.0)
+
+
+class TestControlCoefficients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match="C has non-finite"):
+            ControlCoefficients([[0.0, bad]], basis, 1.0)
 
 
 class TestEvalControl:

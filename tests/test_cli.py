@@ -97,6 +97,15 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--quiet"]) == 1
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_non_finite_init_is_a_validation_error(self, tmp_path, capsys):
+        c = base_config()
+        c["solver"]["init"] = [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]
+        cfg = write_config(tmp_path, c)
+        assert "NaN" in cfg.read_text()
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert "C has non-finite" in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData
+from sgaflow import Dataset, ModelOracle, ProblemData, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            project_admissible, zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
-                              hamiltonian)
+                              hamiltonian, integrate_forward)
+from sgaflow.model import phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
                          pointwise_max_control, solve, step, sweep)
 from sgaflow.verify import fd_gradient
@@ -177,13 +178,8 @@ class TestSolve:
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_divergent_trial_step_backtracks(self):
-        # the first full step (gamma0 = 1) drives the flow past the
-        # divergence bound (t = 0.045); the line search must halve it
-        # rather than abort the solve
-        z1, zd, zv = quadratic_datasets(1)
-        data = ProblemData(z1, zd, Dataset(zv.x, [50.0], "validation"))
-        o = ModelOracle("linear_features", 1)
-        config = quad_config(steps=50, n=4, eps=1.0, u_max=1e4, gamma0=1.0)
+        # the line search must halve a divergent step rather than abort
+        o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
         j_null = cost(o, zero_coefficients(1, config.basis, config.u_max),
                       config, data)
@@ -213,11 +209,91 @@ class TestSolve:
         o, data = quad1_problem
         config = quad_config(steps=100, max_iters=5)
         report = solve(o, config, data)
-        from sgaflow.dynamics import integrate_forward
         traj = integrate_forward(o, config.theta0, report.final_coeffs,
                                  config.eps, data.z_train, data.z_dith,
                                  config.grid)
         np.testing.assert_array_equal(report.theta_star, traj.theta_final)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts the solver's forward integrations, divergent ones included."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integrate_forward(*args, **kwargs)
+
+    monkeypatch.setattr(sga, "integrate_forward", counted)
+    return calls
+
+
+def armijo_trials(report, config):
+    """Trial steps the line search took, read off the iteration records."""
+    n = 0
+    for rec in report.iterations:
+        if rec.gamma > 0.0:
+            n += round(np.log2(config.gamma0 / rec.gamma)) + 1
+        elif rec.grad_norm > config.eps_tol:
+            n += sga.MAX_BACKTRACKS + 1
+    return n
+
+
+def assert_final_state_is_fresh(o, config, data, report):
+    traj = integrate_forward(o, config.initial_theta(o.param_dim),
+                             report.final_coeffs, config.eps, data.z_train,
+                             data.z_dith, config.grid)
+    np.testing.assert_array_equal(report.theta_star, traj.theta_final)
+    assert report.final_cost == phi_value(o, traj.theta_final, data.z_val)
+
+
+def divergent_trial_problem():
+    # the first full step (gamma0 = 1) drives the flow past the divergence
+    # bound (t = 0.045)
+    z1, zd, zv = quadratic_datasets(1)
+    data = ProblemData(z1, zd, Dataset(zv.x, [50.0], "validation"))
+    o = ModelOracle("linear_features", 1)
+    config = quad_config(steps=50, n=4, eps=1.0, u_max=1e4, gamma0=1.0)
+    return o, config, data
+
+
+class TestForwardReuse:
+    def test_one_forward_integration_per_trial_without_backtracks(
+            self, quad1_problem, forward_calls):
+        o, data = quad1_problem
+        config = quad_config(steps=100, max_iters=5)
+        report = solve(o, config, data)
+        assert report.stop_reason == "max_iters"
+        assert all(rec.gamma == config.gamma0 for rec in report.iterations)
+        assert forward_calls[0] == 1 + len(report.iterations)
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_one_forward_integration_per_trial_with_backtracks(
+            self, forward_calls):
+        o, config, data = divergent_trial_problem()
+        report = solve(o, config, data)
+        assert report.iterations[0].gamma < config.gamma0
+        assert forward_calls[0] == 1 + armijo_trials(report, config)
+
+    def test_no_line_search_integrates_each_sweep_and_the_end(
+            self, quad1_problem, forward_calls):
+        o, data = quad1_problem
+        config = quad_config(steps=100, max_iters=4, line_search="none")
+        report = solve(o, config, data)
+        assert report.stop_reason == "max_iters"
+        assert forward_calls[0] == len(report.iterations) + 1
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_line_search_failure_keeps_the_sweeps_trajectory(
+            self, quad1_problem, forward_calls, monkeypatch):
+        o, data = quad1_problem
+        monkeypatch.setattr(sga, "ARMIJO_C", 1e30)
+        config = quad_config(steps=100, max_iters=5)
+        report = solve(o, config, data)
+        assert report.stop_reason == "line_search_failure"
+        assert len(report.iterations) == 1
+        assert forward_calls[0] == 1 + sga.MAX_BACKTRACKS + 1
+        assert_final_state_is_fresh(o, config, data, report)
 
 
 class TestPointwiseMaxControl:
