@@ -65,29 +65,25 @@ def _check_time(basis: BasisSpec, t: float) -> None:
 def eval_basis(basis: BasisSpec, t: float) -> np.ndarray:
     """Evaluate Psi(t), the vector of n basis functions at time t."""
     _check_time(basis, t)
-    if basis.kind == "legendre_shifted":
-        return eval_basis_grid(basis, np.array([t]))[0]
-    T = basis.t_final
-    # fourier: constant, then sin/cos pairs of increasing frequency
-    out = np.empty(basis.n)
-    out[0] = np.sqrt(1.0 / T)
-    for j in range(1, basis.n):
-        k = (j + 1) // 2
-        w = 2.0 * np.pi * k * t / T
-        out[j] = np.sqrt(2.0 / T) * (np.sin(w) if j % 2 == 1 else np.cos(w))
-    return out
+    return eval_basis_grid(basis, np.array([t]))[0]
 
 
 def eval_basis_grid(basis: BasisSpec, ts: np.ndarray) -> np.ndarray:
     """Psi evaluated at each time in ts; shape (len(ts), n)."""
     ts = np.asarray(ts, dtype=float)
+    T = basis.t_final
     if basis.kind == "legendre_shifted":
         # orthonormal shifted Legendre: sqrt((2j+1)/T) * P_j(2t/T - 1)
-        s = 2.0 * ts / basis.t_final - 1.0
+        s = 2.0 * ts / T - 1.0
         vals = npleg.legvander(s, basis.n - 1)
-        scale = np.sqrt((2.0 * np.arange(basis.n) + 1.0) / basis.t_final)
+        scale = np.sqrt((2.0 * np.arange(basis.n) + 1.0) / T)
         return vals * scale
-    return np.array([eval_basis(basis, t) for t in ts])
+    # fourier: constant, then sin/cos pairs of increasing frequency
+    j = np.arange(basis.n)
+    w = 2.0 * np.pi * ((j + 1) // 2) * ts[:, None] / T
+    vals = np.sqrt(2.0 / T) * np.where(j % 2 == 1, np.sin(w), np.cos(w))
+    vals[:, 0] = np.sqrt(1.0 / T)
+    return vals
 
 
 def eval_control(coeffs: ControlCoefficients, t: float) -> np.ndarray:

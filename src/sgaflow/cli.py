@@ -18,9 +18,9 @@ import numpy as np
 from . import __version__
 from .basis import BasisSpec, zero_coefficients
 from .dataset import Dataset, bootstrap, dither, load_csv, save_csv
-from .dynamics import integrate_adjoint, integrate_forward
+from .dynamics import integrate_adjoint
 from .model import ModelOracle, phi_value
-from .sga import ProblemData, SolverConfig, cost, solve
+from .sga import ProblemData, SolverConfig, SolverReport, cost, forward, solve
 from .verify import (check_coefficient_gradient, check_dp_identity,
                      check_rk4_order)
 
@@ -172,6 +172,8 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     if init not in ("zeros",) and not isinstance(init, list):
         raise ConfigError("solver.init must be 'zeros' or a coefficient matrix")
     c0 = np.asarray(init, dtype=float) if isinstance(init, list) else None
+    if solver["line_search"] != "backtracking":
+        raise ConfigError("solver.line_search must be 'backtracking'")
     try:
         return SolverConfig(
             eps=float(control["eps"]),
@@ -182,7 +184,6 @@ def build_solver_config(cfg: dict) -> SolverConfig:
             gamma0=float(solver["gamma0"]),
             eps_tol=float(solver["eps_tol"]),
             max_iters=int(solver["max_iters"]),
-            line_search=solver["line_search"],
             theta0=theta0,
             c0=c0,
         )
@@ -208,21 +209,43 @@ def _write_matrix_csv(path: Path, mat: np.ndarray, header: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
-    p = traj.theta_nodes.shape[1]
-    header = ["t"] + [f"theta{i+1}" for i in range(p)]
-    rows = np.column_stack([traj.grid.nodes, traj.theta_nodes])
-    _write_matrix_csv(path, rows, header)
+def _write_nodes_csv(path: Path, grid, vals: np.ndarray, name: str) -> None:
+    header = ["t"] + [f"{name}{i+1}" for i in range(vals.shape[1])]
+    _write_matrix_csv(path, np.column_stack([grid.nodes, vals]), header)
 
 
-def _write_adjoint_csv(path: Path, adj) -> None:
-    p = adj.p_nodes.shape[1]
-    header = ["t"] + [f"p{i+1}" for i in range(p)]
-    rows = np.column_stack([adj.grid.nodes, adj.p_nodes])
-    _write_matrix_csv(path, rows, header)
+def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
+              null_cost: float, traj, adj=None) -> None:
+    """Write the artifacts output.artifacts names (all by default) and the
+    manifest; adjoint.csv only when an adjoint is given."""
+    wanted = cfg.get("output", {}).get("artifacts")
 
+    def want(name):
+        return wanted is None or name in wanted
 
-def _emit_manifest(out: Path, cfg: dict, seed_override) -> None:
+    if want("report.json"):
+        _write_json(out / "report.json", report.to_dict())
+    if want("metrics.json"):
+        _write_json(out / "metrics.json", {
+            "cost_null_control": null_cost,
+            "cost_final": report.final_cost,
+            "improvement": null_cost - report.final_cost,
+            "iterations": len(report.iterations),
+            "converged": report.converged,
+            "stop_reason": report.stop_reason,
+        })
+    if want("coeffs.csv"):
+        c = report.final_coeffs.c
+        _write_matrix_csv(out / "coeffs.csv", c,
+                          [f"c{j+1}" for j in range(c.shape[1])])
+    if want("theta_star.csv"):
+        _write_matrix_csv(out / "theta_star.csv", report.theta_star[None, :],
+                          [f"theta{i+1}" for i in range(len(report.theta_star))])
+    if want("trajectory.csv"):
+        _write_nodes_csv(out / "trajectory.csv", traj.grid, traj.theta_nodes,
+                         "theta")
+    if adj is not None and want("adjoint.csv"):
+        _write_nodes_csv(out / "adjoint.csv", adj.grid, adj.p_nodes, "p")
     _write_json(out / "manifest.json", {
         "config_hash": _config_hash(cfg),
         "config": cfg,
@@ -260,72 +283,31 @@ def _pipeline(args):
 
 def cmd_run(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
-    wanted = cfg.get("output", {}).get("artifacts")
     p = oracle.param_dim
-    baseline_cost = cost(oracle, zero_coefficients(p, config.basis,
-                                                   config.u_max),
-                         config, data)
     report = solve(oracle, config, data)
-    traj = integrate_forward(oracle, config.initial_theta(p),
-                             report.final_coeffs, config.eps, data.z_train,
-                             data.z_dith, config.grid,
-                             config.divergence_bound)
+    # from the zero initial control, the first sweep's cost is the null
+    # control's, computed the same way
+    null_cost = (report.iterations[0].cost if config.c0 is None else
+                 cost(oracle, zero_coefficients(p, config.basis, config.u_max),
+                      config, data))
+    traj = forward(oracle, report.final_coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, report.final_coeffs, config.eps,
                             data.z_train, data.z_dith, data.z_val)
-
-    def want(name):
-        return wanted is None or name in wanted
-
-    if want("report.json"):
-        _write_json(out / "report.json", report.to_dict())
-    if want("metrics.json"):
-        _write_json(out / "metrics.json", {
-            "cost_null_control": baseline_cost,
-            "cost_final": report.final_cost,
-            "improvement": baseline_cost - report.final_cost,
-            "iterations": len(report.iterations),
-            "converged": report.converged,
-            "stop_reason": report.stop_reason,
-        })
-    if want("coeffs.csv"):
-        _write_matrix_csv(out / "coeffs.csv", report.final_coeffs.c,
-                          [f"c{j+1}" for j in range(config.basis.n)])
-    if want("theta_star.csv"):
-        _write_matrix_csv(out / "theta_star.csv",
-                          report.theta_star[None, :],
-                          [f"theta{i+1}" for i in range(p)])
-    if want("trajectory.csv"):
-        _write_trajectory_csv(out / "trajectory.csv", traj)
-    if want("adjoint.csv"):
-        _write_adjoint_csv(out / "adjoint.csv", adj)
-    _emit_manifest(out, cfg, args.seed)
+    _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
     if not args.quiet:
-        print(f"J[0]={baseline_cost:.6e}  J[u*]={report.final_cost:.6e}  "
+        print(f"J[0]={null_cost:.6e}  J[u*]={report.final_cost:.6e}  "
               f"iters={len(report.iterations)}  stop={report.stop_reason}")
     return 0
 
 
 def cmd_baseline(args) -> int:
+    """The null control as a zero-iteration run."""
     cfg, data, oracle, config, out = _pipeline(args)
-    p = oracle.param_dim
-    coeffs = zero_coefficients(p, config.basis, config.u_max)
-    traj = integrate_forward(oracle, config.initial_theta(p), coeffs,
-                             config.eps, data.z_train, data.z_dith,
-                             config.grid, config.divergence_bound)
+    coeffs = zero_coefficients(oracle.param_dim, config.basis, config.u_max)
+    traj = forward(oracle, coeffs, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
-    _write_json(out / "report.json", {
-        "iterations": [], "final_coeffs": coeffs.c.tolist(),
-        "theta_star": traj.theta_final.tolist(), "final_cost": j0,
-        "converged": False, "stop_reason": "baseline",
-    })
-    _write_json(out / "metrics.json", {
-        "cost_null_control": j0, "cost_final": j0, "improvement": 0.0,
-        "iterations": 0, "converged": False, "stop_reason": "baseline",
-    })
-    _write_matrix_csv(out / "coeffs.csv", coeffs.c,
-                      [f"c{j+1}" for j in range(config.basis.n)])
-    _write_trajectory_csv(out / "trajectory.csv", traj)
-    _emit_manifest(out, cfg, args.seed)
+    report = SolverReport([], coeffs, traj.theta_final, j0, False, "baseline")
+    _emit_run(out, cfg, args.seed, report, j0, traj)
     if not args.quiet:
         print(f"J[0]={j0:.6e}")
     return 0

@@ -19,8 +19,7 @@ final_states keeps only the (B, p) final states.
 Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
 that _stage_psi evaluates once per stage time, in vectorised blocks of
 PSI_BLOCK steps; each pass checks its grid against the basis's range once,
-so no stage calls eval_basis or eval_control.  Only the costate sweep's
-fallback for hand-built trajectories still calls eval_control per stage.
+so no stage calls eval_basis or eval_control.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from math import inf
 import numpy as np
 
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
-                    eval_basis_grid, eval_control)
+                    eval_basis_grid)
 from .dataset import Dataset
 from .model import ModelOracle, loss_gradient, loss_hvp, phi_gradient
 
@@ -84,32 +83,69 @@ class TimeGrid:
         return self.nodes[:-1] + 0.5 * self.h
 
 
+def _read_only_rows(name: str, a, rows: int) -> np.ndarray:
+    """a as a read-only (rows, p) float view; ValueError for other shapes."""
+    a = np.asarray(a, dtype=float).view()
+    if a.ndim != 2 or a.shape[0] != rows:
+        raise ValueError(f"{name} has shape {a.shape}, expected ({rows}, p)")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward solution: theta at every node and midpoint of the grid.
+    """Forward solution: theta at every quarter step of the grid.
 
-    theta_fine holds the states of the internal quarter-step integration
-    (4M+1 rows, spacing h/4); the backward pass reads its stage states from
-    it so no interpolation is ever needed.
+    theta_fine holds the states of the quarter-step integration (4M+1 rows,
+    spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
+    The backward pass reads its stage states from it, so no interpolation is
+    ever needed.  theta_nodes, theta_mid and theta_final are read-only views
+    of it.
     """
 
     grid: TimeGrid
-    theta_nodes: np.ndarray  # (M+1, p)
-    theta_mid: np.ndarray    # (M, p)
-    theta_fine: np.ndarray | None = None  # (4M+1, p)
+    theta_fine: np.ndarray  # (4M+1, p)
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta_fine", _read_only_rows(
+            "theta_fine", self.theta_fine, 4 * self.grid.steps + 1))
 
     @property
-    def theta_final(self) -> np.ndarray:
-        return self.theta_nodes[-1]
+    def theta_nodes(self) -> np.ndarray:  # (M+1, p)
+        return self.theta_fine[::4]
+
+    @property
+    def theta_mid(self) -> np.ndarray:  # (M, p)
+        return self.theta_fine[2::4]
+
+    @property
+    def theta_final(self) -> np.ndarray:  # (p,)
+        return self.theta_fine[-1]
 
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward solution: costate p at every node and midpoint of the grid."""
+    """Backward solution: costate p at every half step of the grid.
+
+    p_half holds the costates of the half-step sweep (2M+1 rows, spacing
+    h/2): row 2k is the node t_k and row 2k+1 the midpoint of step k.
+    p_nodes and p_mid are read-only views of it.
+    """
 
     grid: TimeGrid
-    p_nodes: np.ndarray  # (M+1, p)
-    p_mid: np.ndarray | None = None  # (M, p)
+    p_half: np.ndarray  # (2M+1, p)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_half", _read_only_rows(
+            "p_half", self.p_half, 2 * self.grid.steps + 1))
+
+    @property
+    def p_nodes(self) -> np.ndarray:  # (M+1, p)
+        return self.p_half[::2]
+
+    @property
+    def p_mid(self) -> np.ndarray:  # (M, p)
+        return self.p_half[1::2]
 
 
 def forward_rhs(oracle: ModelOracle, theta: np.ndarray, u: np.ndarray,
@@ -200,8 +236,7 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
                                                     coeffs.basis)
     fine = _rk4_forward(oracle, theta0[None], c, basis, eps, z_train, z_dith,
                         grid, divergence_bound, keep_states=True)[:, 0]
-    # fine node 4k is t_k, fine node 4k+2 is the midpoint
-    return Trajectory(grid, fine[::4].copy(), fine[2::4].copy(), fine)
+    return Trajectory(grid, fine)
 
 
 def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
@@ -244,73 +279,39 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
                       ) -> AdjointTrajectory:
     """Integrate the costate backward from p(T) = -grad Phi(theta(T)).
 
-    Stage states come from the stored node/midpoint values of the forward
-    trajectory, so no re-integration or interpolation happens here.  Raises
-    ValueError if the grid lies beyond the basis's range, and
-    NonFiniteCostateError if the costate becomes nan or inf.
+    RK4 on half steps; the stage states are the forward trajectory's exact
+    quarter-step values, so no re-integration or interpolation happens here,
+    and u at the stage times t_hi = j*hh, t_hi - hh/2 and t_hi - hh comes
+    from a Psi table.  Raises ValueError if the grid lies beyond the basis's
+    range, and NonFiniteCostateError if the costate becomes nan or inf.
     """
     grid = traj.grid
-    h = grid.h
-    nodes = grid.nodes
     M = grid.steps
-    p_dim = oracle.param_dim
+    hh = 0.5 * grid.h
+    fine = traj.theta_fine
 
     def rhs(u, theta, p):
         return adjoint_rhs(oracle, theta, p, u, eps, z_train, z_dith)
 
-    p0 = -phi_gradient(oracle, traj.theta_final, z_val)
-
-    if traj.theta_fine is not None:
-        # half-step backward sweep; stage states are exact quarter-step
-        # values from the forward pass, u at the stage times t_hi = j*hh,
-        # t_hi - hh/2 and t_hi - hh comes from a Psi table
-        hh = 0.5 * h
-        fine = traj.theta_fine
-        out = np.empty((2 * M + 1, p_dim))
-        p = p0
-        out[2 * M] = p
-        if coeffs is None:
-            zero = np.zeros(p_dim)
-        else:
-            _check_time(coeffs.basis, 2 * M * hh)
-            psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
-        for j in range(2 * M, 0, -1):
-            u1, u2, u4 = ((zero,) * 3 if coeffs is None
-                          else (coeffs.c @ q for q in next(psi)))
-            k1 = rhs(u1, fine[2 * j], p)
-            k2 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k1)
-            k3 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k2)
-            k4 = rhs(u4, fine[2 * j - 2], p - hh * k3)
-            p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(p)):
-                raise NonFiniteCostateError(j * hh - hh)
-            out[j - 1] = p
-        return AdjointTrajectory(grid, out[::2].copy(), out[1::2].copy())
-
-    # fallback for hand-built trajectories: full steps with stored midpoints
-    def u_at(t):
-        if coeffs is None:
-            return np.zeros(p_dim)
-        return eval_control(coeffs, t)
-
-    out = np.empty((M + 1, p_dim))
-    p = p0
-    out[M] = p
-    for k in range(M, 0, -1):
-        t_hi = nodes[k]
-        t_mid = t_hi - 0.5 * h
-        t_lo = nodes[k - 1]
-        th_hi = traj.theta_nodes[k]
-        th_mid = traj.theta_mid[k - 1]
-        th_lo = traj.theta_nodes[k - 1]
-        k1 = rhs(u_at(t_hi), th_hi, p)
-        k2 = rhs(u_at(t_mid), th_mid, p - 0.5 * h * k1)
-        k3 = rhs(u_at(t_mid), th_mid, p - 0.5 * h * k2)
-        k4 = rhs(u_at(t_lo), th_lo, p - h * k3)
-        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = np.empty((2 * M + 1, oracle.param_dim))
+    p = -phi_gradient(oracle, traj.theta_final, z_val)
+    out[2 * M] = p
+    if coeffs is None:
+        zero = np.zeros(oracle.param_dim)
+    else:
+        _check_time(coeffs.basis, 2 * M * hh)
+        psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
+    for j in range(2 * M, 0, -1):
+        u1, u2, u4 = ((zero,) * 3 if coeffs is None
+                      else (coeffs.c @ q for q in next(psi)))
+        k1 = rhs(u1, fine[2 * j], p)
+        k2 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k1)
+        k3 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k2)
+        k4 = rhs(u4, fine[2 * j - 2], p - hh * k3)
+        p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(p)):
-            raise NonFiniteCostateError(t_lo)
-        out[k - 1] = p
+            raise NonFiniteCostateError(j * hh - hh)
+        out[j - 1] = p
     return AdjointTrajectory(grid, out)
 
 

@@ -8,8 +8,8 @@ gradient of the Hamiltonian with respect to the control coefficients,
 and updates C <- project(C + gamma G).  With the terminal condition
 p(T) = -grad Phi, ascending the Hamiltonian descends the validation cost,
 and the variational identity dJ/dC = -G makes the update self-checking: an
-Armijo backtracking line search enforces sufficient decrease of J, a trial
-step whose flow diverges counting as J = +inf.
+Armijo backtracking line search enforces sufficient decrease of J and
+backtracks from a trial step whose flow diverges.
 
 Each Armijo trial integrates its control forward, and the accepted trial's
 trajectory is the next sweep's forward pass, so a solver iteration runs one
@@ -19,7 +19,6 @@ forward integration per trial and one backward integration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf
 
 import numpy as np
 
@@ -33,6 +32,9 @@ from .model import ModelOracle, loss_gradient, phi_value
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
+# states per stacked loss_gradient call in coefficient_gradient, which bounds
+# the mlp gradient's (states, m, hidden) intermediates however fine the grid
+GRAD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class SolverConfig:
     gamma0: float = 0.5
     eps_tol: float = 1e-6
     max_iters: int = 50
-    line_search: str = "backtracking"  # 'backtracking' | 'none'
     theta0: np.ndarray | None = None   # default: zeros
     c0: np.ndarray | None = None       # default: zeros
     divergence_bound: float = 1e8
@@ -70,8 +71,6 @@ class SolverConfig:
             raise ValueError("eps_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.line_search not in ("backtracking", "none"):
-            raise ValueError(f"unknown line_search {self.line_search!r}")
         if self.u_max < 0:
             raise ValueError("u_max must be >= 0")
         if abs(self.basis.t_final - self.t_final) > 1e-12 * self.t_final:
@@ -146,8 +145,8 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     return np.array([phi_value(oracle, th, data.z_val) for th in thetas])
 
 
-def _forward(oracle: ModelOracle, coeffs: ControlCoefficients,
-             config: SolverConfig, data: ProblemData) -> Trajectory:
+def forward(oracle: ModelOracle, coeffs: ControlCoefficients,
+            config: SolverConfig, data: ProblemData) -> Trajectory:
     """The controlled flow from config.initial_theta under coeffs."""
     return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
                              coeffs, config.eps, data.z_train, data.z_dith,
@@ -157,7 +156,7 @@ def _forward(oracle: ModelOracle, coeffs: ControlCoefficients,
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
          config: SolverConfig, data: ProblemData) -> float:
     """Validation cost at final time of the controlled flow."""
-    return phi_value(oracle, _forward(oracle, coeffs, config, data).theta_final,
+    return phi_value(oracle, forward(oracle, coeffs, config, data).theta_final,
                      data.z_val)
 
 
@@ -167,37 +166,28 @@ def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
     """Hamiltonian gradient with respect to C, integrated on the time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
-    Composite Simpson over node+midpoint values when the adjoint carries
-    midpoints (the normal case); trapezoid on the nodes otherwise.
+    Composite Simpson over the node and midpoint values; the integrand takes
+    the states in stacked loss_gradient calls of GRAD_BLOCK, whose rows
+    equal the per-state calls bit for bit.
     """
     if traj.grid != adj.grid:
         raise ValueError("state and costate live on different grids")
     grid = traj.grid
 
     def integrand_at(ts, thetas, ps):
-        psi = eval_basis_grid(coeffs.basis, ts)         # (n_t, N)
-        vals = np.empty((len(ts), coeffs.p))
-        for k in range(len(ts)):
-            gt = loss_gradient(oracle, thetas[k], data.z_dith)
-            vals[k] = config.eps * ps[k] * (gt * gt)
-        return vals, psi
-
-    if adj.p_mid is not None:
-        f_nodes, psi_nodes = integrand_at(grid.nodes, traj.theta_nodes,
-                                          adj.p_nodes)
-        f_mid, psi_mid = integrand_at(grid.midpoints, traj.theta_mid,
-                                      adj.p_mid)
-        w_n = np.full(grid.steps + 1, grid.h / 3.0)
-        w_n[0] = w_n[-1] = grid.h / 6.0
-        g = (f_nodes * w_n[:, None]).T @ psi_nodes
-        g += (2.0 * grid.h / 3.0) * f_mid.T @ psi_mid
-        return g                                        # (p, N)
+        gt = np.concatenate([loss_gradient(oracle, thetas[i:i + GRAD_BLOCK],
+                                           data.z_dith)
+                             for i in range(0, len(ts), GRAD_BLOCK)])
+        return config.eps * ps * (gt * gt), eval_basis_grid(coeffs.basis, ts)
 
     f_nodes, psi_nodes = integrand_at(grid.nodes, traj.theta_nodes,
                                       adj.p_nodes)
-    w = np.full(grid.steps + 1, grid.h)
-    w[0] = w[-1] = 0.5 * grid.h
-    return (f_nodes * w[:, None]).T @ psi_nodes         # (p, N)
+    f_mid, psi_mid = integrand_at(grid.midpoints, traj.theta_mid, adj.p_mid)
+    w_n = np.full(grid.steps + 1, grid.h / 3.0)
+    w_n[0] = w_n[-1] = grid.h / 6.0
+    g = (f_nodes * w_n[:, None]).T @ psi_nodes
+    g += (2.0 * grid.h / 3.0) * f_mid.T @ psi_mid
+    return g                                            # (p, N)
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -209,7 +199,7 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
     forward integration is then skipped.
     """
     if traj is None:
-        traj = _forward(oracle, coeffs, config, data)
+        traj = forward(oracle, coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, coeffs, config.eps, data.z_train,
                             data.z_dith, data.z_val)
     grad = coefficient_gradient(oracle, traj, adj, coeffs, config, data)
@@ -232,20 +222,15 @@ def _apply_update(oracle, coeffs, config, data, grad, j0, k):
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         return coeffs, IterationRecord(k, j0, 0.0, 0.0, False), None
-    if config.line_search == "none":
-        cand = replace(coeffs, c=coeffs.c + config.gamma0 * grad)
-        new = project_admissible(cand, config.projection_grid)
-        return new, IterationRecord(k, j0, gnorm, config.gamma0,
-                                    new is not cand), None
     for q in range(MAX_BACKTRACKS + 1):
         gamma = config.gamma0 * 0.5**q
         cand = replace(coeffs, c=coeffs.c + gamma * grad)
         new = project_admissible(cand, config.projection_grid)
         try:
-            traj = _forward(oracle, new, config, data)
-            j_new = phi_value(oracle, traj.theta_final, data.z_val)
+            traj = forward(oracle, new, config, data)
         except DivergenceError:
-            traj, j_new = None, inf  # a divergent trial is backtracked from
+            continue  # a divergent trial is backtracked from
+        j_new = phi_value(oracle, traj.theta_final, data.z_val)
         if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
             return (new, IterationRecord(k, j0, gnorm, gamma, new is not cand),
                     traj)
@@ -259,8 +244,8 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     Stops when the Frobenius norm of the coefficient gradient falls below
     eps_tol, after max_iters sweeps, or when the line search cannot find a
     decreasing step.  The accepted Armijo trial's trajectory is the next
-    sweep's forward pass and gives theta_star and final_cost, so only the
-    line_search 'none' path integrates forward after an update.
+    sweep's forward pass and gives theta_star and final_cost, so nothing is
+    integrated forward after an update but its trials.
     """
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
@@ -284,8 +269,6 @@ def solve(oracle: ModelOracle, config: SolverConfig,
             stop_reason = "line_search_failure"
             break
         traj = trial
-    if traj is None:
-        traj = _forward(oracle, coeffs, config, data)
     final_cost = phi_value(oracle, traj.theta_final, data.z_val)
     return SolverReport(records, coeffs, traj.theta_final.copy(),
                         final_cost, converged, stop_reason)

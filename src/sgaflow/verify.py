@@ -10,7 +10,7 @@ import numpy as np
 from .basis import ControlCoefficients, project_admissible
 from .dynamics import TimeGrid, integrate_adjoint, integrate_forward
 from .model import ModelOracle
-from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep
+from .sga import ProblemData, SolverConfig, cost, costs, forward, solve, sweep
 
 # flows per batch of finite-difference probes, which bounds the batch's
 # memory however many coefficients there are
@@ -122,9 +122,7 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
         raise ValueError(f"p <= 3 required for the value-function probe, got {p}")
     base = solve(oracle, config, data)
     theta0 = config.initial_theta(p)
-    traj = integrate_forward(oracle, theta0, base.final_coeffs, config.eps,
-                             data.z_train, data.z_dith, config.grid,
-                             config.divergence_bound)
+    traj = forward(oracle, base.final_coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, base.final_coeffs, config.eps,
                             data.z_train, data.z_dith, data.z_val)
     p0 = adj.p_nodes[0]

@@ -68,6 +68,21 @@ class TestEvalBasis:
         for t, row in zip(ts, grid):
             np.testing.assert_array_equal(eval_basis(basis, t), row)
 
+    def test_fourier_table_matches_per_time_formula_bitwise(self):
+        # the constant, then sqrt(2/T) sin and cos of 2 pi k t / T, built
+        # one scalar time and one function at a time
+        T, n = 1.3, 7
+        ts = np.linspace(0.0, T, 9001)
+        expect = np.empty((ts.size, n))
+        for i, t in enumerate(ts):
+            expect[i, 0] = np.sqrt(1.0 / T)
+            for j in range(1, n):
+                w = 2.0 * np.pi * ((j + 1) // 2) * t / T
+                expect[i, j] = np.sqrt(2.0 / T) * (np.sin(w) if j % 2 == 1
+                                                   else np.cos(w))
+        np.testing.assert_array_equal(
+            eval_basis_grid(BasisSpec("fourier", n, T), ts), expect)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             BasisSpec("chebyshev", 2, 1.0)

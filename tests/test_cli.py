@@ -97,6 +97,16 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--quiet"]) == 1
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_line_search_other_than_backtracking_rejected(self, tmp_path,
+                                                          capsys):
+        c = base_config()
+        c["solver"]["line_search"] = "none"
+        cfg = write_config(tmp_path, c)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert "solver.line_search" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_init_is_a_validation_error(self, tmp_path, capsys):
         c = base_config()
         c["solver"]["init"] = [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -126,15 +136,33 @@ class TestRun:
 
 class TestBaseline:
     def test_matches_runs_null_control_cost(self, tmp_path):
-        cfg = write_config(tmp_path, base_config())
-        out_r, out_b = tmp_path / "r", tmp_path / "b"
-        cli.main(["run", "--config", str(cfg), "--out", str(out_r),
-                  "--quiet"])
-        cli.main(["baseline", "--config", str(cfg), "--out", str(out_b),
-                  "--quiet"])
-        m_run = json.loads((out_r / "metrics.json").read_text())
-        m_base = json.loads((out_b / "metrics.json").read_text())
-        assert m_base["cost_final"] == m_run["cost_null_control"]
+        # from zeros, run reads the null-control cost off its first sweep;
+        # from a non-zero init, it integrates the null control itself
+        for init in ("zeros", [[0.3, -0.2, 0.1], [-0.1, 0.2, 0.0]]):
+            c = base_config()
+            c["solver"]["init"] = init
+            cfg = write_config(tmp_path, c)
+            out_r, out_b = tmp_path / "r", tmp_path / "b"
+            cli.main(["run", "--config", str(cfg), "--out", str(out_r),
+                      "--quiet"])
+            cli.main(["baseline", "--config", str(cfg), "--out", str(out_b),
+                      "--quiet"])
+            m_run = json.loads((out_r / "metrics.json").read_text())
+            m_base = json.loads((out_b / "metrics.json").read_text())
+            assert m_base["cost_final"] == m_run["cost_null_control"]
+            first = json.loads((out_r / "report.json").read_text())[
+                "iterations"][0]["cost"]
+            assert (first == m_run["cost_null_control"]) == (init == "zeros")
+
+    def test_writes_the_named_artifacts_and_no_adjoint(self, tmp_path):
+        c = base_config()
+        c["output"] = {"artifacts": ["theta_star.csv", "adjoint.csv"]}
+        cfg = write_config(tmp_path, c)
+        out = tmp_path / "b"
+        assert cli.main(["baseline", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json",
+                                                         "theta_star.csv"]
 
     def test_eps_is_irrelevant_without_control(self, tmp_path):
         outs = []
@@ -173,8 +201,7 @@ class TestGradcheck:
         def flipped(*args, **kwargs):
             adj = real(*args, **kwargs)
             from dataclasses import replace
-            p_mid = None if adj.p_mid is None else -adj.p_mid
-            return replace(adj, p_nodes=-adj.p_nodes, p_mid=p_mid)
+            return replace(adj, p_half=-adj.p_half)
 
         monkeypatch.setattr(sga_mod, "integrate_adjoint", flipped)
         cfg = write_config(tmp_path, base_config())

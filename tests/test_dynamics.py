@@ -4,8 +4,9 @@ import pytest
 from sgaflow import Dataset, ModelOracle, dynamics
 from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_control,
                            zero_coefficients)
-from sgaflow.dynamics import (DivergenceError, NonFiniteCostateError,
-                              TimeGrid, Trajectory, adjoint_rhs,
+from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
+                              NonFiniteCostateError, TimeGrid, Trajectory,
+                              adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
                               integrate_adjoint, integrate_forward)
 from sgaflow.model import loss_gradient, loss_hvp, phi_gradient
@@ -299,14 +300,12 @@ class TestIntegrateAdjoint:
         o = ModelOracle("linear_features", 1)
         grid = TimeGrid(1.0, 10)
         traj = integrate_forward(o, [0.0], None, 0.1, z1, zd, grid)
-        hand_built = Trajectory(grid, traj.theta_nodes, traj.theta_mid)
-        for tr in (traj, hand_built):
-            with (pytest.raises(NonFiniteCostateError) as exc,
-                  np.errstate(over="ignore", invalid="ignore")):
-                integrate_adjoint(o, tr, None, 0.1, z1, zd, zv)
-            # the CLI reports a RuntimeError with exit code 2
-            assert isinstance(exc.value, RuntimeError)
-            assert 0.0 <= exc.value.t < 1.0
+        with (pytest.raises(NonFiniteCostateError) as exc,
+              np.errstate(over="ignore", invalid="ignore")):
+            integrate_adjoint(o, traj, None, 0.1, z1, zd, zv)
+        # the CLI reports a RuntimeError with exit code 2
+        assert isinstance(exc.value, RuntimeError)
+        assert 0.0 <= exc.value.t < 1.0
 
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
@@ -339,6 +338,20 @@ class TestIntegrateAdjoint:
             adj = integrate_adjoint(o, traj, None, 0.0, z1, zd, zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+class TestTrajectoryShape:
+    @pytest.mark.parametrize("cls,rows,view", [
+        (Trajectory, 41, "theta_nodes"), (AdjointTrajectory, 21, "p_nodes")])
+    def test_row_count_checked_and_views_read_only(self, cls, rows, view):
+        # 4M+1 quarter-step states and 2M+1 half-step costates for M = 10
+        grid = TimeGrid(1.0, 10)
+        nodes = getattr(cls(grid, np.ones((rows, 2))), view)
+        assert nodes.shape == (11, 2)
+        assert not nodes.flags.writeable
+        for shape in ((rows - 1, 2), (rows + 1, 2), (11, 2), (rows,)):
+            with pytest.raises(ValueError, match="expected"):
+                cls(grid, np.ones(shape))
 
 
 class TestHamiltonian:

@@ -87,6 +87,9 @@ class TestLossGradientStack:
                 stacked[b], loss_gradient(o, thetas[b], data.z_train))
         assert loss_gradient(o, thetas[:1], data.z_train).shape == (
             1, o.param_dim)
+        # a strided view, as Trajectory.theta_nodes is, stacks the same way
+        np.testing.assert_array_equal(
+            loss_gradient(o, thetas[::2], data.z_train), stacked[::2])
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_wrong_last_axis_rejected(self, family):

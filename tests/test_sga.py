@@ -6,15 +6,16 @@ import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
-                           project_admissible, zero_coefficients)
+                           eval_basis_grid, project_admissible,
+                           zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
                               hamiltonian, integrate_forward)
-from sgaflow.model import phi_value
+from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
                          pointwise_max_control, solve, step, sweep)
 from sgaflow.verify import fd_gradient
 
-from conftest import linear_problem, quadratic_datasets
+from conftest import linear_problem, mlp_problem, quadratic_datasets
 
 
 def quad_config(p=1, steps=200, n=2, eps=0.1, u_max=5.0, **kw):
@@ -66,8 +67,8 @@ class TestCoefficientGradient:
         o, data = quad1_problem
         config = quad_config(steps=10)
         grid = TimeGrid(1.0, 10)
-        traj = Trajectory(grid, np.ones((11, 1)), np.ones((10, 1)))
-        adj = AdjointTrajectory(grid, np.zeros((11, 1)))
+        traj = Trajectory(grid, np.ones((41, 1)))
+        adj = AdjointTrajectory(grid, np.zeros((21, 1)))
         coeffs = zero_coefficients(1, config.basis, config.u_max)
         g = coefficient_gradient(o, traj, adj, coeffs, config, data)
         np.testing.assert_array_equal(g, np.zeros((1, 2)))
@@ -75,8 +76,8 @@ class TestCoefficientGradient:
     def test_scales_linearly_in_eps(self, quad1_problem):
         o, data = quad1_problem
         grid = TimeGrid(1.0, 10)
-        traj = Trajectory(grid, np.ones((11, 1)), np.ones((10, 1)))
-        adj = AdjointTrajectory(grid, np.ones((11, 1)))
+        traj = Trajectory(grid, np.ones((41, 1)))
+        adj = AdjointTrajectory(grid, np.ones((21, 1)))
         g = {}
         for eps in (0.5, 0.05):
             config = quad_config(steps=10, eps=eps)
@@ -100,12 +101,45 @@ class TestCoefficientGradient:
             coeffs.c.ravel(), 1e-5).reshape(1, 2)
         assert np.max(np.abs(-grad - fd)) / np.max(np.abs(fd)) <= 1e-5
 
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matches_per_state_loop_bitwise(self, family, monkeypatch):
+        # 21 nodes and 20 midpoints in stacks of 7, the last one partial
+        monkeypatch.setattr(sga, "GRAD_BLOCK", 7)
+        if family == "linear":
+            o, data = linear_problem(d=3, seed=25)
+        else:
+            o, data = mlp_problem(d=2, seed=24)
+        rng = np.random.default_rng(9)
+        config = SolverConfig(eps=0.3, t_final=1.0, steps=20,
+                              basis=BasisSpec("legendre_shifted", 3, 1.0),
+                              u_max=5.0,
+                              theta0=0.5 * rng.standard_normal(o.param_dim))
+        coeffs = ControlCoefficients(
+            rng.uniform(-1.0, 1.0, (o.param_dim, 3)), config.basis, 5.0)
+        traj, adj, g = sweep(o, coeffs, config, data)
+
+        def integrand(ts, thetas, ps):
+            vals = np.empty((len(ts), o.param_dim))
+            for k in range(len(ts)):
+                gt = loss_gradient(o, thetas[k], data.z_dith)
+                vals[k] = config.eps * ps[k] * (gt * gt)
+            return vals, eval_basis_grid(config.basis, ts)
+
+        grid = config.grid
+        f_n, psi_n = integrand(grid.nodes, traj.theta_nodes, adj.p_nodes)
+        f_m, psi_m = integrand(grid.midpoints, traj.theta_mid, adj.p_mid)
+        w = np.full(grid.steps + 1, grid.h / 3.0)
+        w[0] = w[-1] = grid.h / 6.0
+        expect = ((f_n * w[:, None]).T @ psi_n
+                  + (2.0 * grid.h / 3.0) * f_m.T @ psi_m)
+        np.testing.assert_array_equal(g, expect)
+        assert np.all(g != 0.0)
+
     def test_grid_mismatch_rejected(self, quad1_problem):
         o, data = quad1_problem
         config = quad_config(steps=10)
-        traj = Trajectory(TimeGrid(1.0, 10), np.ones((11, 1)),
-                          np.ones((10, 1)))
-        adj = AdjointTrajectory(TimeGrid(1.0, 20), np.zeros((21, 1)))
+        traj = Trajectory(TimeGrid(1.0, 10), np.ones((41, 1)))
+        adj = AdjointTrajectory(TimeGrid(1.0, 20), np.zeros((41, 1)))
         coeffs = zero_coefficients(1, config.basis, config.u_max)
         with pytest.raises(ValueError, match="grid"):
             coefficient_gradient(o, traj, adj, coeffs, config, data)
@@ -274,15 +308,6 @@ class TestForwardReuse:
         report = solve(o, config, data)
         assert report.iterations[0].gamma < config.gamma0
         assert forward_calls[0] == 1 + armijo_trials(report, config)
-
-    def test_no_line_search_integrates_each_sweep_and_the_end(
-            self, quad1_problem, forward_calls):
-        o, data = quad1_problem
-        config = quad_config(steps=100, max_iters=4, line_search="none")
-        report = solve(o, config, data)
-        assert report.stop_reason == "max_iters"
-        assert forward_calls[0] == len(report.iterations) + 1
-        assert_final_state_is_fresh(o, config, data, report)
 
     def test_line_search_failure_keeps_the_sweeps_trajectory(
             self, quad1_problem, forward_calls, monkeypatch):
