@@ -205,7 +205,7 @@ def _write_json(path: Path, obj) -> None:
 def _write_matrix_csv(path: Path, mat: np.ndarray, header: list[str]) -> None:
     lines = [",".join(header)]
     for row in np.atleast_2d(mat):
-        lines.append(",".join(repr(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 

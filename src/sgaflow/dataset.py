@@ -7,7 +7,7 @@ PCG64 so a seed reproduces bit-identical draws across runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -22,10 +22,6 @@ class Dataset:
     x: np.ndarray  # shape (m, d)
     y: np.ndarray  # shape (m,)
     tag: str = "original"
-    # the model layer's feature matrices of x, one per feature map, built on
-    # first use; x is read-only, so a stored matrix never goes stale
-    feature_cache: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -52,9 +48,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def with_tag(self, tag: str) -> "Dataset":
-        return Dataset(self.x, self.y, tag)
 
 
 def load_csv(path) -> Dataset:

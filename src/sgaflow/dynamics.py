@@ -13,13 +13,16 @@ states from those values, so no interpolation is ever done.
 The forward kernel advances a stack of B independent flows at once: theta
 has shape (B, p), member b runs under its own control u_b = C_b Psi(t) with
 C of shape (B, p, n), and each RK4 stage makes one oracle call for the whole
-stack.  integrate_forward is the B = 1 case and keeps every state;
-final_states keeps only the (B, p) final states.
+stack.  final_states keeps only the (B, p) final states; integrate_forward
+runs one (p,) flow and keeps every state.
 
 Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
 that _stage_psi evaluates once per stage time, in vectorised blocks of
-PSI_BLOCK steps; each pass checks its grid against the basis's range once,
-so no stage calls eval_basis or eval_control.
+PSI_BLOCK steps.  Each pass checks its grid against the basis's range and
+builds the loss plans of its datasets (model.loss_plan) once, and hands the
+plans to forward_rhs and adjoint_rhs, the per-stage right-hand sides; so no
+stage checks its inputs or calls eval_basis or eval_control, and for the
+linear family a stage costs a few p x p products.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
                     eval_basis_grid)
 from .dataset import Dataset
-from .model import ModelOracle, loss_gradient, loss_hvp, phi_gradient
+from .model import LossPlan, ModelOracle, loss_gradient, loss_plan
 
 DEFAULT_DIVERGENCE_BOUND = 1e8
 # steps per block of a pass's Psi table, which so holds at most
@@ -98,9 +101,7 @@ class Trajectory:
 
     theta_fine holds the states of the quarter-step integration (4M+1 rows,
     spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
-    The backward pass reads its stage states from it, so no interpolation is
-    ever needed.  theta_nodes, theta_mid and theta_final are read-only views
-    of it.
+    theta_nodes, theta_mid and theta_final are read-only views of it.
     """
 
     grid: TimeGrid
@@ -148,13 +149,12 @@ class AdjointTrajectory:
         return self.p_half[1::2]
 
 
-def forward_rhs(oracle: ModelOracle, theta: np.ndarray, u: np.ndarray,
-                eps: float, z_train: Dataset, z_dith: Dataset) -> np.ndarray:
-    """Controlled gradient-flow velocity at (theta, u); theta and u may be
-    (B, p) stacks."""
-    g = loss_gradient(oracle, theta, z_train)
-    gt = loss_gradient(oracle, theta, z_dith)
-    return -g + eps * (gt * gt) * np.asarray(u, dtype=float)
+def forward_rhs(train: LossPlan, dith: LossPlan, theta: np.ndarray,
+                u: np.ndarray, eps: float) -> np.ndarray:
+    """Controlled gradient-flow velocity at (theta, u), from the plans of the
+    training and dithered sets; theta and u may be (B, p) stacks."""
+    gt = dith.grad(theta)
+    return eps * (gt * gt) * u - train.grad(theta)
 
 
 def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
@@ -173,21 +173,22 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
                  keep_states: bool) -> np.ndarray:
     """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
 
-    Member b runs under u = c[b] Psi(t); c=None is the null control.
-    Returns the states at all 4M+1 quarter nodes, shape (4M+1, B, p), if
-    keep_states, else the final states, shape (B, p).  Raises ValueError if
-    the last stage time lies beyond the basis's range, and DivergenceError
-    for the first member whose state leaves the bound.
+    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c;
+    c=None is the null control.  Returns the states at all 4M+1 quarter
+    nodes if keep_states, else the final states.  Raises ValueError if the
+    last stage time lies beyond the basis's range, and DivergenceError for
+    the first member whose state leaves the bound.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
     if c is not None:
         _check_time(basis, (nsteps - 1) * h + h)
+    train, dith = loss_plan(oracle, z_train), loss_plan(oracle, z_dith)
 
     def rhs(th, u):
         if u is None:
-            return -loss_gradient(oracle, th, z_train)
-        return forward_rhs(oracle, th, u, eps, z_train, z_dith)
+            return -train.grad(th)
+        return forward_rhs(train, dith, th, u, eps)
 
     out = np.empty((nsteps + 1,) + theta0.shape) if keep_states else None
     th = theta0
@@ -201,25 +202,28 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
         k3 = rhs(th + 0.5 * h * k2, u2)
         k4 = rhs(th + h * k3, u4)
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        inside = np.linalg.norm(th, axis=-1) <= divergence_bound  # nan: False
-        if not np.all(inside):
+        # |th| as np.linalg.norm computes it, without its per-call overhead;
+        # nan compares False
+        inside = np.sqrt((th * th).sum(axis=-1)) <= divergence_bound
+        if not inside.all():
             b = int(np.argmin(inside))
-            nrm = float(np.linalg.norm(th[b]))
+            nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
             raise DivergenceError(k * h + h, inf if np.isnan(nrm) else nrm)
         if keep_states:
             out[k + 1] = th
     return out if keep_states else th
 
 
-def _initial_state(oracle: ModelOracle, theta0) -> np.ndarray:
-    theta0 = np.asarray(theta0, dtype=float).ravel()
-    if theta0.shape[0] != oracle.param_dim:
+def _state(oracle: ModelOracle, theta) -> np.ndarray:
+    """theta as a finite (p,) state; ValueError otherwise."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.shape[0] != oracle.param_dim:
         raise ValueError(
-            f"theta0 has dim {theta0.shape[0]}, oracle expects {oracle.param_dim}"
+            f"theta has dim {theta.shape[0]}, oracle expects {oracle.param_dim}"
         )
-    if not np.all(np.isfinite(theta0)):
-        raise ValueError("theta0 must be finite")
-    return theta0
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    return theta
 
 
 def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
@@ -231,11 +235,10 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
 
     coeffs=None means the null control u = 0 (pure gradient flow).
     """
-    theta0 = _initial_state(oracle, theta0)
-    c, basis = (None, None) if coeffs is None else (coeffs.c[None],
-                                                    coeffs.basis)
-    fine = _rk4_forward(oracle, theta0[None], c, basis, eps, z_train, z_dith,
-                        grid, divergence_bound, keep_states=True)[:, 0]
+    theta0 = _state(oracle, theta0)
+    c, basis = (None, None) if coeffs is None else (coeffs.c, coeffs.basis)
+    fine = _rk4_forward(oracle, theta0, c, basis, eps, z_train, z_dith,
+                        grid, divergence_bound, keep_states=True)
     return Trajectory(grid, fine)
 
 
@@ -246,7 +249,7 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                  ) -> np.ndarray:
     """Final states of B flows from one theta0, flow b under the control
     u = cs[b] Psi(t); cs has shape (B, p, n), the result (B, p)."""
-    theta0 = _initial_state(oracle, theta0)
+    theta0 = _state(oracle, theta0)
     cs = np.asarray(cs, dtype=float)
     if cs.ndim != 3 or cs.shape[1:] != (oracle.param_dim, basis.n):
         raise ValueError(f"coefficient stack has shape {cs.shape}, expected "
@@ -256,21 +259,16 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                         grid, divergence_bound, keep_states=False)
 
 
-def adjoint_rhs(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
-                u: np.ndarray, eps: float, z_train: Dataset,
-                z_dith: Dataset) -> np.ndarray:
-    """Time derivative of the costate: -(df/dtheta)^T p.
+def adjoint_rhs(train: LossPlan, dith: LossPlan, theta: np.ndarray,
+                p: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
+    """Time derivative of the costate: -(df/dtheta)^T p, for (p,) vectors.
 
-    Uses only gradient and hvp oracle calls: the Jacobian of the flow is
+    Uses only the plans' gradient and hvp: the Jacobian of the flow is
     -H + 2 eps diag(u) diag(g~) H~ with H, H~ the loss Hessians on the
     training and dithered sets and g~ the gradient on the dithered set.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    hv = loss_hvp(oracle, theta, z_train, p)
-    gt = loss_gradient(oracle, theta, z_dith)
-    hv_t = loss_hvp(oracle, theta, z_dith, gt * u * p)
-    return hv - 2.0 * eps * hv_t
+    v = dith.grad(theta) * u * p
+    return train.hvp(theta, p) - 2.0 * eps * dith.hvp(theta, v)
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
@@ -289,12 +287,13 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     M = grid.steps
     hh = 0.5 * grid.h
     fine = traj.theta_fine
+    train, dith = loss_plan(oracle, z_train), loss_plan(oracle, z_dith)
 
     def rhs(u, theta, p):
-        return adjoint_rhs(oracle, theta, p, u, eps, z_train, z_dith)
+        return adjoint_rhs(train, dith, theta, p, u, eps)
 
     out = np.empty((2 * M + 1, oracle.param_dim))
-    p = -phi_gradient(oracle, traj.theta_final, z_val)
+    p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
     if coeffs is None:
         zero = np.zeros(oracle.param_dim)
@@ -309,7 +308,7 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         k3 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k2)
         k4 = rhs(u4, fine[2 * j - 2], p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise NonFiniteCostateError(j * hh - hh)
         out[j - 1] = p
     return AdjointTrajectory(grid, out)
@@ -320,7 +319,8 @@ def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
                 z_dith: Dataset) -> float:
     """Control Hamiltonian: <p, f(theta, u)>."""
     p = np.asarray(p, dtype=float).ravel()
-    f = forward_rhs(oracle, theta, u, eps, z_train, z_dith)
+    f = forward_rhs(loss_plan(oracle, z_train), loss_plan(oracle, z_dith),
+                    _state(oracle, theta), np.asarray(u, dtype=float), eps)
     if p.shape != f.shape:
         raise ValueError(f"p has dim {p.shape[0]}, expected {f.shape[0]}")
     return float(p @ f)

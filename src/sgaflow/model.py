@@ -1,18 +1,19 @@
 """Loss oracles for the built-in model families.
 
-Two families are supported:
-
 * ``linear_features`` -- h(x) = theta . phi(x) with an elementwise polynomial
-  feature map; squared loss gives a constant Hessian (2/m) Phi^T Phi, so
-  value/gradient/hvp are all closed form.  The feature matrix Phi of a
-  dataset is built the first time an oracle needs it and kept with the
-  dataset, one read-only matrix per feature map (feature_matrix).
+  feature map.  The squared loss is quadratic in theta: with Phi the feature
+  matrix of the dataset, A = (2/m) Phi^T Phi and b = (2/m) Phi^T y, the
+  gradient is A theta - b and the Hessian the constant A.
 * ``mlp_tanh`` -- one hidden tanh layer of configurable width; gradients are
   analytic, Hessian-vector products use a central difference of the gradient,
   both gradients taken in one stacked call.
 
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
-validation cost uses the same formula on the validation set.
+validation cost uses the same formula on the validation set.  Loops evaluate
+it through a plan (loss_plan), one per (oracle, dataset), which checks the
+dataset once and holds Phi, A and b for the linear family; its grad, hvp and
+value check nothing.  loss_value, loss_gradient and loss_hvp are one-shot
+plan calls that also check theta.
 """
 
 from __future__ import annotations
@@ -83,48 +84,100 @@ class ModelOracle:
         return np.tanh(x @ w1.T + b1) @ w2 + b2
 
 
-def feature_matrix(oracle: ModelOracle, z: Dataset) -> np.ndarray:
-    """phi(z.x) for the linear family, shape (m, p), built on first use and
-    kept with z: one read-only matrix per feature map (degree, bias)."""
-    key = (oracle.degree, oracle.include_bias)
-    phi = z.feature_cache.get(key)
-    if phi is None:
-        phi = oracle.features(z.x)
-        phi.flags.writeable = False
-        z.feature_cache[key] = phi
-    return phi
+@dataclass(frozen=True)
+class LinearPlan:
+    """Linear-family loss on one dataset: gradient A theta - b, Hessian A."""
+
+    phi: np.ndarray  # (m, p)
+    y: np.ndarray    # (m,)
+    a: np.ndarray    # (p, p)
+    b: np.ndarray    # (p,)
+
+    def value(self, theta: np.ndarray) -> float:
+        r = self.phi @ theta - self.y
+        return float(np.mean(r * r))
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        # one matrix @ vector product per row: stack rows match (p,) calls
+        return (self.a @ theta[..., None])[..., 0] - self.b
+
+    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.a @ v
 
 
-def _check_dims(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
-                stack: bool = False) -> np.ndarray:
-    """theta as a (p,) vector, or with stack=True a 2-d input as a (B, p)
-    stack; raises ValueError if the last axis is not p."""
-    theta = np.asarray(theta, dtype=float)
-    if not (stack and theta.ndim == 2):
-        theta = theta.ravel()
-    if theta.shape[-1] != oracle.param_dim:
-        raise ValueError(
-            f"theta has dim {theta.shape[-1]}, oracle expects {oracle.param_dim}"
-        )
+@dataclass(frozen=True)
+class MlpPlan:
+    """The mlp family's loss on one dataset."""
+
+    oracle: ModelOracle
+    x: np.ndarray  # (m, d)
+    y: np.ndarray  # (m,)
+
+    def value(self, theta: np.ndarray) -> float:
+        r = self.oracle.predict(theta, self.x) - self.y
+        return float(np.mean(r * r))
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        x, y = self.x, self.y
+        w1, b1, w2, b2 = self.oracle._unpack(theta)
+        t = np.tanh(x @ w1.swapaxes(-1, -2) + b1[..., None, :])  # (..., m, h)
+        r = (t @ w2[..., None])[..., 0] + b2[..., None] - y       # (..., m)
+        coef = (2.0 / y.shape[0]) * r
+        s = coef[..., None] * (1.0 - t * t) * w2[..., None, :]    # (..., m, h)
+        g_w1 = s.swapaxes(-1, -2) @ x                             # (..., h, d)
+        g_w2 = (coef[..., None, :] @ t)[..., 0, :]
+        return np.concatenate([g_w1.reshape(theta.shape[:-1] + (-1,)),
+                               s.sum(axis=-2), g_w2,
+                               coef.sum(axis=-1, keepdims=True)], axis=-1)
+
+    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # step sqrt(eps)*(1+|theta|)/|v|, both gradients as one (2, p) stack
+        vnorm = np.linalg.norm(v)
+        if vnorm == 0.0:
+            return np.zeros_like(v)
+        h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm
+        gp, gm = self.grad(np.stack([theta + h * v, theta - h * v]))
+        return (gp - gm) / (2.0 * h)
+
+
+LossPlan = LinearPlan | MlpPlan
+
+
+def loss_plan(oracle: ModelOracle, z: Dataset) -> LossPlan:
+    """The loss of oracle on z; ValueError if z's input dimension is not the
+    oracle's or z holds nan or inf.  The plan's grad, hvp and value take a
+    (p,) theta, grad also a (B, p) stack."""
     if z.d != oracle.input_dim:
         raise ValueError(
             f"dataset has d={z.d}, oracle expects input_dim={oracle.input_dim}"
         )
-    return theta
+    if not (np.all(np.isfinite(z.x)) and np.all(np.isfinite(z.y))):
+        raise ValueError(f"the {z.tag} dataset holds nan or inf")
+    if oracle.family == "mlp_tanh":
+        return MlpPlan(oracle, z.x, z.y)
+    phi = oracle.features(z.x)
+    s = 2.0 / z.m
+    return LinearPlan(phi, z.y, s * (phi.T @ phi), s * (phi.T @ z.y))
+
+
+def _params(oracle: ModelOracle, a, stack: bool = False) -> np.ndarray:
+    """a as a (p,) vector, or with stack=True a 2-d input as a (B, p) stack;
+    raises ValueError if the last axis is not p."""
+    a = np.asarray(a, dtype=float)
+    if not (stack and a.ndim == 2):
+        a = a.ravel()
+    if a.shape[-1] != oracle.param_dim:
+        raise ValueError(f"dim {a.shape[-1]}, expected {oracle.param_dim}")
+    return a
 
 
 def loss_value(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> float:
     """Mean squared error of the model on z."""
-    theta = _check_dims(oracle, theta, z)
-    if oracle.family == "linear_features":
-        r = feature_matrix(oracle, z) @ theta - z.y
-    else:
-        r = oracle.predict(theta, z.x) - z.y
-    return float(np.mean(r * r))
+    return loss_plan(oracle, z).value(_params(oracle, theta))
 
 
 def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndarray:
-    """Analytic gradient of loss_value with respect to theta.
+    """Gradient of loss_value with respect to theta.
 
     theta may be a (B, p) stack; the result then has shape (B, p), and each
     row equals the gradient of that row alone bit for bit.  A 2-d theta is
@@ -132,45 +185,15 @@ def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndar
     rejected; any other shape is flattened to (p,).  phi_gradient and
     d_matrix, built on it, follow the same rule.
     """
-    theta = _check_dims(oracle, theta, z, stack=True)
-    if oracle.family == "linear_features":
-        phi = feature_matrix(oracle, z)
-        # one matrix @ vector product per row, so each row matches a (p,) call
-        r = (phi @ theta[..., None])[..., 0] - z.y       # (..., m)
-        return (2.0 / z.m) * (phi.T @ r[..., None])[..., 0]
-    w1, b1, w2, b2 = oracle._unpack(theta)
-    t = np.tanh(z.x @ w1.swapaxes(-1, -2) + b1[..., None, :])   # (..., m, h)
-    r = (t @ w2[..., None])[..., 0] + b2[..., None] - z.y       # (..., m)
-    coef = (2.0 / z.m) * r
-    s = coef[..., None] * (1.0 - t * t) * w2[..., None, :]      # (..., m, h)
-    g_w1 = s.swapaxes(-1, -2) @ z.x                             # (..., h, d)
-    g_w2 = (coef[..., None, :] @ t)[..., 0, :]
-    return np.concatenate([g_w1.reshape(theta.shape[:-1] + (-1,)),
-                           s.sum(axis=-2), g_w2,
-                           coef.sum(axis=-1, keepdims=True)], axis=-1)
+    return loss_plan(oracle, z).grad(_params(oracle, theta, stack=True))
 
 
 def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
              v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product of loss_value at theta in direction v.
-
-    Closed form for the linear family; central difference of the analytic
-    gradient for the mlp, with step sqrt(eps)*(1+|theta|)/|v|, the gradients
-    at theta +/- h v taken as one (2, p) stack.
-    """
-    theta = _check_dims(oracle, theta, z)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != oracle.param_dim:
-        raise ValueError(f"v has dim {v.shape[0]}, expected {oracle.param_dim}")
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
-        return np.zeros_like(v)
-    if oracle.family == "linear_features":
-        phi = feature_matrix(oracle, z)
-        return (2.0 / z.m) * (phi.T @ (phi @ v))
-    h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm
-    gp, gm = loss_gradient(oracle, np.stack([theta + h * v, theta - h * v]), z)
-    return (gp - gm) / (2.0 * h)
+    """Hessian-vector product of loss_value at theta in direction v: A v for
+    the linear family, a central difference of the gradient for the mlp."""
+    return loss_plan(oracle, z).hvp(_params(oracle, theta),
+                                    _params(oracle, v))
 
 
 def d_matrix(oracle: ModelOracle, theta: np.ndarray, z_dithered: Dataset) -> np.ndarray:

@@ -28,11 +28,11 @@ from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, final_states, integrate_adjoint,
                        integrate_forward)
-from .model import ModelOracle, loss_gradient, phi_value
+from .model import ModelOracle, loss_gradient, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
-# states per stacked loss_gradient call in coefficient_gradient, which bounds
+# states per stacked gradient call in coefficient_gradient, which bounds
 # the mlp gradient's (states, m, hidden) intermediates however fine the grid
 GRAD_BLOCK = 16
 
@@ -87,10 +87,7 @@ class SolverConfig:
     def initial_theta(self, p: int) -> np.ndarray:
         if self.theta0 is None:
             return np.zeros(p)
-        th = np.asarray(self.theta0, dtype=float).ravel()
-        if th.shape[0] != p:
-            raise ValueError(f"theta0 has dim {th.shape[0]}, expected {p}")
-        return th
+        return np.asarray(self.theta0, dtype=float).ravel()
 
     def initial_coefficients(self, p: int) -> ControlCoefficients:
         if self.c0 is None:
@@ -142,7 +139,8 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     thetas = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
                           config.basis, config.eps, data.z_train, data.z_dith,
                           config.grid, config.divergence_bound)
-    return np.array([phi_value(oracle, th, data.z_val) for th in thetas])
+    val = loss_plan(oracle, data.z_val)
+    return np.array([val.value(th) for th in thetas])
 
 
 def forward(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -167,16 +165,16 @@ def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
     Composite Simpson over the node and midpoint values; the integrand takes
-    the states in stacked loss_gradient calls of GRAD_BLOCK, whose rows
-    equal the per-state calls bit for bit.
+    the states in stacked gradient calls of GRAD_BLOCK, whose rows equal the
+    per-state calls bit for bit.
     """
     if traj.grid != adj.grid:
         raise ValueError("state and costate live on different grids")
     grid = traj.grid
+    dith = loss_plan(oracle, data.z_dith)
 
     def integrand_at(ts, thetas, ps):
-        gt = np.concatenate([loss_gradient(oracle, thetas[i:i + GRAD_BLOCK],
-                                           data.z_dith)
+        gt = np.concatenate([dith.grad(thetas[i:i + GRAD_BLOCK])
                              for i in range(0, len(ts), GRAD_BLOCK)])
         return config.eps * ps * (gt * gt), eval_basis_grid(coeffs.basis, ts)
 
@@ -206,19 +204,9 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
     return traj, adj, grad
 
 
-def step(oracle: ModelOracle, coeffs: ControlCoefficients,
-         config: SolverConfig, data: ProblemData,
-         ) -> tuple[ControlCoefficients, IterationRecord]:
-    """One coefficient update C <- project(C + gamma G) with line search."""
-    traj, _, grad = sweep(oracle, coeffs, config, data)
-    j0 = phi_value(oracle, traj.theta_final, data.z_val)
-    new, rec, _ = _apply_update(oracle, coeffs, config, data, grad, j0, k=0)
-    return new, rec
-
-
 def _apply_update(oracle, coeffs, config, data, grad, j0, k):
-    """Returns (new coefficients, record, trajectory under them), the
-    trajectory being the accepted Armijo trial's, or None without one."""
+    """C <- project(C + gamma G) by Armijo backtracking from the cost j0;
+    returns (new coefficients, record, accepted trial's trajectory or None)."""
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         return coeffs, IterationRecord(k, j0, 0.0, 0.0, False), None

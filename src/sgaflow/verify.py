@@ -51,10 +51,6 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
-def _rel_err(approx: float, ref: float, scale: float = 1.0) -> float:
-    return abs(approx - ref) / max(abs(ref), scale * 1e-12, 1e-300)
-
-
 def _fd_cost_gradient(oracle: ModelOracle, coeffs: ControlCoefficients,
                       config: SolverConfig, data: ProblemData,
                       step: float) -> np.ndarray:

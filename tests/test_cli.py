@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 from sgaflow import cli
+from sgaflow.model import phi_gradient
 
 
 def base_config(**overrides):
@@ -115,6 +116,31 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 1
         assert "C has non-finite" in capsys.readouterr().err
+
+    def test_csv_artifacts_read_back_bitwise(self, tmp_path):
+        cfg = base_config()
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        theta_star = np.array(report["theta_star"])
+
+        def read(name):
+            return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+
+        np.testing.assert_array_equal(read("coeffs.csv"),
+                                      report["final_coeffs"])
+        np.testing.assert_array_equal(read("theta_star.csv"), [theta_star])
+        nodes = np.linspace(0.0, 1.0, cfg["control"]["steps"] + 1)
+        traj, adj = read("trajectory.csv"), read("adjoint.csv")
+        for table in (traj, adj):
+            np.testing.assert_array_equal(table[:, 0], nodes)
+        np.testing.assert_array_equal(traj[-1, 1:], theta_star)
+        # the costate ends at -grad Phi(theta_star)
+        data = cli.build_data(cfg["data"])
+        oracle = cli.build_oracle(cfg["model"], data.z_val.d)
+        np.testing.assert_array_equal(
+            adj[-1, 1:], -phi_gradient(oracle, theta_star, data.z_val))
 
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -9,7 +9,8 @@ from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
                               integrate_adjoint, integrate_forward)
-from sgaflow.model import loss_gradient, loss_hvp, phi_gradient
+from sgaflow import model
+from sgaflow.model import loss_gradient, loss_hvp, loss_plan, phi_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
 
@@ -19,18 +20,25 @@ def quad_oracle(p=1):
     return ModelOracle("linear_features", p), z1, zd, zv
 
 
+def plans(o, z1, zd):
+    """The training and dithered plans that forward_rhs and adjoint_rhs
+    take."""
+    return loss_plan(o, z1), loss_plan(o, zd)
+
+
 class TestForwardRhs:
     def test_scalar_footnote_formula(self):
         # J0 = 0.5*theta^2 on both sets: f = -1 + 0.1 * 1^2 * 1 = -0.9
         o, z1, zd, _ = quad_oracle()
-        f = forward_rhs(o, np.array([1.0]), np.array([1.0]), 0.1, z1, zd)
+        f = forward_rhs(*plans(o, z1, zd), np.array([1.0]), np.array([1.0]),
+                        0.1)
         assert f[0] == pytest.approx(-0.9, rel=1e-14)
 
     def test_control_off_reduces_to_gradient_flow(self):
         o, data = linear_problem()
         theta = np.random.default_rng(0).standard_normal(o.param_dim)
-        f = forward_rhs(o, theta, np.zeros(o.param_dim), 0.7,
-                        data.z_train, data.z_dith)
+        f = forward_rhs(*plans(o, data.z_train, data.z_dith), theta,
+                        np.zeros(o.param_dim), 0.7)
         np.testing.assert_array_equal(
             f, -loss_gradient(o, theta, data.z_train))
 
@@ -40,7 +48,7 @@ class TestForwardRhs:
         theta = rng.standard_normal(o.param_dim)
         u = rng.standard_normal(o.param_dim)
         eps = 0.3
-        f = forward_rhs(o, theta, u, eps, data.z_train, data.z_dith)
+        f = forward_rhs(*plans(o, data.z_train, data.z_dith), theta, u, eps)
         g = loss_gradient(o, theta, data.z_train)
         gt = loss_gradient(o, theta, data.z_dith)
         expect = np.array([-g[i] + eps * gt[i]**2 * u[i]
@@ -197,16 +205,16 @@ class TestAdjointRhs:
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(o.param_dim)
         p = rng.standard_normal(o.param_dim)
-        out = adjoint_rhs(o, theta, p, np.zeros(o.param_dim), 0.4,
-                          data.z_train, data.z_dith)
+        out = adjoint_rhs(*plans(o, data.z_train, data.z_dith), theta, p,
+                          np.zeros(o.param_dim), 0.4)
         np.testing.assert_allclose(out, loss_hvp(o, theta, data.z_train, p),
                                    atol=1e-14)
 
     def test_scalar_case_with_chain_rule_factor(self):
         # df/dtheta = -1 + 2*eps*u*g~ = -1 + 0.2, so pdot = 0.8
         o, z1, zd, _ = quad_oracle()
-        out = adjoint_rhs(o, np.array([1.0]), np.array([1.0]),
-                          np.array([1.0]), 0.1, z1, zd)
+        out = adjoint_rhs(*plans(o, z1, zd), np.array([1.0]),
+                          np.array([1.0]), np.array([1.0]), 0.1)
         assert out[0] == pytest.approx(0.8, rel=1e-13)
 
     def test_matches_finite_difference_jacobian(self):
@@ -216,27 +224,30 @@ class TestAdjointRhs:
         p = rng.standard_normal(3)
         u = rng.standard_normal(3)
         eps = 0.2
-        out = adjoint_rhs(o, theta, p, u, eps, data.z_train, data.z_dith)
+        train, dith = plans(o, data.z_train, data.z_dith)
+        out = adjoint_rhs(train, dith, theta, p, u, eps)
         jac = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1e-6
-            fp = forward_rhs(o, theta + e, u, eps, data.z_train, data.z_dith)
-            fm = forward_rhs(o, theta - e, u, eps, data.z_train, data.z_dith)
+            fp = forward_rhs(train, dith, theta + e, u, eps)
+            fm = forward_rhs(train, dith, theta - e, u, eps)
             jac[:, k] = (fp - fm) / 2e-6
         expect = -jac.T @ p
         assert np.max(np.abs(out - expect)) / np.max(np.abs(expect)) <= 1e-5
 
 
 def per_stage_adjoint(o, traj, coeffs, eps, data):
-    """The half-step costate sweep with u from eval_control at every stage;
-    returns the costate at the nodes and at the midpoints."""
+    """The half-step costate sweep with u from eval_control at every stage,
+    through the same plan RHS; returns the costate at the nodes and at the
+    midpoints."""
     hh = 0.5 * traj.grid.h
     fine = traj.theta_fine
+    train, dith = plans(o, data.z_train, data.z_dith)
 
     def rhs(t, theta, p):
-        return adjoint_rhs(o, theta, p, eval_control(coeffs, t), eps,
-                           data.z_train, data.z_dith)
+        return adjoint_rhs(train, dith, theta, p, eval_control(coeffs, t),
+                           eps)
 
     p = -phi_gradient(o, traj.theta_final, data.z_val)
     out = [p]
@@ -338,6 +349,34 @@ class TestIntegrateAdjoint:
             adj = integrate_adjoint(o, traj, None, 0.0, z1, zd, zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+class TestPlans:
+    @pytest.mark.parametrize("steps", [3, 40])
+    def test_each_plan_built_once_per_integration(self, steps, monkeypatch):
+        built = []
+
+        def counted(o, z):
+            built.append(z.tag)
+            return loss_plan(o, z)
+
+        monkeypatch.setattr(dynamics, "loss_plan", counted)
+        monkeypatch.setattr(model, "loss_plan", counted)
+        o, data = linear_problem()
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        coeffs = ControlCoefficients(np.ones((o.param_dim, 2)), basis, 5.0)
+        grid = TimeGrid(1.0, steps)
+        traj = integrate_forward(o, np.zeros(o.param_dim), coeffs, 0.1,
+                                 data.z_train, data.z_dith, grid)
+        assert sorted(built) == ["dithered", "train"]
+        built.clear()
+        integrate_adjoint(o, traj, coeffs, 0.1, data.z_train, data.z_dith,
+                          data.z_val)
+        assert sorted(built) == ["dithered", "train", "validation"]
+        built.clear()
+        final_states(o, np.zeros(o.param_dim), np.ones((3, o.param_dim, 2)),
+                     basis, 0.1, data.z_train, data.z_dith, grid)
+        assert sorted(built) == ["dithered", "train"]
 
 
 class TestTrajectoryShape:

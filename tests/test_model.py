@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle
-from sgaflow.model import (d_matrix, feature_matrix, loss_gradient,
-                           loss_hvp, loss_value, phi_gradient, phi_value)
+from sgaflow.model import (d_matrix, loss_gradient, loss_hvp, loss_plan,
+                           loss_value, phi_gradient, phi_value)
 from sgaflow.verify import fd_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
@@ -90,6 +90,11 @@ class TestLossGradientStack:
         # a strided view, as Trajectory.theta_nodes is, stacks the same way
         np.testing.assert_array_equal(
             loss_gradient(o, thetas[::2], data.z_train), stacked[::2])
+        # and so does the plan that loss_gradient calls
+        plan = loss_plan(o, data.z_train)
+        np.testing.assert_array_equal(plan.grad(thetas), stacked)
+        for b in range(6):
+            np.testing.assert_array_equal(plan.grad(thetas[b]), stacked[b])
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_wrong_last_axis_rejected(self, family):
@@ -101,34 +106,42 @@ class TestLossGradientStack:
             loss_gradient(o, np.ones((4, o.param_dim + 1)), data.z_train)
 
 
-class TestFeatureMatrix:
-    def test_one_dataset_serves_two_feature_maps(self):
-        _, data = linear_problem(d=2, seed=12)
+class TestLossPlan:
+    def test_linear_matches_residual_form_and_central_difference(self):
+        _, data = linear_problem(d=3, seed=12)
+        o = ModelOracle("linear_features", 3, degree=2, include_bias=True)
         z = data.z_train
-        oracles = (ModelOracle("linear_features", 2),
-                   ModelOracle("linear_features", 2, degree=2,
-                               include_bias=True))
+        plan = loss_plan(o, z)
+        phi = o.features(z.x)
         rng = np.random.default_rng(10)
-        thetas = [rng.standard_normal(o.param_dim) for o in oracles]
-        v = [rng.standard_normal(o.param_dim) for o in oracles]
+        e = np.eye(o.param_dim)
 
-        def oracle_calls(o, theta, v, z):
-            return (loss_value(o, theta, z), loss_gradient(o, theta, z),
-                    loss_hvp(o, theta, z, v))
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-        shared = [oracle_calls(o, th, w, z)
-                  for o, th, w in zip(oracles, thetas, v)]
-        for o, th, w, got in zip(oracles, thetas, v, shared):
-            # a dataset of its own, so no other oracle's features are stored
-            alone = oracle_calls(o, th, w, Dataset(z.x, z.y, z.tag))
-            for a, b in zip(got, alone):
-                np.testing.assert_array_equal(a, b)
-            phi = feature_matrix(o, z)
-            assert phi.shape == (z.m, o.param_dim)
-            np.testing.assert_array_equal(phi, o.features(z.x))
-            assert feature_matrix(o, z) is phi
-            with pytest.raises(ValueError):
-                phi[0, 0] = 1.0
+        for _ in range(5):
+            theta, v = rng.standard_normal((2, o.param_dim))
+            g, hv = plan.grad(theta), plan.hvp(theta, v)
+            assert rel(g, (2.0 / z.m) * phi.T @ (phi @ theta - z.y)) <= 1e-12
+            assert rel(hv, (2.0 / z.m) * phi.T @ (phi @ v)) <= 1e-12
+            # the loss is quadratic, so a central difference of step 1 has
+            # no truncation error
+            fd = np.array([plan.value(theta + e[i]) - plan.value(theta - e[i])
+                           for i in range(o.param_dim)]) / 2.0
+            assert rel(g, fd) <= 1e-12
+            assert rel(hv, (plan.grad(theta + v) - plan.grad(theta - v))
+                       / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected_with_its_tag(self, where, bad):
+        o, data = linear_problem(d=2, seed=13)
+        x, y = data.z_dith.x.copy(), data.z_dith.y.copy()
+        (x if where == "x" else y)[3, ...] = bad
+        z = Dataset(x, y, "dithered")
+        for oracle in (o, ModelOracle("mlp_tanh", 2)):
+            with pytest.raises(ValueError, match="dithered dataset"):
+                loss_plan(oracle, z)
 
 
 class TestLossHvp:

@@ -9,10 +9,11 @@ from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
-                              hamiltonian, integrate_forward)
+                              hamiltonian, integrate_adjoint,
+                              integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
-                         pointwise_max_control, solve, step, sweep)
+                         pointwise_max_control, solve, sweep)
 from sgaflow.verify import fd_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
@@ -145,6 +146,12 @@ class TestCoefficientGradient:
             coefficient_gradient(o, traj, adj, coeffs, config, data)
 
 
+def one_step(o, coeffs, config, data):
+    """One solver iteration from coeffs: (new coefficients, its record)."""
+    report = solve(o, replace(config, c0=coeffs.c, max_iters=1), data)
+    return report.final_coeffs, report.iterations[0]
+
+
 class TestStep:
     def test_zero_gradient_is_fixed_point(self):
         # theta0 = 0 is stationary for J0 and zero-residual for Phi
@@ -153,7 +160,7 @@ class TestStep:
         data = ProblemData(z1, zd, zv)
         config = replace(quad_config(steps=50), theta0=np.zeros(1))
         coeffs = zero_coefficients(1, config.basis, config.u_max)
-        new, rec = step(o, coeffs, config, data)
+        new, rec = one_step(o, coeffs, config, data)
         np.testing.assert_array_equal(new.c, coeffs.c)
         assert rec.grad_norm == 0.0
 
@@ -169,14 +176,14 @@ class TestStep:
                                     config.basis, config.u_max),
                 config.projection_grid)
             j0 = cost(o, coeffs, config, data)
-            new, rec = step(o, coeffs, config, data)
+            new, rec = one_step(o, coeffs, config, data)
             assert cost(o, new, config, data) <= j0
 
     def test_projection_triggers_only_beyond_bound(self, quad1_problem):
         o, data = quad1_problem
         config = quad_config(steps=50, u_max=1e6, gamma0=1.0)
         coeffs = zero_coefficients(1, config.basis, config.u_max)
-        _, rec = step(o, coeffs, config, data)
+        _, rec = one_step(o, coeffs, config, data)
         assert not rec.projected
 
 
@@ -247,6 +254,34 @@ class TestSolve:
                                  config.eps, data.z_train, data.z_dith,
                                  config.grid)
         np.testing.assert_array_equal(report.theta_star, traj.theta_final)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_integrations_and_solve_reject_it(self, where, bad):
+        o, data = linear_problem(seed=33)
+        config = SolverConfig(eps=0.1, t_final=1.0, steps=10,
+                              basis=BasisSpec("legendre_shifted", 2, 1.0),
+                              u_max=5.0, max_iters=2)
+
+        def spoiled(z):
+            x, y = z.x.copy(), z.y.copy()
+            (x if where == "x" else y)[0, ...] = bad
+            return Dataset(x, y, z.tag)
+
+        coeffs = config.initial_coefficients(o.param_dim)
+        theta0 = np.zeros(o.param_dim)
+        with pytest.raises(ValueError, match="train dataset"):
+            integrate_forward(o, theta0, coeffs, config.eps,
+                              spoiled(data.z_train), data.z_dith, config.grid)
+        traj = integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
+                                 data.z_dith, config.grid)
+        with pytest.raises(ValueError, match="validation dataset"):
+            integrate_adjoint(o, traj, coeffs, config.eps, data.z_train,
+                              data.z_dith, spoiled(data.z_val))
+        with pytest.raises(ValueError, match="dithered dataset"):
+            solve(o, config, replace(data, z_dith=spoiled(data.z_dith)))
 
 
 @pytest.fixture
