@@ -17,7 +17,8 @@ def main() -> int:
     # single-point dataset making the training loss 0.5*theta^2
     a = 2**-0.5
     z = Dataset([[a]], [0.0], "train")
-    data = ProblemData(z, z.with_tag("dithered"), z.with_tag("validation"))
+    data = ProblemData(z, Dataset(z.x, z.y, "dithered"),
+                       Dataset(z.x, z.y, "validation"))
     oracle = ModelOracle("linear_features", 1)
     config = SolverConfig(eps=0.1, t_final=1.0, steps=100,
                           basis=BasisSpec("legendre_shifted", 2, 1.0),

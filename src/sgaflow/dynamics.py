@@ -19,10 +19,14 @@ runs one (p,) flow and keeps every state.
 Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
 that _stage_psi evaluates once per stage time, in vectorised blocks of
 PSI_BLOCK steps.  Each pass checks its grid against the basis's range and
-builds the loss plans of its datasets (model.loss_plan) once, and hands the
-plans to forward_rhs and adjoint_rhs, the per-stage right-hand sides; so no
-stage checks its inputs or calls eval_basis or eval_control, and for the
-linear family a stage costs a few p x p products.
+builds one flow plan (model.flow_plan) of the training and dithered sets,
+which share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
+right-hand sides.  A forward stage takes both gradients in one plan call.
+The backward pass takes grad J~0 at all 4M+1 forward states up front, in
+stacked calls of GRAD_BLOCK states (dithered_gradients), so an adjoint
+stage makes one call, for both Hessian-vector products.  No stage checks
+its inputs or calls eval_basis or eval_control, and for the linear family a
+stage costs a few p x p products.
 """
 
 from __future__ import annotations
@@ -35,12 +39,15 @@ import numpy as np
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
                     eval_basis_grid)
 from .dataset import Dataset
-from .model import LossPlan, ModelOracle, loss_gradient, loss_plan
+from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
 
 DEFAULT_DIVERGENCE_BOUND = 1e8
 # steps per block of a pass's Psi table, which so holds at most
 # 3 * PSI_BLOCK * n values however long the grid
 PSI_BLOCK = 512
+# states per stacked gradient call in dithered_gradients, which bounds the
+# mlp gradient's (states, m, hidden) intermediates however fine the grid
+GRAD_BLOCK = 16
 
 
 class DivergenceError(RuntimeError):
@@ -149,12 +156,19 @@ class AdjointTrajectory:
         return self.p_half[1::2]
 
 
-def forward_rhs(train: LossPlan, dith: LossPlan, theta: np.ndarray,
-                u: np.ndarray, eps: float) -> np.ndarray:
-    """Controlled gradient-flow velocity at (theta, u), from the plans of the
-    training and dithered sets; theta and u may be (B, p) stacks."""
-    gt = dith.grad(theta)
-    return eps * (gt * gt) * u - train.grad(theta)
+def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
+                eps: float) -> np.ndarray:
+    """Controlled gradient-flow velocity at (theta, u), from the flow plan of
+    the training and dithered sets; theta and u may be (B, p) stacks."""
+    g, gt = plan.grads(theta)
+    return eps * (gt * gt) * u - g
+
+
+def dithered_gradients(plan: FlowPlan, thetas: np.ndarray) -> np.ndarray:
+    """grad J~0 at each row of thetas, in stacked calls of GRAD_BLOCK rows,
+    whose rows equal the per-state calls bit for bit."""
+    return np.concatenate([plan.dith_grad(thetas[i:i + GRAD_BLOCK])
+                           for i in range(0, len(thetas), GRAD_BLOCK)])
 
 
 def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
@@ -183,12 +197,12 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
     nsteps = 4 * grid.steps
     if c is not None:
         _check_time(basis, (nsteps - 1) * h + h)
-    train, dith = loss_plan(oracle, z_train), loss_plan(oracle, z_dith)
+    plan = flow_plan(oracle, z_train, z_dith)
 
     def rhs(th, u):
         if u is None:
-            return -train.grad(th)
-        return forward_rhs(train, dith, th, u, eps)
+            return -plan.grads(th)[0]
+        return forward_rhs(plan, th, u, eps)
 
     out = np.empty((nsteps + 1,) + theta0.shape) if keep_states else None
     th = theta0
@@ -259,16 +273,17 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                         grid, divergence_bound, keep_states=False)
 
 
-def adjoint_rhs(train: LossPlan, dith: LossPlan, theta: np.ndarray,
+def adjoint_rhs(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
                 p: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-    """Time derivative of the costate: -(df/dtheta)^T p, for (p,) vectors.
+    """Time derivative of the costate: -(df/dtheta)^T p, for (p,) vectors,
+    with gt = grad J~0(theta) from the flow plan.
 
-    Uses only the plans' gradient and hvp: the Jacobian of the flow is
-    -H + 2 eps diag(u) diag(g~) H~ with H, H~ the loss Hessians on the
-    training and dithered sets and g~ the gradient on the dithered set.
+    The Jacobian of the flow is -H + 2 eps diag(u) diag(g~) H~ with H, H~
+    the loss Hessians on the training and dithered sets and g~ = gt, so one
+    hvps call of the plan gives the result.
     """
-    v = dith.grad(theta) * u * p
-    return train.hvp(theta, p) - 2.0 * eps * dith.hvp(theta, v)
+    hp, hv = plan.hvps(theta, p, gt * u * p)
+    return hp - 2.0 * eps * hv
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
@@ -279,18 +294,20 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
 
     RK4 on half steps; the stage states are the forward trajectory's exact
     quarter-step values, so no re-integration or interpolation happens here,
-    and u at the stage times t_hi = j*hh, t_hi - hh/2 and t_hi - hh comes
-    from a Psi table.  Raises ValueError if the grid lies beyond the basis's
-    range, and NonFiniteCostateError if the costate becomes nan or inf.
+    grad J~0 at each is taken once, and u at the stage times t_hi = j*hh,
+    t_hi - hh/2 and t_hi - hh comes from a Psi table.  Raises ValueError if
+    the grid lies beyond the basis's range, and NonFiniteCostateError if the
+    costate becomes nan or inf.
     """
     grid = traj.grid
     M = grid.steps
     hh = 0.5 * grid.h
     fine = traj.theta_fine
-    train, dith = loss_plan(oracle, z_train), loss_plan(oracle, z_dith)
+    plan = flow_plan(oracle, z_train, z_dith)
+    gt = dithered_gradients(plan, fine)
 
-    def rhs(u, theta, p):
-        return adjoint_rhs(train, dith, theta, p, u, eps)
+    def rhs(u, i, p):  # at the forward state of row i
+        return adjoint_rhs(plan, fine[i], gt[i], p, u, eps)
 
     out = np.empty((2 * M + 1, oracle.param_dim))
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
@@ -303,10 +320,10 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     for j in range(2 * M, 0, -1):
         u1, u2, u4 = ((zero,) * 3 if coeffs is None
                       else (coeffs.c @ q for q in next(psi)))
-        k1 = rhs(u1, fine[2 * j], p)
-        k2 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k1)
-        k3 = rhs(u2, fine[2 * j - 1], p - 0.5 * hh * k2)
-        k4 = rhs(u4, fine[2 * j - 2], p - hh * k3)
+        k1 = rhs(u1, 2 * j, p)
+        k2 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k1)
+        k3 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k2)
+        k4 = rhs(u4, 2 * j - 2, p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(p).all():
             raise NonFiniteCostateError(j * hh - hh)
@@ -319,8 +336,8 @@ def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
                 z_dith: Dataset) -> float:
     """Control Hamiltonian: <p, f(theta, u)>."""
     p = np.asarray(p, dtype=float).ravel()
-    f = forward_rhs(loss_plan(oracle, z_train), loss_plan(oracle, z_dith),
-                    _state(oracle, theta), np.asarray(u, dtype=float), eps)
+    f = forward_rhs(flow_plan(oracle, z_train, z_dith), _state(oracle, theta),
+                    np.asarray(u, dtype=float), eps)
     if p.shape != f.shape:
         raise ValueError(f"p has dim {p.shape[0]}, expected {f.shape[0]}")
     return float(p @ f)

@@ -12,8 +12,12 @@ The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.  Loops evaluate
 it through a plan (loss_plan), one per (oracle, dataset), which checks the
 dataset once and holds Phi, A and b for the linear family; its grad, hvp and
-value check nothing.  loss_value, loss_gradient and loss_hvp are one-shot
-plan calls that also check theta.
+value check nothing.  The flow's training set and its dithered version
+share x, so one plan per integration (flow_plan) serves both: its targets
+are the (2, m) stack (y, y~), one A theta (linear) or one forward pass (mlp)
+gives both gradients, and one call both Hessian-vector products.
+loss_value, loss_gradient and loss_hvp are one-shot plan calls that also
+check theta.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 from .dataset import Dataset
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+# the signs of a central difference's two points, as a (2, 1, 1) factor
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,13 @@ class ModelOracle:
 
 @dataclass(frozen=True)
 class LinearPlan:
-    """Linear-family loss on one dataset: gradient A theta - b, Hessian A."""
+    """Linear-family loss on one dataset: gradient A theta - b, Hessian A.
+    With a (k, m) stack of targets y, b is the (k, p) stack of their b."""
 
     phi: np.ndarray  # (m, p)
-    y: np.ndarray    # (m,)
+    y: np.ndarray    # (..., m)
     a: np.ndarray    # (p, p)
-    b: np.ndarray    # (p,)
+    b: np.ndarray    # (..., p)
 
     def value(self, theta: np.ndarray) -> float:
         r = self.phi @ theta - self.y
@@ -107,11 +114,12 @@ class LinearPlan:
 
 @dataclass(frozen=True)
 class MlpPlan:
-    """The mlp family's loss on one dataset."""
+    """The mlp family's loss on one dataset, or on a (k, m) stack of targets
+    for its inputs."""
 
     oracle: ModelOracle
     x: np.ndarray  # (m, d)
-    y: np.ndarray  # (m,)
+    y: np.ndarray  # (..., m)
 
     def value(self, theta: np.ndarray) -> float:
         r = self.oracle.predict(theta, self.x) - self.y
@@ -122,42 +130,125 @@ class MlpPlan:
         w1, b1, w2, b2 = self.oracle._unpack(theta)
         t = np.tanh(x @ w1.swapaxes(-1, -2) + b1[..., None, :])  # (..., m, h)
         r = (t @ w2[..., None])[..., 0] + b2[..., None] - y       # (..., m)
-        coef = (2.0 / y.shape[0]) * r
+        coef = (2.0 / y.shape[-1]) * r
         s = coef[..., None] * (1.0 - t * t) * w2[..., None, :]    # (..., m, h)
         g_w1 = s.swapaxes(-1, -2) @ x                             # (..., h, d)
         g_w2 = (coef[..., None, :] @ t)[..., 0, :]
-        return np.concatenate([g_w1.reshape(theta.shape[:-1] + (-1,)),
+        return np.concatenate([g_w1.reshape(g_w1.shape[:-2] + (-1,)),
                                s.sum(axis=-2), g_w2,
                                coef.sum(axis=-1, keepdims=True)], axis=-1)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # step sqrt(eps)*(1+|theta|)/|v|, both gradients as one (2, p) stack
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-        h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm
-        gp, gm = self.grad(np.stack([theta + h * v, theta - h * v]))
-        return (gp - gm) / (2.0 * h)
+        # per direction v_i, on the targets of the same index, a central
+        # difference of step sqrt(eps)*(1+|theta|)/|v_i|, all differences
+        # in one stacked gradient call; a zero direction gives 0 uncomputed
+        vs = v.reshape(-1, v.shape[-1])
+        vnorm = np.array([np.linalg.norm(d) for d in vs])
+        live = vnorm != 0.0
+        out = np.zeros_like(vs)
+        if live.any():
+            h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm[live, None]
+            ys = self.y.reshape(-1, self.y.shape[-1])[live]
+            gp, gm = MlpPlan(self.oracle, self.x, ys).grad(
+                theta + _PLUS_MINUS * (h * vs[live]))
+            out[live] = (gp - gm) / (2.0 * h)
+        return out.reshape(v.shape)
 
 
 LossPlan = LinearPlan | MlpPlan
 
 
-def loss_plan(oracle: ModelOracle, z: Dataset) -> LossPlan:
-    """The loss of oracle on z; ValueError if z's input dimension is not the
-    oracle's or z holds nan or inf.  The plan's grad, hvp and value take a
-    (p,) theta, grad also a (B, p) stack."""
+@dataclass(frozen=True)
+class LinearFlowPlan:
+    """The linear family's flow plan: J0 and J~0 share A, so one A theta
+    gives both gradients, A theta - b and A theta - b~."""
+
+    a: np.ndarray       # (p, p)
+    b: np.ndarray       # (p,)
+    b_dith: np.ndarray  # (p,)
+
+    def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = (self.a @ theta[..., None])[..., 0]
+        return at - self.b, at - self.b_dith
+
+    def dith_grad(self, theta: np.ndarray) -> np.ndarray:
+        return (self.a @ theta[..., None])[..., 0] - self.b_dith
+
+    def hvps(self, theta: np.ndarray, p: np.ndarray,
+             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.a @ p, self.a @ v
+
+
+@dataclass(frozen=True)
+class MlpFlowPlan:
+    """The mlp family's flow plan: one MlpPlan on the targets (y, y~), so
+    one forward pass gives both gradients and one stacked call both
+    Hessian-vector products."""
+
+    plan: MlpPlan
+
+    def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = self.plan.grad(theta[..., None, :])
+        return g[..., 0, :], g[..., 1, :]
+
+    def dith_grad(self, theta: np.ndarray) -> np.ndarray:
+        plan = self.plan
+        return MlpPlan(plan.oracle, plan.x, plan.y[1]).grad(theta)
+
+    def hvps(self, theta: np.ndarray, p: np.ndarray,
+             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hv = self.plan.hvp(theta, np.stack([p, v]))
+        return hv[0], hv[1]
+
+
+# grads(theta) is (grad J0, grad J~0) at a (p,) theta or at each row of a
+# (B, p) stack, and dith_grad(theta) grad J~0 alone; hvps(theta, p, v) is
+# (H p, H~ v), H and H~ the Hessians of J0 and J~0, with 0 for a zero
+# direction.  Each result equals the per-dataset plan's call bit for bit.
+FlowPlan = LinearFlowPlan | MlpFlowPlan
+
+
+def _check(oracle: ModelOracle, z: Dataset) -> None:
     if z.d != oracle.input_dim:
         raise ValueError(
             f"dataset has d={z.d}, oracle expects input_dim={oracle.input_dim}"
         )
     if not (np.all(np.isfinite(z.x)) and np.all(np.isfinite(z.y))):
         raise ValueError(f"the {z.tag} dataset holds nan or inf")
+
+
+def _plan(oracle: ModelOracle, x: np.ndarray, y: np.ndarray) -> LossPlan:
+    """The loss of oracle on inputs x with targets y, (m,) or (k, m)."""
     if oracle.family == "mlp_tanh":
-        return MlpPlan(oracle, z.x, z.y)
-    phi = oracle.features(z.x)
-    s = 2.0 / z.m
-    return LinearPlan(phi, z.y, s * (phi.T @ phi), s * (phi.T @ z.y))
+        return MlpPlan(oracle, x, y)
+    phi = oracle.features(x)
+    s = 2.0 / y.shape[-1]
+    return LinearPlan(phi, y, s * (phi.T @ phi),
+                      s * (phi.T @ y[..., None])[..., 0])
+
+
+def loss_plan(oracle: ModelOracle, z: Dataset) -> LossPlan:
+    """The loss of oracle on z; ValueError if z's input dimension is not the
+    oracle's or z holds nan or inf.  The plan's grad, hvp and value take a
+    (p,) theta, grad also a (B, p) stack."""
+    _check(oracle, z)
+    return _plan(oracle, z.x, z.y)
+
+
+def flow_plan(oracle: ModelOracle, z_train: Dataset,
+              z_dith: Dataset) -> FlowPlan:
+    """The losses of oracle on z_train and on its dithered version z_dith;
+    ValueError if either fails loss_plan's checks or z_dith's inputs are
+    not z_train's."""
+    _check(oracle, z_train)
+    _check(oracle, z_dith)
+    if not np.array_equal(z_dith.x, z_train.x):
+        raise ValueError(f"the {z_dith.tag} dataset's inputs differ from "
+                         f"the {z_train.tag} dataset's")
+    plan = _plan(oracle, z_train.x, np.stack([z_train.y, z_dith.y]))
+    if oracle.family == "mlp_tanh":
+        return MlpFlowPlan(plan)
+    return LinearFlowPlan(plan.a, *plan.b)
 
 
 def _params(oracle: ModelOracle, a, stack: bool = False) -> np.ndarray:

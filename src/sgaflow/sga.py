@@ -26,15 +26,13 @@ from .basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
                     project_admissible, zero_coefficients)
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
-                       Trajectory, final_states, integrate_adjoint,
-                       integrate_forward)
-from .model import ModelOracle, loss_gradient, loss_plan, phi_value
+                       Trajectory, dithered_gradients, final_states,
+                       integrate_adjoint, integrate_forward)
+from .model import (ModelOracle, flow_plan, loss_gradient, loss_plan,
+                    phi_value)
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
-# states per stacked gradient call in coefficient_gradient, which bounds
-# the mlp gradient's (states, m, hidden) intermediates however fine the grid
-GRAD_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -164,18 +162,16 @@ def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
     """Hamiltonian gradient with respect to C, integrated on the time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
-    Composite Simpson over the node and midpoint values; the integrand takes
-    the states in stacked gradient calls of GRAD_BLOCK, whose rows equal the
-    per-state calls bit for bit.
+    Composite Simpson over the node and midpoint values; the integrand reads
+    grad J~0 at the states through dithered_gradients.
     """
     if traj.grid != adj.grid:
         raise ValueError("state and costate live on different grids")
     grid = traj.grid
-    dith = loss_plan(oracle, data.z_dith)
+    plan = flow_plan(oracle, data.z_train, data.z_dith)
 
     def integrand_at(ts, thetas, ps):
-        gt = np.concatenate([dith.grad(thetas[i:i + GRAD_BLOCK])
-                             for i in range(0, len(ts), GRAD_BLOCK)])
+        gt = dithered_gradients(plan, thetas)
         return config.eps * ps * (gt * gt), eval_basis_grid(coeffs.basis, ts)
 
     f_nodes, psi_nodes = integrand_at(grid.nodes, traj.theta_nodes,

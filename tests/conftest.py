@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
+from sgaflow.basis import BasisSpec
+from sgaflow.sga import SolverConfig
 
 
 def quadratic_datasets(p: int):
@@ -52,3 +54,16 @@ def mlp_problem(d=1, m0=30, m=20, seed=0, hidden=4, noise_level=0.05):
     z2 = bootstrap(z0, m, True, seed + 2, tag="validation")
     zd = dither(z1, noise_level, seed + 3)
     return ModelOracle("mlp_tanh", d, hidden=hidden), ProblemData(z1, zd, z2)
+
+
+def mlp_check_problem(seed, steps, n_basis):
+    """An mlp problem and a solver config for a derivative check, started
+    from the seeded random theta0 = 0.5 N(0, I).  From theta0 = 0 the check
+    would test b2 alone: there D = g~^2 vanishes on W1, b1 and w2, so the
+    flow never moves them and their rows of G are 0."""
+    o, data = mlp_problem(seed=seed)
+    theta0 = 0.5 * np.random.default_rng(seed).standard_normal(o.param_dim)
+    config = SolverConfig(eps=0.1, t_final=1.0, steps=steps,
+                          basis=BasisSpec("legendre_shifted", n_basis, 1.0),
+                          u_max=5.0, theta0=theta0)
+    return o, config, data

@@ -19,7 +19,7 @@ from sgaflow.dynamics import (TimeGrid, hamiltonian, integrate_adjoint,
 from sgaflow.sga import ProblemData, SolverConfig, cost, solve
 from sgaflow.verify import check_coefficient_gradient, check_dp_identity
 
-from conftest import mlp_problem, quadratic_datasets
+from conftest import mlp_check_problem, quadratic_datasets
 
 
 def report(num, name, ok, detail=""):
@@ -105,10 +105,8 @@ def test_criterion_3_gradient_identity():
     lin_rep = check_coefficient_gradient(lin, lin_cfg,
                                          ProblemData(z1, zd, z2),
                                          n_probes=2, tol=1e-5)
-    mlp, mlp_data = mlp_problem(seed=61, hidden=4)
-    mlp_cfg = SolverConfig(eps=0.1, t_final=1.0, steps=200,
-                           basis=BasisSpec("legendre_shifted", 3, 1.0),
-                           u_max=5.0)
+    mlp, mlp_cfg, mlp_data = mlp_check_problem(seed=61, steps=200,
+                                               n_basis=3)
     mlp_rep = check_coefficient_gradient(mlp, mlp_cfg, mlp_data,
                                          n_probes=1, tol=1e-3)
     elapsed = time.time() - start

@@ -10,7 +10,8 @@ from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               final_states, forward_rhs, hamiltonian,
                               integrate_adjoint, integrate_forward)
 from sgaflow import model
-from sgaflow.model import loss_gradient, loss_hvp, loss_plan, phi_gradient
+from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
+                           phi_gradient)
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
 
@@ -20,24 +21,18 @@ def quad_oracle(p=1):
     return ModelOracle("linear_features", p), z1, zd, zv
 
 
-def plans(o, z1, zd):
-    """The training and dithered plans that forward_rhs and adjoint_rhs
-    take."""
-    return loss_plan(o, z1), loss_plan(o, zd)
-
-
 class TestForwardRhs:
     def test_scalar_footnote_formula(self):
         # J0 = 0.5*theta^2 on both sets: f = -1 + 0.1 * 1^2 * 1 = -0.9
         o, z1, zd, _ = quad_oracle()
-        f = forward_rhs(*plans(o, z1, zd), np.array([1.0]), np.array([1.0]),
-                        0.1)
+        f = forward_rhs(flow_plan(o, z1, zd), np.array([1.0]),
+                        np.array([1.0]), 0.1)
         assert f[0] == pytest.approx(-0.9, rel=1e-14)
 
     def test_control_off_reduces_to_gradient_flow(self):
         o, data = linear_problem()
         theta = np.random.default_rng(0).standard_normal(o.param_dim)
-        f = forward_rhs(*plans(o, data.z_train, data.z_dith), theta,
+        f = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta,
                         np.zeros(o.param_dim), 0.7)
         np.testing.assert_array_equal(
             f, -loss_gradient(o, theta, data.z_train))
@@ -48,7 +43,8 @@ class TestForwardRhs:
         theta = rng.standard_normal(o.param_dim)
         u = rng.standard_normal(o.param_dim)
         eps = 0.3
-        f = forward_rhs(*plans(o, data.z_train, data.z_dith), theta, u, eps)
+        f = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta, u,
+                        eps)
         g = loss_gradient(o, theta, data.z_train)
         gt = loss_gradient(o, theta, data.z_dith)
         expect = np.array([-g[i] + eps * gt[i]**2 * u[i]
@@ -205,7 +201,8 @@ class TestAdjointRhs:
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(o.param_dim)
         p = rng.standard_normal(o.param_dim)
-        out = adjoint_rhs(*plans(o, data.z_train, data.z_dith), theta, p,
+        plan = flow_plan(o, data.z_train, data.z_dith)
+        out = adjoint_rhs(plan, theta, plan.grads(theta)[1], p,
                           np.zeros(o.param_dim), 0.4)
         np.testing.assert_allclose(out, loss_hvp(o, theta, data.z_train, p),
                                    atol=1e-14)
@@ -213,8 +210,10 @@ class TestAdjointRhs:
     def test_scalar_case_with_chain_rule_factor(self):
         # df/dtheta = -1 + 2*eps*u*g~ = -1 + 0.2, so pdot = 0.8
         o, z1, zd, _ = quad_oracle()
-        out = adjoint_rhs(*plans(o, z1, zd), np.array([1.0]),
-                          np.array([1.0]), np.array([1.0]), 0.1)
+        # g~ = theta = 1
+        out = adjoint_rhs(flow_plan(o, z1, zd), np.array([1.0]),
+                          np.array([1.0]), np.array([1.0]), np.array([1.0]),
+                          0.1)
         assert out[0] == pytest.approx(0.8, rel=1e-13)
 
     def test_matches_finite_difference_jacobian(self):
@@ -224,30 +223,30 @@ class TestAdjointRhs:
         p = rng.standard_normal(3)
         u = rng.standard_normal(3)
         eps = 0.2
-        train, dith = plans(o, data.z_train, data.z_dith)
-        out = adjoint_rhs(train, dith, theta, p, u, eps)
+        plan = flow_plan(o, data.z_train, data.z_dith)
+        out = adjoint_rhs(plan, theta, plan.grads(theta)[1], p, u, eps)
         jac = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1e-6
-            fp = forward_rhs(train, dith, theta + e, u, eps)
-            fm = forward_rhs(train, dith, theta - e, u, eps)
+            fp = forward_rhs(plan, theta + e, u, eps)
+            fm = forward_rhs(plan, theta - e, u, eps)
             jac[:, k] = (fp - fm) / 2e-6
         expect = -jac.T @ p
         assert np.max(np.abs(out - expect)) / np.max(np.abs(expect)) <= 1e-5
 
 
 def per_stage_adjoint(o, traj, coeffs, eps, data):
-    """The half-step costate sweep with u from eval_control at every stage,
-    through the same plan RHS; returns the costate at the nodes and at the
-    midpoints."""
+    """The half-step costate sweep with u from eval_control and grad J~0
+    from a per-state loss_gradient call at every stage, through the same
+    flow-plan RHS; returns the costate at the nodes and at the midpoints."""
     hh = 0.5 * traj.grid.h
     fine = traj.theta_fine
-    train, dith = plans(o, data.z_train, data.z_dith)
+    plan = flow_plan(o, data.z_train, data.z_dith)
 
     def rhs(t, theta, p):
-        return adjoint_rhs(train, dith, theta, p, eval_control(coeffs, t),
-                           eps)
+        return adjoint_rhs(plan, theta, loss_gradient(o, theta, data.z_dith),
+                           p, eval_control(coeffs, t), eps)
 
     p = -phi_gradient(o, traj.theta_final, data.z_val)
     out = [p]
@@ -268,8 +267,10 @@ class TestIntegrateAdjoint:
                                              ("mlp", "fourier")])
     def test_matches_per_stage_control_bitwise(self, family, kind,
                                                monkeypatch):
-        # 40 half steps in blocks of 7: five full Psi tables and a partial
+        # 40 half steps in blocks of 7: five full Psi tables and a partial;
+        # 81 states in gradient stacks of 7, the last one partial
         monkeypatch.setattr(dynamics, "PSI_BLOCK", 7)
+        monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
         rng = np.random.default_rng(8)
         if family == "linear":
             o, data = linear_problem(d=3, seed=25)
@@ -356,11 +357,15 @@ class TestPlans:
     def test_each_plan_built_once_per_integration(self, steps, monkeypatch):
         built = []
 
+        def counted_flow(o, z1, zd):
+            built.append((z1.tag, zd.tag))
+            return flow_plan(o, z1, zd)
+
         def counted(o, z):
             built.append(z.tag)
             return loss_plan(o, z)
 
-        monkeypatch.setattr(dynamics, "loss_plan", counted)
+        monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
         monkeypatch.setattr(model, "loss_plan", counted)
         o, data = linear_problem()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
@@ -368,15 +373,15 @@ class TestPlans:
         grid = TimeGrid(1.0, steps)
         traj = integrate_forward(o, np.zeros(o.param_dim), coeffs, 0.1,
                                  data.z_train, data.z_dith, grid)
-        assert sorted(built) == ["dithered", "train"]
+        assert built == [("train", "dithered")]
         built.clear()
         integrate_adjoint(o, traj, coeffs, 0.1, data.z_train, data.z_dith,
                           data.z_val)
-        assert sorted(built) == ["dithered", "train", "validation"]
+        assert built == [("train", "dithered"), "validation"]
         built.clear()
         final_states(o, np.zeros(o.param_dim), np.ones((3, o.param_dim, 2)),
                      basis, 0.1, data.z_train, data.z_dith, grid)
-        assert sorted(built) == ["dithered", "train"]
+        assert built == [("train", "dithered")]
 
 
 class TestTrajectoryShape:

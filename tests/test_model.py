@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle
-from sgaflow.model import (d_matrix, loss_gradient, loss_hvp, loss_plan,
-                           loss_value, phi_gradient, phi_value)
+from sgaflow.model import (d_matrix, flow_plan, loss_gradient, loss_hvp,
+                           loss_plan, loss_value, phi_gradient, phi_value)
 from sgaflow.verify import fd_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
@@ -142,6 +142,49 @@ class TestLossPlan:
         for oracle in (o, ModelOracle("mlp_tanh", 2)):
             with pytest.raises(ValueError, match="dithered dataset"):
                 loss_plan(oracle, z)
+
+
+class TestFlowPlan:
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_equals_per_dataset_plans_bitwise(self, family):
+        if family == "linear":
+            _, data = linear_problem(d=2, seed=15)
+            o = ModelOracle("linear_features", 2, degree=2, include_bias=True)
+        else:
+            o, data = mlp_problem(d=2, seed=15)
+        train, dith = loss_plan(o, data.z_train), loss_plan(o, data.z_dith)
+        plan = flow_plan(o, data.z_train, data.z_dith)
+        rng = np.random.default_rng(12)
+        thetas = rng.standard_normal((5, o.param_dim))
+        # a (B, p) stack, a strided view of one, and single (p,) states
+        for th in (thetas, thetas[::2], *thetas):
+            g, gt = plan.grads(th)
+            np.testing.assert_array_equal(g, train.grad(th))
+            np.testing.assert_array_equal(gt, dith.grad(th))
+            np.testing.assert_array_equal(plan.dith_grad(th), gt)
+        p, v = rng.standard_normal((2, o.param_dim))
+        zero = np.zeros(o.param_dim)
+        for th in thetas:
+            for a, b in ((p, v), (zero, v), (p, zero), (zero, zero)):
+                hp, hv = plan.hvps(th, a, b)
+                np.testing.assert_array_equal(hp, train.hvp(th, a))
+                np.testing.assert_array_equal(hv, dith.hvp(th, b))
+        # the targets differ, so both results are checked
+        assert np.all(g != gt)
+        assert np.all(hp == 0.0) and np.all(hv == 0.0)
+        assert np.all(plan.hvps(thetas[0], p, v)[1] != 0.0)
+
+    def test_checks_both_datasets(self):
+        o, data = linear_problem(d=2, seed=16)
+        z1, zd = data.z_train, data.z_dith
+        x = zd.x.copy()
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="dithered dataset holds nan"):
+            flow_plan(o, z1, Dataset(x, zd.y, "dithered"))
+        with pytest.raises(ValueError, match="input_dim"):
+            flow_plan(ModelOracle("linear_features", 3), z1, zd)
+        with pytest.raises(ValueError, match="dithered dataset's inputs"):
+            flow_plan(o, z1, Dataset(zd.x + 1.0, zd.y, "dithered"))
 
 
 class TestLossHvp:

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData, sga
+from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
-                              hamiltonian, integrate_adjoint,
+                              final_states, hamiltonian, integrate_adjoint,
                               integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
@@ -105,7 +105,7 @@ class TestCoefficientGradient:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_matches_per_state_loop_bitwise(self, family, monkeypatch):
         # 21 nodes and 20 midpoints in stacks of 7, the last one partial
-        monkeypatch.setattr(sga, "GRAD_BLOCK", 7)
+        monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
         if family == "linear":
             o, data = linear_problem(d=3, seed=25)
         else:
@@ -282,6 +282,39 @@ class TestNonFiniteData:
                               data.z_dith, spoiled(data.z_val))
         with pytest.raises(ValueError, match="dithered dataset"):
             solve(o, config, replace(data, z_dith=spoiled(data.z_dith)))
+
+
+class TestDitheredInputs:
+    @pytest.mark.parametrize("change", ["value", "rows"])
+    def test_integrations_and_solve_reject_other_inputs(self, change):
+        # the dithered set must hold the training inputs, perturbed targets
+        o, data = linear_problem(seed=34)
+        config = SolverConfig(eps=0.1, t_final=1.0, steps=10,
+                              basis=BasisSpec("legendre_shifted", 2, 1.0),
+                              u_max=5.0, max_iters=2)
+        zd = data.z_dith
+        if change == "value":
+            x = zd.x.copy()
+            x[0, 0] = np.nextafter(x[0, 0], np.inf)
+            other = Dataset(x, zd.y, "dithered")
+        else:
+            other = Dataset(zd.x[1:], zd.y[1:], "dithered")
+        coeffs = config.initial_coefficients(o.param_dim)
+        theta0 = np.zeros(o.param_dim)
+        match = "dithered dataset's inputs differ"
+        with pytest.raises(ValueError, match=match):
+            integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
+                              other, config.grid)
+        traj = integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
+                                 zd, config.grid)
+        with pytest.raises(ValueError, match=match):
+            integrate_adjoint(o, traj, coeffs, config.eps, data.z_train,
+                              other, data.z_val)
+        with pytest.raises(ValueError, match=match):
+            final_states(o, theta0, coeffs.c[None], config.basis, config.eps,
+                         data.z_train, other, config.grid)
+        with pytest.raises(ValueError, match=match):
+            solve(o, config, replace(data, z_dith=other))
 
 
 @pytest.fixture

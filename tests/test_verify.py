@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sgaflow import ModelOracle, ProblemData, verify
-from sgaflow.basis import BasisSpec, ControlCoefficients
-from sgaflow.sga import SolverConfig, cost
+from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
+from sgaflow.sga import SolverConfig, cost, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
-from conftest import linear_problem, mlp_problem, quadratic_datasets
+from conftest import linear_problem, mlp_check_problem, quadratic_datasets
 
 
 def quad_setup(p=1, steps=100, n=2, eps=0.1, u_max=5.0, **kw):
@@ -52,13 +54,31 @@ class TestCheckCoefficientGradient:
         assert report.passed, report.to_dict()
 
     def test_mlp_family_passes(self):
-        o, data = mlp_problem(seed=51)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=100,
-                              basis=BasisSpec("legendre_shifted", 2, 1.0),
-                              u_max=5.0)
+        o, config, data = mlp_check_problem(seed=51, steps=100, n_basis=2)
         report = check_coefficient_gradient(o, config, data, n_probes=1,
                                             tol=1e-3)
         assert report.passed, report.to_dict()
+
+    @pytest.mark.parametrize("seed,steps,n_basis", [(61, 200, 3),
+                                                     (51, 100, 2)])
+    def test_mlp_checks_move_every_parameter(self, seed, steps, n_basis):
+        # criterion 3's and test_mlp_family_passes' set-ups, at their first
+        # probe's coefficients: no row of G may be all zero, or the check
+        # would not test that parameter
+        o, config, data = mlp_check_problem(seed, steps, n_basis)
+        c0 = np.random.default_rng(0).uniform(-0.5, 0.5,
+                                              (o.param_dim, n_basis))
+        coeffs = project_admissible(
+            ControlCoefficients(c0, config.basis, config.u_max),
+            config.projection_grid)
+
+        def zero_rows(cfg):
+            _, _, g = sweep(o, coeffs, cfg, data)
+            return int(np.sum(np.all(g == 0.0, axis=1)))
+
+        assert zero_rows(config) == 0
+        # from theta0 = 0 only b2's row moves
+        assert zero_rows(replace(config, theta0=None)) == o.param_dim - 1
 
     @pytest.mark.parametrize("block", [4, 128])
     def test_batched_probes_match_serial_fd_gradient(self, monkeypatch,
