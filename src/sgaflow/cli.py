@@ -44,11 +44,16 @@ _KEYS = {
     "output": {"dir", "artifacts"},
 }
 
+_ARTIFACTS = ("report.json", "metrics.json", "coeffs.csv", "theta_star.csv",
+              "trajectory.csv", "adjoint.csv", "manifest.json")
+
 _DEFAULTS_SOLVER = {"gamma0": 0.5, "eps_tol": 1e-6, "max_iters": 50,
                     "line_search": "backtracking", "init": "zeros"}
 
 
-def _reject_unknown(section: str, obj: dict, allowed: set) -> None:
+def _reject_unknown(section: str, obj, allowed: set) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
@@ -68,21 +73,20 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown("config", cfg, _SECTIONS)
+    _reject_unknown("config root", cfg, _SECTIONS)
     for sec in ("data", "model", "control"):
         if sec not in cfg:
             raise ConfigError(f"missing required section {sec!r}")
-        if not isinstance(cfg[sec], dict):
-            raise ConfigError(f"section {sec!r} must be an object")
+    for sec in cfg:
         _reject_unknown(sec, cfg[sec], _KEYS[sec])
-    for sec in ("solver", "output"):
-        if sec in cfg:
-            _reject_unknown(sec, cfg[sec], _KEYS[sec])
     if "source" in cfg["data"]:
         _reject_unknown("data.source", cfg["data"]["source"], _KEYS["source"])
     _validate_control(cfg["control"])
+    artifacts = cfg.get("output", {}).get("artifacts", [])
+    if not (isinstance(artifacts, list)
+            and all(a in _ARTIFACTS for a in artifacts)):
+        raise ConfigError(f"output.artifacts must be a list of names from "
+                          f"{list(_ARTIFACTS)}, got {artifacts!r}")
     return cfg
 
 
@@ -164,10 +168,14 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     basis = BasisSpec(control.get("basis", "legendre_shifted"),
                       int(control.get("n_basis", 4)), t_final)
     theta0 = cfg["model"].get("theta0")
-    if theta0 is not None and theta0 != "zeros":
-        theta0 = np.asarray(theta0, dtype=float)
-    else:
-        theta0 = None
+    theta0 = (None if theta0 in (None, "zeros")
+              else np.asarray(theta0, dtype=float))
+    if cfg["model"]["family"] == "mlp_tanh" and (theta0 is None
+                                                 or not theta0.any()):
+        raise ConfigError(
+            "model.theta0 = 0 is a saddle of the mlp_tanh loss: D = (grad "
+            "J~0)^2 vanishes there on W1, b1 and w2, so only b2 could be "
+            "trained; give a non-zero model.theta0")
     init = solver["init"]
     if init not in ("zeros",) and not isinstance(init, list):
         raise ConfigError("solver.init must be 'zeros' or a coefficient matrix")
@@ -218,14 +226,10 @@ def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
               null_cost: float, traj, adj=None) -> None:
     """Write the artifacts output.artifacts names (all by default) and the
     manifest; adjoint.csv only when an adjoint is given."""
-    wanted = cfg.get("output", {}).get("artifacts")
-
-    def want(name):
-        return wanted is None or name in wanted
-
-    if want("report.json"):
+    wanted = cfg.get("output", {}).get("artifacts", _ARTIFACTS)
+    if "report.json" in wanted:
         _write_json(out / "report.json", report.to_dict())
-    if want("metrics.json"):
+    if "metrics.json" in wanted:
         _write_json(out / "metrics.json", {
             "cost_null_control": null_cost,
             "cost_final": report.final_cost,
@@ -234,17 +238,17 @@ def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
             "converged": report.converged,
             "stop_reason": report.stop_reason,
         })
-    if want("coeffs.csv"):
+    if "coeffs.csv" in wanted:
         c = report.final_coeffs.c
         _write_matrix_csv(out / "coeffs.csv", c,
                           [f"c{j+1}" for j in range(c.shape[1])])
-    if want("theta_star.csv"):
+    if "theta_star.csv" in wanted:
         _write_matrix_csv(out / "theta_star.csv", report.theta_star[None, :],
                           [f"theta{i+1}" for i in range(len(report.theta_star))])
-    if want("trajectory.csv"):
+    if "trajectory.csv" in wanted:
         _write_nodes_csv(out / "trajectory.csv", traj.grid, traj.theta_nodes,
                          "theta")
-    if adj is not None and want("adjoint.csv"):
+    if adj is not None and "adjoint.csv" in wanted:
         _write_nodes_csv(out / "adjoint.csv", adj.grid, adj.p_nodes, "p")
     _write_json(out / "manifest.json", {
         "config_hash": _config_hash(cfg),
@@ -331,10 +335,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dpcheck(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
-    if oracle.param_dim > 3:
-        print(f"dpcheck refused: p <= 3 required, got p={oracle.param_dim}",
-              file=sys.stderr)
-        return 1
     report = check_dp_identity(oracle, config, data)
     _write_json(out / "dpcheck.json", report.to_dict())
     if not args.quiet:

@@ -14,7 +14,8 @@ The forward kernel advances a stack of B independent flows at once: theta
 has shape (B, p), member b runs under its own control u_b = C_b Psi(t) with
 C of shape (B, p, n), and each RK4 stage makes one oracle call for the whole
 stack.  final_states keeps only the (B, p) final states; integrate_forward
-runs one (p,) flow and keeps every state.
+runs one (p,) flow and keeps every state.  The null control is a zero C,
+and a state whose norm exceeds DIVERGENCE_BOUND stops the integration.
 
 Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
 that _stage_psi evaluates once per stage time, in vectorised blocks of
@@ -23,10 +24,10 @@ builds one flow plan (model.flow_plan) of the training and dithered sets,
 which share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
 right-hand sides.  A forward stage takes both gradients in one plan call.
 The backward pass takes grad J~0 at all 4M+1 forward states up front, in
-stacked calls of GRAD_BLOCK states (dithered_gradients), so an adjoint
-stage makes one call, for both Hessian-vector products.  No stage checks
-its inputs or calls eval_basis or eval_control, and for the linear family a
-stage costs a few p x p products.
+stacked calls of GRAD_BLOCK states, so an adjoint stage makes one call, for
+both Hessian-vector products, and it returns D = (grad J~0)^2 with p at its
+2M+1 half steps.  No stage checks its inputs or calls eval_basis or
+eval_control, and for the linear family a stage costs a few p x p products.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ from .basis import (BasisSpec, ControlCoefficients, _check_time,
 from .dataset import Dataset
 from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
 
-DEFAULT_DIVERGENCE_BOUND = 1e8
+# |theta| beyond which a forward integration raises DivergenceError
+DIVERGENCE_BOUND = 1e8
 # steps per block of a pass's Psi table, which so holds at most
 # 3 * PSI_BLOCK * n values however long the grid
 PSI_BLOCK = 512
-# states per stacked gradient call in dithered_gradients, which bounds the
+# states per stacked grad J~0 call of the backward pass, which bounds the
 # mlp gradient's (states, m, hidden) intermediates however fine the grid
 GRAD_BLOCK = 16
 
@@ -108,7 +110,7 @@ class Trajectory:
 
     theta_fine holds the states of the quarter-step integration (4M+1 rows,
     spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
-    theta_nodes, theta_mid and theta_final are read-only views of it.
+    theta_nodes and theta_final are read-only views of it.
     """
 
     grid: TimeGrid
@@ -123,37 +125,34 @@ class Trajectory:
         return self.theta_fine[::4]
 
     @property
-    def theta_mid(self) -> np.ndarray:  # (M, p)
-        return self.theta_fine[2::4]
-
-    @property
     def theta_final(self) -> np.ndarray:  # (p,)
         return self.theta_fine[-1]
 
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward solution: costate p at every half step of the grid.
+    """Backward solution: costate p and coupling diagonal D at every half
+    step of the grid.
 
-    p_half holds the costates of the half-step sweep (2M+1 rows, spacing
+    p_half holds the costates of the half-step sweep and d_half the
+    D = (grad J~0)^2 of the forward states it read (2M+1 rows each, spacing
     h/2): row 2k is the node t_k and row 2k+1 the midpoint of step k.
-    p_nodes and p_mid are read-only views of it.
+    p_nodes is a read-only view of p_half.
     """
 
     grid: TimeGrid
     p_half: np.ndarray  # (2M+1, p)
+    d_half: np.ndarray  # (2M+1, p)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_half", _read_only_rows(
-            "p_half", self.p_half, 2 * self.grid.steps + 1))
+        rows = 2 * self.grid.steps + 1
+        for name in ("p_half", "d_half"):
+            object.__setattr__(self, name, _read_only_rows(
+                name, getattr(self, name), rows))
 
     @property
     def p_nodes(self) -> np.ndarray:  # (M+1, p)
         return self.p_half[::2]
-
-    @property
-    def p_mid(self) -> np.ndarray:  # (M, p)
-        return self.p_half[1::2]
 
 
 def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
@@ -162,13 +161,6 @@ def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
     the training and dithered sets; theta and u may be (B, p) stacks."""
     g, gt = plan.grads(theta)
     return eps * (gt * gt) * u - g
-
-
-def dithered_gradients(plan: FlowPlan, thetas: np.ndarray) -> np.ndarray:
-    """grad J~0 at each row of thetas, in stacked calls of GRAD_BLOCK rows,
-    whose rows equal the per-state calls bit for bit."""
-    return np.concatenate([plan.dith_grad(thetas[i:i + GRAD_BLOCK])
-                           for i in range(0, len(thetas), GRAD_BLOCK)])
 
 
 def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
@@ -181,44 +173,37 @@ def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
                          for s in (t, t + 0.5 * d, t + d)))
 
 
-def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray | None,
-                 basis: BasisSpec | None, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid, divergence_bound: float,
+def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
+                 basis: BasisSpec, eps: float, z_train: Dataset,
+                 z_dith: Dataset, grid: TimeGrid,
                  keep_states: bool) -> np.ndarray:
     """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
 
-    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c;
-    c=None is the null control.  Returns the states at all 4M+1 quarter
-    nodes if keep_states, else the final states.  Raises ValueError if the
-    last stage time lies beyond the basis's range, and DivergenceError for
-    the first member whose state leaves the bound.
+    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c.
+    Returns the states at all 4M+1 quarter nodes if keep_states, else the
+    final states.  Raises ValueError if the last stage time lies beyond the
+    basis's range, and DivergenceError for the first member whose state
+    leaves DIVERGENCE_BOUND.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
-    if c is not None:
-        _check_time(basis, (nsteps - 1) * h + h)
+    _check_time(basis, (nsteps - 1) * h + h)
     plan = flow_plan(oracle, z_train, z_dith)
-
-    def rhs(th, u):
-        if u is None:
-            return -plan.grads(th)[0]
-        return forward_rhs(plan, th, u, eps)
-
     out = np.empty((nsteps + 1,) + theta0.shape) if keep_states else None
     th = theta0
     if keep_states:
         out[0] = th
-    psi = None if c is None else _stage_psi(basis, np.arange(nsteps), h)
+    psi = _stage_psi(basis, np.arange(nsteps), h)
     for k in range(nsteps):
-        u1, u2, u4 = (None,) * 3 if c is None else (c @ q for q in next(psi))
-        k1 = rhs(th, u1)
-        k2 = rhs(th + 0.5 * h * k1, u2)
-        k3 = rhs(th + 0.5 * h * k2, u2)
-        k4 = rhs(th + h * k3, u4)
+        u1, u2, u4 = (c @ q for q in next(psi))
+        k1 = forward_rhs(plan, th, u1, eps)
+        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)
+        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)
+        k4 = forward_rhs(plan, th + h * k3, u4, eps)
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # |th| as np.linalg.norm computes it, without its per-call overhead;
         # nan compares False
-        inside = np.sqrt((th * th).sum(axis=-1)) <= divergence_bound
+        inside = np.sqrt((th * th).sum(axis=-1)) <= DIVERGENCE_BOUND
         if not inside.all():
             b = int(np.argmin(inside))
             nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
@@ -241,26 +226,19 @@ def _state(oracle: ModelOracle, theta) -> np.ndarray:
 
 
 def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
-                      coeffs: ControlCoefficients | None, eps: float,
-                      z_train: Dataset, z_dith: Dataset, grid: TimeGrid,
-                      divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-                      ) -> Trajectory:
-    """Integrate the controlled flow from theta0 over the grid.
-
-    coeffs=None means the null control u = 0 (pure gradient flow).
-    """
-    theta0 = _state(oracle, theta0)
-    c, basis = (None, None) if coeffs is None else (coeffs.c, coeffs.basis)
-    fine = _rk4_forward(oracle, theta0, c, basis, eps, z_train, z_dith,
-                        grid, divergence_bound, keep_states=True)
+                      coeffs: ControlCoefficients, eps: float,
+                      z_train: Dataset, z_dith: Dataset,
+                      grid: TimeGrid) -> Trajectory:
+    """Integrate the controlled flow from theta0 over the grid."""
+    fine = _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
+                        coeffs.basis, eps, z_train, z_dith, grid,
+                        keep_states=True)
     return Trajectory(grid, fine)
 
 
 def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                  basis: BasisSpec, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid,
-                 divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-                 ) -> np.ndarray:
+                 z_dith: Dataset, grid: TimeGrid) -> np.ndarray:
     """Final states of B flows from one theta0, flow b under the control
     u = cs[b] Psi(t); cs has shape (B, p, n), the result (B, p)."""
     theta0 = _state(oracle, theta0)
@@ -270,7 +248,7 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                          f"(B, {oracle.param_dim}, {basis.n})")
     theta0 = np.broadcast_to(theta0, (cs.shape[0], oracle.param_dim))
     return _rk4_forward(oracle, theta0, cs, basis, eps, z_train, z_dith,
-                        grid, divergence_bound, keep_states=False)
+                        grid, keep_states=False)
 
 
 def adjoint_rhs(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
@@ -287,7 +265,7 @@ def adjoint_rhs(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
-                      coeffs: ControlCoefficients | None, eps: float,
+                      coeffs: ControlCoefficients, eps: float,
                       z_train: Dataset, z_dith: Dataset, z_val: Dataset,
                       ) -> AdjointTrajectory:
     """Integrate the costate backward from p(T) = -grad Phi(theta(T)).
@@ -295,16 +273,20 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     RK4 on half steps; the stage states are the forward trajectory's exact
     quarter-step values, so no re-integration or interpolation happens here,
     grad J~0 at each is taken once, and u at the stage times t_hi = j*hh,
-    t_hi - hh/2 and t_hi - hh comes from a Psi table.  Raises ValueError if
-    the grid lies beyond the basis's range, and NonFiniteCostateError if the
-    costate becomes nan or inf.
+    t_hi - hh/2 and t_hi - hh comes from a Psi table.  The result carries
+    D = (grad J~0)^2 at the half-step states next to p.  Raises ValueError
+    if the grid lies beyond the basis's range, and NonFiniteCostateError if
+    the costate becomes nan or inf.
     """
     grid = traj.grid
     M = grid.steps
     hh = 0.5 * grid.h
+    _check_time(coeffs.basis, 2 * M * hh)
     fine = traj.theta_fine
     plan = flow_plan(oracle, z_train, z_dith)
-    gt = dithered_gradients(plan, fine)
+    # stacked calls whose rows equal the per-state calls bit for bit
+    gt = np.concatenate([plan.dith_grad(fine[i:i + GRAD_BLOCK])
+                         for i in range(0, len(fine), GRAD_BLOCK)])
 
     def rhs(u, i, p):  # at the forward state of row i
         return adjoint_rhs(plan, fine[i], gt[i], p, u, eps)
@@ -312,14 +294,9 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     out = np.empty((2 * M + 1, oracle.param_dim))
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
-    if coeffs is None:
-        zero = np.zeros(oracle.param_dim)
-    else:
-        _check_time(coeffs.basis, 2 * M * hh)
-        psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
+    psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
     for j in range(2 * M, 0, -1):
-        u1, u2, u4 = ((zero,) * 3 if coeffs is None
-                      else (coeffs.c @ q for q in next(psi)))
+        u1, u2, u4 = (coeffs.c @ q for q in next(psi))
         k1 = rhs(u1, 2 * j, p)
         k2 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k1)
         k3 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k2)
@@ -328,7 +305,8 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         if not np.isfinite(p).all():
             raise NonFiniteCostateError(j * hh - hh)
         out[j - 1] = p
-    return AdjointTrajectory(grid, out)
+    g_half = gt[::2]
+    return AdjointTrajectory(grid, out, g_half * g_half)
 
 
 def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,

@@ -1,7 +1,7 @@
 """Successive Galerkin approximation solver.
 
-Each sweep integrates the state forward and the costate backward, forms the
-gradient of the Hamiltonian with respect to the control coefficients,
+Each sweep integrates the state forward and the costate backward, which
+also yields D, and forms the Hamiltonian's gradient in the coefficients,
 
     G_ij = eps * int_0^T p_i(t) D_ii(theta(t)) psi_j(t) dt,
 
@@ -26,10 +26,9 @@ from .basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
                     project_admissible, zero_coefficients)
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
-                       Trajectory, dithered_gradients, final_states,
-                       integrate_adjoint, integrate_forward)
-from .model import (ModelOracle, flow_plan, loss_gradient, loss_plan,
-                    phi_value)
+                       Trajectory, final_states, integrate_adjoint,
+                       integrate_forward)
+from .model import ModelOracle, loss_gradient, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
@@ -56,7 +55,6 @@ class SolverConfig:
     max_iters: int = 50
     theta0: np.ndarray | None = None   # default: zeros
     c0: np.ndarray | None = None       # default: zeros
-    divergence_bound: float = 1e8
 
     def __post_init__(self):
         if not (0.0 <= self.eps <= 1.0):
@@ -136,7 +134,7 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     equals cost() of that matrix bit for bit."""
     thetas = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
                           config.basis, config.eps, data.z_train, data.z_dith,
-                          config.grid, config.divergence_bound)
+                          config.grid)
     val = loss_plan(oracle, data.z_val)
     return np.array([val.value(th) for th in thetas])
 
@@ -146,7 +144,7 @@ def forward(oracle: ModelOracle, coeffs: ControlCoefficients,
     """The controlled flow from config.initial_theta under coeffs."""
     return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
                              coeffs, config.eps, data.z_train, data.z_dith,
-                             config.grid, config.divergence_bound)
+                             config.grid)
 
 
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -156,31 +154,21 @@ def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
                      data.z_val)
 
 
-def coefficient_gradient(oracle: ModelOracle, traj: Trajectory,
-                         adj: AdjointTrajectory, coeffs: ControlCoefficients,
-                         config: SolverConfig, data: ProblemData) -> np.ndarray:
+def coefficient_gradient(adj: AdjointTrajectory, basis: BasisSpec,
+                         eps: float) -> np.ndarray:
     """Hamiltonian gradient with respect to C, integrated on the time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
-    Composite Simpson over the node and midpoint values; the integrand reads
-    grad J~0 at the states through dithered_gradients.
+    Composite Simpson over the node and midpoint rows of the integrand
+    eps * p * D, both read off the backward sweep.
     """
-    if traj.grid != adj.grid:
-        raise ValueError("state and costate live on different grids")
-    grid = traj.grid
-    plan = flow_plan(oracle, data.z_train, data.z_dith)
-
-    def integrand_at(ts, thetas, ps):
-        gt = dithered_gradients(plan, thetas)
-        return config.eps * ps * (gt * gt), eval_basis_grid(coeffs.basis, ts)
-
-    f_nodes, psi_nodes = integrand_at(grid.nodes, traj.theta_nodes,
-                                      adj.p_nodes)
-    f_mid, psi_mid = integrand_at(grid.midpoints, traj.theta_mid, adj.p_mid)
+    grid = adj.grid
+    f = eps * adj.p_half * adj.d_half
     w_n = np.full(grid.steps + 1, grid.h / 3.0)
     w_n[0] = w_n[-1] = grid.h / 6.0
-    g = (f_nodes * w_n[:, None]).T @ psi_nodes
-    g += (2.0 * grid.h / 3.0) * f_mid.T @ psi_mid
+    g = (f[::2] * w_n[:, None]).T @ eval_basis_grid(basis, grid.nodes)
+    g += (2.0 * grid.h / 3.0) * f[1::2].T @ eval_basis_grid(basis,
+                                                            grid.midpoints)
     return g                                            # (p, N)
 
 
@@ -196,7 +184,7 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
         traj = forward(oracle, coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, coeffs, config.eps, data.z_train,
                             data.z_dith, data.z_val)
-    grad = coefficient_gradient(oracle, traj, adj, coeffs, config, data)
+    grad = coefficient_gradient(adj, coeffs.basis, config.eps)
     return traj, adj, grad
 
 

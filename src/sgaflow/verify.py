@@ -161,8 +161,7 @@ def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
     def run(steps):
         grid = TimeGrid(config.t_final, steps)
         traj = integrate_forward(oracle, theta0, coeffs, config.eps,
-                                 data.z_train, data.z_dith, grid,
-                                 config.divergence_bound)
+                                 data.z_train, data.z_dith, grid)
         adj = integrate_adjoint(oracle, traj, coeffs, config.eps,
                                 data.z_train, data.z_dith, data.z_val)
         return traj.theta_final, adj.p_nodes[0]

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
-from sgaflow.basis import BasisSpec
+from sgaflow.basis import BasisSpec, zero_coefficients
 from sgaflow.sga import SolverConfig
+
+
+def zero_control(p: int, t_final: float = 1.0):
+    """The null control u = 0 of p parameters on [0, t_final]."""
+    return zero_coefficients(p, BasisSpec("legendre_shifted", 1, t_final),
+                             1.0)
 
 
 def quadratic_datasets(p: int):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from sgaflow import cli
 from sgaflow.model import phi_gradient
 
@@ -142,6 +143,48 @@ class TestRun:
         np.testing.assert_array_equal(
             adj[-1, 1:], -phi_gradient(oracle, theta_star, data.z_val))
 
+    @pytest.mark.parametrize("theta0", [None, "zeros", [0.0] * 17],
+                             ids=["absent", "zeros", "zero-list"])
+    @pytest.mark.parametrize("command", ["run", "gradcheck"])
+    def test_mlp_from_zero_theta0_refused(self, tmp_path, capsys, command,
+                                          theta0):
+        # hidden 4 on d = 2 gives p = 17; at theta0 = 0 only b2 would move
+        model = {"family": "mlp_tanh", "hidden": 4}
+        if theta0 is not None:
+            model["theta0"] = theta0
+        cfg = write_config(tmp_path, base_config(model=model))
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert "saddle" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("artifacts", [["theta.csv"], "report.json"],
+                             ids=["mistyped", "string"])
+    def test_unknown_artifacts_rejected(self, tmp_path, capsys, artifacts):
+        # a mistyped name would write only the manifest, and a string
+        # would be matched by substring
+        c = base_config()
+        c["output"] = {"artifacts": artifacts}
+        cfg = write_config(tmp_path, c)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert "output.artifacts" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["solver", "output", "data.source"])
+    def test_section_that_is_not_an_object_rejected(self, tmp_path, capsys,
+                                                    section):
+        # each list passes the unknown-key check, as its items are keys
+        c = base_config()
+        if section == "data.source":
+            c["data"]["source"] = ["kind"]
+        else:
+            c[section] = ["dir"]
+        cfg = write_config(tmp_path, c)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -239,7 +282,7 @@ class TestGradcheck:
 class TestDpcheck:
     def test_refuses_high_dimensional_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(
-            model={"family": "mlp_tanh", "hidden": 4}))
+            model={"family": "mlp_tanh", "hidden": 4, "theta0": [0.1] * 17}))
         assert cli.main(["dpcheck", "--config", str(cfg), "--quiet"]) == 1
         assert "p <= 3" in capsys.readouterr().err
 

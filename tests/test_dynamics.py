@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from sgaflow import model
 from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
                            phi_gradient)
 
-from conftest import linear_problem, mlp_problem, quadratic_datasets
+from conftest import (linear_problem, mlp_problem, quadratic_datasets,
+                      zero_control)
 
 
 def quad_oracle(p=1):
@@ -56,7 +59,8 @@ class TestIntegrateForward:
     def test_exponential_decay_closed_form(self):
         o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 100)
-        traj = integrate_forward(o, [1.0], None, 0.0, z1, zd, grid)
+        traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+                                 grid)
         assert traj.theta_final[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_small_eps_continuity(self):
@@ -73,7 +77,7 @@ class TestIntegrateForward:
         exact = np.exp(-1.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], None, 0.0, z1, zd,
+            traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
                                      TimeGrid(1.0, m))
             errs.append(abs(traj.theta_final[0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
@@ -113,16 +117,21 @@ class TestIntegrateForward:
         assert abs(slope - 1.0) <= 0.1
 
     def test_divergence_guard_reports_time(self):
+        # theta' = -theta + 0.5 * theta^2 * u with u = 20 blows up at
+        # t = ln(10/9); the guard stops it within one quarter step
         o, z1, zd, _ = quad_oracle()
+        grid = TimeGrid(1.0, 50)
+        coeffs = ControlCoefficients(
+            [[20.0, 0.0]], BasisSpec("legendre_shifted", 2, 1.0), 50.0)
         with pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], None, 0.0, z1, zd, TimeGrid(1.0, 10),
-                              divergence_bound=0.5)
-        assert exc.value.t > 0.0
+            integrate_forward(o, [1.0], coeffs, 0.5, z1, zd, grid)
+        assert abs(exc.value.t - np.log(10.0 / 9.0)) <= 0.25 * grid.h
+        assert exc.value.norm > dynamics.DIVERGENCE_BOUND
 
     def test_nonfinite_theta0_rejected(self):
         o, z1, zd, _ = quad_oracle()
         with pytest.raises(ValueError):
-            integrate_forward(o, [np.nan], None, 0.0, z1, zd,
+            integrate_forward(o, [np.nan], zero_control(1), 0.0, z1, zd,
                               TimeGrid(1.0, 10))
 
 
@@ -239,7 +248,8 @@ class TestAdjointRhs:
 def per_stage_adjoint(o, traj, coeffs, eps, data):
     """The half-step costate sweep with u from eval_control and grad J~0
     from a per-state loss_gradient call at every stage, through the same
-    flow-plan RHS; returns the costate at the nodes and at the midpoints."""
+    flow-plan RHS; returns the costate and D = (grad J~0)^2 at the half
+    steps."""
     hh = 0.5 * traj.grid.h
     fine = traj.theta_fine
     plan = flow_plan(o, data.z_train, data.z_dith)
@@ -258,8 +268,8 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
         k4 = rhs(t_hi - hh, fine[2 * j - 2], p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(p)
-    out = np.array(out[::-1])
-    return out[::2], out[1::2]
+    d = [loss_gradient(o, theta, data.z_dith) ** 2 for theta in fine[::2]]
+    return np.array(out[::-1]), np.array(d)
 
 
 class TestIntegrateAdjoint:
@@ -284,20 +294,20 @@ class TestIntegrateAdjoint:
                                  data.z_dith, TimeGrid(1.0, 20))
         adj = integrate_adjoint(o, traj, coeffs, 0.3, data.z_train,
                                 data.z_dith, data.z_val)
-        p_nodes, p_mid = per_stage_adjoint(o, traj, coeffs, 0.3, data)
-        np.testing.assert_array_equal(adj.p_nodes, p_nodes)
-        np.testing.assert_array_equal(adj.p_mid, p_mid)
+        p_half, d_half = per_stage_adjoint(o, traj, coeffs, 0.3, data)
+        np.testing.assert_array_equal(adj.p_half, p_half)
+        np.testing.assert_array_equal(adj.d_half, d_half)
         # the control moves the costate, so the check covers it
-        free = integrate_adjoint(o, traj, None, 0.3, data.z_train,
-                                 data.z_dith, data.z_val)
+        free = integrate_adjoint(o, traj, zero_control(o.param_dim), 0.3,
+                                 data.z_train, data.z_dith, data.z_val)
         assert np.all(free.p_nodes[0] != adj.p_nodes[0])
 
     def test_grid_beyond_basis_range_rejected(self):
         # a null-control forward pass to t=2 is valid, but the Legendre
         # basis of the control is defined on [0, 1] only
         o, z1, zd, zv = quad_oracle()
-        traj = integrate_forward(o, [1.0], None, 0.1, z1, zd,
-                                 TimeGrid(2.0, 10))
+        traj = integrate_forward(o, [1.0], zero_control(1, 2.0), 0.1, z1,
+                                 zd, TimeGrid(2.0, 10))
         coeffs = ControlCoefficients(
             np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
         with pytest.raises(ValueError, match="outside"):
@@ -311,10 +321,11 @@ class TestIntegrateAdjoint:
         zv = Dataset([[1.0]], [1.0], "validation")
         o = ModelOracle("linear_features", 1)
         grid = TimeGrid(1.0, 10)
-        traj = integrate_forward(o, [0.0], None, 0.1, z1, zd, grid)
+        traj = integrate_forward(o, [0.0], zero_control(1), 0.1, z1, zd,
+                                 grid)
         with (pytest.raises(NonFiniteCostateError) as exc,
               np.errstate(over="ignore", invalid="ignore")):
-            integrate_adjoint(o, traj, None, 0.1, z1, zd, zv)
+            integrate_adjoint(o, traj, zero_control(1), 0.1, z1, zd, zv)
         # the CLI reports a RuntimeError with exit code 2
         assert isinstance(exc.value, RuntimeError)
         assert 0.0 <= exc.value.t < 1.0
@@ -322,8 +333,9 @@ class TestIntegrateAdjoint:
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
         grid = TimeGrid(1.0, 200)
-        traj = integrate_forward(o, [1.0], None, 0.0, z1, zd, grid)
-        adj = integrate_adjoint(o, traj, None, 0.0, z1, zd, zv)
+        traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+                                 grid)
+        adj = integrate_adjoint(o, traj, zero_control(1), 0.0, z1, zd, zv)
         assert adj.p_nodes[-1][0] == pytest.approx(-np.exp(-1.0), abs=1e-9)
         assert adj.p_nodes[0][0] == pytest.approx(-np.exp(-2.0), abs=1e-8)
 
@@ -332,11 +344,12 @@ class TestIntegrateAdjoint:
         rng = np.random.default_rng(5)
         theta0 = rng.standard_normal(o.param_dim)
         grid = TimeGrid(1.0, 50)
-        traj = integrate_forward(o, theta0, None, 0.0, data.z_train,
+        null = zero_control(o.param_dim)
+        traj = integrate_forward(o, theta0, null, 0.0, data.z_train,
                                  data.z_dith, grid)
         zv = Dataset(data.z_val.x, o.predict(traj.theta_final, data.z_val.x),
                      "validation")
-        adj = integrate_adjoint(o, traj, None, 0.0, data.z_train,
+        adj = integrate_adjoint(o, traj, null, 0.0, data.z_train,
                                 data.z_dith, zv)
         np.testing.assert_allclose(adj.p_nodes, 0.0, atol=1e-12)
 
@@ -345,9 +358,10 @@ class TestIntegrateAdjoint:
         exact = -np.exp(-2.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], None, 0.0, z1, zd,
+            traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
                                      TimeGrid(1.0, m))
-            adj = integrate_adjoint(o, traj, None, 0.0, z1, zd, zv)
+            adj = integrate_adjoint(o, traj, zero_control(1), 0.0, z1, zd,
+                                    zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -388,14 +402,19 @@ class TestTrajectoryShape:
     @pytest.mark.parametrize("cls,rows,view", [
         (Trajectory, 41, "theta_nodes"), (AdjointTrajectory, 21, "p_nodes")])
     def test_row_count_checked_and_views_read_only(self, cls, rows, view):
-        # 4M+1 quarter-step states and 2M+1 half-step costates for M = 10
+        # 4M+1 quarter-step states, and 2M+1 half-step costates and D
+        # diagonals, for M = 10
         grid = TimeGrid(1.0, 10)
-        nodes = getattr(cls(grid, np.ones((rows, 2))), view)
+        arrays = len(fields(cls)) - 1
+        nodes = getattr(cls(grid, *[np.ones((rows, 2))] * arrays), view)
         assert nodes.shape == (11, 2)
         assert not nodes.flags.writeable
         for shape in ((rows - 1, 2), (rows + 1, 2), (11, 2), (rows,)):
-            with pytest.raises(ValueError, match="expected"):
-                cls(grid, np.ones(shape))
+            for k in range(arrays):
+                args = [np.ones((rows, 2))] * arrays
+                args[k] = np.ones(shape)
+                with pytest.raises(ValueError, match="expected"):
+                    cls(grid, *args)
 
 
 class TestHamiltonian:

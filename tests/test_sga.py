@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, sga
+from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, model, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
-from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
-                              final_states, hamiltonian, integrate_adjoint,
+from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, final_states,
+                              hamiltonian, integrate_adjoint,
                               integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
@@ -64,28 +64,21 @@ class TestCost:
 
 
 class TestCoefficientGradient:
-    def test_zero_costate_gives_zero(self, quad1_problem):
-        o, data = quad1_problem
-        config = quad_config(steps=10)
-        grid = TimeGrid(1.0, 10)
-        traj = Trajectory(grid, np.ones((41, 1)))
-        adj = AdjointTrajectory(grid, np.zeros((21, 1)))
-        coeffs = zero_coefficients(1, config.basis, config.u_max)
-        g = coefficient_gradient(o, traj, adj, coeffs, config, data)
+    def test_zero_costate_gives_zero(self):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        adj = AdjointTrajectory(TimeGrid(1.0, 10), np.zeros((21, 1)),
+                                np.ones((21, 1)))
+        g = coefficient_gradient(adj, basis, 0.1)
         np.testing.assert_array_equal(g, np.zeros((1, 2)))
 
-    def test_scales_linearly_in_eps(self, quad1_problem):
-        o, data = quad1_problem
-        grid = TimeGrid(1.0, 10)
-        traj = Trajectory(grid, np.ones((41, 1)))
-        adj = AdjointTrajectory(grid, np.ones((21, 1)))
-        g = {}
-        for eps in (0.5, 0.05):
-            config = quad_config(steps=10, eps=eps)
-            coeffs = zero_coefficients(1, config.basis, config.u_max)
-            g[eps] = coefficient_gradient(o, traj, adj, coeffs, config, data)
-        np.testing.assert_allclose(g[0.5], 10.0 * g[0.05], rtol=1e-12,
-                                   atol=1e-15)
+    def test_scales_linearly_in_eps(self):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        ones = np.ones((21, 1))
+        adj = AdjointTrajectory(TimeGrid(1.0, 10), ones, ones)
+        np.testing.assert_allclose(coefficient_gradient(adj, basis, 0.5),
+                                   10.0 * coefficient_gradient(adj, basis,
+                                                               0.05),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_matches_finite_differences_quadratic(self, quad1_problem):
         o, data = quad1_problem
@@ -104,19 +97,12 @@ class TestCoefficientGradient:
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_matches_per_state_loop_bitwise(self, family, monkeypatch):
-        # 21 nodes and 20 midpoints in stacks of 7, the last one partial
+        # 81 states in gradient stacks of 7, the last one partial
         monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
-        if family == "linear":
-            o, data = linear_problem(d=3, seed=25)
-        else:
-            o, data = mlp_problem(d=2, seed=24)
-        rng = np.random.default_rng(9)
-        config = SolverConfig(eps=0.3, t_final=1.0, steps=20,
-                              basis=BasisSpec("legendre_shifted", 3, 1.0),
-                              u_max=5.0,
-                              theta0=0.5 * rng.standard_normal(o.param_dim))
+        o, config, data = sweep_problem(family)
         coeffs = ControlCoefficients(
-            rng.uniform(-1.0, 1.0, (o.param_dim, 3)), config.basis, 5.0)
+            np.random.default_rng(9).uniform(-1.0, 1.0, (o.param_dim, 3)),
+            config.basis, 5.0)
         traj, adj, g = sweep(o, coeffs, config, data)
 
         def integrand(ts, thetas, ps):
@@ -127,8 +113,10 @@ class TestCoefficientGradient:
             return vals, eval_basis_grid(config.basis, ts)
 
         grid = config.grid
-        f_n, psi_n = integrand(grid.nodes, traj.theta_nodes, adj.p_nodes)
-        f_m, psi_m = integrand(grid.midpoints, traj.theta_mid, adj.p_mid)
+        f_n, psi_n = integrand(grid.nodes, traj.theta_fine[::4],
+                               adj.p_half[::2])
+        f_m, psi_m = integrand(grid.midpoints, traj.theta_fine[2::4],
+                               adj.p_half[1::2])
         w = np.full(grid.steps + 1, grid.h / 3.0)
         w[0] = w[-1] = grid.h / 6.0
         expect = ((f_n * w[:, None]).T @ psi_n
@@ -136,14 +124,36 @@ class TestCoefficientGradient:
         np.testing.assert_array_equal(g, expect)
         assert np.all(g != 0.0)
 
-    def test_grid_mismatch_rejected(self, quad1_problem):
-        o, data = quad1_problem
-        config = quad_config(steps=10)
-        traj = Trajectory(TimeGrid(1.0, 10), np.ones((41, 1)))
-        adj = AdjointTrajectory(TimeGrid(1.0, 20), np.zeros((41, 1)))
-        coeffs = zero_coefficients(1, config.basis, config.u_max)
-        with pytest.raises(ValueError, match="grid"):
-            coefficient_gradient(o, traj, adj, coeffs, config, data)
+
+def sweep_problem(family):
+    """A problem of the family with a 20-step solver config started from a
+    seeded random theta0 of scale 0.5."""
+    if family == "linear":
+        o, data = linear_problem(d=3, seed=25)
+    else:
+        o, data = mlp_problem(d=2, seed=24)
+    config = SolverConfig(
+        eps=0.3, t_final=1.0, steps=20,
+        basis=BasisSpec("legendre_shifted", 3, 1.0), u_max=5.0,
+        theta0=0.5 * np.random.default_rng(9).standard_normal(o.param_dim))
+    return o, config, data
+
+
+class TestSweep:
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_takes_dithered_gradient_once_per_state(self, family,
+                                                    monkeypatch):
+        # the backward pass reads grad J~0 at each of the 4M+1 forward
+        # states, and G reuses its D at the 2M+1 half-step states
+        rows = []
+        for cls in (model.LinearFlowPlan, model.MlpFlowPlan):
+            def counted(plan, theta, orig=cls.dith_grad):
+                rows.append(len(theta))
+                return orig(plan, theta)
+            monkeypatch.setattr(cls, "dith_grad", counted)
+        o, config, data = sweep_problem(family)
+        sweep(o, config.initial_coefficients(o.param_dim), config, data)
+        assert sum(rows) == 4 * config.steps + 1
 
 
 def one_step(o, coeffs, config, data):
