@@ -20,7 +20,7 @@ def main() -> int:
     data = ProblemData(z, Dataset(z.x, z.y, "dithered"),
                        Dataset(z.x, z.y, "validation"))
     oracle = ModelOracle("linear_features", 1)
-    config = SolverConfig(eps=0.1, t_final=1.0, steps=100,
+    config = SolverConfig(eps=0.1, steps=100,
                           basis=BasisSpec("legendre_shifted", 2, 1.0),
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
     reports = [

@@ -65,6 +65,28 @@ def _require(section: str, obj: dict, key: str):
     return obj[key]
 
 
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(section: str, obj: dict, key: str, default=_REQUIRED,
+            integer: bool = False):
+    """obj[key], or default when the key is absent, as a float, or as an int
+    if integer; ConfigError naming the key for anything but a finite JSON
+    number, or a JSON integer where integer."""
+    if key not in obj and default is not _REQUIRED:
+        return default
+    v = _require(section, obj, key)
+    if integer:
+        ok = type(v) is int
+    else:
+        ok = type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+    if not ok:
+        want = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{section}.{key} must be {want}, got {v!r}")
+    return v if integer else float(v)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -92,14 +114,11 @@ def load_config(path) -> dict:
 
 def _validate_control(control: dict) -> None:
     # compact control set, fixed horizon, small perturbation parameter
-    u_max = _require("control", control, "u_max")
-    if not u_max > 0:
+    if not _number("control", control, "u_max") > 0:
         raise ConfigError("control.u_max must be > 0 (compact control set)")
-    t_final = _require("control", control, "t_final")
-    if not t_final > 0:
+    if not _number("control", control, "t_final") > 0:
         raise ConfigError("control.t_final must be > 0")
-    eps = _require("control", control, "eps")
-    if not (0 < eps <= 1.0):
+    if not 0 < _number("control", control, "eps") <= 1.0:
         raise ConfigError("control.eps must lie in (0, 1]")
 
 
@@ -108,21 +127,22 @@ def _validate_control(control: dict) -> None:
 def synth_dataset(source: dict) -> Dataset:
     """Generate a synthetic regression dataset from a generator spec."""
     kind = _require("data.source", source, "kind")
-    m = int(_require("data.source", source, "m"))
+    m = _number("data.source", source, "m", integer=True)
     if m < 1:
         raise ConfigError("data.source.m must be >= 1")
-    d = int(source.get("d", 1))
+    d = _number("data.source", source, "d", 1, integer=True)
     if d < 1:
         raise ConfigError("data.source.d must be >= 1")
-    noise = float(source.get("noise", 0.0))
-    rng = np.random.default_rng(int(source.get("seed", 0)))
+    noise = _number("data.source", source, "noise", 0.0)
+    rng = np.random.default_rng(
+        _number("data.source", source, "seed", 0, integer=True))
     x = rng.standard_normal((m, d))
     if kind == "linear":
-        theta_true = float(source.get("theta_scale", 1.0)) * rng.standard_normal(d)
-        y = x @ theta_true
+        scale = _number("data.source", source, "theta_scale", 1.0)
+        y = x @ (scale * rng.standard_normal(d))
     elif kind == "sinusoid":
-        amp = float(source.get("amplitude", 1.0))
-        freq = float(source.get("frequency", 1.0))
+        amp = _number("data.source", source, "amplitude", 1.0)
+        freq = _number("data.source", source, "frequency", 1.0)
         y = amp * np.sin(freq * x.sum(axis=1))
     else:
         raise ConfigError(f"unknown generator kind {kind!r}")
@@ -137,36 +157,43 @@ def build_data(data_cfg: dict, seed_override: int | None = None) -> ProblemData:
         z0 = load_csv(_require("data.source", source, "path"))
     else:
         z0 = synth_dataset(source)
-    m_train = int(_require("data", data_cfg, "m_train"))
-    m_val = int(_require("data", data_cfg, "m_val"))
+    m_train = _number("data", data_cfg, "m_train", integer=True)
+    m_val = _number("data", data_cfg, "m_val", integer=True)
     replacement = bool(data_cfg.get("replacement", True))
-    noise_level = float(data_cfg.get("noise_level", 0.05))
+    noise_level = _number("data", data_cfg, "noise_level", 0.05)
     off = 0 if seed_override is None else seed_override
-    s_tr = int(data_cfg.get("seed_bootstrap_train", 1)) + off
-    s_va = int(data_cfg.get("seed_bootstrap_val", 2)) + off
-    s_di = int(data_cfg.get("seed_dither", 3)) + off
-    z1 = bootstrap(z0, m_train, replacement, s_tr, tag="train")
-    z2 = bootstrap(z0, m_val, replacement, s_va, tag="validation")
-    z1d = dither(z1, noise_level, s_di)
+
+    def seed(key: str, default: int) -> int:
+        return _number("data", data_cfg, key, default, integer=True) + off
+
+    z1 = bootstrap(z0, m_train, replacement, seed("seed_bootstrap_train", 1),
+                   tag="train")
+    z2 = bootstrap(z0, m_val, replacement, seed("seed_bootstrap_val", 2),
+                   tag="validation")
+    z1d = dither(z1, noise_level, seed("seed_dither", 3))
     return ProblemData(z1, z1d, z2)
 
 
 def build_oracle(model_cfg: dict, d: int) -> ModelOracle:
     family = _require("model", model_cfg, "family")
     if family == "linear_features":
-        return ModelOracle(family, d, degree=int(model_cfg.get("degree", 1)),
+        return ModelOracle(family, d,
+                           degree=_number("model", model_cfg, "degree", 1,
+                                          integer=True),
                            include_bias=bool(model_cfg.get("include_bias", False)))
     if family == "mlp_tanh":
-        return ModelOracle(family, d, hidden=int(model_cfg.get("hidden", 4)))
+        return ModelOracle(family, d, hidden=_number("model", model_cfg,
+                                                     "hidden", 4,
+                                                     integer=True))
     raise ConfigError(f"unknown model family {family!r}")
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
     control = cfg["control"]
     solver = {**_DEFAULTS_SOLVER, **cfg.get("solver", {})}
-    t_final = float(control["t_final"])
     basis = BasisSpec(control.get("basis", "legendre_shifted"),
-                      int(control.get("n_basis", 4)), t_final)
+                      _number("control", control, "n_basis", 4, integer=True),
+                      _number("control", control, "t_final"))
     theta0 = cfg["model"].get("theta0")
     theta0 = (None if theta0 in (None, "zeros")
               else np.asarray(theta0, dtype=float))
@@ -184,14 +211,13 @@ def build_solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError("solver.line_search must be 'backtracking'")
     try:
         return SolverConfig(
-            eps=float(control["eps"]),
-            t_final=t_final,
-            steps=int(control.get("steps", 200)),
+            eps=_number("control", control, "eps"),
+            steps=_number("control", control, "steps", 200, integer=True),
             basis=basis,
-            u_max=float(control["u_max"]),
-            gamma0=float(solver["gamma0"]),
-            eps_tol=float(solver["eps_tol"]),
-            max_iters=int(solver["max_iters"]),
+            u_max=_number("control", control, "u_max"),
+            gamma0=_number("solver", solver, "gamma0"),
+            eps_tol=_number("solver", solver, "eps_tol"),
+            max_iters=_number("solver", solver, "max_iters", integer=True),
             theta0=theta0,
             c0=c0,
         )

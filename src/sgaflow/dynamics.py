@@ -17,11 +17,12 @@ stack.  final_states keeps only the (B, p) final states; integrate_forward
 runs one (p,) flow and keeps every state.  The null control is a zero C,
 and a state whose norm exceeds DIVERGENCE_BOUND stops the integration.
 
-Both passes read u at a stage time as C @ psi, with psi a row of a Psi table
-that _stage_psi evaluates once per stage time, in vectorised blocks of
-PSI_BLOCK steps.  Each pass checks its grid against the basis's range and
-builds one flow plan (model.flow_plan) of the training and dithered sets,
-which share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
+Each pass takes Psi from one stage_psi table at the times i*h/per_step,
+per_step 8 forward, 4 backward (row i at forward state i) and 2 for G; the
+tables agree bit for bit on shared times.  u = C @ psi is formed once per
+stage time, a step's end control carried into the next.  Each pass builds
+one flow plan (model.flow_plan) of the training and dithered sets, which
+share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
 right-hand sides.  A forward stage takes both gradients in one plan call.
 The backward pass takes grad J~0 at all 4M+1 forward states up front, in
 stacked calls of GRAD_BLOCK states, so an adjoint stage makes one call, for
@@ -44,9 +45,6 @@ from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
 
 # |theta| beyond which a forward integration raises DivergenceError
 DIVERGENCE_BOUND = 1e8
-# steps per block of a pass's Psi table, which so holds at most
-# 3 * PSI_BLOCK * n values however long the grid
-PSI_BLOCK = 512
 # states per stacked grad J~0 call of the backward pass, which bounds the
 # mlp gradient's (states, m, hidden) intermediates however fine the grid
 GRAD_BLOCK = 16
@@ -89,10 +87,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.steps + 1)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return self.nodes[:-1] + 0.5 * self.h
 
 
 def _read_only_rows(name: str, a, rows: int) -> np.ndarray:
@@ -163,14 +157,21 @@ def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
     return eps * (gt * gt) * u - g
 
 
-def _stage_psi(basis: BasisSpec, ks: np.ndarray, d: float):
-    """Psi at the RK4 stage times t, t + d/2 and t + d of each step, t = k*|d|
-    for k in ks (d < 0 steps backward): one triple of (n,) rows per step,
-    from tables built PSI_BLOCK steps at a time."""
-    for lo in range(0, ks.shape[0], PSI_BLOCK):
-        t = ks[lo:lo + PSI_BLOCK] * abs(d)
-        yield from zip(*(eval_basis_grid(basis, s)
-                         for s in (t, t + 0.5 * d, t + d)))
+def stage_psi(basis: BasisSpec, grid: TimeGrid, per_step: int) -> np.ndarray:
+    """Psi at the times i * (h/per_step), i = 0 ... per_step*M, as a
+    (per_step*M + 1, n) table; ValueError if the grid outlasts the basis.
+    For per_step 2, 4 and 8, h/per_step is h scaled by a power of two, so
+    (4j)(h/8), (2j)(h/4) and j(h/2) round alike and the tables nest bitwise.
+    """
+    ts = np.arange(per_step * grid.steps + 1) * (grid.h / per_step)
+    _check_time(basis, ts[-1])
+    return eval_basis_grid(basis, ts)
+
+
+def _check_rows(oracle: ModelOracle, coeffs: ControlCoefficients) -> None:
+    if coeffs.p != oracle.param_dim:
+        raise ValueError(f"C has {coeffs.p} rows, oracle expects "
+                         f"p={oracle.param_dim}")
 
 
 def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
@@ -179,23 +180,23 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
                  keep_states: bool) -> np.ndarray:
     """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
 
-    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c.
-    Returns the states at all 4M+1 quarter nodes if keep_states, else the
-    final states.  Raises ValueError if the last stage time lies beyond the
-    basis's range, and DivergenceError for the first member whose state
-    leaves DIVERGENCE_BOUND.
+    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c,
+    with Psi from the per_step 8 table.  Returns the states at all 4M+1
+    quarter nodes if keep_states, else the final states.  Raises ValueError
+    if the grid lies beyond the basis's range, and DivergenceError for the
+    first member whose state leaves DIVERGENCE_BOUND.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
-    _check_time(basis, (nsteps - 1) * h + h)
+    psi = stage_psi(basis, grid, 8)
     plan = flow_plan(oracle, z_train, z_dith)
     out = np.empty((nsteps + 1,) + theta0.shape) if keep_states else None
     th = theta0
     if keep_states:
         out[0] = th
-    psi = _stage_psi(basis, np.arange(nsteps), h)
+    u4 = c @ psi[0]
     for k in range(nsteps):
-        u1, u2, u4 = (c @ q for q in next(psi))
+        u1, u2, u4 = u4, c @ psi[2 * k + 1], c @ psi[2 * k + 2]
         k1 = forward_rhs(plan, th, u1, eps)
         k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)
         k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)
@@ -207,7 +208,7 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
         if not inside.all():
             b = int(np.argmin(inside))
             nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
-            raise DivergenceError(k * h + h, inf if np.isnan(nrm) else nrm)
+            raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
         if keep_states:
             out[k + 1] = th
     return out if keep_states else th
@@ -230,6 +231,7 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
                       z_train: Dataset, z_dith: Dataset,
                       grid: TimeGrid) -> Trajectory:
     """Integrate the controlled flow from theta0 over the grid."""
+    _check_rows(oracle, coeffs)
     fine = _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
                         coeffs.basis, eps, z_train, z_dith, grid,
                         keep_states=True)
@@ -272,16 +274,17 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
 
     RK4 on half steps; the stage states are the forward trajectory's exact
     quarter-step values, so no re-integration or interpolation happens here,
-    grad J~0 at each is taken once, and u at the stage times t_hi = j*hh,
-    t_hi - hh/2 and t_hi - hh comes from a Psi table.  The result carries
-    D = (grad J~0)^2 at the half-step states next to p.  Raises ValueError
-    if the grid lies beyond the basis's range, and NonFiniteCostateError if
-    the costate becomes nan or inf.
+    grad J~0 at each is taken once, and u at forward state i comes from row i
+    of the per_step 4 Psi table.  The result carries D = (grad J~0)^2 at the
+    half-step states next to p.  Raises ValueError if C's rows are not the
+    oracle's p or the grid lies beyond the basis's range, and
+    NonFiniteCostateError if the costate becomes nan or inf.
     """
+    _check_rows(oracle, coeffs)
     grid = traj.grid
     M = grid.steps
     hh = 0.5 * grid.h
-    _check_time(coeffs.basis, 2 * M * hh)
+    psi = stage_psi(coeffs.basis, grid, 4)
     fine = traj.theta_fine
     plan = flow_plan(oracle, z_train, z_dith)
     # stacked calls whose rows equal the per-state calls bit for bit
@@ -294,16 +297,16 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     out = np.empty((2 * M + 1, oracle.param_dim))
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
-    psi = _stage_psi(coeffs.basis, np.arange(2 * M, 0, -1), -hh)
+    u4 = coeffs.c @ psi[4 * M]
     for j in range(2 * M, 0, -1):
-        u1, u2, u4 = (coeffs.c @ q for q in next(psi))
+        u1, u2, u4 = u4, coeffs.c @ psi[2 * j - 1], coeffs.c @ psi[2 * j - 2]
         k1 = rhs(u1, 2 * j, p)
         k2 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k1)
         k3 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k2)
         k4 = rhs(u4, 2 * j - 2, p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(p).all():
-            raise NonFiniteCostateError(j * hh - hh)
+            raise NonFiniteCostateError((j - 1) * hh)
         out[j - 1] = p
     g_half = gt[::2]
     return AdjointTrajectory(grid, out, g_half * g_half)

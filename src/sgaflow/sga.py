@@ -22,12 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
-                    project_admissible, zero_coefficients)
+from .basis import (BasisSpec, ControlCoefficients, project_admissible,
+                    zero_coefficients)
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, final_states, integrate_adjoint,
-                       integrate_forward)
+                       integrate_forward, stage_psi)
 from .model import ModelOracle, loss_gradient, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
@@ -46,7 +46,6 @@ class ProblemData:
 @dataclass(frozen=True)
 class SolverConfig:
     eps: float
-    t_final: float
     steps: int
     basis: BasisSpec
     u_max: float
@@ -59,8 +58,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 <= self.eps <= 1.0):
             raise ValueError("eps must lie in [0, 1.0]")
-        if self.t_final <= 0 or self.steps < 1:
-            raise ValueError("need t_final > 0 and steps >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         if not (0.0 < self.gamma0 <= 1.0):
             raise ValueError("gamma0 must lie in (0, 1]")
         if self.eps_tol <= 0:
@@ -69,12 +68,10 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.u_max < 0:
             raise ValueError("u_max must be >= 0")
-        if abs(self.basis.t_final - self.t_final) > 1e-12 * self.t_final:
-            raise ValueError("basis t_final must match solver t_final")
 
     @property
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.t_final, self.steps)
+        return TimeGrid(self.basis.t_final, self.steps)
 
     @property
     def projection_grid(self) -> int:
@@ -159,17 +156,16 @@ def coefficient_gradient(adj: AdjointTrajectory, basis: BasisSpec,
     """Hamiltonian gradient with respect to C, integrated on the time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
-    Composite Simpson over the node and midpoint rows of the integrand
-    eps * p * D, both read off the backward sweep.
+    Composite Simpson over the half-step rows of the integrand eps * p * D,
+    read off the backward sweep, against the per_step 2 Psi table: one
+    product with the weights h/6 * [1, 4, 2, 4, ..., 2, 4, 1].
     """
     grid = adj.grid
+    w = np.full(2 * grid.steps + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
     f = eps * adj.p_half * adj.d_half
-    w_n = np.full(grid.steps + 1, grid.h / 3.0)
-    w_n[0] = w_n[-1] = grid.h / 6.0
-    g = (f[::2] * w_n[:, None]).T @ eval_basis_grid(basis, grid.nodes)
-    g += (2.0 * grid.h / 3.0) * f[1::2].T @ eval_basis_grid(basis,
-                                                            grid.midpoints)
-    return g                                            # (p, N)
+    return (f * ((grid.h / 6.0) * w)[:, None]).T @ stage_psi(basis, grid, 2)
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,

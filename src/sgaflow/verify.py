@@ -159,7 +159,7 @@ def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
     coeffs = config.initial_coefficients(oracle.param_dim)
 
     def run(steps):
-        grid = TimeGrid(config.t_final, steps)
+        grid = TimeGrid(config.basis.t_final, steps)
         traj = integrate_forward(oracle, theta0, coeffs, config.eps,
                                  data.z_train, data.z_dith, grid)
         adj = integrate_adjoint(oracle, traj, coeffs, config.eps,
@@ -170,7 +170,7 @@ def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
     hs, errs_f, errs_b = [], [], []
     for m in step_counts:
         th, pv = run(m)
-        hs.append(config.t_final / m)
+        hs.append(config.basis.t_final / m)
         errs_f.append(np.linalg.norm(th - ref_theta))
         errs_b.append(np.linalg.norm(pv - ref_p))
     slope_f = float(np.polyfit(np.log(hs), np.log(errs_f), 1)[0])

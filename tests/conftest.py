@@ -69,7 +69,7 @@ def mlp_check_problem(seed, steps, n_basis):
     flow never moves them and their rows of G are 0."""
     o, data = mlp_problem(seed=seed)
     theta0 = 0.5 * np.random.default_rng(seed).standard_normal(o.param_dim)
-    config = SolverConfig(eps=0.1, t_final=1.0, steps=steps,
+    config = SolverConfig(eps=0.1, steps=steps,
                           basis=BasisSpec("legendre_shifted", n_basis, 1.0),
                           u_max=5.0, theta0=theta0)
     return o, config, data

@@ -44,7 +44,7 @@ def descent_run():
     zd = sf.dither(z1, 0.05, 3)
     oracle = sf.ModelOracle("linear_features", 2)
     data = ProblemData(z1, zd, z2)
-    config = SolverConfig(eps=0.1, t_final=1.0, steps=200,
+    config = SolverConfig(eps=0.1, steps=200,
                           basis=BasisSpec("legendre_shifted", 4, 1.0),
                           u_max=5.0, max_iters=30)
     return oracle, config, data, solve(oracle, config, data)
@@ -99,7 +99,7 @@ def test_criterion_3_gradient_identity():
     z2 = sf.bootstrap(z0, 25, True, 2, tag="validation")
     zd = sf.dither(z1, 0.05, 3)
     lin = sf.ModelOracle("linear_features", 3)
-    lin_cfg = SolverConfig(eps=0.1, t_final=1.0, steps=400,
+    lin_cfg = SolverConfig(eps=0.1, steps=400,
                            basis=BasisSpec("legendre_shifted", 4, 1.0),
                            u_max=5.0)
     lin_rep = check_coefficient_gradient(lin, lin_cfg,
@@ -159,11 +159,11 @@ def test_criterion_6_dp_identity():
     start = time.time()
     oracle, data = quad_problem()
     basis = BasisSpec("legendre_shifted", 2, 1.0)
-    config = SolverConfig(eps=0.1, t_final=1.0, steps=100, basis=basis,
+    config = SolverConfig(eps=0.1, steps=100, basis=basis,
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
     reopt = check_dp_identity(oracle, config, data, tol=0.05)
     null = check_dp_identity(oracle,
-                             SolverConfig(eps=0.1, t_final=1.0, steps=100,
+                             SolverConfig(eps=0.1, steps=100,
                                           basis=basis, u_max=0.0,
                                           theta0=np.array([1.0]),
                                           max_iters=3),

@@ -185,6 +185,26 @@ class TestRun:
                          str(tmp_path / "out"), "--quiet"]) == 1
         assert f"{section} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("control", "eps", "0.1"), ("control", "t_final", None),
+        ("control", "t_final", float("inf")), ("control", "steps", 2.5),
+        ("solver", "max_iters", True), ("data", "m_train", 10.9),
+        ("data.source", "seed", 1.0), ("model", "degree", "2")],
+        ids=["eps-string", "t_final-null", "t_final-inf", "steps-float",
+             "max_iters-bool", "m_train-float", "seed-float",
+             "degree-string"])
+    def test_number_of_wrong_type_rejected(self, tmp_path, capsys, section,
+                                           key, value):
+        # a float or a bool where an integer is meant would be truncated
+        c = base_config()
+        obj = c["data"]["source"] if section == "data.source" else c[section]
+        obj[key] = value
+        cfg = write_config(tmp_path, c)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_is_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

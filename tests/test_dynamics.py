@@ -10,7 +10,8 @@ from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               NonFiniteCostateError, TimeGrid, Trajectory,
                               adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
-                              integrate_adjoint, integrate_forward)
+                              integrate_adjoint, integrate_forward,
+                              stage_psi)
 from sgaflow import model
 from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
                            phi_gradient)
@@ -246,11 +247,12 @@ class TestAdjointRhs:
 
 
 def per_stage_adjoint(o, traj, coeffs, eps, data):
-    """The half-step costate sweep with u from eval_control and grad J~0
-    from a per-state loss_gradient call at every stage, through the same
-    flow-plan RHS; returns the costate and D = (grad J~0)^2 at the half
-    steps."""
+    """The half-step costate sweep with u from eval_control at the stage
+    times i*(h/4) of forward states i and grad J~0 from a per-state
+    loss_gradient call at every stage, through the same flow-plan RHS;
+    returns the costate and D = (grad J~0)^2 at the half steps."""
     hh = 0.5 * traj.grid.h
+    hq = 0.25 * traj.grid.h
     fine = traj.theta_fine
     plan = flow_plan(o, data.z_train, data.z_dith)
 
@@ -261,11 +263,11 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
     p = -phi_gradient(o, traj.theta_final, data.z_val)
     out = [p]
     for j in range(2 * traj.grid.steps, 0, -1):
-        t_hi = j * hh
-        k1 = rhs(t_hi, fine[2 * j], p)
-        k2 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k1)
-        k3 = rhs(t_hi - 0.5 * hh, fine[2 * j - 1], p - 0.5 * hh * k2)
-        k4 = rhs(t_hi - hh, fine[2 * j - 2], p - hh * k3)
+        i = 2 * j
+        k1 = rhs(i * hq, fine[i], p)
+        k2 = rhs((i - 1) * hq, fine[i - 1], p - 0.5 * hh * k1)
+        k3 = rhs((i - 1) * hq, fine[i - 1], p - 0.5 * hh * k2)
+        k4 = rhs((i - 2) * hq, fine[i - 2], p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(p)
     d = [loss_gradient(o, theta, data.z_dith) ** 2 for theta in fine[::2]]
@@ -277,9 +279,7 @@ class TestIntegrateAdjoint:
                                              ("mlp", "fourier")])
     def test_matches_per_stage_control_bitwise(self, family, kind,
                                                monkeypatch):
-        # 40 half steps in blocks of 7: five full Psi tables and a partial;
         # 81 states in gradient stacks of 7, the last one partial
-        monkeypatch.setattr(dynamics, "PSI_BLOCK", 7)
         monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
         rng = np.random.default_rng(8)
         if family == "linear":
@@ -396,6 +396,45 @@ class TestPlans:
         final_states(o, np.zeros(o.param_dim), np.ones((3, o.param_dim, 2)),
                      basis, 0.1, data.z_train, data.z_dith, grid)
         assert built == [("train", "dithered")]
+
+
+class TestControlRows:
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_both_passes_reject_other_row_counts(self, rows):
+        # p = 2: one row would be broadcast to both parameters
+        o, data = linear_problem(d=2)
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        grid = TimeGrid(1.0, 10)
+        bad = ControlCoefficients(np.ones((rows, 2)), basis, 5.0)
+        msg = f"C has {rows} rows, oracle expects p=2"
+        with pytest.raises(ValueError, match=msg):
+            integrate_forward(o, np.zeros(2), bad, 0.1, data.z_train,
+                              data.z_dith, grid)
+        traj = integrate_forward(o, np.zeros(2), zero_control(2), 0.1,
+                                 data.z_train, data.z_dith, grid)
+        with pytest.raises(ValueError, match=msg):
+            integrate_adjoint(o, traj, bad, 0.1, data.z_train, data.z_dith,
+                              data.z_val)
+
+
+class TestStagePsi:
+    @pytest.mark.parametrize("kind", ["legendre_shifted", "fourier"])
+    @pytest.mark.parametrize("t_final,steps",
+                             [(1.0, 20), (1.0, 200), (0.7, 13), (3.0, 37)])
+    def test_tables_nest_bitwise(self, kind, t_final, steps):
+        basis = BasisSpec(kind, 5, t_final)
+        grid = TimeGrid(t_final, steps)
+        t8, t4, t2 = (stage_psi(basis, grid, k) for k in (8, 4, 2))
+        assert [len(t) for t in (t8, t4, t2)] == [8 * steps + 1,
+                                                  4 * steps + 1,
+                                                  2 * steps + 1]
+        np.testing.assert_array_equal(t8[::2], t4)
+        np.testing.assert_array_equal(t4[::2], t2)
+
+    def test_grid_beyond_basis_range_rejected(self):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            stage_psi(basis, TimeGrid(1.0 + 1e-9, 10), 2)
 
 
 class TestTrajectoryShape:

@@ -21,7 +21,7 @@ from conftest import linear_problem, mlp_problem, quadratic_datasets
 
 def quad_config(p=1, steps=200, n=2, eps=0.1, u_max=5.0, **kw):
     basis = BasisSpec("legendre_shifted", n, 1.0)
-    return SolverConfig(eps=eps, t_final=1.0, steps=steps, basis=basis,
+    return SolverConfig(eps=eps, steps=steps, basis=basis,
                         u_max=u_max, theta0=np.ones(p), **kw)
 
 
@@ -105,22 +105,17 @@ class TestCoefficientGradient:
             config.basis, 5.0)
         traj, adj, g = sweep(o, coeffs, config, data)
 
-        def integrand(ts, thetas, ps):
-            vals = np.empty((len(ts), o.param_dim))
-            for k in range(len(ts)):
-                gt = loss_gradient(o, thetas[k], data.z_dith)
-                vals[k] = config.eps * ps[k] * (gt * gt)
-            return vals, eval_basis_grid(config.basis, ts)
-
+        # Simpson over the half steps i, at the times i*(h/2)
         grid = config.grid
-        f_n, psi_n = integrand(grid.nodes, traj.theta_fine[::4],
-                               adj.p_half[::2])
-        f_m, psi_m = integrand(grid.midpoints, traj.theta_fine[2::4],
-                               adj.p_half[1::2])
-        w = np.full(grid.steps + 1, grid.h / 3.0)
-        w[0] = w[-1] = grid.h / 6.0
-        expect = ((f_n * w[:, None]).T @ psi_n
-                  + (2.0 * grid.h / 3.0) * f_m.T @ psi_m)
+        rows = 2 * grid.steps + 1
+        f = np.empty((rows, o.param_dim))
+        for i in range(rows):
+            gt = loss_gradient(o, traj.theta_fine[2 * i], data.z_dith)
+            f[i] = config.eps * adj.p_half[i] * (gt * gt)
+        w = np.array([1.0] + [4.0, 2.0] * (grid.steps - 1) + [4.0, 1.0])
+        psi = eval_basis_grid(config.basis,
+                              np.arange(rows) * (0.5 * grid.h))
+        expect = (f * ((grid.h / 6.0) * w)[:, None]).T @ psi
         np.testing.assert_array_equal(g, expect)
         assert np.all(g != 0.0)
 
@@ -133,7 +128,7 @@ def sweep_problem(family):
     else:
         o, data = mlp_problem(d=2, seed=24)
     config = SolverConfig(
-        eps=0.3, t_final=1.0, steps=20,
+        eps=0.3, steps=20,
         basis=BasisSpec("legendre_shifted", 3, 1.0), u_max=5.0,
         theta0=0.5 * np.random.default_rng(9).standard_normal(o.param_dim))
     return o, config, data
@@ -156,6 +151,26 @@ class TestSweep:
         assert sum(rows) == 4 * config.steps + 1
 
 
+    def test_evaluates_psi_once_per_stage_time(self, monkeypatch):
+        # the forward pass reads Psi at the 8M+1 times i*h/8, the backward
+        # pass at the 4M+1 times i*h/4 and G at the 2M+1 times i*h/2
+        rows = []
+
+        def counted(basis, ts, orig=dynamics.eval_basis_grid):
+            rows.append(len(ts))
+            return orig(basis, ts)
+
+        monkeypatch.setattr(dynamics, "eval_basis_grid", counted)
+        o, config, data = sweep_problem("linear")
+        coeffs = config.initial_coefficients(o.param_dim)
+        sweep(o, coeffs, config, data)
+        m = config.steps
+        assert rows == [8 * m + 1, 4 * m + 1, 2 * m + 1]
+        rows.clear()
+        sga.costs(o, np.stack([coeffs.c] * 3), config, data)
+        assert rows == [8 * m + 1]
+
+
 def one_step(o, coeffs, config, data):
     """One solver iteration from coeffs: (new coefficients, its record)."""
     report = solve(o, replace(config, c0=coeffs.c, max_iters=1), data)
@@ -176,7 +191,7 @@ class TestStep:
 
     def test_backtracking_never_increases_cost(self):
         o, data = linear_problem(seed=21)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=50,
+        config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0)
         rng = np.random.default_rng(2)
@@ -221,7 +236,7 @@ class TestSolve:
 
     def test_cost_sequence_monotone(self):
         o, data = linear_problem(seed=30)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=100,
+        config = SolverConfig(eps=0.1, steps=100,
                               basis=BasisSpec("legendre_shifted", 4, 1.0),
                               u_max=5.0, max_iters=15)
         report = solve(o, config, data)
@@ -240,7 +255,7 @@ class TestSolve:
 
     def test_every_iterate_admissible(self):
         o, data = linear_problem(seed=31)
-        config = SolverConfig(eps=0.5, t_final=1.0, steps=50,
+        config = SolverConfig(eps=0.5, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=0.05, max_iters=10, gamma0=1.0)
         report = solve(o, config, data)
@@ -249,7 +264,7 @@ class TestSolve:
 
     def test_identical_runs_are_bitwise_equal(self):
         o, data = linear_problem(seed=32)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=50,
+        config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0, max_iters=5)
         a = solve(o, config, data)
@@ -271,7 +286,7 @@ class TestNonFiniteData:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_integrations_and_solve_reject_it(self, where, bad):
         o, data = linear_problem(seed=33)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=10,
+        config = SolverConfig(eps=0.1, steps=10,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
                               u_max=5.0, max_iters=2)
 
@@ -299,7 +314,7 @@ class TestDitheredInputs:
     def test_integrations_and_solve_reject_other_inputs(self, change):
         # the dithered set must hold the training inputs, perturbed targets
         o, data = linear_problem(seed=34)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=10,
+        config = SolverConfig(eps=0.1, steps=10,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
                               u_max=5.0, max_iters=2)
         zd = data.z_dith
@@ -437,14 +452,14 @@ class TestSolverConfig:
     def test_invalid_values_rejected(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError):
-            SolverConfig(eps=2.0, t_final=1.0, steps=10, basis=basis,
+            SolverConfig(eps=2.0, steps=10, basis=basis,
                          u_max=1.0)
         with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, t_final=1.0, steps=10, basis=basis,
+            SolverConfig(eps=0.1, steps=10, basis=basis,
                          u_max=1.0, gamma0=1.5)
         with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, t_final=1.0, steps=10, basis=basis,
+            SolverConfig(eps=0.1, steps=10, basis=basis,
                          u_max=1.0, eps_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(eps=0.1, t_final=2.0, steps=10, basis=basis,
+        with pytest.raises(ValueError, match="steps"):
+            SolverConfig(eps=0.1, steps=0, basis=basis,
                          u_max=1.0)

@@ -15,7 +15,7 @@ from conftest import linear_problem, mlp_check_problem, quadratic_datasets
 def quad_setup(p=1, steps=100, n=2, eps=0.1, u_max=5.0, **kw):
     z1, zd, zv = quadratic_datasets(p)
     basis = BasisSpec("legendre_shifted", n, 1.0)
-    config = SolverConfig(eps=eps, t_final=1.0, steps=steps, basis=basis,
+    config = SolverConfig(eps=eps, steps=steps, basis=basis,
                           u_max=u_max, theta0=np.ones(p), **kw)
     return (ModelOracle("linear_features", p), config,
             ProblemData(z1, zd, zv))
@@ -46,7 +46,7 @@ class TestFdGradient:
 class TestCheckCoefficientGradient:
     def test_linear_family_passes_tight_tolerance(self):
         o, data = linear_problem(seed=50)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=200,
+        config = SolverConfig(eps=0.1, steps=200,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0)
         report = check_coefficient_gradient(o, config, data, n_probes=3,
@@ -88,7 +88,7 @@ class TestCheckCoefficientGradient:
         monkeypatch.setattr(verify, "PROBE_BLOCK", block)
         o, data = linear_problem(d=3, seed=52)
         basis = BasisSpec("legendre_shifted", 3, 1.0)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=20, basis=basis,
+        config = SolverConfig(eps=0.1, steps=20, basis=basis,
                               u_max=5.0)
         rng = np.random.default_rng(5)
         coeffs = ControlCoefficients(
@@ -131,7 +131,7 @@ class TestCheckDpIdentity:
 
     def test_refuses_high_dimension(self):
         o, data = linear_problem(d=4, seed=52)
-        config = SolverConfig(eps=0.1, t_final=1.0, steps=50,
+        config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
                               u_max=1.0)
         with pytest.raises(ValueError, match="p <= 3"):
