@@ -8,8 +8,8 @@ from .basis import BasisSpec, ControlCoefficients, eval_basis, eval_control
 from .dataset import Dataset, bootstrap, dither, load_csv
 from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, hamiltonian,
                        integrate_adjoint, integrate_forward)
-from .model import (ModelOracle, d_matrix, loss_gradient, loss_hvp,
-                    loss_value, phi_gradient, phi_value)
+from .model import (ModelOracle, loss_gradient, loss_hvp, loss_value,
+                    phi_value)
 from .sga import (ProblemData, SolverConfig, SolverReport, cost,
                   coefficient_gradient, pointwise_max_control, solve)
 
@@ -18,8 +18,7 @@ __all__ = [
     "Dataset", "bootstrap", "dither", "load_csv",
     "AdjointTrajectory", "TimeGrid", "Trajectory", "hamiltonian",
     "integrate_adjoint", "integrate_forward",
-    "ModelOracle", "d_matrix", "loss_gradient", "loss_hvp", "loss_value",
-    "phi_gradient", "phi_value",
+    "ModelOracle", "loss_gradient", "loss_hvp", "loss_value", "phi_value",
     "ProblemData", "SolverConfig", "SolverReport", "cost",
     "coefficient_gradient", "pointwise_max_control", "solve",
 ]

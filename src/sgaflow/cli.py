@@ -87,6 +87,19 @@ def _number(section: str, obj: dict, key: str, default=_REQUIRED,
     return v if integer else float(v)
 
 
+def _typed(section: str, obj: dict, key: str, kind: type,
+           default=_REQUIRED):
+    """obj[key], or default when the key is absent; ConfigError naming the
+    key unless it is a JSON value of type kind, bool or str."""
+    if key not in obj and default is not _REQUIRED:
+        return default
+    v = _require(section, obj, key)
+    if type(v) is not kind:
+        want = "true or false" if kind is bool else "a string"
+        raise ConfigError(f"{section}.{key} must be {want}, got {v!r}")
+    return v
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -154,12 +167,12 @@ def synth_dataset(source: dict) -> Dataset:
 def build_data(data_cfg: dict, seed_override: int | None = None) -> ProblemData:
     source = _require("data", data_cfg, "source")
     if source.get("kind") == "csv":
-        z0 = load_csv(_require("data.source", source, "path"))
+        z0 = load_csv(_typed("data.source", source, "path", str))
     else:
         z0 = synth_dataset(source)
     m_train = _number("data", data_cfg, "m_train", integer=True)
     m_val = _number("data", data_cfg, "m_val", integer=True)
-    replacement = bool(data_cfg.get("replacement", True))
+    replacement = _typed("data", data_cfg, "replacement", bool, True)
     noise_level = _number("data", data_cfg, "noise_level", 0.05)
     off = 0 if seed_override is None else seed_override
 
@@ -180,7 +193,8 @@ def build_oracle(model_cfg: dict, d: int) -> ModelOracle:
         return ModelOracle(family, d,
                            degree=_number("model", model_cfg, "degree", 1,
                                           integer=True),
-                           include_bias=bool(model_cfg.get("include_bias", False)))
+                           include_bias=_typed("model", model_cfg,
+                                               "include_bias", bool, False))
     if family == "mlp_tanh":
         return ModelOracle(family, d, hidden=_number("model", model_cfg,
                                                      "hidden", 4,

@@ -24,11 +24,12 @@ stage time, a step's end control carried into the next.  Each pass builds
 one flow plan (model.flow_plan) of the training and dithered sets, which
 share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
 right-hand sides.  A forward stage takes both gradients in one plan call.
-The backward pass takes grad J~0 at all 4M+1 forward states up front, in
-stacked calls of GRAD_BLOCK states, so an adjoint stage makes one call, for
-both Hessian-vector products, and it returns D = (grad J~0)^2 with p at its
-2M+1 half steps.  No stage checks its inputs or calls eval_basis or
-eval_control, and for the linear family a stage costs a few p x p products.
+The backward pass takes grad J~0 at all 4M+1 forward states up front from
+the dithered set's loss plan, in stacked calls of GRAD_BLOCK states, so an
+adjoint stage makes one call, for both Hessian-vector products, and it
+returns D = (grad J~0)^2 with p at its 2M+1 half steps.  No stage checks its
+inputs or calls eval_basis or eval_control, and for the linear family a
+stage costs a few p x p products.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
                     eval_basis_grid)
 from .dataset import Dataset
-from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
+from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient, loss_plan
 
 # |theta| beyond which a forward integration raises DivergenceError
 DIVERGENCE_BOUND = 1e8
@@ -256,11 +257,11 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
 def adjoint_rhs(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
                 p: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
     """Time derivative of the costate: -(df/dtheta)^T p, for (p,) vectors,
-    with gt = grad J~0(theta) from the flow plan.
+    with gt = grad J~0(theta).
 
     The Jacobian of the flow is -H + 2 eps diag(u) diag(g~) H~ with H, H~
     the loss Hessians on the training and dithered sets and g~ = gt, so one
-    hvps call of the plan gives the result.
+    hvps call of the plan, whose products are exact, gives the result.
     """
     hp, hv = plan.hvps(theta, p, gt * u * p)
     return hp - 2.0 * eps * hv
@@ -287,8 +288,9 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     psi = stage_psi(coeffs.basis, grid, 4)
     fine = traj.theta_fine
     plan = flow_plan(oracle, z_train, z_dith)
+    dith = loss_plan(oracle, z_dith)
     # stacked calls whose rows equal the per-state calls bit for bit
-    gt = np.concatenate([plan.dith_grad(fine[i:i + GRAD_BLOCK])
+    gt = np.concatenate([dith.grad(fine[i:i + GRAD_BLOCK])
                          for i in range(0, len(fine), GRAD_BLOCK)])
 
     def rhs(u, i, p):  # at the forward state of row i

@@ -5,8 +5,8 @@
   matrix of the dataset, A = (2/m) Phi^T Phi and b = (2/m) Phi^T y, the
   gradient is A theta - b and the Hessian the constant A.
 * ``mlp_tanh`` -- one hidden tanh layer of configurable width; gradients are
-  analytic, Hessian-vector products use a central difference of the gradient,
-  both gradients taken in one stacked call.
+  analytic, and Hessian-vector products exact, by Pearlmutter's R-operator
+  (the directional derivative of the gradient's forward and backward pass).
 
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.  Loops evaluate
@@ -22,16 +22,11 @@ check theta.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
-# the signs of a central difference's two points, as a (2, 1, 1) factor
-_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -139,20 +134,27 @@ class MlpPlan:
                                coef.sum(axis=-1, keepdims=True)], axis=-1)
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # per direction v_i, on the targets of the same index, a central
-        # difference of step sqrt(eps)*(1+|theta|)/|v_i|, all differences
-        # in one stacked gradient call; a zero direction gives 0 uncomputed
-        vs = v.reshape(-1, v.shape[-1])
-        vnorm = np.array([np.linalg.norm(d) for d in vs])
-        live = vnorm != 0.0
-        out = np.zeros_like(vs)
-        if live.any():
-            h = _SQRT_EPS * (1.0 + np.linalg.norm(theta)) / vnorm[live, None]
-            ys = self.y.reshape(-1, self.y.shape[-1])[live]
-            gp, gm = MlpPlan(self.oracle, self.x, ys).grad(
-                theta + _PLUS_MINUS * (h * vs[live]))
-            out[live] = (gp - gm) / (2.0 * h)
-        return out.reshape(v.shape)
+        # Pearlmutter's R-operator, R(.) the derivative of grad's terms
+        # along v; a (k, p) stack of directions is taken on the targets of
+        # the same index
+        x, y = self.x, self.y
+        w1, b1, w2, b2 = self.oracle._unpack(theta)
+        v1, vb1, vw2, vb2 = self.oracle._unpack(v)
+        t = np.tanh(x @ w1.T + b1)                                # (m, h)
+        dt = 1.0 - t * t
+        rt = dt * (x @ v1.swapaxes(-1, -2) + vb1[..., None, :])  # (..., m, h)
+        scale = 2.0 / y.shape[-1]
+        coef = scale * (t @ w2 + b2 - y)                          # (..., m)
+        rcoef = scale * (rt @ w2 + (t @ vw2[..., None])[..., 0]
+                         + vb2[..., None])
+        rs = ((rcoef[..., None] * dt - 2.0 * coef[..., None] * t * rt) * w2
+              + coef[..., None] * dt * vw2[..., None, :])         # R(s)
+        r_w1 = rs.swapaxes(-1, -2) @ x
+        r_w2 = ((rcoef[..., None, :] @ t)[..., 0, :]
+                + (coef[..., None, :] @ rt)[..., 0, :])
+        return np.concatenate([r_w1.reshape(r_w1.shape[:-2] + (-1,)),
+                               rs.sum(axis=-2), r_w2,
+                               rcoef.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 LossPlan = LinearPlan | MlpPlan
@@ -171,9 +173,6 @@ class LinearFlowPlan:
         at = (self.a @ theta[..., None])[..., 0]
         return at - self.b, at - self.b_dith
 
-    def dith_grad(self, theta: np.ndarray) -> np.ndarray:
-        return (self.a @ theta[..., None])[..., 0] - self.b_dith
-
     def hvps(self, theta: np.ndarray, p: np.ndarray,
              v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.a @ p, self.a @ v
@@ -191,10 +190,6 @@ class MlpFlowPlan:
         g = self.plan.grad(theta[..., None, :])
         return g[..., 0, :], g[..., 1, :]
 
-    def dith_grad(self, theta: np.ndarray) -> np.ndarray:
-        plan = self.plan
-        return MlpPlan(plan.oracle, plan.x, plan.y[1]).grad(theta)
-
     def hvps(self, theta: np.ndarray, p: np.ndarray,
              v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hv = self.plan.hvp(theta, np.stack([p, v]))
@@ -202,9 +197,9 @@ class MlpFlowPlan:
 
 
 # grads(theta) is (grad J0, grad J~0) at a (p,) theta or at each row of a
-# (B, p) stack, and dith_grad(theta) grad J~0 alone; hvps(theta, p, v) is
-# (H p, H~ v), H and H~ the Hessians of J0 and J~0, with 0 for a zero
-# direction.  Each result equals the per-dataset plan's call bit for bit.
+# (B, p) stack; hvps(theta, p, v) is (H p, H~ v), H and H~ the Hessians of
+# J0 and J~0, with 0 for a zero direction.  Each result equals the
+# per-dataset plan's call bit for bit.
 FlowPlan = LinearFlowPlan | MlpFlowPlan
 
 
@@ -268,13 +263,12 @@ def loss_value(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> float:
 
 
 def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndarray:
-    """Gradient of loss_value with respect to theta.
+    """Gradient of loss_value with respect to theta; on z_val, grad Phi.
 
     theta may be a (B, p) stack; the result then has shape (B, p), and each
     row equals the gradient of that row alone bit for bit.  A 2-d theta is
     always read as a stack, so (1, p) gives (1, p) and a (p, 1) column is
-    rejected; any other shape is flattened to (p,).  phi_gradient and
-    d_matrix, built on it, follow the same rule.
+    rejected; any other shape is flattened to (p,).
     """
     return loss_plan(oracle, z).grad(_params(oracle, theta, stack=True))
 
@@ -282,30 +276,12 @@ def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndar
 def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
              v: np.ndarray) -> np.ndarray:
     """Hessian-vector product of loss_value at theta in direction v: A v for
-    the linear family, a central difference of the gradient for the mlp."""
+    the linear family, the exact R-operator product for the mlp."""
     return loss_plan(oracle, z).hvp(_params(oracle, theta),
                                     _params(oracle, v))
-
-
-def d_matrix(oracle: ModelOracle, theta: np.ndarray, z_dithered: Dataset) -> np.ndarray:
-    """Diagonal of the control coupling matrix: squared loss-gradient entries.
-
-    Evaluated on the dithered training set; warns (but proceeds) if the
-    dataset is not tagged dithered.
-    """
-    if z_dithered.tag != "dithered":
-        warnings.warn(
-            f"d_matrix expects a dithered dataset, got tag={z_dithered.tag!r}",
-            stacklevel=2,
-        )
-    g = loss_gradient(oracle, theta, z_dithered)
-    return g * g
 
 
 def phi_value(oracle: ModelOracle, theta: np.ndarray, z_val: Dataset) -> float:
     """Validation cost: mean squared error on the validation set."""
     return loss_value(oracle, theta, z_val)
 
-
-def phi_gradient(oracle: ModelOracle, theta: np.ndarray, z_val: Dataset) -> np.ndarray:
-    return loss_gradient(oracle, theta, z_val)

@@ -39,6 +39,22 @@ def quad3():
     return ModelOracle("linear_features", 3), ProblemData(z1, zd, zv)
 
 
+def fd_hvp(grad, theta, v, h):
+    """The Hessian-vector product of grad's function at theta along v by a
+    4th-order central difference of grad of step h, the independent oracle
+    of an exact product; v may be a stack that grad pairs with its targets."""
+    def g(s):
+        return grad(theta + s * v)
+    return (8.0 * (g(h) - g(-h)) - (g(2.0 * h) - g(-2.0 * h))) / (12.0 * h)
+
+
+def complex_step_hvp(grad, theta, v, h=1e-30):
+    """grad's derivative at theta along v by the complex step, exact to
+    rounding for a grad analytic in theta (Martins, Sturdza & Alonso, ACM
+    TOMS 29, 2003); v may be a stack as for fd_hvp."""
+    return grad(theta + 1j * h * v).imag / h
+
+
 def linear_problem(d=2, m0=40, m=30, seed=0, noise_level=0.05):
     """Random linear regression task with bootstrapped train/val splits."""
     rng = np.random.default_rng(seed)

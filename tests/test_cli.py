@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from sgaflow import cli
-from sgaflow.model import phi_gradient
+from sgaflow.model import loss_gradient
 
 
 def base_config(**overrides):
@@ -141,7 +141,7 @@ class TestRun:
         data = cli.build_data(cfg["data"])
         oracle = cli.build_oracle(cfg["model"], data.z_val.d)
         np.testing.assert_array_equal(
-            adj[-1, 1:], -phi_gradient(oracle, theta_star, data.z_val))
+            adj[-1, 1:], -loss_gradient(oracle, theta_star, data.z_val))
 
     @pytest.mark.parametrize("theta0", [None, "zeros", [0.0] * 17],
                              ids=["absent", "zeros", "zero-list"])
@@ -189,13 +189,17 @@ class TestRun:
         ("control", "eps", "0.1"), ("control", "t_final", None),
         ("control", "t_final", float("inf")), ("control", "steps", 2.5),
         ("solver", "max_iters", True), ("data", "m_train", 10.9),
-        ("data.source", "seed", 1.0), ("model", "degree", "2")],
+        ("data.source", "seed", 1.0), ("model", "degree", "2"),
+        ("data", "replacement", "false"), ("model", "include_bias", "no"),
+        ("model", "include_bias", 1)],
         ids=["eps-string", "t_final-null", "t_final-inf", "steps-float",
              "max_iters-bool", "m_train-float", "seed-float",
-             "degree-string"])
+             "degree-string", "replacement-string", "include_bias-string",
+             "include_bias-int"])
     def test_number_of_wrong_type_rejected(self, tmp_path, capsys, section,
                                            key, value):
-        # a float or a bool where an integer is meant would be truncated
+        # a float or a bool where an integer is meant would be truncated,
+        # and bool() would read any non-empty string, "false" too, as true
         c = base_config()
         obj = c["data"]["source"] if section == "data.source" else c[section]
         obj[key] = value
@@ -203,6 +207,19 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 1
         assert f"{section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", [0, None, ["data.csv"]],
+                             ids=["int", "null", "list"])
+    def test_csv_path_of_wrong_type_rejected(self, tmp_path, capsys, path):
+        # open(0) would read the CSV from standard input, and close it
+        c = base_config()
+        c["data"]["source"] = {"kind": "csv", "path": path}
+        cfg = write_config(tmp_path, c)
+        assert cli.main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--quiet"]) == 1
+        assert ("data.source.path must be a string"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_rerun_is_bit_identical(self, tmp_path):

@@ -13,8 +13,7 @@ from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               integrate_adjoint, integrate_forward,
                               stage_psi)
 from sgaflow import model
-from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
-                           phi_gradient)
+from sgaflow.model import flow_plan, loss_gradient, loss_hvp, loss_plan
 
 from conftest import (linear_problem, mlp_problem, quadratic_datasets,
                       zero_control)
@@ -260,7 +259,7 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
         return adjoint_rhs(plan, theta, loss_gradient(o, theta, data.z_dith),
                            p, eval_control(coeffs, t), eps)
 
-    p = -phi_gradient(o, traj.theta_final, data.z_val)
+    p = -loss_gradient(o, traj.theta_final, data.z_val)
     out = [p]
     for j in range(2 * traj.grid.steps, 0, -1):
         i = 2 * j

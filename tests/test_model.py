@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle
-from sgaflow.model import (d_matrix, flow_plan, loss_gradient, loss_hvp,
-                           loss_plan, loss_value, phi_gradient, phi_value)
+from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
+                           loss_value, phi_value)
 from sgaflow.verify import fd_gradient
 
-from conftest import linear_problem, mlp_problem, quadratic_datasets
+from conftest import (complex_step_hvp, fd_hvp, linear_problem, mlp_problem,
+                      quadratic_datasets)
 
 
 class TestLossValue:
@@ -161,7 +162,6 @@ class TestFlowPlan:
             g, gt = plan.grads(th)
             np.testing.assert_array_equal(g, train.grad(th))
             np.testing.assert_array_equal(gt, dith.grad(th))
-            np.testing.assert_array_equal(plan.dith_grad(th), gt)
         p, v = rng.standard_normal((2, o.param_dim))
         zero = np.zeros(o.param_dim)
         for th in thetas:
@@ -210,17 +210,34 @@ class TestLossHvp:
             loss_hvp(o, theta, data.z_train, np.zeros(o.param_dim)),
             np.zeros(o.param_dim))
 
-    def test_mlp_stacked_difference_equals_two_calls(self):
+    @staticmethod
+    def mlp_hvp_case(stacked):
+        """An mlp loss plan, theta, direction(s) v and the plan's exact
+        product: one direction on the training set, or a stack of two on
+        the training and dithered targets, as the flow plan takes them."""
         o, data = mlp_problem(d=2, seed=14)
         rng = np.random.default_rng(11)
         theta = rng.standard_normal(o.param_dim)
-        v = rng.standard_normal(o.param_dim)
-        h = (np.sqrt(np.finfo(float).eps) * (1.0 + np.linalg.norm(theta))
-             / np.linalg.norm(v))
-        gp = loss_gradient(o, theta + h * v, data.z_train)
-        gm = loss_gradient(o, theta - h * v, data.z_train)
-        np.testing.assert_array_equal(loss_hvp(o, theta, data.z_train, v),
-                                      (gp - gm) / (2.0 * h))
+        v = rng.standard_normal((2, o.param_dim))
+        if stacked:
+            plan = flow_plan(o, data.z_train, data.z_dith).plan
+        else:
+            plan, v = loss_plan(o, data.z_train), v[0]
+        return plan, theta, v, plan.hvp(theta, v)
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["single", "stacked"])
+    def test_mlp_matches_complex_step(self, stacked):
+        plan, theta, v, hv = self.mlp_hvp_case(stacked)
+        ref = complex_step_hvp(plan.grad, theta, v)
+        assert np.max(np.abs(hv - ref)) / np.max(np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["single", "stacked"])
+    def test_mlp_matches_fourth_order_difference(self, stacked):
+        plan, theta, v, hv = self.mlp_hvp_case(stacked)
+        ref = fd_hvp(plan.grad, theta, v, 1e-4)
+        assert np.max(np.abs(hv - ref)) / np.max(np.abs(ref)) <= 1e-9
 
     @pytest.mark.parametrize("family,tol", [("linear", 1e-8), ("mlp", 1e-4)])
     def test_symmetry(self, family, tol):
@@ -234,30 +251,6 @@ class TestLossHvp:
         assert abs(uhv - vhu) / max(abs(uhv), 1e-12) <= tol
 
 
-class TestDMatrix:
-    def test_is_squared_gradient_bitwise_for_linear(self):
-        o, data = linear_problem()
-        theta = np.random.default_rng(5).standard_normal(o.param_dim)
-        g = loss_gradient(o, theta, data.z_dith)
-        np.testing.assert_array_equal(d_matrix(o, theta, data.z_dith), g * g)
-
-    def test_stationary_point_gives_zero(self):
-        z1, zd, _ = quadratic_datasets(2)
-        o = ModelOracle("linear_features", 2)
-        np.testing.assert_array_equal(d_matrix(o, [0.0, 0.0], zd),
-                                      np.zeros(2))
-
-    def test_entries_nonnegative(self):
-        o, data = linear_problem(seed=8)
-        theta = np.random.default_rng(6).standard_normal(o.param_dim)
-        assert np.all(d_matrix(o, theta, data.z_dith) >= 0.0)
-
-    def test_warns_on_undithered_dataset(self):
-        o, data = linear_problem()
-        with pytest.warns(UserWarning, match="dithered"):
-            d_matrix(o, np.zeros(o.param_dim), data.z_train)
-
-
 class TestPhi:
     def test_equals_training_loss_on_same_data(self):
         o, data = linear_problem()
@@ -266,10 +259,11 @@ class TestPhi:
             o, theta, data.z_train)
 
     def test_gradient_matches_finite_differences(self):
+        # grad Phi, the costate's final value, is loss_gradient on z_val
         o, data = linear_problem()
         theta = np.random.default_rng(8).standard_normal(o.param_dim)
         fd = fd_gradient(lambda t: phi_value(o, t, data.z_val), theta, 1e-6)
-        g = phi_gradient(o, theta, data.z_val)
+        g = loss_gradient(o, theta, data.z_val)
         assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) <= 1e-6
 
     def test_perfect_fit_gives_zero_value_and_gradient(self):
@@ -278,5 +272,5 @@ class TestPhi:
         zv = Dataset(data.z_val.x, o.predict(theta, data.z_val.x),
                      "validation")
         assert phi_value(o, theta, zv) == pytest.approx(0.0, abs=1e-28)
-        np.testing.assert_allclose(phi_gradient(o, theta, zv),
+        np.testing.assert_allclose(loss_gradient(o, theta, zv),
                                    np.zeros(o.param_dim), atol=1e-13)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, model, sga
+from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
@@ -139,13 +139,23 @@ class TestSweep:
     def test_takes_dithered_gradient_once_per_state(self, family,
                                                     monkeypatch):
         # the backward pass reads grad J~0 at each of the 4M+1 forward
-        # states, and G reuses its D at the 2M+1 half-step states
+        # states from the dithered set's loss plan, and G reuses its D at
+        # the 2M+1 half-step states
         rows = []
-        for cls in (model.LinearFlowPlan, model.MlpFlowPlan):
-            def counted(plan, theta, orig=cls.dith_grad):
+
+        class Counted:
+            def __init__(self, plan):
+                self.plan = plan
+
+            def grad(self, theta):
                 rows.append(len(theta))
-                return orig(plan, theta)
-            monkeypatch.setattr(cls, "dith_grad", counted)
+                return self.plan.grad(theta)
+
+        def counted(oracle, z, orig=dynamics.loss_plan):
+            assert z.tag == "dithered"
+            return Counted(orig(oracle, z))
+
+        monkeypatch.setattr(dynamics, "loss_plan", counted)
         o, config, data = sweep_problem(family)
         sweep(o, config.initial_coefficients(o.param_dim), config, data)
         assert sum(rows) == 4 * config.steps + 1
