@@ -1,8 +1,11 @@
-"""Experiment driver: config validation, dataset pipeline, solver, artifacts.
+"""Experiment driver: config schema, dataset pipeline, solver, artifacts.
 
-Subcommands: synth, run, baseline, gradcheck, dpcheck.  Every run writes a
-manifest (config hash, seeds, versions) so artifacts reproduce bit-exactly.
-Exit codes: 0 success, 1 check/validation failure, 2 runtime failure.
+Subcommands: synth, run, baseline, gradcheck, dpcheck.  _SCHEMA is the one
+table a config is checked against.  --seed replaces data.source.seed for
+synth; the other commands add it to the bootstrap and dither seeds.  Every
+run writes a manifest (config hash, seeds, versions) so artifacts reproduce
+bit-exactly.  Exit codes: 0 success, 1 check/validation failure (naming the
+key or path), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -30,213 +33,190 @@ class ConfigError(ValueError):
 
 
 # -- config schema ---------------------------------------------------------
-
-_SECTIONS = {"data", "model", "control", "solver", "output"}
-
-_KEYS = {
-    "data": {"source", "m_train", "m_val", "replacement", "noise_level",
-             "seed_bootstrap_train", "seed_bootstrap_val", "seed_dither"},
-    "source": {"kind", "path", "d", "m", "noise", "seed", "theta_scale",
-               "amplitude", "frequency"},
-    "model": {"family", "degree", "include_bias", "hidden", "theta0"},
-    "control": {"eps", "t_final", "steps", "basis", "n_basis", "u_max"},
-    "solver": {"gamma0", "eps_tol", "max_iters", "line_search", "init"},
-    "output": {"dir", "artifacts"},
-}
-
-_ARTIFACTS = ("report.json", "metrics.json", "coeffs.csv", "theta_star.csv",
-              "trajectory.csv", "adjoint.csv", "manifest.json")
-
-_DEFAULTS_SOLVER = {"gamma0": 0.5, "eps_tol": 1e-6, "max_iters": 50,
-                    "line_search": "backtracking", "init": "zeros"}
-
-
-def _reject_unknown(section: str, obj, allowed: set) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{section} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
-
-
-def _require(section: str, obj: dict, key: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field {section}.{key}")
-    return obj[key]
-
+# One table: section -> key -> (kind, default), each section under the
+# prefix of its keys' dotted names ("" for the top level).  A kind is a
+# (description, predicate) pair over the JSON value; _and narrows one by a
+# constraint.
+# load_config checks each value present once, and the build_* functions
+# read through _reader, which supplies the default or names a missing key.
+# Bounds that BasisSpec, TimeGrid, SolverConfig, ModelOracle, bootstrap and
+# dither enforce, and checks that need p or n (theta0's length, init's
+# shape, the finiteness of both), stay with them.
 
 _REQUIRED = object()
 _FLOAT_MAX = sys.float_info.max
+_ARTIFACTS = ("report.json", "metrics.json", "coeffs.csv", "theta_star.csv",
+              "trajectory.csv", "adjoint.csv", "manifest.json")
 
 
-def _number(section: str, obj: dict, key: str, default=_REQUIRED,
-            integer: bool = False):
-    """obj[key], or default when the key is absent, as a float, or as an int
-    if integer; ConfigError naming the key for anything but a finite JSON
-    number, or a JSON integer where integer."""
-    if key not in obj and default is not _REQUIRED:
-        return default
-    v = _require(section, obj, key)
-    if integer:
-        ok = type(v) is int
-    else:
-        ok = type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
-    if not ok:
-        want = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{section}.{key} must be {want}, got {v!r}")
-    return v if integer else float(v)
+def _numbers(v) -> bool:
+    # by type, as a JSON true is a Python bool and so an int
+    return type(v) is list and {*map(type, v)} <= {int, float}
 
 
-def _typed(section: str, obj: dict, key: str, kind: type,
-           default=_REQUIRED):
-    """obj[key], or default when the key is absent; ConfigError naming the
-    key unless it is a JSON value of type kind, bool or str."""
-    if key not in obj and default is not _REQUIRED:
-        return default
-    v = _require(section, obj, key)
-    if type(v) is not kind:
-        want = "true or false" if kind is bool else "a string"
-        raise ConfigError(f"{section}.{key} must be {want}, got {v!r}")
-    return v
+def _one_of(*names: str):
+    return (f"one of {list(names)}", lambda v: v in names)
+
+
+def _and(kind, want: str, ok):
+    return (f"{kind[0]} {want}", lambda v: kind[1](v) and ok(v))
+
+
+_SECTION = ("a JSON object", None)   # checked against its own table
+_INT = ("an integer", lambda v: type(v) is int)
+_NUM = ("a finite number", lambda v: type(v) in (int, float)
+        and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+_BOOL = ("true or false", lambda v: type(v) is bool)
+_STR = ("a string", lambda v: type(v) is str)
+_VECTOR = ('"zeros" or a list of numbers',
+           lambda v: v == "zeros" or _numbers(v))
+_MATRIX = ('"zeros" or a list of equal-length lists of numbers',
+           lambda v: v == "zeros" or type(v) is list
+           and all(_numbers(r) and len(r) == len(v[0]) for r in v))
+_NAMES = (f"a list of names from {list(_ARTIFACTS)}",
+          lambda v: type(v) is list and all(a in _ARTIFACTS for a in v))
+
+_COUNT = _and(_INT, ">= 1", lambda v: v >= 1)
+
+_SCHEMA = {
+    "": {"data": (_SECTION, _REQUIRED), "model": (_SECTION, _REQUIRED),
+         "control": (_SECTION, _REQUIRED), "solver": (_SECTION, {}),
+         "output": (_SECTION, {})},
+    "data.": {"source": (_SECTION, _REQUIRED), "m_train": (_INT, _REQUIRED),
+              "m_val": (_INT, _REQUIRED), "replacement": (_BOOL, True),
+              "noise_level": (_NUM, 0.05), "seed_bootstrap_train": (_INT, 1),
+              "seed_bootstrap_val": (_INT, 2), "seed_dither": (_INT, 3)},
+    "data.source.": {
+        "kind": (_one_of("linear", "sinusoid", "csv"), _REQUIRED),
+        "path": (_STR, _REQUIRED),                # read for kind csv only
+        "m": (_COUNT, _REQUIRED),                 # read for generators only
+        "d": (_COUNT, 1), "noise": (_and(_NUM, ">= 0", lambda v: v >= 0), 0.0),
+        "seed": (_INT, 0), "theta_scale": (_NUM, 1.0),
+        "amplitude": (_NUM, 1.0), "frequency": (_NUM, 1.0)},
+    "model.": {"family": (_STR, _REQUIRED), "degree": (_INT, 1),
+               "include_bias": (_BOOL, False), "hidden": (_INT, 4),
+               "theta0": (_VECTOR, "zeros")},
+    # compact control set, fixed horizon, small perturbation parameter
+    "control.": {"eps": (_and(_NUM, "in (0, 1]", lambda v: 0 < v <= 1),
+                         _REQUIRED),
+                 "t_final": (_NUM, _REQUIRED), "steps": (_INT, 200),
+                 "basis": (_STR, "legendre_shifted"), "n_basis": (_INT, 4),
+                 "u_max": (_and(_NUM, "> 0", lambda v: v > 0), _REQUIRED)},
+    "solver.": {"gamma0": (_NUM, 0.5), "eps_tol": (_NUM, 1e-6),
+                "max_iters": (_INT, 50),
+                "line_search": (_one_of("backtracking"), "backtracking"),
+                "init": (_MATRIX, "zeros")},
+    "output.": {"dir": (_STR, "out"), "artifacts": (_NAMES, _ARTIFACTS)},
+}
+
+
+def _walk(prefix: str, obj) -> None:
+    """Check obj, the section under prefix, against _SCHEMA[prefix]."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{prefix[:-1] or 'config'} must be a JSON object")
+    table = _SCHEMA[prefix]
+    for key, v in obj.items():
+        spec = table.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown key {prefix}{key}")
+        kind = spec[0]
+        if kind is _SECTION:
+            _walk(f"{prefix}{key}.", v)
+        elif not kind[1](v):
+            raise ConfigError(f"{prefix}{key} must be {kind[0]}, got {v!r}")
+
+
+def _reader(obj: dict, prefix: str):
+    """key -> obj[key], obj being the section under prefix as load_config
+    checked it, or the schema's default; a number as a float."""
+    table = _SCHEMA[prefix]
+
+    def get(key: str):
+        kind, default = table[key]
+        v = obj.get(key, default)
+        if v is _REQUIRED:
+            raise ConfigError(f"missing required field {prefix}{key}")
+        return float(v) if kind is _NUM else v
+    return get
+
+
+def _section(cfg: dict, name: str):
+    """The _reader of cfg's top-level section name."""
+    return _reader(_reader(cfg, "")(name), name + ".")
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
+    """The JSON config at path, unchanged, once checked against _SCHEMA."""
+    with open(path, "rb") as fh:   # json detects UTF-8, -16 or -32
+        try:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    _reject_unknown("config root", cfg, _SECTIONS)
-    for sec in ("data", "model", "control"):
-        if sec not in cfg:
-            raise ConfigError(f"missing required section {sec!r}")
-    for sec in cfg:
-        _reject_unknown(sec, cfg[sec], _KEYS[sec])
-    if "source" in cfg["data"]:
-        _reject_unknown("data.source", cfg["data"]["source"], _KEYS["source"])
-    _validate_control(cfg["control"])
-    artifacts = cfg.get("output", {}).get("artifacts", [])
-    if not (isinstance(artifacts, list)
-            and all(a in _ARTIFACTS for a in artifacts)):
-        raise ConfigError(f"output.artifacts must be a list of names from "
-                          f"{list(_ARTIFACTS)}, got {artifacts!r}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}")
+    _walk("", cfg)
     return cfg
-
-
-def _validate_control(control: dict) -> None:
-    # compact control set, fixed horizon, small perturbation parameter
-    if not _number("control", control, "u_max") > 0:
-        raise ConfigError("control.u_max must be > 0 (compact control set)")
-    if not _number("control", control, "t_final") > 0:
-        raise ConfigError("control.t_final must be > 0")
-    if not 0 < _number("control", control, "eps") <= 1.0:
-        raise ConfigError("control.eps must lie in (0, 1]")
 
 
 # -- dataset pipeline ------------------------------------------------------
 
 def synth_dataset(source: dict) -> Dataset:
     """Generate a synthetic regression dataset from a generator spec."""
-    kind = _require("data.source", source, "kind")
-    m = _number("data.source", source, "m", integer=True)
-    if m < 1:
-        raise ConfigError("data.source.m must be >= 1")
-    d = _number("data.source", source, "d", 1, integer=True)
-    if d < 1:
-        raise ConfigError("data.source.d must be >= 1")
-    noise = _number("data.source", source, "noise", 0.0)
-    rng = np.random.default_rng(
-        _number("data.source", source, "seed", 0, integer=True))
+    get = _reader(source, "data.source.")
+    kind = get("kind")
+    if kind == "csv":
+        raise ConfigError("data.source.kind 'csv' names no generator")
+    m, d, noise = get("m"), get("d"), get("noise")
+    rng = np.random.default_rng(get("seed"))
     x = rng.standard_normal((m, d))
     if kind == "linear":
-        scale = _number("data.source", source, "theta_scale", 1.0)
-        y = x @ (scale * rng.standard_normal(d))
-    elif kind == "sinusoid":
-        amp = _number("data.source", source, "amplitude", 1.0)
-        freq = _number("data.source", source, "frequency", 1.0)
-        y = amp * np.sin(freq * x.sum(axis=1))
+        y = x @ (get("theta_scale") * rng.standard_normal(d))
     else:
-        raise ConfigError(f"unknown generator kind {kind!r}")
+        y = get("amplitude") * np.sin(get("frequency") * x.sum(axis=1))
     if noise > 0:
         y = y + noise * rng.standard_normal(m)
     return Dataset(x, y, tag="original")
 
 
 def build_data(data_cfg: dict, seed_override: int | None = None) -> ProblemData:
-    source = _require("data", data_cfg, "source")
-    if source.get("kind") == "csv":
-        z0 = load_csv(_typed("data.source", source, "path", str))
-    else:
-        z0 = synth_dataset(source)
-    m_train = _number("data", data_cfg, "m_train", integer=True)
-    m_val = _number("data", data_cfg, "m_val", integer=True)
-    replacement = _typed("data", data_cfg, "replacement", bool, True)
-    noise_level = _number("data", data_cfg, "noise_level", 0.05)
+    get = _reader(data_cfg, "data.")
+    source = _reader(get("source"), "data.source.")
+    z0 = (load_csv(source("path")) if source("kind") == "csv"
+          else synth_dataset(get("source")))
+    replacement = get("replacement")
     off = 0 if seed_override is None else seed_override
-
-    def seed(key: str, default: int) -> int:
-        return _number("data", data_cfg, key, default, integer=True) + off
-
-    z1 = bootstrap(z0, m_train, replacement, seed("seed_bootstrap_train", 1),
-                   tag="train")
-    z2 = bootstrap(z0, m_val, replacement, seed("seed_bootstrap_val", 2),
-                   tag="validation")
-    z1d = dither(z1, noise_level, seed("seed_dither", 3))
+    z1 = bootstrap(z0, get("m_train"), replacement,
+                   get("seed_bootstrap_train") + off, tag="train")
+    z2 = bootstrap(z0, get("m_val"), replacement,
+                   get("seed_bootstrap_val") + off, tag="validation")
+    z1d = dither(z1, get("noise_level"), get("seed_dither") + off)
     return ProblemData(z1, z1d, z2)
 
 
 def build_oracle(model_cfg: dict, d: int) -> ModelOracle:
-    family = _require("model", model_cfg, "family")
-    if family == "linear_features":
-        return ModelOracle(family, d,
-                           degree=_number("model", model_cfg, "degree", 1,
-                                          integer=True),
-                           include_bias=_typed("model", model_cfg,
-                                               "include_bias", bool, False))
-    if family == "mlp_tanh":
-        return ModelOracle(family, d, hidden=_number("model", model_cfg,
-                                                     "hidden", 4,
-                                                     integer=True))
-    raise ConfigError(f"unknown model family {family!r}")
+    get = _reader(model_cfg, "model.")
+    return ModelOracle(get("family"), d, degree=get("degree"),
+                       include_bias=get("include_bias"), hidden=get("hidden"))
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
-    control = cfg["control"]
-    solver = {**_DEFAULTS_SOLVER, **cfg.get("solver", {})}
-    basis = BasisSpec(control.get("basis", "legendre_shifted"),
-                      _number("control", control, "n_basis", 4, integer=True),
-                      _number("control", control, "t_final"))
-    theta0 = cfg["model"].get("theta0")
-    theta0 = (None if theta0 in (None, "zeros")
-              else np.asarray(theta0, dtype=float))
-    if cfg["model"]["family"] == "mlp_tanh" and (theta0 is None
-                                                 or not theta0.any()):
+    control, model, solver = (_section(cfg, s)
+                              for s in ("control", "model", "solver"))
+    theta0 = model("theta0")
+    theta0 = None if theta0 == "zeros" else np.asarray(theta0, dtype=float)
+    if model("family") == "mlp_tanh" and (theta0 is None or not theta0.any()):
         raise ConfigError(
             "model.theta0 = 0 is a saddle of the mlp_tanh loss: D = (grad "
             "J~0)^2 vanishes there on W1, b1 and w2, so only b2 could be "
             "trained; give a non-zero model.theta0")
-    init = solver["init"]
-    if init not in ("zeros",) and not isinstance(init, list):
-        raise ConfigError("solver.init must be 'zeros' or a coefficient matrix")
-    c0 = np.asarray(init, dtype=float) if isinstance(init, list) else None
-    if solver["line_search"] != "backtracking":
-        raise ConfigError("solver.line_search must be 'backtracking'")
-    try:
-        return SolverConfig(
-            eps=_number("control", control, "eps"),
-            steps=_number("control", control, "steps", 200, integer=True),
-            basis=basis,
-            u_max=_number("control", control, "u_max"),
-            gamma0=_number("solver", solver, "gamma0"),
-            eps_tol=_number("solver", solver, "eps_tol"),
-            max_iters=_number("solver", solver, "max_iters", integer=True),
-            theta0=theta0,
-            c0=c0,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    init = solver("init")
+    return SolverConfig(
+        eps=control("eps"), steps=control("steps"),
+        basis=BasisSpec(control("basis"), control("n_basis"),
+                        control("t_final")),
+        u_max=control("u_max"), gamma0=solver("gamma0"),
+        eps_tol=solver("eps_tol"), max_iters=solver("max_iters"),
+        theta0=theta0,
+        c0=None if init == "zeros" else np.asarray(init, dtype=float),
+    )
 
 
 # -- artifact emission -----------------------------------------------------
@@ -266,7 +246,7 @@ def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
               null_cost: float, traj, adj=None) -> None:
     """Write the artifacts output.artifacts names (all by default) and the
     manifest; adjoint.csv only when an adjoint is given."""
-    wanted = cfg.get("output", {}).get("artifacts", _ARTIFACTS)
+    wanted = _section(cfg, "output")("artifacts")
     if "report.json" in wanted:
         _write_json(out / "report.json", report.to_dict())
     if "metrics.json" in wanted:
@@ -302,7 +282,7 @@ def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    source = _require("data", cfg["data"], "source")
+    source = _section(cfg, "data")("source")
     if args.seed is not None:
         source = {**source, "seed": args.seed}
     ds = synth_dataset(source)
@@ -317,10 +297,11 @@ def cmd_synth(args) -> int:
 
 def _pipeline(args):
     cfg = load_config(args.config)
-    data = build_data(cfg["data"], args.seed)
-    oracle = build_oracle(cfg["model"], data.z_train.d)
+    root = _reader(cfg, "")
+    data = build_data(root("data"), args.seed)
+    oracle = build_oracle(root("model"), data.z_train.d)
     config = build_solver_config(cfg)
-    out = Path(args.out or cfg.get("output", {}).get("dir", "out"))
+    out = Path(args.out or _section(cfg, "output")("dir"))
     out.mkdir(parents=True, exist_ok=True)
     return cfg, data, oracle, config, out
 
@@ -396,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seeds")
+                        help="synth: replaces data.source.seed; other "
+                        "commands: added to the bootstrap and dither seeds")
         sp.add_argument("--quiet", action="store_true")
         sp.set_defaults(fn=fn)
     return parser
@@ -406,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

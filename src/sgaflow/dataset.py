@@ -56,11 +56,7 @@ def load_csv(path) -> Dataset:
     Malformed rows, and rows holding nan or inf, are reported with their
     1-based line number.
     """
-    try:
-        fh = open(path, newline="")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    with fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

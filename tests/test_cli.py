@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestSynth:
         c["data"]["source"]["m"] = 0
         cfg = write_config(tmp_path, c)
         assert cli.main(["synth", "--config", str(cfg), "--quiet"]) == 1
+
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        # the generator would skip a noise < 0 as if it were 0
+        c = base_config()
+        c["data"]["source"]["noise"] = -1
+        cfg = write_config(tmp_path, c)
+        out = tmp_path / "data.csv"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 1
+        assert ("data.source.noise must be a finite number >= 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRun:
@@ -339,3 +352,101 @@ class TestDpcheck:
                          "--quiet"]) == 0
         report = json.loads((out / "dpcheck.json").read_text())
         assert report["passed"]
+
+
+# The JSON types each config key accepts, written out here rather than read
+# from cli's schema, so the matrix below is an independent oracle.
+ACCEPTED = {
+    "data": "object", "model": "object", "control": "object",
+    "solver": "object", "output": "object",
+    "data.source": "object", "data.m_train": "number", "data.m_val": "number",
+    "data.replacement": "bool", "data.noise_level": "number",
+    "data.seed_bootstrap_train": "number", "data.seed_bootstrap_val": "number",
+    "data.seed_dither": "number",
+    "data.source.kind": "string", "data.source.path": "string",
+    "data.source.m": "number", "data.source.d": "number",
+    "data.source.noise": "number", "data.source.seed": "number",
+    "data.source.theta_scale": "number", "data.source.amplitude": "number",
+    "data.source.frequency": "number",
+    "model.family": "string", "model.degree": "number",
+    "model.include_bias": "bool", "model.hidden": "number",
+    "model.theta0": "string list",
+    "control.eps": "number", "control.t_final": "number",
+    "control.steps": "number", "control.basis": "string",
+    "control.n_basis": "number", "control.u_max": "number",
+    "solver.gamma0": "number", "solver.eps_tol": "number",
+    "solver.max_iters": "number", "solver.line_search": "string",
+    "solver.init": "string list",
+    "output.dir": "string", "output.artifacts": "list",
+}
+
+JSON_VALUES = {"object": {"a": 1}, "list": [1], "string": "a", "null": None,
+               "bool": True, "number": 1}
+
+
+def set_key(cfg: dict, key: str, value) -> dict:
+    *sections, last = key.split(".")
+    obj = cfg
+    for s in sections:
+        obj = obj.setdefault(s, {})
+    obj[last] = value
+    return cfg
+
+
+def schema_keys() -> set:
+    return {prefix + key for prefix, table in cli._SCHEMA.items()
+            for key in table}
+
+
+# one value of each JSON type a key does not accept, then values of an
+# accepted type and the wrong shape: a nested theta0 would be raveled, a
+# true entry of init read as 1.0, and a ragged init end in a traceback
+WRONG_VALUES = [
+    pytest.param(key, JSON_VALUES[kind], id=f"{key}-{kind}")
+    for key, ok in ACCEPTED.items() for kind in JSON_VALUES
+    if kind not in ok.split()] + [
+    pytest.param("model.theta0", [[0.1], [0.2]], id="theta0-nested"),
+    pytest.param("solver.init", [[True, 0, 0], [0, 0, 0]], id="init-bool"),
+    pytest.param("solver.init", [[0, 0, 0], [0, 0]], id="init-ragged")]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("key,value", WRONG_VALUES)
+    def test_wrong_value_names_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, set_key(base_config(), key, value))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matrix_covers_every_key(self):
+        assert set(ACCEPTED) == schema_keys()
+
+    @pytest.mark.parametrize("where", ["--config", "data.source.path",
+                                       "--out", "output.dir"])
+    def test_unusable_path_names_it(self, tmp_path, capsys, where):
+        # a directory where a file is read, a file where a directory is made
+        folder, file = tmp_path / "folder", tmp_path / "file"
+        folder.mkdir()
+        file.write_text("x")
+        c = base_config()
+        if where == "data.source.path":
+            c["data"]["source"] = {"kind": "csv", "path": str(folder)}
+        elif where == "output.dir":
+            c["output"] = {"dir": str(file)}
+        argv = ["run", "--config", str(write_config(tmp_path, c)), "--quiet"]
+        if where == "--config":
+            argv[2] = str(folder)
+        elif where == "--out":
+            argv += ["--out", str(file)]
+        bad = folder if where in ("--config", "data.source.path") else file
+        assert cli.main(argv) == 1
+        assert repr(str(bad)) in capsys.readouterr().err
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [line for line in readme.read_text().splitlines()
+                if line.startswith("| `")]
+        named = {line.split("`")[1] for line in rows}
+        assert schema_keys() <= named
