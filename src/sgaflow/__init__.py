@@ -11,7 +11,7 @@ from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, hamiltonian,
 from .model import (ModelOracle, loss_gradient, loss_hvp, loss_value,
                     phi_value)
 from .sga import (ProblemData, SolverConfig, SolverReport, cost,
-                  coefficient_gradient, pointwise_max_control, solve)
+                  coefficient_gradient, solve)
 
 __all__ = [
     "BasisSpec", "ControlCoefficients", "eval_basis", "eval_control",
@@ -20,5 +20,5 @@ __all__ = [
     "integrate_adjoint", "integrate_forward",
     "ModelOracle", "loss_gradient", "loss_hvp", "loss_value", "phi_value",
     "ProblemData", "SolverConfig", "SolverReport", "cost",
-    "coefficient_gradient", "pointwise_max_control", "solve",
+    "coefficient_gradient", "solve",
 ]

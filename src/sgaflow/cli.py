@@ -77,6 +77,7 @@ _NAMES = (f"a list of names from {list(_ARTIFACTS)}",
           lambda v: type(v) is list and all(a in _ARTIFACTS for a in v))
 
 _COUNT = _and(_INT, ">= 1", lambda v: v >= 1)
+_SEED = _and(_INT, ">= 0", lambda v: v >= 0)
 
 _SCHEMA = {
     "": {"data": (_SECTION, _REQUIRED), "model": (_SECTION, _REQUIRED),
@@ -84,14 +85,14 @@ _SCHEMA = {
          "output": (_SECTION, {})},
     "data.": {"source": (_SECTION, _REQUIRED), "m_train": (_INT, _REQUIRED),
               "m_val": (_INT, _REQUIRED), "replacement": (_BOOL, True),
-              "noise_level": (_NUM, 0.05), "seed_bootstrap_train": (_INT, 1),
-              "seed_bootstrap_val": (_INT, 2), "seed_dither": (_INT, 3)},
+              "noise_level": (_NUM, 0.05), "seed_bootstrap_train": (_SEED, 1),
+              "seed_bootstrap_val": (_SEED, 2), "seed_dither": (_SEED, 3)},
     "data.source.": {
         "kind": (_one_of("linear", "sinusoid", "csv"), _REQUIRED),
         "path": (_STR, _REQUIRED),                # read for kind csv only
         "m": (_COUNT, _REQUIRED),                 # read for generators only
         "d": (_COUNT, 1), "noise": (_and(_NUM, ">= 0", lambda v: v >= 0), 0.0),
-        "seed": (_INT, 0), "theta_scale": (_NUM, 1.0),
+        "seed": (_SEED, 0), "theta_scale": (_NUM, 1.0),
         "amplitude": (_NUM, 1.0), "frequency": (_NUM, 1.0)},
     "model.": {"family": (_STR, _REQUIRED), "degree": (_INT, 1),
                "include_bias": (_BOOL, False), "hidden": (_INT, 4),
@@ -183,11 +184,18 @@ def build_data(data_cfg: dict, seed_override: int | None = None) -> ProblemData:
           else synth_dataset(get("source")))
     replacement = get("replacement")
     off = 0 if seed_override is None else seed_override
+
+    def seed(key):
+        s = get(key) + off
+        if s < 0:
+            raise ConfigError(f"data.{key} must be >= 0 after --seed {off} "
+                              f"is added, got {s}")
+        return s
     z1 = bootstrap(z0, get("m_train"), replacement,
-                   get("seed_bootstrap_train") + off, tag="train")
+                   seed("seed_bootstrap_train"), tag="train")
     z2 = bootstrap(z0, get("m_val"), replacement,
-                   get("seed_bootstrap_val") + off, tag="validation")
-    z1d = dither(z1, get("noise_level"), get("seed_dither") + off)
+                   seed("seed_bootstrap_val"), tag="validation")
+    z1d = dither(z1, get("noise_level"), seed("seed_dither"))
     return ProblemData(z1, z1d, z2)
 
 
@@ -284,6 +292,9 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     source = _section(cfg, "data")("source")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"data.source.seed must be >= 0, got --seed "
+                              f"{args.seed}")
         source = {**source, "seed": args.seed}
     ds = synth_dataset(source)
     out = Path(args.out or "dataset.csv")

@@ -23,13 +23,12 @@ tables agree bit for bit on shared times.  u = C @ psi is formed once per
 stage time, a step's end control carried into the next.  Each pass builds
 one flow plan (model.flow_plan) of the training and dithered sets, which
 share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
-right-hand sides.  A forward stage takes both gradients in one plan call.
-The backward pass takes grad J~0 at all 4M+1 forward states up front from
-the dithered set's loss plan, in stacked calls of GRAD_BLOCK states, so an
-adjoint stage makes one call, for both Hessian-vector products, and it
-returns D = (grad J~0)^2 with p at its 2M+1 half steps.  No stage checks its
-inputs or calls eval_basis or eval_control, and for the linear family a
-stage costs a few p x p products.
+right-hand sides.  A forward stage takes both gradients in one plan call,
+and a trajectory keeps the first stage's grad J~0 at each of its 4M+1
+states, which the backward pass reads, so an adjoint stage makes one call,
+for both Hessian-vector products, and it returns D = (grad J~0)^2 with p at
+its 2M+1 half steps.  No stage checks its inputs or calls eval_basis or
+eval_control, and for the linear family a stage costs a few p x p products.
 """
 
 from __future__ import annotations
@@ -42,13 +41,10 @@ import numpy as np
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
                     eval_basis_grid)
 from .dataset import Dataset
-from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient, loss_plan
+from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
 
 # |theta| beyond which a forward integration raises DivergenceError
 DIVERGENCE_BOUND = 1e8
-# states per stacked grad J~0 call of the backward pass, which bounds the
-# mlp gradient's (states, m, hidden) intermediates however fine the grid
-GRAD_BLOCK = 16
 
 
 class DivergenceError(RuntimeError):
@@ -90,30 +86,36 @@ class TimeGrid:
         return np.linspace(0.0, self.t_final, self.steps + 1)
 
 
-def _read_only_rows(name: str, a, rows: int) -> np.ndarray:
-    """a as a read-only (rows, p) float view; ValueError for other shapes."""
-    a = np.asarray(a, dtype=float).view()
-    if a.ndim != 2 or a.shape[0] != rows:
-        raise ValueError(f"{name} has shape {a.shape}, expected ({rows}, p)")
-    a.flags.writeable = False
-    return a
+def _read_only_rows(obj, rows: int, *names: str) -> None:
+    """Set each named field of the frozen dataclass obj to a read-only
+    (rows, p) float view of it; ValueError for other shapes."""
+    for name in names:
+        a = np.asarray(getattr(obj, name), dtype=float).view()
+        if a.ndim != 2 or a.shape[0] != rows:
+            raise ValueError(
+                f"{name} has shape {a.shape}, expected ({rows}, p)")
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward solution: theta at every quarter step of the grid.
+    """Forward solution: theta and grad J~0 at every quarter step of the
+    grid.
 
     theta_fine holds the states of the quarter-step integration (4M+1 rows,
     spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
-    theta_nodes and theta_final are read-only views of it.
+    gt_fine holds grad J~0 at each of those states, as the integration's
+    flow plan computed it.  theta_nodes and theta_final are read-only views
+    of theta_fine.
     """
 
     grid: TimeGrid
     theta_fine: np.ndarray  # (4M+1, p)
+    gt_fine: np.ndarray     # (4M+1, p)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_fine", _read_only_rows(
-            "theta_fine", self.theta_fine, 4 * self.grid.steps + 1))
+        _read_only_rows(self, 4 * self.grid.steps + 1, "theta_fine", "gt_fine")
 
     @property
     def theta_nodes(self) -> np.ndarray:  # (M+1, p)
@@ -140,10 +142,7 @@ class AdjointTrajectory:
     d_half: np.ndarray  # (2M+1, p)
 
     def __post_init__(self):
-        rows = 2 * self.grid.steps + 1
-        for name in ("p_half", "d_half"):
-            object.__setattr__(self, name, _read_only_rows(
-                name, getattr(self, name), rows))
+        _read_only_rows(self, 2 * self.grid.steps + 1, "p_half", "d_half")
 
     @property
     def p_nodes(self) -> np.ndarray:  # (M+1, p)
@@ -151,11 +150,12 @@ class AdjointTrajectory:
 
 
 def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
-                eps: float) -> np.ndarray:
-    """Controlled gradient-flow velocity at (theta, u), from the flow plan of
-    the training and dithered sets; theta and u may be (B, p) stacks."""
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g~): the controlled gradient-flow velocity f at (theta, u), from
+    the flow plan of the training and dithered sets, and g~ = grad J~0(theta)
+    it was formed from; theta and u may be (B, p) stacks."""
     g, gt = plan.grads(theta)
-    return eps * (gt * gt) * u - g
+    return eps * (gt * gt) * u - g, gt
 
 
 def stage_psi(basis: BasisSpec, grid: TimeGrid, per_step: int) -> np.ndarray:
@@ -177,31 +177,32 @@ def _check_rows(oracle: ModelOracle, coeffs: ControlCoefficients) -> None:
 
 def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
                  basis: BasisSpec, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid,
-                 keep_states: bool) -> np.ndarray:
+                 z_dith: Dataset, grid: TimeGrid, keep_states: bool):
     """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
 
     Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c,
-    with Psi from the per_step 8 table.  Returns the states at all 4M+1
-    quarter nodes if keep_states, else the final states.  Raises ValueError
-    if the grid lies beyond the basis's range, and DivergenceError for the
-    first member whose state leaves DIVERGENCE_BOUND.
+    with Psi from the per_step 8 table.  Returns the Trajectory of a (p,)
+    theta0 if keep_states, its grad J~0 rows taken from each step's first
+    stage, else the final states.  Raises ValueError if the grid lies beyond
+    the basis's range, and DivergenceError for the first member whose state
+    leaves DIVERGENCE_BOUND.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
     psi = stage_psi(basis, grid, 8)
     plan = flow_plan(oracle, z_train, z_dith)
-    out = np.empty((nsteps + 1,) + theta0.shape) if keep_states else None
     th = theta0
     if keep_states:
+        out = np.empty((nsteps + 1,) + theta0.shape)
+        gts = np.empty_like(out)
         out[0] = th
     u4 = c @ psi[0]
     for k in range(nsteps):
         u1, u2, u4 = u4, c @ psi[2 * k + 1], c @ psi[2 * k + 2]
-        k1 = forward_rhs(plan, th, u1, eps)
-        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)
-        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)
-        k4 = forward_rhs(plan, th + h * k3, u4, eps)
+        k1, gt = forward_rhs(plan, th, u1, eps)
+        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
+        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
+        k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # |th| as np.linalg.norm computes it, without its per-call overhead;
         # nan compares False
@@ -212,7 +213,11 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
             raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
         if keep_states:
             out[k + 1] = th
-    return out if keep_states else th
+            gts[k] = gt
+    if not keep_states:
+        return th
+    gts[nsteps] = plan.grads(th)[1]
+    return Trajectory(grid, out, gts)
 
 
 def _state(oracle: ModelOracle, theta) -> np.ndarray:
@@ -233,10 +238,9 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
                       grid: TimeGrid) -> Trajectory:
     """Integrate the controlled flow from theta0 over the grid."""
     _check_rows(oracle, coeffs)
-    fine = _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
+    return _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
                         coeffs.basis, eps, z_train, z_dith, grid,
                         keep_states=True)
-    return Trajectory(grid, fine)
 
 
 def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
@@ -274,24 +278,21 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     """Integrate the costate backward from p(T) = -grad Phi(theta(T)).
 
     RK4 on half steps; the stage states are the forward trajectory's exact
-    quarter-step values, so no re-integration or interpolation happens here,
-    grad J~0 at each is taken once, and u at forward state i comes from row i
-    of the per_step 4 Psi table.  The result carries D = (grad J~0)^2 at the
-    half-step states next to p.  Raises ValueError if C's rows are not the
-    oracle's p or the grid lies beyond the basis's range, and
-    NonFiniteCostateError if the costate becomes nan or inf.
+    quarter-step values and grad J~0 at each is the one the trajectory
+    holds, so no re-integration, interpolation or gradient call happens
+    here, and u at forward state i comes from row i of the per_step 4 Psi
+    table.  The result carries D = (grad J~0)^2 at the half-step states
+    next to p.  Raises ValueError if C's rows are not the oracle's p or the
+    grid lies beyond the basis's range, and NonFiniteCostateError if the
+    costate becomes nan or inf.
     """
     _check_rows(oracle, coeffs)
     grid = traj.grid
     M = grid.steps
     hh = 0.5 * grid.h
     psi = stage_psi(coeffs.basis, grid, 4)
-    fine = traj.theta_fine
+    fine, gt = traj.theta_fine, traj.gt_fine
     plan = flow_plan(oracle, z_train, z_dith)
-    dith = loss_plan(oracle, z_dith)
-    # stacked calls whose rows equal the per-state calls bit for bit
-    gt = np.concatenate([dith.grad(fine[i:i + GRAD_BLOCK])
-                         for i in range(0, len(fine), GRAD_BLOCK)])
 
     def rhs(u, i, p):  # at the forward state of row i
         return adjoint_rhs(plan, fine[i], gt[i], p, u, eps)
@@ -319,8 +320,8 @@ def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
                 z_dith: Dataset) -> float:
     """Control Hamiltonian: <p, f(theta, u)>."""
     p = np.asarray(p, dtype=float).ravel()
-    f = forward_rhs(flow_plan(oracle, z_train, z_dith), _state(oracle, theta),
-                    np.asarray(u, dtype=float), eps)
+    f, _ = forward_rhs(flow_plan(oracle, z_train, z_dith),
+                       _state(oracle, theta), np.asarray(u, dtype=float), eps)
     if p.shape != f.shape:
         raise ValueError(f"p has dim {p.shape[0]}, expected {f.shape[0]}")
     return float(p @ f)

@@ -12,8 +12,9 @@ Armijo backtracking line search enforces sufficient decrease of J and
 backtracks from a trial step whose flow diverges.
 
 Each Armijo trial integrates its control forward, and the accepted trial's
-trajectory is the next sweep's forward pass, so a solver iteration runs one
-forward integration per trial and one backward integration.
+trajectory, with its cost, is the next sweep's forward pass, so a solver
+iteration runs one forward integration per trial and one backward
+integration, and J is evaluated once per trajectory.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, final_states, integrate_adjoint,
                        integrate_forward, stage_psi)
-from .model import ModelOracle, loss_gradient, loss_plan, phi_value
+from .model import ModelOracle, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
@@ -127,8 +128,9 @@ class SolverReport:
 def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
           data: ProblemData) -> np.ndarray:
     """Validation costs at final time of the flows under each coefficient
-    matrix of the (B, p, n) stack cs, integrated as one batch; each entry
-    equals cost() of that matrix bit for bit."""
+    matrix of the (B, p, n) stack cs on config.basis, integrated as one
+    batch; each entry equals phi_value at forward()'s final state bit for
+    bit."""
     thetas = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
                           config.basis, config.eps, data.z_train, data.z_dith,
                           config.grid)
@@ -146,9 +148,9 @@ def forward(oracle: ModelOracle, coeffs: ControlCoefficients,
 
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
          config: SolverConfig, data: ProblemData) -> float:
-    """Validation cost at final time of the controlled flow."""
-    return phi_value(oracle, forward(oracle, coeffs, config, data).theta_final,
-                     data.z_val)
+    """Validation cost at final time of the controlled flow under coeffs on
+    config.basis: the one-member costs stack."""
+    return float(costs(oracle, coeffs.c[None], config, data)[0])
 
 
 def coefficient_gradient(adj: AdjointTrajectory, basis: BasisSpec,
@@ -184,12 +186,10 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
     return traj, adj, grad
 
 
-def _apply_update(oracle, coeffs, config, data, grad, j0, k):
-    """C <- project(C + gamma G) by Armijo backtracking from the cost j0;
-    returns (new coefficients, record, accepted trial's trajectory or None)."""
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm == 0.0:
-        return coeffs, IterationRecord(k, j0, 0.0, 0.0, False), None
+def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):
+    """C <- project(C + gamma G) by Armijo backtracking from the cost j0,
+    gnorm being |G| > 0; returns (new coefficients, record, (accepted
+    trial's trajectory, its cost) or None)."""
     for q in range(MAX_BACKTRACKS + 1):
         gamma = config.gamma0 * 0.5**q
         cand = replace(coeffs, c=coeffs.c + gamma * grad)
@@ -201,7 +201,7 @@ def _apply_update(oracle, coeffs, config, data, grad, j0, k):
         j_new = phi_value(oracle, traj.theta_final, data.z_val)
         if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
             return (new, IterationRecord(k, j0, gnorm, gamma, new is not cand),
-                    traj)
+                    (traj, j_new))
     return coeffs, IterationRecord(k, j0, gnorm, 0.0, False), None
 
 
@@ -211,18 +211,19 @@ def solve(oracle: ModelOracle, config: SolverConfig,
 
     Stops when the Frobenius norm of the coefficient gradient falls below
     eps_tol, after max_iters sweeps, or when the line search cannot find a
-    decreasing step.  The accepted Armijo trial's trajectory is the next
-    sweep's forward pass and gives theta_star and final_cost, so nothing is
-    integrated forward after an update but its trials.
+    decreasing step.  The accepted Armijo trial's trajectory and cost are
+    the next sweep's forward pass and j0, and give theta_star and
+    final_cost, so nothing is integrated forward after an update but its
+    trials, and J is evaluated once per integrated trajectory.
     """
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
     converged = False
-    traj = None  # the forward trajectory under coeffs, when one is held
+    traj = forward(oracle, coeffs, config, data)
+    j0 = phi_value(oracle, traj.theta_final, data.z_val)
     for k in range(config.max_iters):
         traj, adj, grad = sweep(oracle, coeffs, config, data, traj)
-        j0 = phi_value(oracle, traj.theta_final, data.z_val)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.eps_tol:
             records.append(IterationRecord(k, j0, gnorm, 0.0, False))
@@ -230,28 +231,12 @@ def solve(oracle: ModelOracle, config: SolverConfig,
             stop_reason = "tolerance"
             break
         coeffs, rec, trial = _apply_update(oracle, coeffs, config, data,
-                                           grad, j0, k)
+                                           grad, gnorm, j0, k)
         records.append(rec)
         if rec.gamma == 0.0:
             # coeffs did not change, so the sweep's trajectory still holds
             stop_reason = "line_search_failure"
             break
-        traj = trial
-    final_cost = phi_value(oracle, traj.theta_final, data.z_val)
-    return SolverReport(records, coeffs, traj.theta_final.copy(),
-                        final_cost, converged, stop_reason)
-
-
-def pointwise_max_control(oracle: ModelOracle, theta: np.ndarray,
-                          p: np.ndarray, eps: float, u_max: float,
-                          z_dith: Dataset) -> np.ndarray:
-    """Pointwise Hamiltonian maximizer over the box: bang-bang diagnostic.
-
-    The Hamiltonian is affine in u, so each component sits at
-    u_max * sign(eps * D_ii * p_i), with 0 for a vanishing coefficient.
-    Used only to check how close the Galerkin control is to the maximum
-    principle, never inside the solver loop.
-    """
-    gt = loss_gradient(oracle, theta, z_dith)
-    coef = eps * (gt * gt) * np.asarray(p, dtype=float).ravel()
-    return u_max * np.sign(coef)
+        traj, j0 = trial
+    return SolverReport(records, coeffs, traj.theta_final.copy(), j0,
+                        converged, stop_reason)

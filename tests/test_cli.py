@@ -398,24 +398,38 @@ def schema_keys() -> set:
             for key in table}
 
 
+RUN = ["run"]
+
 # one value of each JSON type a key does not accept, then values of an
 # accepted type and the wrong shape: a nested theta0 would be raveled, a
-# true entry of init read as 1.0, and a ragged init end in a traceback
+# true entry of init read as 1.0, and a ragged init end in a traceback;
+# then negative seeds, which numpy refuses without naming the key, set in
+# the config or made by --seed (synth's replaces data.source.seed, run's is
+# added to the bootstrap and dither seeds, data.seed_bootstrap_train first)
 WRONG_VALUES = [
-    pytest.param(key, JSON_VALUES[kind], id=f"{key}-{kind}")
+    pytest.param(key, JSON_VALUES[kind], RUN, id=f"{key}-{kind}")
     for key, ok in ACCEPTED.items() for kind in JSON_VALUES
     if kind not in ok.split()] + [
-    pytest.param("model.theta0", [[0.1], [0.2]], id="theta0-nested"),
-    pytest.param("solver.init", [[True, 0, 0], [0, 0, 0]], id="init-bool"),
-    pytest.param("solver.init", [[0, 0, 0], [0, 0]], id="init-ragged")]
+    pytest.param("model.theta0", [[0.1], [0.2]], RUN, id="theta0-nested"),
+    pytest.param("solver.init", [[True, 0, 0], [0, 0, 0]], RUN,
+                 id="init-bool"),
+    pytest.param("solver.init", [[0, 0, 0], [0, 0]], RUN, id="init-ragged")
+] + [pytest.param(f"data.{key}", -5, RUN, id=f"{key}-negative")
+     for key in ("source.seed", "seed_bootstrap_train", "seed_bootstrap_val",
+                 "seed_dither")] + [
+    pytest.param("data.seed_bootstrap_train", 1, ["run", "--seed", "-10"],
+                 id="run-seed-negative"),
+    pytest.param("data.source.seed", 0, ["synth", "--seed", "-1"],
+                 id="synth-seed-negative")]
 
 
 class TestConfigSchema:
-    @pytest.mark.parametrize("key,value", WRONG_VALUES)
-    def test_wrong_value_names_key(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key,value,command", WRONG_VALUES)
+    def test_wrong_value_names_key(self, tmp_path, capsys, key, value,
+                                   command):
         cfg = write_config(tmp_path, set_key(base_config(), key, value))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out),
                          "--quiet"]) == 1
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()

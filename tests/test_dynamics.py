@@ -28,17 +28,20 @@ class TestForwardRhs:
     def test_scalar_footnote_formula(self):
         # J0 = 0.5*theta^2 on both sets: f = -1 + 0.1 * 1^2 * 1 = -0.9
         o, z1, zd, _ = quad_oracle()
-        f = forward_rhs(flow_plan(o, z1, zd), np.array([1.0]),
-                        np.array([1.0]), 0.1)
+        f, gt = forward_rhs(flow_plan(o, z1, zd), np.array([1.0]),
+                            np.array([1.0]), 0.1)
         assert f[0] == pytest.approx(-0.9, rel=1e-14)
+        assert gt[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_control_off_reduces_to_gradient_flow(self):
         o, data = linear_problem()
         theta = np.random.default_rng(0).standard_normal(o.param_dim)
-        f = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta,
-                        np.zeros(o.param_dim), 0.7)
+        f, gt = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta,
+                            np.zeros(o.param_dim), 0.7)
         np.testing.assert_array_equal(
             f, -loss_gradient(o, theta, data.z_train))
+        np.testing.assert_array_equal(
+            gt, loss_gradient(o, theta, data.z_dith))
 
     def test_matches_componentwise_formula(self):
         o, data = linear_problem(seed=4)
@@ -46,13 +49,14 @@ class TestForwardRhs:
         theta = rng.standard_normal(o.param_dim)
         u = rng.standard_normal(o.param_dim)
         eps = 0.3
-        f = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta, u,
-                        eps)
+        f, f_gt = forward_rhs(flow_plan(o, data.z_train, data.z_dith), theta,
+                              u, eps)
         g = loss_gradient(o, theta, data.z_train)
         gt = loss_gradient(o, theta, data.z_dith)
         expect = np.array([-g[i] + eps * gt[i]**2 * u[i]
                            for i in range(o.param_dim)])
         np.testing.assert_allclose(f, expect, atol=1e-14)
+        np.testing.assert_array_equal(f_gt, gt)
 
 
 class TestIntegrateForward:
@@ -134,6 +138,26 @@ class TestIntegrateForward:
             integrate_forward(o, [np.nan], zero_control(1), 0.0, z1, zd,
                               TimeGrid(1.0, 10))
 
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_keeps_dithered_gradient_of_every_state_bitwise(self, family):
+        rng = np.random.default_rng(10)
+        if family == "linear":
+            o, data = linear_problem(d=3, seed=25)
+        else:
+            o, data = mlp_problem(d=2, seed=24)
+        coeffs = ControlCoefficients(
+            rng.uniform(-1.0, 1.0, (o.param_dim, 3)),
+            BasisSpec("legendre_shifted", 3, 1.0), 5.0)
+        traj = integrate_forward(o, 0.5 * rng.standard_normal(o.param_dim),
+                                 coeffs, 0.3, data.z_train, data.z_dith,
+                                 TimeGrid(1.0, 20))
+        assert traj.gt_fine.shape == (81, o.param_dim)
+        # the final state's row included
+        for theta, gt in zip(traj.theta_fine, traj.gt_fine):
+            np.testing.assert_array_equal(
+                gt, loss_gradient(o, theta, data.z_dith))
+        assert not traj.gt_fine.flags.writeable
+
 
 class TestFinalStates:
     @pytest.mark.parametrize("family,kind", [("linear", "legendre_shifted"),
@@ -211,8 +235,10 @@ class TestAdjointRhs:
         theta = rng.standard_normal(o.param_dim)
         p = rng.standard_normal(o.param_dim)
         plan = flow_plan(o, data.z_train, data.z_dith)
-        out = adjoint_rhs(plan, theta, plan.grads(theta)[1], p,
-                          np.zeros(o.param_dim), 0.4)
+        _, gt = forward_rhs(plan, theta, np.zeros(o.param_dim), 0.4)
+        np.testing.assert_array_equal(gt, loss_gradient(o, theta,
+                                                         data.z_dith))
+        out = adjoint_rhs(plan, theta, gt, p, np.zeros(o.param_dim), 0.4)
         np.testing.assert_allclose(out, loss_hvp(o, theta, data.z_train, p),
                                    atol=1e-14)
 
@@ -233,13 +259,16 @@ class TestAdjointRhs:
         u = rng.standard_normal(3)
         eps = 0.2
         plan = flow_plan(o, data.z_train, data.z_dith)
-        out = adjoint_rhs(plan, theta, plan.grads(theta)[1], p, u, eps)
+        _, gt = forward_rhs(plan, theta, u, eps)
+        np.testing.assert_array_equal(gt, loss_gradient(o, theta,
+                                                        data.z_dith))
+        out = adjoint_rhs(plan, theta, gt, p, u, eps)
         jac = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = 1e-6
-            fp = forward_rhs(plan, theta + e, u, eps)
-            fm = forward_rhs(plan, theta - e, u, eps)
+            fp, _ = forward_rhs(plan, theta + e, u, eps)
+            fm, _ = forward_rhs(plan, theta - e, u, eps)
             jac[:, k] = (fp - fm) / 2e-6
         expect = -jac.T @ p
         assert np.max(np.abs(out - expect)) / np.max(np.abs(expect)) <= 1e-5
@@ -276,10 +305,7 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
 class TestIntegrateAdjoint:
     @pytest.mark.parametrize("family,kind", [("linear", "legendre_shifted"),
                                              ("mlp", "fourier")])
-    def test_matches_per_stage_control_bitwise(self, family, kind,
-                                               monkeypatch):
-        # 81 states in gradient stacks of 7, the last one partial
-        monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
+    def test_matches_per_stage_control_bitwise(self, family, kind):
         rng = np.random.default_rng(8)
         if family == "linear":
             o, data = linear_problem(d=3, seed=25)
@@ -440,8 +466,8 @@ class TestTrajectoryShape:
     @pytest.mark.parametrize("cls,rows,view", [
         (Trajectory, 41, "theta_nodes"), (AdjointTrajectory, 21, "p_nodes")])
     def test_row_count_checked_and_views_read_only(self, cls, rows, view):
-        # 4M+1 quarter-step states, and 2M+1 half-step costates and D
-        # diagonals, for M = 10
+        # 4M+1 quarter-step states and grad J~0 rows, and 2M+1 half-step
+        # costates and D diagonals, for M = 10
         grid = TimeGrid(1.0, 10)
         arrays = len(fields(cls)) - 1
         nodes = getattr(cls(grid, *[np.ones((rows, 2))] * arrays), view)

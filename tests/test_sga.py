@@ -8,12 +8,12 @@ from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
+from sgaflow import model
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, final_states,
-                              hamiltonian, integrate_adjoint,
-                              integrate_forward)
+                              integrate_adjoint, integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
-from sgaflow.sga import (SolverConfig, coefficient_gradient, cost,
-                         pointwise_max_control, solve, sweep)
+from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
+                         solve, sweep)
 from sgaflow.verify import fd_gradient
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
@@ -96,9 +96,7 @@ class TestCoefficientGradient:
         assert np.max(np.abs(-grad - fd)) / np.max(np.abs(fd)) <= 1e-5
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
-    def test_matches_per_state_loop_bitwise(self, family, monkeypatch):
-        # 81 states in gradient stacks of 7, the last one partial
-        monkeypatch.setattr(dynamics, "GRAD_BLOCK", 7)
+    def test_matches_per_state_loop_bitwise(self, family):
         o, config, data = sweep_problem(family)
         coeffs = ControlCoefficients(
             np.random.default_rng(9).uniform(-1.0, 1.0, (o.param_dim, 3)),
@@ -138,27 +136,40 @@ class TestSweep:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_takes_dithered_gradient_once_per_state(self, family,
                                                     monkeypatch):
-        # the backward pass reads grad J~0 at each of the 4M+1 forward
-        # states from the dithered set's loss plan, and G reuses its D at
-        # the 2M+1 half-step states
-        rows = []
+        # the forward pass takes grad J~0 at every RK4 stage and keeps the
+        # first stage's at each of the 4M+1 states (one more call at the
+        # final state); a sweep given that trajectory reads it there, and
+        # builds no dithered loss plan and makes no gradient call
+        grads, built = [], []
 
         class Counted:
             def __init__(self, plan):
                 self.plan = plan
 
-            def grad(self, theta):
-                rows.append(len(theta))
-                return self.plan.grad(theta)
+            def grads(self, theta):
+                grads.append(theta)
+                return self.plan.grads(theta)
 
-        def counted(oracle, z, orig=dynamics.loss_plan):
-            assert z.tag == "dithered"
-            return Counted(orig(oracle, z))
+            def hvps(self, theta, p, v):
+                return self.plan.hvps(theta, p, v)
 
-        monkeypatch.setattr(dynamics, "loss_plan", counted)
+        def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
+            return Counted(orig(oracle, z1, zd))
+
+        def counted(oracle, z, orig=model.loss_plan):
+            built.append(z.tag)
+            return orig(oracle, z)
+
+        monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
+        monkeypatch.setattr(model, "loss_plan", counted)
         o, config, data = sweep_problem(family)
-        sweep(o, config.initial_coefficients(o.param_dim), config, data)
-        assert sum(rows) == 4 * config.steps + 1
+        coeffs = config.initial_coefficients(o.param_dim)
+        traj = forward(o, coeffs, config, data)
+        assert len(grads) == 16 * config.steps + 1
+        grads.clear()
+        sweep(o, coeffs, config, data, traj)
+        assert grads == []
+        assert built == ["validation"]   # p(T) = -grad Phi
 
 
     def test_evaluates_psi_once_per_stage_time(self, monkeypatch):
@@ -422,40 +433,6 @@ class TestForwardReuse:
         assert len(report.iterations) == 1
         assert forward_calls[0] == 1 + sga.MAX_BACKTRACKS + 1
         assert_final_state_is_fresh(o, config, data, report)
-
-
-class TestPointwiseMaxControl:
-    def test_sign_rule(self):
-        # D = diag(1,4) via gradient [1,-2] on the dithered set at theta=0
-        x = np.eye(2)
-        zd = Dataset(x, [-1.0, 2.0], "dithered")
-        o = ModelOracle("linear_features", 2)
-        u = pointwise_max_control(o, np.zeros(2), np.array([1.0, -1.0]),
-                                  0.1, 2.0, zd)
-        np.testing.assert_array_equal(u, [2.0, -2.0])
-
-    def test_zero_costate_gives_zero_control(self):
-        o, data = linear_problem()
-        u = pointwise_max_control(o, np.zeros(o.param_dim),
-                                  np.zeros(o.param_dim), 0.1, 2.0,
-                                  data.z_dith)
-        np.testing.assert_array_equal(u, np.zeros(o.param_dim))
-
-    def test_dominates_box_corners(self):
-        o, data = linear_problem(seed=40)
-        rng = np.random.default_rng(3)
-        theta = rng.standard_normal(o.param_dim)
-        p = rng.standard_normal(o.param_dim)
-        eps, u_max = 0.2, 1.5
-        u_star = pointwise_max_control(o, theta, p, eps, u_max, data.z_dith)
-        h_star = hamiltonian(o, theta, p, u_star, eps, data.z_train,
-                             data.z_dith)
-        # the maximizer of an affine function over a box is at a corner
-        for corner in range(2**o.param_dim):
-            v = u_max * np.array([1.0 if corner >> i & 1 else -1.0
-                                  for i in range(o.param_dim)])
-            hv = hamiltonian(o, theta, p, v, eps, data.z_train, data.z_dith)
-            assert h_star >= hv - 1e-12
 
 
 class TestSolverConfig:

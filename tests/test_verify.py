@@ -5,7 +5,8 @@ import pytest
 
 from sgaflow import ModelOracle, ProblemData, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.sga import SolverConfig, cost, sweep
+from sgaflow.model import phi_value
+from sgaflow.sga import SolverConfig, forward, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
@@ -95,8 +96,9 @@ class TestCheckCoefficientGradient:
             rng.uniform(-0.5, 0.5, (o.param_dim, 3)), basis, 5.0)
 
         def f(cv):
-            return cost(o, ControlCoefficients(cv.reshape(coeffs.c.shape),
-                                               basis, 5.0), config, data)
+            c = ControlCoefficients(cv.reshape(coeffs.c.shape), basis, 5.0)
+            return phi_value(o, forward(o, c, config, data).theta_final,
+                             data.z_val)
 
         serial = fd_gradient(f, coeffs.c.ravel(), 1e-5)
         batched = verify._fd_cost_gradient(o, coeffs, config, data, 1e-5)
