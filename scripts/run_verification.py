@@ -45,9 +45,9 @@ def main() -> int:
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
     reports = [
         check_rk4_order(oracle, config, data),
-        check_coefficient_gradient(oracle, config, data, tol=1e-5),
+        check_coefficient_gradient(oracle, config, data),
         check_dp_identity(oracle, config, data),
-        check_coefficient_gradient(*mlp_problem(), n_probes=1, tol=1e-3),
+        check_coefficient_gradient(*mlp_problem(), n_probes=1),
     ]
     ok = True
     for rep in reports:

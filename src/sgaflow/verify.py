@@ -1,5 +1,8 @@
-"""Independent numerical oracles: finite-difference checks, RK4 order checks,
-and the value-function/costate identity at initial time."""
+"""Independent numerical oracles: dJ/dC = -G against central differences
+of J along random directions in C-space (a Taylor test), the RK4 order of
+the forward and backward integrations, and the value-function/costate
+identity at initial time, whose value gradient fd_gradient takes entry by
+entry."""
 
 from __future__ import annotations
 
@@ -10,11 +13,10 @@ import numpy as np
 from .basis import ControlCoefficients, project_admissible
 from .dynamics import TimeGrid, integrate_adjoint, integrate_forward
 from .model import ModelOracle
-from .sga import ProblemData, SolverConfig, cost, costs, forward, solve, sweep
+from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep
 
-# flows per batch of finite-difference probes, which bounds the batch's
-# memory however many coefficients there are
-PROBE_BLOCK = 128
+# random directions along which each probe differences J
+DIRECTIONS = 4
 
 
 @dataclass
@@ -51,41 +53,19 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
-def _fd_cost_gradient(oracle: ModelOracle, coeffs: ControlCoefficients,
-                      config: SolverConfig, data: ProblemData,
-                      step: float) -> np.ndarray:
-    """Central-difference gradient of cost over the entries of coeffs.c, as
-    fd_gradient computes it, with the probes integrated as batches of at most
-    PROBE_BLOCK flows."""
-    cv = coeffs.c.ravel()
-    fd = np.empty_like(cv)
-    half = PROBE_BLOCK // 2
-    for lo in range(0, cv.shape[0], half):
-        idx = np.arange(lo, min(lo + half, cv.shape[0]))
-        rows = np.arange(idx.shape[0])
-        # rows +step on entry idx[r], then rows -step on the same entries
-        cs = np.tile(cv, (2 * idx.shape[0], 1))
-        cs[rows, idx] += step
-        cs[rows + idx.shape[0], idx] -= step
-        js = costs(oracle, cs.reshape((-1,) + coeffs.c.shape), config, data)
-        fp, fm = js[:idx.shape[0]], js[idx.shape[0]:]
-        bad = ~(np.isfinite(fp) & np.isfinite(fm))
-        if np.any(bad):
-            i = int(idx[np.argmax(bad)])
-            raise ValueError(f"non-finite function value near component {i}")
-        fd[idx] = (fp - fm) / (2.0 * step)
-    return fd.reshape(coeffs.c.shape)
-
-
 def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
                                data: ProblemData, n_probes: int = 5,
-                               tol: float = 1e-5, fd_step: float = 1e-5,
+                               tol: float = 1e-6, fd_step: float = 1e-4,
                                seed: int = 0) -> CheckReport:
-    """Compare the analytic coefficient gradient against finite differences
-    of the cost over vectorized C, at random admissible coefficients."""
+    """Check dJ/dC = -G at random admissible coefficients C: along each of
+    DIRECTIONS random unit directions D, -<G, D> against the central
+    difference (J(C + hD) - J(C - hD)) / 2h, the 2 * DIRECTIONS flows of a
+    probe integrated as one batch, so a probe's cost does not depend on the
+    number of coefficients."""
     if fd_step <= 0:
         raise ValueError("step must be > 0")
     rng = np.random.default_rng(seed)
+    directions = np.random.default_rng([seed, 1])
     p = oracle.param_dim
     n = config.basis.n
     details = []
@@ -96,9 +76,17 @@ def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
             ControlCoefficients(c0, config.basis, config.u_max),
             config.projection_grid)
         _, _, grad = sweep(oracle, coeffs, config, data)
-        fd = _fd_cost_gradient(oracle, coeffs, config, data, fd_step)
-        scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-12)
-        err = float(np.max(np.abs(-grad - fd)) / scale)
+        d = directions.standard_normal((DIRECTIONS, p, n))
+        d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
+        js = costs(oracle, coeffs.c + fd_step * np.concatenate([d, -d]),
+                   config, data)
+        if not np.all(np.isfinite(js)):
+            raise ValueError(f"non-finite cost near the coefficients of "
+                             f"probe {probe}")
+        fd = (js[:DIRECTIONS] - js[DIRECTIONS:]) / (2.0 * fd_step)
+        analytic = -np.einsum("ij,kij->k", grad, d)
+        scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
+        err = float(np.max(np.abs(analytic - fd)) / scale)
         details.append({"probe": probe, "rel_err": err})
         worst = max(worst, err)
     return CheckReport("coefficient_gradient_vs_fd", worst, tol, details)
@@ -118,10 +106,7 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
         raise ValueError(f"p <= 3 required for the value-function probe, got {p}")
     base = solve(oracle, config, data)
     theta0 = config.initial_theta(p)
-    traj = forward(oracle, base.final_coeffs, config, data)
-    adj = integrate_adjoint(oracle, traj, base.final_coeffs, config.eps,
-                            data.z_train, data.z_dith, data.z_val)
-    p0 = adj.p_nodes[0]
+    p0 = sweep(oracle, base.final_coeffs, config, data)[1].p_nodes[0]
 
     def v_reopt(th0):
         rep = solve(oracle, replace(config, theta0=np.asarray(th0)), data)

@@ -296,12 +296,15 @@ class TestBaseline:
         assert outs[0]["cost_final"] == outs[1]["cost_final"]
 
     def test_divergent_initial_state_reports_runtime_failure(self, tmp_path,
-                                                             capsys):
+                                                             capsys,
+                                                             monkeypatch):
         c = base_config()
         c["model"]["theta0"] = [1e9, 1e9]
         cfg = write_config(tmp_path, c)
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["baseline", "--config", str(cfg), "--quiet"]) == 2
         assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheck:
@@ -330,11 +333,14 @@ class TestGradcheck:
 
 
 class TestDpcheck:
-    def test_refuses_high_dimensional_model(self, tmp_path, capsys):
+    def test_refuses_high_dimensional_model(self, tmp_path, capsys,
+                                            monkeypatch):
         cfg = write_config(tmp_path, base_config(
             model={"family": "mlp_tanh", "hidden": 4, "theta0": [0.1] * 17}))
+        monkeypatch.chdir(tmp_path)
         assert cli.main(["dpcheck", "--config", str(cfg), "--quiet"]) == 1
         assert "p <= 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_passes_on_small_quadratic(self, tmp_path):
         path = write_quad_csv(tmp_path)
