@@ -39,7 +39,8 @@ class ConfigError(ValueError):
 # constraint.
 # load_config checks each value present once, and the build_* functions
 # read through _reader, which supplies the default or names a missing key.
-# Bounds that BasisSpec, TimeGrid, SolverConfig, ModelOracle, bootstrap and
+# Names and counts are checked here, so their errors name the key; the
+# other bounds that BasisSpec, SolverConfig, ModelOracle, bootstrap and
 # dither enforce, and checks that need p or n (theta0's length, init's
 # shape, the finiteness of both), stay with them.
 
@@ -94,17 +95,18 @@ _SCHEMA = {
         "d": (_COUNT, 1), "noise": (_and(_NUM, ">= 0", lambda v: v >= 0), 0.0),
         "seed": (_SEED, 0), "theta_scale": (_NUM, 1.0),
         "amplitude": (_NUM, 1.0), "frequency": (_NUM, 1.0)},
-    "model.": {"family": (_STR, _REQUIRED), "degree": (_INT, 1),
-               "include_bias": (_BOOL, False), "hidden": (_INT, 4),
-               "theta0": (_VECTOR, "zeros")},
+    "model.": {"family": (_one_of("linear_features", "mlp_tanh"), _REQUIRED),
+               "degree": (_COUNT, 1), "include_bias": (_BOOL, False),
+               "hidden": (_INT, 4), "theta0": (_VECTOR, "zeros")},
     # compact control set, fixed horizon, small perturbation parameter
     "control.": {"eps": (_and(_NUM, "in (0, 1]", lambda v: 0 < v <= 1),
                          _REQUIRED),
-                 "t_final": (_NUM, _REQUIRED), "steps": (_INT, 200),
-                 "basis": (_STR, "legendre_shifted"), "n_basis": (_INT, 4),
+                 "t_final": (_NUM, _REQUIRED), "steps": (_COUNT, 200),
+                 "basis": (_one_of("legendre_shifted", "fourier"),
+                           "legendre_shifted"), "n_basis": (_COUNT, 4),
                  "u_max": (_and(_NUM, "> 0", lambda v: v > 0), _REQUIRED)},
     "solver.": {"gamma0": (_NUM, 0.5), "eps_tol": (_NUM, 1e-6),
-                "max_iters": (_INT, 50),
+                "max_iters": (_COUNT, 50),
                 "line_search": (_one_of("backtracking"), "backtracking"),
                 "init": (_MATRIX, "zeros")},
     "output.": {"dir": (_STR, "out"), "artifacts": (_NAMES, _ARTIFACTS)},

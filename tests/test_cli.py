@@ -411,7 +411,9 @@ RUN = ["run"]
 # true entry of init read as 1.0, and a ragged init end in a traceback;
 # then negative seeds, which numpy refuses without naming the key, set in
 # the config or made by --seed (synth's replaces data.source.seed, run's is
-# added to the bootstrap and dither seeds, data.seed_bootstrap_train first)
+# added to the bootstrap and dither seeds, data.seed_bootstrap_train first);
+# then unknown names and zero counts, which ModelOracle, BasisSpec and
+# SolverConfig refuse without naming the key
 WRONG_VALUES = [
     pytest.param(key, JSON_VALUES[kind], RUN, id=f"{key}-{kind}")
     for key, ok in ACCEPTED.items() for kind in JSON_VALUES
@@ -426,7 +428,12 @@ WRONG_VALUES = [
     pytest.param("data.seed_bootstrap_train", 1, ["run", "--seed", "-10"],
                  id="run-seed-negative"),
     pytest.param("data.source.seed", 0, ["synth", "--seed", "-1"],
-                 id="synth-seed-negative")]
+                 id="synth-seed-negative"),
+    pytest.param("model.family", "cnn", RUN, id="family-unknown"),
+    pytest.param("control.basis", "cheb", RUN, id="basis-unknown")
+] + [pytest.param(key, 0, RUN, id=f"{key}-zero")
+     for key in ("control.steps", "control.n_basis", "model.degree",
+                 "solver.max_iters")]
 
 
 class TestConfigSchema:

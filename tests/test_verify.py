@@ -6,7 +6,8 @@ import pytest
 
 from sgaflow import ModelOracle, ProblemData, cli, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.sga import SolverConfig, sweep
+from sgaflow.dynamics import Trajectory, integrate_forward
+from sgaflow.sga import SolverConfig, costs, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
@@ -22,6 +23,14 @@ def quad_setup(p=1, steps=100, n=2, eps=0.1, u_max=5.0, **kw):
                           u_max=u_max, theta0=np.ones(p), **kw)
     return (ModelOracle("linear_features", p), config,
             ProblemData(z1, zd, zv))
+
+
+def linear_json_problem():
+    """configs/linear.json, as `sgaflow gradcheck` checks it."""
+    cfg = cli.load_config(ROOT / "configs" / "linear.json")
+    data = cli.build_data(cfg["data"])
+    return (cli.build_oracle(cfg["model"], data.z_train.d),
+            cli.build_solver_config(cfg), data)
 
 
 class TestFdGradient:
@@ -107,6 +116,47 @@ class TestCheckCoefficientGradient:
         # from theta0 = 0 only b2's row moves
         assert zero_rows(replace(config, theta0=None)) == o.param_dim - 1
 
+    @pytest.mark.parametrize("problem", ["linear", "mlp"])
+    def test_batched_probes_match_serial_probes(self, monkeypatch, problem):
+        # configs/linear.json and criterion 3's mlp problem: the check
+        # integrates every probe's flows in one costs call, and each probe's
+        # entry equals one built by a costs call of its own, bit for bit
+        o, config, data = (linear_json_problem() if problem == "linear"
+                           else mlp_check_problem(seed=61, steps=200,
+                                                  n_basis=3))
+        k, fd_step, n_probes = verify.DIRECTIONS, 1e-4, 2
+        rng = np.random.default_rng(0)
+        directions = np.random.default_rng([0, 1])
+        p, n = o.param_dim, config.basis.n
+        serial = []
+        for probe in range(n_probes):
+            coeffs = project_admissible(
+                ControlCoefficients(rng.uniform(-0.5, 0.5, (p, n)),
+                                    config.basis, config.u_max),
+                config.projection_grid)
+            _, _, grad = sweep(o, coeffs, config, data)
+            d = directions.standard_normal((k, p, n))
+            d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
+            js = costs(o, coeffs.c + fd_step * np.concatenate([d, -d]),
+                       config, data)
+            fd = (js[:k] - js[k:]) / (2.0 * fd_step)
+            analytic = -np.einsum("ij,kij->k", grad, d)
+            scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
+            serial.append({"probe": probe, "rel_err": float(
+                np.max(np.abs(analytic - fd)) / scale)})
+        batches = []
+
+        def counted(oracle, cs, *args):
+            batches.append(len(cs))
+            return costs(oracle, cs, *args)
+
+        monkeypatch.setattr(verify, "costs", counted)
+        report = check_coefficient_gradient(o, config, data,
+                                            n_probes=n_probes)
+        assert batches == [2 * k * n_probes]
+        assert report.details == serial
+        assert report.max_rel_err == max(e["rel_err"] for e in serial)
+
     def test_eps_zero_both_sides_vanish(self):
         o, config, data = quad_setup(eps=0.0, steps=50)
         report = check_coefficient_gradient(o, config, data, n_probes=1,
@@ -151,6 +201,23 @@ class TestCheckRk4Order:
         d = report.details[0]
         assert 3.7 <= d["forward_slope"] <= 4.3
         assert 3.7 <= d["adjoint_slope"] <= 4.3
+
+    def test_second_order_error_fails(self, monkeypatch):
+        # configs/linear.json, as `sgaflow gradcheck` checks it: an O(h^2)
+        # term added to every final state must read as slope 2 and fail
+        o, config, data = linear_json_problem()
+        assert check_rk4_order(o, config, data).passed
+
+        def second_order(*args):
+            traj = integrate_forward(*args)
+            fine = traj.theta_fine.copy()
+            fine[-1] += 1e-2 * traj.grid.h ** 2
+            return Trajectory(traj.grid, fine, traj.gt_fine)
+
+        monkeypatch.setattr(verify, "integrate_forward", second_order)
+        report = check_rk4_order(o, config, data)
+        assert not report.passed
+        assert abs(report.details[0]["forward_slope"] - 2.0) <= 0.1
 
     def test_too_few_levels_rejected(self):
         o, config, data = quad_setup(steps=100)
