@@ -22,13 +22,14 @@ per_step 8 forward, 4 backward (row i at forward state i) and 2 for G; the
 tables agree bit for bit on shared times.  u = C @ psi is formed once per
 stage time, a step's end control carried into the next.  Each pass builds
 one flow plan (model.flow_plan) of the training and dithered sets, which
-share x, and hands it to forward_rhs and adjoint_rhs, the per-stage
-right-hand sides.  A forward stage takes both gradients in one plan call,
+share x, and hands it to forward_rhs, the forward stage's right-hand side,
+and adjoint_matrix.  A forward stage takes both gradients in one plan call,
 and a trajectory keeps the first stage's grad J~0 at each of its 4M+1
-states, which the backward pass reads, so an adjoint stage makes one call,
-for both Hessian-vector products, and it returns D = (grad J~0)^2 with p at
-its 2M+1 half steps.  No stage checks its inputs or calls eval_basis or
-eval_control, and for the linear family a stage costs a few p x p products.
+states, which the backward pass reads.  In the costate equation p' = K p,
+K = -(df/dtheta)^T is set by the forward state, its grad J~0 and u, so the
+backward pass forms K once per state, an adjoint stage is one product K p,
+and it returns D = (grad J~0)^2 with p at its 2M+1 half steps.  No stage
+checks its inputs or calls eval_basis or eval_control.
 """
 
 from __future__ import annotations
@@ -258,17 +259,18 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                         grid, keep_states=False)
 
 
-def adjoint_rhs(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
-                p: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-    """Time derivative of the costate: -(df/dtheta)^T p, for (p,) vectors,
-    with gt = grad J~0(theta).
+def adjoint_matrix(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
+                   u: np.ndarray, eps: float) -> np.ndarray:
+    """K = -(df/dtheta)^T = H - 2 eps H~ diag(g~ u), the (p, p) matrix of the
+    costate equation p' = K p at (theta, u), with g~ = gt = grad J~0(theta)
+    and H, H~ the loss Hessians on the training and dithered sets."""
+    h, ht = plan.hessians(theta)
+    return h - ht * ((2.0 * eps) * (gt * u))
 
-    The Jacobian of the flow is -H + 2 eps diag(u) diag(g~) H~ with H, H~
-    the loss Hessians on the training and dithered sets and g~ = gt, so one
-    hvps call of the plan, whose products are exact, gives the result.
-    """
-    hp, hv = plan.hvps(theta, p, gt * u * p)
-    return hp - 2.0 * eps * hv
+
+def adjoint_rhs(k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Time derivative of the costate, K p with K from adjoint_matrix."""
+    return k @ p
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
@@ -281,10 +283,11 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     quarter-step values and grad J~0 at each is the one the trajectory
     holds, so no re-integration, interpolation or gradient call happens
     here, and u at forward state i comes from row i of the per_step 4 Psi
-    table.  The result carries D = (grad J~0)^2 at the half-step states
-    next to p.  Raises ValueError if C's rows are not the oracle's p or the
-    grid lies beyond the basis's range, and NonFiniteCostateError if the
-    costate becomes nan or inf.
+    table.  K is formed once per forward state, for the two stages that
+    read it (k2 and k3; k4 and the next step's k1).  The result carries
+    D = (grad J~0)^2 at the half-step states next to p.  Raises ValueError
+    if C's rows are not the oracle's p or the grid lies beyond the basis's
+    range, and NonFiniteCostateError if the costate becomes nan or inf.
     """
     _check_rows(oracle, coeffs)
     grid = traj.grid
@@ -294,19 +297,19 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     fine, gt = traj.theta_fine, traj.gt_fine
     plan = flow_plan(oracle, z_train, z_dith)
 
-    def rhs(u, i, p):  # at the forward state of row i
-        return adjoint_rhs(plan, fine[i], gt[i], p, u, eps)
+    def matrix(i):  # K at the forward state of row i
+        return adjoint_matrix(plan, fine[i], gt[i], coeffs.c @ psi[i], eps)
 
     out = np.empty((2 * M + 1, oracle.param_dim))
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
-    u4 = coeffs.c @ psi[4 * M]
+    m4 = matrix(4 * M)
     for j in range(2 * M, 0, -1):
-        u1, u2, u4 = u4, coeffs.c @ psi[2 * j - 1], coeffs.c @ psi[2 * j - 2]
-        k1 = rhs(u1, 2 * j, p)
-        k2 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k1)
-        k3 = rhs(u2, 2 * j - 1, p - 0.5 * hh * k2)
-        k4 = rhs(u4, 2 * j - 2, p - hh * k3)
+        m1, m2, m4 = m4, matrix(2 * j - 1), matrix(2 * j - 2)
+        k1 = adjoint_rhs(m1, p)
+        k2 = adjoint_rhs(m2, p - 0.5 * hh * k1)
+        k3 = adjoint_rhs(m2, p - 0.5 * hh * k2)
+        k4 = adjoint_rhs(m4, p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(p).all():
             raise NonFiniteCostateError((j - 1) * hh)

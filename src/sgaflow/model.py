@@ -5,8 +5,8 @@
   matrix of the dataset, A = (2/m) Phi^T Phi and b = (2/m) Phi^T y, the
   gradient is A theta - b and the Hessian the constant A.
 * ``mlp_tanh`` -- one hidden tanh layer of configurable width; gradients are
-  analytic, and Hessian-vector products exact, by Pearlmutter's R-operator
-  (the directional derivative of the gradient's forward and backward pass).
+  analytic, and the Hessian explicit: (2/m) Jac^T Jac plus the curvature of
+  each hidden unit's output, which lies in its own W1 row, b1 and w2 entries.
 
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.  Loops evaluate
@@ -15,14 +15,14 @@ dataset once and holds Phi, A and b for the linear family; its grad, hvp and
 value check nothing.  The flow's training set and its dithered version
 share x, so one plan per integration (flow_plan) serves both: its targets
 are the (2, m) stack (y, y~), one A theta (linear) or one forward pass (mlp)
-gives both gradients, and one call both Hessian-vector products.
+gives both gradients, and one call both Hessians.
 loss_value, loss_gradient and loss_hvp are one-shot plan calls that also
 check theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,46 +115,67 @@ class MlpPlan:
     oracle: ModelOracle
     x: np.ndarray  # (m, d)
     y: np.ndarray  # (..., m)
+    # xx: each sample's products xb_k xb_l of xb = (x, 1), the last d+1 of
+    # them xb itself; at: the flat (p, p) Hessian entries the model output
+    # curves in, those pairing a hidden unit's W1 row, b1 and w2 entries
+    xx: np.ndarray = field(init=False, repr=False, compare=False)
+    at: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h, d = self.oracle.hidden, self.oracle.input_dim
+        p = self.oracle.param_dim
+        xb = np.column_stack([self.x, np.ones(len(self.x))])
+        wb = np.column_stack([np.arange(h * d).reshape(h, d),
+                              h * d + np.arange(h)])
+        w2 = wb[:, -1:] + h
+        object.__setattr__(self, "xx", (xb[:, :, None] * xb[:, None, :])
+                           .reshape(len(xb), -1))
+        object.__setattr__(self, "at", np.concatenate(
+            [(wb[:, :, None] * p + wb[:, None, :]).ravel(),
+             (wb * p + w2).ravel(), (w2 * p + wb).ravel()]))
 
     def value(self, theta: np.ndarray) -> float:
         r = self.oracle.predict(theta, self.x) - self.y
         return float(np.mean(r * r))
 
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        x, y = self.x, self.y
+    def _layer(self, theta: np.ndarray):
+        """The hidden layer t (..., h, m), 1 - t^2, q = (1 - t^2) w2 and the
+        residual weights coef = (2/m) r (..., m) on the targets."""
         w1, b1, w2, b2 = self.oracle._unpack(theta)
-        t = np.tanh(x @ w1.swapaxes(-1, -2) + b1[..., None, :])  # (..., m, h)
-        r = (t @ w2[..., None])[..., 0] + b2[..., None] - y       # (..., m)
-        coef = (2.0 / y.shape[-1]) * r
-        s = coef[..., None] * (1.0 - t * t) * w2[..., None, :]    # (..., m, h)
-        g_w1 = s.swapaxes(-1, -2) @ x                             # (..., h, d)
-        g_w2 = (coef[..., None, :] @ t)[..., 0, :]
-        return np.concatenate([g_w1.reshape(g_w1.shape[:-2] + (-1,)),
-                               s.sum(axis=-2), g_w2,
-                               coef.sum(axis=-1, keepdims=True)], axis=-1)
+        t = np.tanh(w1 @ self.x.T + b1[..., None])
+        r = (w2[..., None, :] @ t)[..., 0, :] + b2[..., None] - self.y
+        dt = 1.0 - t * t
+        return t, dt, dt * w2[..., None], (2.0 / self.y.shape[-1]) * r
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        t, _, q, coef = self._layer(theta)
+        c = coef[..., None]
+        g_w1 = (self.x.T * coef[..., None, :]) @ q.swapaxes(-1, -2)  # d x h
+        return np.concatenate([g_w1.swapaxes(-1, -2).reshape(
+            g_w1.shape[:-2] + (-1,)), (q @ c)[..., 0], (t @ c)[..., 0],
+            coef.sum(axis=-1, keepdims=True)], axis=-1)
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """The Hessian at a (p,) theta, (..., p, p) as the targets stack:
+        (2/m) Jac^T Jac, Jac the (m, p) Jacobian of the prediction, plus
+        sum_i coef_i times the Hessian of the model output at sample i."""
+        x, d, p = self.x, self.oracle.input_dim, self.oracle.param_dim
+        t, dt, q, coef = self._layer(theta)
+        h = len(t)
+        jac_t = np.empty((p, len(x)))  # written in place: no large temporaries
+        np.multiply(q[:, None, :], x.T, out=jac_t[:h * d].reshape(h, d, -1))
+        np.concatenate([q, t, np.ones((1, len(x)))], out=jac_t[h * d:])
+        lead, cw = coef.shape[:-1], coef[..., None, :]
+        blocks = (cw * (-2.0 * t * q)) @ self.xx
+        cross = (cw * dt) @ self.xx[:, -(d + 1):]
+        hs = np.empty(lead + (p * p,))
+        np.multiply((jac_t @ jac_t.T).ravel(), 2.0 / len(x), out=hs)
+        hs[..., self.at] += np.concatenate(
+            [a.reshape(lead + (-1,)) for a in (blocks, cross, cross)], axis=-1)
+        return hs.reshape(lead + (p, p))
 
     def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # Pearlmutter's R-operator, R(.) the derivative of grad's terms
-        # along v; a (k, p) stack of directions is taken on the targets of
-        # the same index
-        x, y = self.x, self.y
-        w1, b1, w2, b2 = self.oracle._unpack(theta)
-        v1, vb1, vw2, vb2 = self.oracle._unpack(v)
-        t = np.tanh(x @ w1.T + b1)                                # (m, h)
-        dt = 1.0 - t * t
-        rt = dt * (x @ v1.swapaxes(-1, -2) + vb1[..., None, :])  # (..., m, h)
-        scale = 2.0 / y.shape[-1]
-        coef = scale * (t @ w2 + b2 - y)                          # (..., m)
-        rcoef = scale * (rt @ w2 + (t @ vw2[..., None])[..., 0]
-                         + vb2[..., None])
-        rs = ((rcoef[..., None] * dt - 2.0 * coef[..., None] * t * rt) * w2
-              + coef[..., None] * dt * vw2[..., None, :])         # R(s)
-        r_w1 = rs.swapaxes(-1, -2) @ x
-        r_w2 = ((rcoef[..., None, :] @ t)[..., 0, :]
-                + (coef[..., None, :] @ rt)[..., 0, :])
-        return np.concatenate([r_w1.reshape(r_w1.shape[:-2] + (-1,)),
-                               rs.sum(axis=-2), r_w2,
-                               rcoef.sum(axis=-1, keepdims=True)], axis=-1)
+        return (self.hessian(theta) @ v[..., None])[..., 0]  # row k: target k
 
 
 LossPlan = LinearPlan | MlpPlan
@@ -173,16 +194,14 @@ class LinearFlowPlan:
         at = (self.a @ theta[..., None])[..., 0]
         return at - self.b, at - self.b_dith
 
-    def hvps(self, theta: np.ndarray, p: np.ndarray,
-             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.a @ p, self.a @ v
+    def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.a, self.a
 
 
 @dataclass(frozen=True)
 class MlpFlowPlan:
     """The mlp family's flow plan: one MlpPlan on the targets (y, y~), so
-    one forward pass gives both gradients and one stacked call both
-    Hessian-vector products."""
+    one forward pass gives both gradients and one call both Hessians."""
 
     plan: MlpPlan
 
@@ -190,16 +209,14 @@ class MlpFlowPlan:
         g = self.plan.grad(theta[..., None, :])
         return g[..., 0, :], g[..., 1, :]
 
-    def hvps(self, theta: np.ndarray, p: np.ndarray,
-             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hv = self.plan.hvp(theta, np.stack([p, v]))
-        return hv[0], hv[1]
+    def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self.plan.hessian(theta))
 
 
 # grads(theta) is (grad J0, grad J~0) at a (p,) theta or at each row of a
-# (B, p) stack; hvps(theta, p, v) is (H p, H~ v), H and H~ the Hessians of
-# J0 and J~0, with 0 for a zero direction.  Each result equals the
-# per-dataset plan's call bit for bit.
+# (B, p) stack; hessians(theta) is (H, H~), the (p, p) Hessians of J0 and
+# J~0 at a (p,) theta.  Each result equals the per-dataset plan's call bit
+# for bit.
 FlowPlan = LinearFlowPlan | MlpFlowPlan
 
 
@@ -276,7 +293,7 @@ def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndar
 def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
              v: np.ndarray) -> np.ndarray:
     """Hessian-vector product of loss_value at theta in direction v: A v for
-    the linear family, the exact R-operator product for the mlp."""
+    the linear family, the explicit Hessian's product for the mlp."""
     return loss_plan(oracle, z).hvp(_params(oracle, theta),
                                     _params(oracle, v))
 

@@ -8,7 +8,7 @@ from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_control,
                            zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               NonFiniteCostateError, TimeGrid, Trajectory,
-                              adjoint_rhs,
+                              adjoint_matrix, adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
                               integrate_adjoint, integrate_forward,
                               stage_psi)
@@ -238,7 +238,8 @@ class TestAdjointRhs:
         _, gt = forward_rhs(plan, theta, np.zeros(o.param_dim), 0.4)
         np.testing.assert_array_equal(gt, loss_gradient(o, theta,
                                                          data.z_dith))
-        out = adjoint_rhs(plan, theta, gt, p, np.zeros(o.param_dim), 0.4)
+        k = adjoint_matrix(plan, theta, gt, np.zeros(o.param_dim), 0.4)
+        out = adjoint_rhs(k, p)
         np.testing.assert_allclose(out, loss_hvp(o, theta, data.z_train, p),
                                    atol=1e-14)
 
@@ -246,9 +247,9 @@ class TestAdjointRhs:
         # df/dtheta = -1 + 2*eps*u*g~ = -1 + 0.2, so pdot = 0.8
         o, z1, zd, _ = quad_oracle()
         # g~ = theta = 1
-        out = adjoint_rhs(flow_plan(o, z1, zd), np.array([1.0]),
-                          np.array([1.0]), np.array([1.0]), np.array([1.0]),
-                          0.1)
+        k = adjoint_matrix(flow_plan(o, z1, zd), np.array([1.0]),
+                           np.array([1.0]), np.array([1.0]), 0.1)
+        out = adjoint_rhs(k, np.array([1.0]))
         assert out[0] == pytest.approx(0.8, rel=1e-13)
 
     def test_matches_finite_difference_jacobian(self):
@@ -262,7 +263,7 @@ class TestAdjointRhs:
         _, gt = forward_rhs(plan, theta, u, eps)
         np.testing.assert_array_equal(gt, loss_gradient(o, theta,
                                                         data.z_dith))
-        out = adjoint_rhs(plan, theta, gt, p, u, eps)
+        out = adjoint_rhs(adjoint_matrix(plan, theta, gt, u, eps), p)
         jac = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)
@@ -273,20 +274,48 @@ class TestAdjointRhs:
         expect = -jac.T @ p
         assert np.max(np.abs(out - expect)) / np.max(np.abs(expect)) <= 1e-5
 
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_matrix_matches_central_difference_jacobian(self, family):
+        # K = -(df/dtheta)^T, the Jacobian of forward_rhs by a 4th-order
+        # central difference in each coordinate
+        if family == "linear":
+            _, data = linear_problem(d=3, seed=11)
+            o = ModelOracle("linear_features", 3, degree=2, include_bias=True)
+        else:
+            o, data = mlp_problem(d=2, seed=12)
+        rng = np.random.default_rng(5)
+        theta, u = rng.standard_normal((2, o.param_dim))
+        eps, h = 0.3, 1e-3
+        plan = flow_plan(o, data.z_train, data.z_dith)
+        _, gt = forward_rhs(plan, theta, u, eps)
+        k = adjoint_matrix(plan, theta, gt, u, eps)
+
+        def f(s):
+            return forward_rhs(plan, theta + s, u, eps)[0]
+        e = h * np.eye(o.param_dim)
+        jac = np.stack([(8.0 * (f(c) - f(-c)) - (f(2.0 * c) - f(-2.0 * c)))
+                        / (12.0 * h) for c in e], axis=1)
+        assert np.max(np.abs(k + jac.T)) / np.max(np.abs(jac)) <= 1e-9
+        # the control term is part of what is checked
+        free = adjoint_matrix(plan, theta, gt, np.zeros(o.param_dim), eps)
+        assert np.max(np.abs(k - free)) > 1e-3
+
 
 def per_stage_adjoint(o, traj, coeffs, eps, data):
     """The half-step costate sweep with u from eval_control at the stage
     times i*(h/4) of forward states i and grad J~0 from a per-state
-    loss_gradient call at every stage, through the same flow-plan RHS;
-    returns the costate and D = (grad J~0)^2 at the half steps."""
+    loss_gradient call at every stage, forming the costate matrix anew at
+    every stage, through the same flow-plan RHS; returns the costate and
+    D = (grad J~0)^2 at the half steps."""
     hh = 0.5 * traj.grid.h
     hq = 0.25 * traj.grid.h
     fine = traj.theta_fine
     plan = flow_plan(o, data.z_train, data.z_dith)
 
     def rhs(t, theta, p):
-        return adjoint_rhs(plan, theta, loss_gradient(o, theta, data.z_dith),
-                           p, eval_control(coeffs, t), eps)
+        k = adjoint_matrix(plan, theta, loss_gradient(o, theta, data.z_dith),
+                           eval_control(coeffs, t), eps)
+        return adjoint_rhs(k, p)
 
     p = -loss_gradient(o, traj.theta_final, data.z_val)
     out = [p]

@@ -162,17 +162,18 @@ class TestFlowPlan:
             g, gt = plan.grads(th)
             np.testing.assert_array_equal(g, train.grad(th))
             np.testing.assert_array_equal(gt, dith.grad(th))
-        p, v = rng.standard_normal((2, o.param_dim))
-        zero = np.zeros(o.param_dim)
         for th in thetas:
-            for a, b in ((p, v), (zero, v), (p, zero), (zero, zero)):
-                hp, hv = plan.hvps(th, a, b)
-                np.testing.assert_array_equal(hp, train.hvp(th, a))
-                np.testing.assert_array_equal(hv, dith.hvp(th, b))
-        # the targets differ, so both results are checked
+            h, ht = plan.hessians(th)
+            if family == "linear":
+                want = train.a, dith.a
+            else:
+                want = train.hessian(th), dith.hessian(th)
+            np.testing.assert_array_equal(h, want[0])
+            np.testing.assert_array_equal(ht, want[1])
+        # the targets differ, so both results are checked; the mlp's
+        # Hessians differ with them, the linear family's are both A
         assert np.all(g != gt)
-        assert np.all(hp == 0.0) and np.all(hv == 0.0)
-        assert np.all(plan.hvps(thetas[0], p, v)[1] != 0.0)
+        assert np.any(h != ht) == (family == "mlp")
 
     def test_checks_both_datasets(self):
         o, data = linear_problem(d=2, seed=16)
@@ -234,12 +235,26 @@ class TestLossHvp:
 
     @pytest.mark.parametrize("stacked", [False, True],
                              ids=["single", "stacked"])
+    def test_mlp_hessian_matches_complex_step_columns(self, stacked):
+        plan, theta, _, _ = self.mlp_hvp_case(stacked)
+        hs = plan.hessian(theta)
+        lead = plan.y.shape[:-1]
+        ref = np.stack([complex_step_hvp(plan.grad, theta,
+                                         np.broadcast_to(e, lead + e.shape))
+                        for e in np.eye(theta.size)], axis=-1)
+        assert hs.shape == lead + 2 * theta.shape
+        assert np.max(np.abs(hs - ref)) / np.max(np.abs(ref)) <= 1e-13
+        assert (np.max(np.abs(hs - hs.swapaxes(-1, -2)))
+                <= 1e-15 * np.max(np.abs(hs)))
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["single", "stacked"])
     def test_mlp_matches_fourth_order_difference(self, stacked):
         plan, theta, v, hv = self.mlp_hvp_case(stacked)
         ref = fd_hvp(plan.grad, theta, v, 1e-4)
         assert np.max(np.abs(hv - ref)) / np.max(np.abs(ref)) <= 1e-9
 
-    @pytest.mark.parametrize("family,tol", [("linear", 1e-8), ("mlp", 1e-4)])
+    @pytest.mark.parametrize("family,tol", [("linear", 1e-8), ("mlp", 1e-12)])
     def test_symmetry(self, family, tol):
         o, data = (linear_problem() if family == "linear" else mlp_problem())
         rng = np.random.default_rng(4)

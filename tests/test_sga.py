@@ -132,6 +132,30 @@ def sweep_problem(family):
     return o, config, data
 
 
+def count_flow_plans(monkeypatch):
+    """Patch dynamics.flow_plan so that every plan it builds records the
+    states of its grads and hessians calls; returns the two lists."""
+    calls = {"grads": [], "hessians": []}
+
+    class Counted:
+        def __init__(self, plan):
+            self.plan = plan
+
+        def grads(self, theta):
+            calls["grads"].append(theta)
+            return self.plan.grads(theta)
+
+        def hessians(self, theta):
+            calls["hessians"].append(theta)
+            return self.plan.hessians(theta)
+
+    def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
+        return Counted(orig(oracle, z1, zd))
+
+    monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
+    return calls["grads"], calls["hessians"]
+
+
 class TestSweep:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_takes_dithered_gradient_once_per_state(self, family,
@@ -140,27 +164,13 @@ class TestSweep:
         # first stage's at each of the 4M+1 states (one more call at the
         # final state); a sweep given that trajectory reads it there, and
         # builds no dithered loss plan and makes no gradient call
-        grads, built = [], []
-
-        class Counted:
-            def __init__(self, plan):
-                self.plan = plan
-
-            def grads(self, theta):
-                grads.append(theta)
-                return self.plan.grads(theta)
-
-            def hvps(self, theta, p, v):
-                return self.plan.hvps(theta, p, v)
-
-        def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
-            return Counted(orig(oracle, z1, zd))
+        built = []
+        grads, _ = count_flow_plans(monkeypatch)
 
         def counted(oracle, z, orig=model.loss_plan):
             built.append(z.tag)
             return orig(oracle, z)
 
-        monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
         monkeypatch.setattr(model, "loss_plan", counted)
         o, config, data = sweep_problem(family)
         coeffs = config.initial_coefficients(o.param_dim)
@@ -170,6 +180,34 @@ class TestSweep:
         sweep(o, coeffs, config, data, traj)
         assert grads == []
         assert built == ["validation"]   # p(T) = -grad Phi
+
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_forms_costate_matrix_once_per_forward_state(self, family,
+                                                         monkeypatch):
+        # the forward pass forms no Hessian; the backward pass forms K at
+        # each of the 4M+1 forward states, in order from the last, and its
+        # 8M stages each take one K p
+        _, hessians = count_flow_plans(monkeypatch)
+        rhs = []
+
+        def counted_rhs(k, p, orig=dynamics.adjoint_rhs):
+            rhs.append(k)
+            return orig(k, p)
+
+        monkeypatch.setattr(dynamics, "adjoint_rhs", counted_rhs)
+        o, config, data = sweep_problem(family)
+        coeffs = config.initial_coefficients(o.param_dim)
+        traj = forward(o, coeffs, config, data)
+        assert hessians == []
+        sweep(o, coeffs, config, data, traj)
+        m = config.steps
+        assert len(hessians) == 4 * m + 1
+        np.testing.assert_array_equal(hessians, traj.theta_fine[::-1])
+        assert len(rhs) == 8 * m
+        # k1 of a step and k4 of the step before it share a matrix, and so
+        # do k2 and k3
+        assert all(rhs[i] is rhs[i - 1] for i in range(4, 8 * m, 4))
+        assert all(rhs[i + 1] is rhs[i + 2] for i in range(0, 8 * m, 4))
 
 
     def test_evaluates_psi_once_per_stage_time(self, monkeypatch):
