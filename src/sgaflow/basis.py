@@ -109,10 +109,8 @@ def project_admissible(coeffs: ControlCoefficients,
     scale = np.ones_like(gmax)
     # slack keeps the projection idempotent under roundoff
     over = gmax > coeffs.u_max * (1.0 + 1e-12)
-    if coeffs.u_max == 0.0:
-        scale[over] = 0.0
-    else:
-        scale[over] = coeffs.u_max / gmax[over]
+    # a row over the bound has gmax > 0, so u_max = 0 scales it to +0.0
+    scale[over] = coeffs.u_max / gmax[over]
     if not np.any(over):
         return coeffs
     return replace(coeffs, c=coeffs.c * scale[:, None])

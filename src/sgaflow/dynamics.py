@@ -20,12 +20,12 @@ and a state whose norm exceeds DIVERGENCE_BOUND stops the integration.
 Each pass takes Psi from one stage_psi table at the times i*h/per_step,
 per_step 8 forward, 4 backward (row i at forward state i) and 2 for G; the
 tables agree bit for bit on shared times.  u = C @ psi is formed once per
-stage time, a step's end control carried into the next.  Each pass builds
-one flow plan (model.flow_plan) of the training and dithered sets, which
-share x, and hands it to forward_rhs, the forward stage's right-hand side,
-and adjoint_matrix.  A forward stage takes both gradients in one plan call,
-and a trajectory keeps the first stage's grad J~0 at each of its 4M+1
-states, which the backward pass reads.  In the costate equation p' = K p,
+stage time, a step's end control carried into the next.  The training and
+dithered sets share x, so each pass builds one loss plan on their targets
+(model.flow_plan) for forward_rhs, the forward stage's right-hand side, and
+adjoint_matrix.  A forward stage takes both gradients in one grads call, and
+a trajectory keeps the first stage's grad J~0 at each of its 4M+1 states,
+which the backward pass reads.  In the costate equation p' = K p,
 K = -(df/dtheta)^T is set by the forward state, its grad J~0 and u, so the
 backward pass forms K once per state, an adjoint stage is one product K p,
 and it returns D = (grad J~0)^2 with p at its 2M+1 half steps.  No stage
@@ -42,7 +42,7 @@ import numpy as np
 from .basis import (BasisSpec, ControlCoefficients, _check_time,
                     eval_basis_grid)
 from .dataset import Dataset
-from .model import FlowPlan, ModelOracle, flow_plan, loss_gradient
+from .model import LossPlan, ModelOracle, flow_plan, loss_gradient
 
 # |theta| beyond which a forward integration raises DivergenceError
 DIVERGENCE_BOUND = 1e8
@@ -107,7 +107,7 @@ class Trajectory:
     theta_fine holds the states of the quarter-step integration (4M+1 rows,
     spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
     gt_fine holds grad J~0 at each of those states, as the integration's
-    flow plan computed it.  theta_nodes and theta_final are read-only views
+    plan computed it.  theta_nodes and theta_final are read-only views
     of theta_fine.
     """
 
@@ -150,10 +150,10 @@ class AdjointTrajectory:
         return self.p_half[::2]
 
 
-def forward_rhs(plan: FlowPlan, theta: np.ndarray, u: np.ndarray,
+def forward_rhs(plan: LossPlan, theta: np.ndarray, u: np.ndarray,
                 eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(f, g~): the controlled gradient-flow velocity f at (theta, u), from
-    the flow plan of the training and dithered sets, and g~ = grad J~0(theta)
+    flow_plan's plan of the training and dithered sets, and g~ = grad J~0(theta)
     it was formed from; theta and u may be (B, p) stacks."""
     g, gt = plan.grads(theta)
     return eps * (gt * gt) * u - g, gt
@@ -259,7 +259,7 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                         grid, keep_states=False)
 
 
-def adjoint_matrix(plan: FlowPlan, theta: np.ndarray, gt: np.ndarray,
+def adjoint_matrix(plan: LossPlan, theta: np.ndarray, gt: np.ndarray,
                    u: np.ndarray, eps: float) -> np.ndarray:
     """K = -(df/dtheta)^T = H - 2 eps H~ diag(g~ u), the (p, p) matrix of the
     costate equation p' = K p at (theta, u), with g~ = gt = grad J~0(theta)

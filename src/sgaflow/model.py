@@ -11,13 +11,13 @@
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.  Loops evaluate
 it through a plan (loss_plan), one per (oracle, dataset), which checks the
-dataset once and holds Phi, A and b for the linear family; its grad, hvp and
-value check nothing.  The flow's training set and its dithered version
-share x, so one plan per integration (flow_plan) serves both: its targets
-are the (2, m) stack (y, y~), one A theta (linear) or one forward pass (mlp)
-gives both gradients, and one call both Hessians.
-loss_value, loss_gradient and loss_hvp are one-shot plan calls that also
-check theta.
+dataset once and holds Phi, A and b for the linear family; its grad, hessian
+and value check nothing.  The flow's training set and its dithered version
+share x, so one plan per integration (flow_plan) serves both: the family's
+plan on the (2, m) target stack (y, y~), whose grads takes both gradients
+from one A theta (linear) or one forward pass (mlp), and hessians both
+Hessians from one call.  loss_value, loss_gradient and loss_hvp are one-shot
+plan calls at a (p,) theta that also check it.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ class LinearPlan:
     y: np.ndarray    # (..., m)
     a: np.ndarray    # (p, p)
     b: np.ndarray    # (..., p)
+    # b's rows, (b, b~) on flow_plan's (y, y~): grads skips indexing b
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.b))
 
     def value(self, theta: np.ndarray) -> float:
         r = self.phi @ theta - self.y
@@ -103,8 +108,16 @@ class LinearPlan:
         # one matrix @ vector product per row: stack rows match (p,) calls
         return (self.a @ theta[..., None])[..., 0] - self.b
 
-    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.a @ v
+    def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = (self.a @ theta[..., None])[..., 0]
+        b, b_dith = self.rows
+        return at - b, at - b_dith
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        return self.a
+
+    def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.a, self.a
 
 
 @dataclass(frozen=True)
@@ -174,50 +187,15 @@ class MlpPlan:
             [a.reshape(lead + (-1,)) for a in (blocks, cross, cross)], axis=-1)
         return hs.reshape(lead + (p, p))
 
-    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (self.hessian(theta) @ v[..., None])[..., 0]  # row k: target k
-
-
-LossPlan = LinearPlan | MlpPlan
-
-
-@dataclass(frozen=True)
-class LinearFlowPlan:
-    """The linear family's flow plan: J0 and J~0 share A, so one A theta
-    gives both gradients, A theta - b and A theta - b~."""
-
-    a: np.ndarray       # (p, p)
-    b: np.ndarray       # (p,)
-    b_dith: np.ndarray  # (p,)
-
     def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = (self.a @ theta[..., None])[..., 0]
-        return at - self.b, at - self.b_dith
-
-    def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.a, self.a
-
-
-@dataclass(frozen=True)
-class MlpFlowPlan:
-    """The mlp family's flow plan: one MlpPlan on the targets (y, y~), so
-    one forward pass gives both gradients and one call both Hessians."""
-
-    plan: MlpPlan
-
-    def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.plan.grad(theta[..., None, :])
+        g = self.grad(theta[..., None, :])
         return g[..., 0, :], g[..., 1, :]
 
     def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self.plan.hessian(theta))
+        return tuple(self.hessian(theta))
 
 
-# grads(theta) is (grad J0, grad J~0) at a (p,) theta or at each row of a
-# (B, p) stack; hessians(theta) is (H, H~), the (p, p) Hessians of J0 and
-# J~0 at a (p,) theta.  Each result equals the per-dataset plan's call bit
-# for bit.
-FlowPlan = LinearFlowPlan | MlpFlowPlan
+LossPlan = LinearPlan | MlpPlan
 
 
 def _check(oracle: ModelOracle, z: Dataset) -> None:
@@ -241,34 +219,32 @@ def _plan(oracle: ModelOracle, x: np.ndarray, y: np.ndarray) -> LossPlan:
 
 def loss_plan(oracle: ModelOracle, z: Dataset) -> LossPlan:
     """The loss of oracle on z; ValueError if z's input dimension is not the
-    oracle's or z holds nan or inf.  The plan's grad, hvp and value take a
-    (p,) theta, grad also a (B, p) stack."""
+    oracle's or z holds nan or inf.  The plan's grad, hessian and value take
+    a (p,) theta, grad also a (B, p) stack, each row's result equal to that
+    row's alone bit for bit."""
     _check(oracle, z)
     return _plan(oracle, z.x, z.y)
 
 
 def flow_plan(oracle: ModelOracle, z_train: Dataset,
-              z_dith: Dataset) -> FlowPlan:
-    """The losses of oracle on z_train and on its dithered version z_dith;
-    ValueError if either fails loss_plan's checks or z_dith's inputs are
-    not z_train's."""
+              z_dith: Dataset) -> LossPlan:
+    """The losses of oracle on z_train and on its dithered version z_dith:
+    the family's plan on the targets (y, y~).  Its grads(theta) is
+    (grad J0, grad J~0) at a (p,) theta or at each row of a (B, p) stack,
+    and hessians(theta) is (H, H~) at a (p,) theta, each equal to the
+    per-dataset plan's call bit for bit.  ValueError if either dataset fails
+    loss_plan's checks or z_dith's inputs are not z_train's."""
     _check(oracle, z_train)
     _check(oracle, z_dith)
     if not np.array_equal(z_dith.x, z_train.x):
         raise ValueError(f"the {z_dith.tag} dataset's inputs differ from "
                          f"the {z_train.tag} dataset's")
-    plan = _plan(oracle, z_train.x, np.stack([z_train.y, z_dith.y]))
-    if oracle.family == "mlp_tanh":
-        return MlpFlowPlan(plan)
-    return LinearFlowPlan(plan.a, *plan.b)
+    return _plan(oracle, z_train.x, np.stack([z_train.y, z_dith.y]))
 
 
-def _params(oracle: ModelOracle, a, stack: bool = False) -> np.ndarray:
-    """a as a (p,) vector, or with stack=True a 2-d input as a (B, p) stack;
-    raises ValueError if the last axis is not p."""
-    a = np.asarray(a, dtype=float)
-    if not (stack and a.ndim == 2):
-        a = a.ravel()
+def _params(oracle: ModelOracle, a) -> np.ndarray:
+    """a flattened to a (p,) vector; ValueError if it has not p entries."""
+    a = np.asarray(a, dtype=float).ravel()
     if a.shape[-1] != oracle.param_dim:
         raise ValueError(f"dim {a.shape[-1]}, expected {oracle.param_dim}")
     return a
@@ -280,22 +256,17 @@ def loss_value(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> float:
 
 
 def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndarray:
-    """Gradient of loss_value with respect to theta; on z_val, grad Phi.
-
-    theta may be a (B, p) stack; the result then has shape (B, p), and each
-    row equals the gradient of that row alone bit for bit.  A 2-d theta is
-    always read as a stack, so (1, p) gives (1, p) and a (p, 1) column is
-    rejected; any other shape is flattened to (p,).
-    """
-    return loss_plan(oracle, z).grad(_params(oracle, theta, stack=True))
+    """Gradient of loss_value with respect to theta, flattened to (p,); on
+    z_val, grad Phi."""
+    return loss_plan(oracle, z).grad(_params(oracle, theta))
 
 
 def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
              v: np.ndarray) -> np.ndarray:
     """Hessian-vector product of loss_value at theta in direction v: A v for
     the linear family, the explicit Hessian's product for the mlp."""
-    return loss_plan(oracle, z).hvp(_params(oracle, theta),
-                                    _params(oracle, v))
+    return (loss_plan(oracle, z).hessian(_params(oracle, theta))
+            @ _params(oracle, v))
 
 
 def phi_value(oracle: ModelOracle, theta: np.ndarray, z_val: Dataset) -> float:

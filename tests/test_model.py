@@ -75,27 +75,25 @@ class TestLossGradient:
 class TestLossGradientStack:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_stack_equals_row_by_row(self, family):
+        # the integrators step (B, p) stacks through a plan, not through
+        # loss_gradient
         if family == "linear":
             _, data = linear_problem(d=2, seed=8)
             o = ModelOracle("linear_features", 2, degree=2, include_bias=True)
         else:
             o, data = mlp_problem(d=2, seed=8)
         thetas = np.random.default_rng(3).standard_normal((6, o.param_dim))
-        stacked = loss_gradient(o, thetas, data.z_train)
+        plan = loss_plan(o, data.z_train)
+        stacked = plan.grad(thetas)
         assert stacked.shape == (6, o.param_dim)
         for b in range(6):
+            np.testing.assert_array_equal(stacked[b], plan.grad(thetas[b]))
+            # and each row is loss_gradient's one-shot result
             np.testing.assert_array_equal(
                 stacked[b], loss_gradient(o, thetas[b], data.z_train))
-        assert loss_gradient(o, thetas[:1], data.z_train).shape == (
-            1, o.param_dim)
+        assert plan.grad(thetas[:1]).shape == (1, o.param_dim)
         # a strided view, as Trajectory.theta_nodes is, stacks the same way
-        np.testing.assert_array_equal(
-            loss_gradient(o, thetas[::2], data.z_train), stacked[::2])
-        # and so does the plan that loss_gradient calls
-        plan = loss_plan(o, data.z_train)
-        np.testing.assert_array_equal(plan.grad(thetas), stacked)
-        for b in range(6):
-            np.testing.assert_array_equal(plan.grad(thetas[b]), stacked[b])
+        np.testing.assert_array_equal(plan.grad(thetas[::2]), stacked[::2])
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_wrong_last_axis_rejected(self, family):
@@ -105,6 +103,9 @@ class TestLossGradientStack:
             o, data = mlp_problem(d=2, seed=9)
         with pytest.raises(ValueError):
             loss_gradient(o, np.ones((4, o.param_dim + 1)), data.z_train)
+        # loss_gradient takes one state: a stack is no (p,) theta
+        with pytest.raises(ValueError):
+            loss_gradient(o, np.ones((2, o.param_dim)), data.z_train)
 
 
 class TestLossPlan:
@@ -122,7 +123,7 @@ class TestLossPlan:
 
         for _ in range(5):
             theta, v = rng.standard_normal((2, o.param_dim))
-            g, hv = plan.grad(theta), plan.hvp(theta, v)
+            g, hv = plan.grad(theta), plan.hessian(theta) @ v
             assert rel(g, (2.0 / z.m) * phi.T @ (phi @ theta - z.y)) <= 1e-12
             assert rel(hv, (2.0 / z.m) * phi.T @ (phi @ v)) <= 1e-12
             # the loss is quadratic, so a central difference of step 1 has
@@ -155,6 +156,9 @@ class TestFlowPlan:
             o, data = mlp_problem(d=2, seed=15)
         train, dith = loss_plan(o, data.z_train), loss_plan(o, data.z_dith)
         plan = flow_plan(o, data.z_train, data.z_dith)
+        # the family's own plan class, on the targets (y, y~)
+        assert type(plan) is type(train)
+        np.testing.assert_array_equal(plan.y, [data.z_train.y, data.z_dith.y])
         rng = np.random.default_rng(12)
         thetas = rng.standard_normal((5, o.param_dim))
         # a (B, p) stack, a strided view of one, and single (p,) states
@@ -221,10 +225,11 @@ class TestLossHvp:
         theta = rng.standard_normal(o.param_dim)
         v = rng.standard_normal((2, o.param_dim))
         if stacked:
-            plan = flow_plan(o, data.z_train, data.z_dith).plan
+            plan = flow_plan(o, data.z_train, data.z_dith)
         else:
             plan, v = loss_plan(o, data.z_train), v[0]
-        return plan, theta, v, plan.hvp(theta, v)
+        # row k of a stacked product: target k's Hessian times v[k]
+        return plan, theta, v, (plan.hessian(theta) @ v[..., None])[..., 0]
 
     @pytest.mark.parametrize("stacked", [False, True],
                              ids=["single", "stacked"])
