@@ -56,7 +56,7 @@ def zero_coefficients(p: int, basis: BasisSpec, u_max: float) -> ControlCoeffici
 
 
 def _check_time(basis: BasisSpec, t: float) -> None:
-    # slack for a last stage time (per_step*M)*(h/per_step) rounding past T
+    # slack for the last stage time (8M)*(h/8) rounding past T
     tol = 1e-12 * max(1.0, basis.t_final)
     if t < -tol or t > basis.t_final + tol:
         raise ValueError(f"t={t} outside [0, {basis.t_final}]")

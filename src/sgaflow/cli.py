@@ -335,8 +335,7 @@ def cmd_run(args) -> int:
                  cost(oracle, zero_coefficients(p, config.basis, config.u_max),
                       config, data))
     traj = forward(oracle, report.final_coeffs, config, data)
-    adj = integrate_adjoint(oracle, traj, report.final_coeffs, config.eps,
-                            data.z_train, data.z_dith, data.z_val)
+    adj = integrate_adjoint(oracle, traj, data.z_val)
     _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
     if not args.quiet:
         print(f"J[0]={null_cost:.6e}  J[u*]={report.final_cost:.6e}  "

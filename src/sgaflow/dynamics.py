@@ -17,19 +17,19 @@ stack.  final_states keeps only the (B, p) final states; integrate_forward
 runs one (p,) flow and keeps every state.  The null control is a zero C,
 and a state whose norm exceeds DIVERGENCE_BOUND stops the integration.
 
-Each pass takes Psi from one stage_psi table at the times i*h/per_step,
-per_step 8 forward, 4 backward (row i at forward state i) and 2 for G; the
-tables agree bit for bit on shared times.  u = C @ psi is formed once per
-stage time, a step's end control carried into the next.  The training and
-dithered sets share x, so each pass builds one loss plan on their targets
-(model.flow_plan) for forward_rhs, the forward stage's right-hand side, and
-adjoint_matrix.  A forward stage takes both gradients in one grads call, and
-a trajectory keeps the first stage's grad J~0 at each of its 4M+1 states,
-which the backward pass reads.  In the costate equation p' = K p,
+The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
+forms u = C @ psi once per stage time, a step's end control carried into the
+next.  The training and dithered sets share x, so the pass builds one loss
+plan on their targets (model.flow_plan) for forward_rhs, the forward stage's
+right-hand side, and a stage takes both gradients in one grads call.  The
+trajectory keeps what the pass ran on (C, eps, the flow plan and the Psi
+table) and the first stage's grad J~0 at each of its 4M+1 states, so the
+backward pass takes nothing of its own but the validation set: u at forward
+state i is C @ psi[2i].  In the costate equation p' = K p,
 K = -(df/dtheta)^T is set by the forward state, its grad J~0 and u, so the
-backward pass forms K once per state, an adjoint stage is one product K p,
-and it returns D = (grad J~0)^2 with p at its 2M+1 half steps.  No stage
-checks its inputs or calls eval_basis or eval_control.
+backward pass forms K once per state (adjoint_matrix) and an adjoint stage
+is one product K p.  No stage checks its inputs or calls eval_basis or
+eval_control.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ class TimeGrid:
 
 def _read_only_rows(obj, rows: int, *names: str) -> None:
     """Set each named field of the frozen dataclass obj to a read-only
-    (rows, p) float view of it; ValueError for other shapes."""
+    float view of it; ValueError unless it is 2-D with rows rows."""
     for name in names:
         a = np.asarray(getattr(obj, name), dtype=float).view()
         if a.ndim != 2 or a.shape[0] != rows:
             raise ValueError(
-                f"{name} has shape {a.shape}, expected ({rows}, p)")
+                f"{name} has shape {a.shape}, expected 2-D with {rows} rows")
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
 
@@ -102,21 +102,27 @@ def _read_only_rows(obj, rows: int, *names: str) -> None:
 @dataclass(frozen=True)
 class Trajectory:
     """Forward solution: theta and grad J~0 at every quarter step of the
-    grid.
+    grid, with the control, eps, flow plan and Psi table it ran on.
 
     theta_fine holds the states of the quarter-step integration (4M+1 rows,
     spacing h/4): row 4k is the node t_k and row 4k+2 the midpoint of step k.
-    gt_fine holds grad J~0 at each of those states, as the integration's
-    plan computed it.  theta_nodes and theta_final are read-only views
-    of theta_fine.
+    gt_fine holds grad J~0 at each of those states, as plan computed it.
+    psi holds Psi at the stage times i*h/8 (8M+1 rows), so the state
+    theta_fine[i] ran under the control u = c @ psi[2i].  theta_nodes and
+    theta_final are read-only views of theta_fine.
     """
 
     grid: TimeGrid
     theta_fine: np.ndarray  # (4M+1, p)
     gt_fine: np.ndarray     # (4M+1, p)
+    c: np.ndarray           # (p, n)
+    eps: float
+    plan: LossPlan
+    psi: np.ndarray         # (8M+1, n)
 
     def __post_init__(self):
         _read_only_rows(self, 4 * self.grid.steps + 1, "theta_fine", "gt_fine")
+        _read_only_rows(self, 8 * self.grid.steps + 1, "psi")
 
     @property
     def theta_nodes(self) -> np.ndarray:  # (M+1, p)
@@ -129,21 +135,23 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward solution: costate p and coupling diagonal D at every half
-    step of the grid.
+    """Backward solution along the forward trajectory traj: the costate p
+    at every half step of its grid.
 
-    p_half holds the costates of the half-step sweep and d_half the
-    D = (grad J~0)^2 of the forward states it read (2M+1 rows each, spacing
+    p_half holds the costates of the half-step sweep (2M+1 rows, spacing
     h/2): row 2k is the node t_k and row 2k+1 the midpoint of step k.
     p_nodes is a read-only view of p_half.
     """
 
-    grid: TimeGrid
+    traj: Trajectory
     p_half: np.ndarray  # (2M+1, p)
-    d_half: np.ndarray  # (2M+1, p)
 
     def __post_init__(self):
-        _read_only_rows(self, 2 * self.grid.steps + 1, "p_half", "d_half")
+        _read_only_rows(self, 2 * self.grid.steps + 1, "p_half")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.traj.grid
 
     @property
     def p_nodes(self) -> np.ndarray:  # (M+1, p)
@@ -159,38 +167,23 @@ def forward_rhs(plan: LossPlan, theta: np.ndarray, u: np.ndarray,
     return eps * (gt * gt) * u - g, gt
 
 
-def stage_psi(basis: BasisSpec, grid: TimeGrid, per_step: int) -> np.ndarray:
-    """Psi at the times i * (h/per_step), i = 0 ... per_step*M, as a
-    (per_step*M + 1, n) table; ValueError if the grid outlasts the basis.
-    For per_step 2, 4 and 8, h/per_step is h scaled by a power of two, so
-    (4j)(h/8), (2j)(h/4) and j(h/2) round alike and the tables nest bitwise.
-    """
-    ts = np.arange(per_step * grid.steps + 1) * (grid.h / per_step)
-    _check_time(basis, ts[-1])
-    return eval_basis_grid(basis, ts)
-
-
-def _check_rows(oracle: ModelOracle, coeffs: ControlCoefficients) -> None:
-    if coeffs.p != oracle.param_dim:
-        raise ValueError(f"C has {coeffs.p} rows, oracle expects "
-                         f"p={oracle.param_dim}")
-
-
 def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
                  basis: BasisSpec, eps: float, z_train: Dataset,
                  z_dith: Dataset, grid: TimeGrid, keep_states: bool):
     """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
 
     Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c,
-    with Psi from the per_step 8 table.  Returns the Trajectory of a (p,)
-    theta0 if keep_states, its grad J~0 rows taken from each step's first
-    stage, else the final states.  Raises ValueError if the grid lies beyond
-    the basis's range, and DivergenceError for the first member whose state
-    leaves DIVERGENCE_BOUND.
+    with Psi evaluated once at the stage times i*h/8.  Returns the
+    Trajectory of a (p,) theta0 if keep_states, its grad J~0 rows taken from
+    each step's first stage, else the final states.  Raises ValueError if
+    the grid lies beyond the basis's range, and DivergenceError for the
+    first member whose state leaves DIVERGENCE_BOUND.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
-    psi = stage_psi(basis, grid, 8)
+    ts = np.arange(2 * nsteps + 1) * (grid.h / 8)
+    _check_time(basis, ts[-1])
+    psi = eval_basis_grid(basis, ts)
     plan = flow_plan(oracle, z_train, z_dith)
     th = theta0
     if keep_states:
@@ -218,7 +211,7 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
     if not keep_states:
         return th
     gts[nsteps] = plan.grads(th)[1]
-    return Trajectory(grid, out, gts)
+    return Trajectory(grid, out, gts, c, eps, plan, psi)
 
 
 def _state(oracle: ModelOracle, theta) -> np.ndarray:
@@ -237,8 +230,11 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
                       coeffs: ControlCoefficients, eps: float,
                       z_train: Dataset, z_dith: Dataset,
                       grid: TimeGrid) -> Trajectory:
-    """Integrate the controlled flow from theta0 over the grid."""
-    _check_rows(oracle, coeffs)
+    """Integrate the controlled flow from theta0 over the grid; ValueError
+    unless C has the oracle's p rows."""
+    if coeffs.p != oracle.param_dim:
+        raise ValueError(f"C has {coeffs.p} rows, oracle expects "
+                         f"p={oracle.param_dim}")
     return _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
                         coeffs.basis, eps, z_train, z_dith, grid,
                         keep_states=True)
@@ -274,31 +270,25 @@ def adjoint_rhs(k: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
-                      coeffs: ControlCoefficients, eps: float,
-                      z_train: Dataset, z_dith: Dataset, z_val: Dataset,
-                      ) -> AdjointTrajectory:
-    """Integrate the costate backward from p(T) = -grad Phi(theta(T)).
+                      z_val: Dataset) -> AdjointTrajectory:
+    """Integrate the costate along traj backward from
+    p(T) = -grad Phi(theta(T)), Phi the loss on z_val.
 
     RK4 on half steps; the stage states are the forward trajectory's exact
-    quarter-step values and grad J~0 at each is the one the trajectory
-    holds, so no re-integration, interpolation or gradient call happens
-    here, and u at forward state i comes from row i of the per_step 4 Psi
-    table.  K is formed once per forward state, for the two stages that
-    read it (k2 and k3; k4 and the next step's k1).  The result carries
-    D = (grad J~0)^2 at the half-step states next to p.  Raises ValueError
-    if C's rows are not the oracle's p or the grid lies beyond the basis's
-    range, and NonFiniteCostateError if the costate becomes nan or inf.
+    quarter-step values, and grad J~0, u = c @ psi[2i], eps and the flow
+    plan at forward state i are the ones the trajectory ran on, so no
+    re-integration, interpolation, gradient call or Psi evaluation happens
+    here.  K is formed once per forward state, for the two stages that read
+    it (k2 and k3; k4 and the next step's k1).  Raises
+    NonFiniteCostateError if the costate becomes nan or inf.
     """
-    _check_rows(oracle, coeffs)
-    grid = traj.grid
-    M = grid.steps
-    hh = 0.5 * grid.h
-    psi = stage_psi(coeffs.basis, grid, 4)
-    fine, gt = traj.theta_fine, traj.gt_fine
-    plan = flow_plan(oracle, z_train, z_dith)
+    M = traj.grid.steps
+    hh = 0.5 * traj.grid.h
+    fine, gt, psi = traj.theta_fine, traj.gt_fine, traj.psi
 
     def matrix(i):  # K at the forward state of row i
-        return adjoint_matrix(plan, fine[i], gt[i], coeffs.c @ psi[i], eps)
+        return adjoint_matrix(traj.plan, fine[i], gt[i], traj.c @ psi[2 * i],
+                              traj.eps)
 
     out = np.empty((2 * M + 1, oracle.param_dim))
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
@@ -314,8 +304,7 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         if not np.isfinite(p).all():
             raise NonFiniteCostateError((j - 1) * hh)
         out[j - 1] = p
-    g_half = gt[::2]
-    return AdjointTrajectory(grid, out, g_half * g_half)
+    return AdjointTrajectory(traj, out)
 
 
 def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,

@@ -1,7 +1,7 @@
 """Successive Galerkin approximation solver.
 
-Each sweep integrates the state forward and the costate backward, which
-also yields D, and forms the Hamiltonian's gradient in the coefficients,
+Each sweep integrates the state forward and the costate backward along it,
+and forms the Hamiltonian's gradient in the coefficients,
 
     G_ij = eps * int_0^T p_i(t) D_ii(theta(t)) psi_j(t) dt,
 
@@ -19,7 +19,7 @@ integration, and J is evaluated once per trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .basis import (BasisSpec, ControlCoefficients, project_admissible,
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, final_states, integrate_adjoint,
-                       integrate_forward, stage_psi)
+                       integrate_forward)
 from .model import ModelOracle, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
@@ -101,8 +101,7 @@ class IterationRecord:
     projected: bool
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "cost": self.cost, "grad_norm": self.grad_norm,
-                "gamma": self.gamma, "projected": self.projected}
+        return asdict(self)
 
 
 @dataclass
@@ -153,21 +152,23 @@ def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
     return float(costs(oracle, coeffs.c[None], config, data)[0])
 
 
-def coefficient_gradient(adj: AdjointTrajectory, basis: BasisSpec,
-                         eps: float) -> np.ndarray:
-    """Hamiltonian gradient with respect to C, integrated on the time grid.
+def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
+    """Hamiltonian gradient with respect to the C of adj's forward
+    trajectory, integrated on its time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
     Composite Simpson over the half-step rows of the integrand eps * p * D,
-    read off the backward sweep, against the per_step 2 Psi table: one
-    product with the weights h/6 * [1, 4, 2, 4, ..., 2, 4, 1].
+    with p from the backward sweep and eps, D = (grad J~0)^2 and Psi (every
+    fourth row of its table) from the forward trajectory: one product with
+    the weights h/6 * [1, 4, 2, 4, ..., 2, 4, 1].
     """
-    grid = adj.grid
+    grid, traj = adj.grid, adj.traj
     w = np.full(2 * grid.steps + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    f = eps * adj.p_half * adj.d_half
-    return (f * ((grid.h / 6.0) * w)[:, None]).T @ stage_psi(basis, grid, 2)
+    g = traj.gt_fine[::2]
+    f = traj.eps * adj.p_half * (g * g)
+    return (f * ((grid.h / 6.0) * w)[:, None]).T @ traj.psi[::4]
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -175,15 +176,14 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           traj: Trajectory | None = None):
     """One forward/backward pass; returns (trajectory, adjoint, G).
 
-    traj, when given, must be the forward trajectory under coeffs; the
-    forward integration is then skipped.
+    traj, when given, is the forward pass: the forward integration is
+    skipped, and the backward pass and G read the trajectory's own control,
+    eps and flow plan, not coeffs and config.
     """
     if traj is None:
         traj = forward(oracle, coeffs, config, data)
-    adj = integrate_adjoint(oracle, traj, coeffs, config.eps, data.z_train,
-                            data.z_dith, data.z_val)
-    grad = coefficient_gradient(adj, coeffs.basis, config.eps)
-    return traj, adj, grad
+    adj = integrate_adjoint(oracle, traj, data.z_val)
+    return traj, adj, coefficient_gradient(adj)
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):

@@ -6,7 +6,7 @@ fd_gradient takes entry by entry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +31,7 @@ class CheckReport:
         return self.max_rel_err <= self.tol
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "max_rel_err": self.max_rel_err,
-                "tol": self.tol, "passed": self.passed,
-                "details": self.details}
+        return {**asdict(self), "passed": self.passed}
 
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -149,8 +147,7 @@ def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
         grid = TimeGrid(config.basis.t_final, steps)
         traj = integrate_forward(oracle, theta0, coeffs, config.eps,
                                  data.z_train, data.z_dith, grid)
-        adj = integrate_adjoint(oracle, traj, coeffs, config.eps,
-                                data.z_train, data.z_dith, data.z_val)
+        adj = integrate_adjoint(oracle, traj, data.z_val)
         return traj.theta_final, adj.p_nodes[0]
 
     level = {m: run(m) for m in {*step_counts, *(2 * m for m in step_counts)}}

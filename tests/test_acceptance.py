@@ -57,8 +57,7 @@ def test_criterion_1_closed_form_flow():
     coeffs = zero_coefficients(1, BasisSpec("legendre_shifted", 2, 1.0), 5.0)
     traj = integrate_forward(oracle, [1.0], coeffs, 0.1, data.z_train,
                              data.z_dith, grid)
-    adj = integrate_adjoint(oracle, traj, coeffs, 0.1, data.z_train,
-                            data.z_dith, data.z_val)
+    adj = integrate_adjoint(oracle, traj, data.z_val)
     err_f = abs(traj.theta_final[0] - np.exp(-1.0))
     err_b = abs(adj.p_nodes[0][0] + np.exp(-2.0))
     elapsed = time.time() - start
@@ -75,8 +74,7 @@ def test_criterion_2_rk4_order():
     for m in (25, 50, 100, 200):
         traj = integrate_forward(oracle, [1.0], coeffs, 0.0, data.z_train,
                                  data.z_dith, TimeGrid(1.0, m))
-        adj = integrate_adjoint(oracle, traj, coeffs, 0.0, data.z_train,
-                                data.z_dith, data.z_val)
+        adj = integrate_adjoint(oracle, traj, data.z_val)
         hs.append(1.0 / m)
         ef.append(abs(traj.theta_final[0] - np.exp(-1.0)))
         eb.append(abs(adj.p_nodes[0][0] + np.exp(-2.0)))
@@ -179,8 +177,7 @@ def test_criterion_7_pmp_dominance(descent_run):
     traj = integrate_forward(oracle, config.initial_theta(2),
                              rep.final_coeffs, config.eps, data.z_train,
                              data.z_dith, config.grid)
-    adj = integrate_adjoint(oracle, traj, rep.final_coeffs, config.eps,
-                            data.z_train, data.z_dith, data.z_val)
+    adj = integrate_adjoint(oracle, traj, data.z_val)
     nodes = config.grid.nodes
     dominant = 0
     for k, t in enumerate(nodes):
@@ -213,6 +210,9 @@ def test_criterion_8_determinism(tmp_path):
                      "--quiet"]) == 0
     assert cli.main(["run", "--config", str(path), "--out", str(out2),
                      "--quiet"]) == 0
+    names = ("report.json", "metrics.json", "coeffs.csv", "theta_star.csv",
+             "trajectory.csv", "adjoint.csv", "manifest.json")
+    assert sorted(p.name for p in out1.iterdir()) == sorted(names)
     same = all((out1 / n).read_bytes() == (out2 / n).read_bytes()
-               for n in ("metrics.json", "coeffs.csv"))
-    report(8, "determinism", same, "metrics.json and coeffs.csv bit-identical")
+               for n in names)
+    report(8, "determinism", same, "all seven run artifacts bit-identical")

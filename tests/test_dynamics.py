@@ -1,17 +1,16 @@
-from dataclasses import fields
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, dynamics
-from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_control,
-                           zero_coefficients)
+from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
+                           eval_control, zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               NonFiniteCostateError, TimeGrid, Trajectory,
                               adjoint_matrix, adjoint_rhs,
                               final_states, forward_rhs, hamiltonian,
-                              integrate_adjoint, integrate_forward,
-                              stage_psi)
+                              integrate_adjoint, integrate_forward)
 from sgaflow import model
 from sgaflow.model import flow_plan, loss_gradient, loss_hvp, loss_plan
 
@@ -305,8 +304,8 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
     """The half-step costate sweep with u from eval_control at the stage
     times i*(h/4) of forward states i and grad J~0 from a per-state
     loss_gradient call at every stage, forming the costate matrix anew at
-    every stage, through the same flow-plan RHS; returns the costate and
-    D = (grad J~0)^2 at the half steps."""
+    every stage, through a flow plan of its own; returns the costate at the
+    half steps."""
     hh = 0.5 * traj.grid.h
     hq = 0.25 * traj.grid.h
     fine = traj.theta_fine
@@ -327,8 +326,7 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
         k4 = rhs((i - 2) * hq, fine[i - 2], p - hh * k3)
         p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(p)
-    d = [loss_gradient(o, theta, data.z_dith) ** 2 for theta in fine[::2]]
-    return np.array(out[::-1]), np.array(d)
+    return np.array(out[::-1])
 
 
 class TestIntegrateAdjoint:
@@ -346,26 +344,14 @@ class TestIntegrateAdjoint:
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
         traj = integrate_forward(o, theta0, coeffs, 0.3, data.z_train,
                                  data.z_dith, TimeGrid(1.0, 20))
-        adj = integrate_adjoint(o, traj, coeffs, 0.3, data.z_train,
-                                data.z_dith, data.z_val)
-        p_half, d_half = per_stage_adjoint(o, traj, coeffs, 0.3, data)
-        np.testing.assert_array_equal(adj.p_half, p_half)
-        np.testing.assert_array_equal(adj.d_half, d_half)
-        # the control moves the costate, so the check covers it
-        free = integrate_adjoint(o, traj, zero_control(o.param_dim), 0.3,
-                                 data.z_train, data.z_dith, data.z_val)
+        adj = integrate_adjoint(o, traj, data.z_val)
+        np.testing.assert_array_equal(
+            adj.p_half, per_stage_adjoint(o, traj, coeffs, 0.3, data))
+        # the trajectory's control moves the costate, so the check covers
+        # it: the same states with the control dropped give another p(0)
+        free = integrate_adjoint(o, replace(traj, c=np.zeros_like(traj.c)),
+                                 data.z_val)
         assert np.all(free.p_nodes[0] != adj.p_nodes[0])
-
-    def test_grid_beyond_basis_range_rejected(self):
-        # a null-control forward pass to t=2 is valid, but the Legendre
-        # basis of the control is defined on [0, 1] only
-        o, z1, zd, zv = quad_oracle()
-        traj = integrate_forward(o, [1.0], zero_control(1, 2.0), 0.1, z1,
-                                 zd, TimeGrid(2.0, 10))
-        coeffs = ControlCoefficients(
-            np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
-        with pytest.raises(ValueError, match="outside"):
-            integrate_adjoint(o, traj, coeffs, 0.1, z1, zd, zv)
 
     def test_non_finite_costate_raises_typed_error(self):
         # a training Hessian of 2e200 overflows the backward sweep, while
@@ -379,7 +365,7 @@ class TestIntegrateAdjoint:
                                  grid)
         with (pytest.raises(NonFiniteCostateError) as exc,
               np.errstate(over="ignore", invalid="ignore")):
-            integrate_adjoint(o, traj, zero_control(1), 0.1, z1, zd, zv)
+            integrate_adjoint(o, traj, zv)
         # the CLI reports a RuntimeError with exit code 2
         assert isinstance(exc.value, RuntimeError)
         assert 0.0 <= exc.value.t < 1.0
@@ -389,7 +375,7 @@ class TestIntegrateAdjoint:
         grid = TimeGrid(1.0, 200)
         traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
                                  grid)
-        adj = integrate_adjoint(o, traj, zero_control(1), 0.0, z1, zd, zv)
+        adj = integrate_adjoint(o, traj, zv)
         assert adj.p_nodes[-1][0] == pytest.approx(-np.exp(-1.0), abs=1e-9)
         assert adj.p_nodes[0][0] == pytest.approx(-np.exp(-2.0), abs=1e-8)
 
@@ -403,8 +389,7 @@ class TestIntegrateAdjoint:
                                  data.z_dith, grid)
         zv = Dataset(data.z_val.x, o.predict(traj.theta_final, data.z_val.x),
                      "validation")
-        adj = integrate_adjoint(o, traj, null, 0.0, data.z_train,
-                                data.z_dith, zv)
+        adj = integrate_adjoint(o, traj, zv)
         np.testing.assert_allclose(adj.p_nodes, 0.0, atol=1e-12)
 
     def test_grid_refinement_fourth_order(self):
@@ -414,8 +399,7 @@ class TestIntegrateAdjoint:
         for m in (25, 50):
             traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
                                      TimeGrid(1.0, m))
-            adj = integrate_adjoint(o, traj, zero_control(1), 0.0, z1, zd,
-                                    zv)
+            adj = integrate_adjoint(o, traj, zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -443,9 +427,9 @@ class TestPlans:
                                  data.z_train, data.z_dith, grid)
         assert built == [("train", "dithered")]
         built.clear()
-        integrate_adjoint(o, traj, coeffs, 0.1, data.z_train, data.z_dith,
-                          data.z_val)
-        assert built == [("train", "dithered"), "validation"]
+        # the backward pass runs on the trajectory's flow plan
+        integrate_adjoint(o, traj, data.z_val)
+        assert built == ["validation"]
         built.clear()
         final_states(o, np.zeros(o.param_dim), np.ones((3, o.param_dim, 2)),
                      basis, 0.1, data.z_train, data.z_dith, grid)
@@ -455,20 +439,20 @@ class TestPlans:
 class TestControlRows:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_both_passes_reject_other_row_counts(self, rows):
-        # p = 2: one row would be broadcast to both parameters
+        # p = 2: one row would be broadcast to both parameters; the single
+        # and the batched forward pass take a C, the backward pass reads
+        # the trajectory's
         o, data = linear_problem(d=2)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         grid = TimeGrid(1.0, 10)
         bad = ControlCoefficients(np.ones((rows, 2)), basis, 5.0)
-        msg = f"C has {rows} rows, oracle expects p=2"
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ValueError,
+                           match=f"C has {rows} rows, oracle expects p=2"):
             integrate_forward(o, np.zeros(2), bad, 0.1, data.z_train,
                               data.z_dith, grid)
-        traj = integrate_forward(o, np.zeros(2), zero_control(2), 0.1,
-                                 data.z_train, data.z_dith, grid)
-        with pytest.raises(ValueError, match=msg):
-            integrate_adjoint(o, traj, bad, 0.1, data.z_train, data.z_dith,
-                              data.z_val)
+        with pytest.raises(ValueError, match="coefficient stack"):
+            final_states(o, np.zeros(2), bad.c[None], basis, 0.1,
+                         data.z_train, data.z_dith, grid)
 
 
 class TestStagePsi:
@@ -476,38 +460,57 @@ class TestStagePsi:
     @pytest.mark.parametrize("t_final,steps",
                              [(1.0, 20), (1.0, 200), (0.7, 13), (3.0, 37)])
     def test_tables_nest_bitwise(self, kind, t_final, steps):
+        # the forward pass's one table, at the stage times i*(h/8), holds
+        # Psi at the backward pass's times i*(h/4) in its even rows and at
+        # G's times i*(h/2) in every fourth row, bit for bit
+        o, z1, zd, _ = quad_oracle()
         basis = BasisSpec(kind, 5, t_final)
         grid = TimeGrid(t_final, steps)
-        t8, t4, t2 = (stage_psi(basis, grid, k) for k in (8, 4, 2))
-        assert [len(t) for t in (t8, t4, t2)] == [8 * steps + 1,
-                                                  4 * steps + 1,
-                                                  2 * steps + 1]
-        np.testing.assert_array_equal(t8[::2], t4)
-        np.testing.assert_array_equal(t4[::2], t2)
+        psi = integrate_forward(
+            o, [1.0], ControlCoefficients(np.zeros((1, 5)), basis, 1.0), 0.1,
+            z1, zd, grid).psi
+        for per_step, rows in ((8, psi), (4, psi[::2]), (2, psi[::4])):
+            ts = np.arange(per_step * steps + 1) * (grid.h / per_step)
+            np.testing.assert_array_equal(rows, eval_basis_grid(basis, ts))
 
     def test_grid_beyond_basis_range_rejected(self):
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        o, z1, zd, _ = quad_oracle()
+        coeffs = ControlCoefficients(
+            np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
         with pytest.raises(ValueError, match="outside"):
-            stage_psi(basis, TimeGrid(1.0 + 1e-9, 10), 2)
+            integrate_forward(o, [1.0], coeffs, 0.1, z1, zd,
+                              TimeGrid(1.0 + 1e-9, 10))
 
 
 class TestTrajectoryShape:
     @pytest.mark.parametrize("cls,rows,view", [
         (Trajectory, 41, "theta_nodes"), (AdjointTrajectory, 21, "p_nodes")])
     def test_row_count_checked_and_views_read_only(self, cls, rows, view):
-        # 4M+1 quarter-step states and grad J~0 rows, and 2M+1 half-step
-        # costates and D diagonals, for M = 10
-        grid = TimeGrid(1.0, 10)
-        arrays = len(fields(cls)) - 1
-        nodes = getattr(cls(grid, *[np.ones((rows, 2))] * arrays), view)
+        # for M = 10: 4M+1 quarter-step states and grad J~0 rows and 8M+1
+        # rows of Psi at the stage times, or 2M+1 half-step costates
+        o, z1, zd, _ = quad_oracle(2)
+        traj = integrate_forward(o, np.ones(2), zero_control(2), 0.1, z1, zd,
+                                 TimeGrid(1.0, 10))
+        assert traj.psi.shape == (81, 1)
+        assert not traj.psi.flags.writeable
+        if cls is Trajectory:
+            arrays = {"theta_fine": rows, "gt_fine": rows, "psi": 81}
+
+            def make(**kw):
+                return replace(traj, **kw)
+        else:
+            arrays = {"p_half": rows}
+
+            def make(**kw):
+                return AdjointTrajectory(traj, **kw)
+        nodes = getattr(make(**{k: np.ones((n, 2))
+                                for k, n in arrays.items()}), view)
         assert nodes.shape == (11, 2)
         assert not nodes.flags.writeable
-        for shape in ((rows - 1, 2), (rows + 1, 2), (11, 2), (rows,)):
-            for k in range(arrays):
-                args = [np.ones((rows, 2))] * arrays
-                args[k] = np.ones(shape)
+        for name, n in arrays.items():
+            for shape in ((n - 1, 2), (n + 1, 2), (11, 2), (n,)):
                 with pytest.raises(ValueError, match="expected"):
-                    cls(grid, *args)
+                    make(**{name: np.ones(shape)})
 
 
 class TestHamiltonian:

@@ -9,7 +9,7 @@ from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
 from sgaflow import model
-from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, final_states,
+from sgaflow.dynamics import (AdjointTrajectory, final_states,
                               integrate_adjoint, integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
@@ -63,22 +63,29 @@ class TestCost:
         assert costs[0] == costs[1] == costs[2]
 
 
+def quad_trajectory(o, data, eps):
+    """The flow from theta0 = 1 under a fixed control on a 10-step grid;
+    grad J~0 = theta stays away from zero along it."""
+    config = quad_config(steps=10, eps=eps)
+    coeffs = ControlCoefficients([[0.5, -0.3]], config.basis, config.u_max)
+    return forward(o, coeffs, config, data)
+
+
 class TestCoefficientGradient:
-    def test_zero_costate_gives_zero(self):
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
-        adj = AdjointTrajectory(TimeGrid(1.0, 10), np.zeros((21, 1)),
-                                np.ones((21, 1)))
-        g = coefficient_gradient(adj, basis, 0.1)
+    def test_zero_costate_gives_zero(self, quad1_problem):
+        traj = quad_trajectory(*quad1_problem, 0.1)
+        g = coefficient_gradient(AdjointTrajectory(traj, np.zeros((21, 1))))
         np.testing.assert_array_equal(g, np.zeros((1, 2)))
 
-    def test_scales_linearly_in_eps(self):
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
+    def test_scales_linearly_in_eps(self, quad1_problem):
+        # eps is read off the forward trajectory
+        traj = quad_trajectory(*quad1_problem, 0.5)
         ones = np.ones((21, 1))
-        adj = AdjointTrajectory(TimeGrid(1.0, 10), ones, ones)
-        np.testing.assert_allclose(coefficient_gradient(adj, basis, 0.5),
-                                   10.0 * coefficient_gradient(adj, basis,
-                                                               0.05),
-                                   rtol=1e-12, atol=1e-15)
+        g = coefficient_gradient(AdjointTrajectory(traj, ones))
+        small = coefficient_gradient(
+            AdjointTrajectory(replace(traj, eps=0.05), ones))
+        assert np.all(g != 0.0)
+        np.testing.assert_allclose(g, 10.0 * small, rtol=1e-12, atol=1e-15)
 
     def test_matches_finite_differences_quadratic(self, quad1_problem):
         o, data = quad1_problem
@@ -211,21 +218,30 @@ class TestSweep:
 
 
     def test_evaluates_psi_once_per_stage_time(self, monkeypatch):
-        # the forward pass reads Psi at the 8M+1 times i*h/8, the backward
-        # pass at the 4M+1 times i*h/4 and G at the 2M+1 times i*h/2
-        rows = []
+        # the forward pass reads Psi at the 8M+1 times i*h/8 and builds one
+        # flow plan; the backward pass and G read both off its trajectory
+        rows, plans = [], []
 
         def counted(basis, ts, orig=dynamics.eval_basis_grid):
             rows.append(len(ts))
             return orig(basis, ts)
 
+        def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
+            plans.append((z1.tag, zd.tag))
+            return orig(oracle, z1, zd)
+
         monkeypatch.setattr(dynamics, "eval_basis_grid", counted)
+        monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
         o, config, data = sweep_problem("linear")
         coeffs = config.initial_coefficients(o.param_dim)
-        sweep(o, coeffs, config, data)
+        traj = sweep(o, coeffs, config, data)[0]
         m = config.steps
-        assert rows == [8 * m + 1, 4 * m + 1, 2 * m + 1]
+        assert rows == [8 * m + 1]
+        assert plans == [("train", "dithered")]
         rows.clear()
+        plans.clear()
+        sweep(o, coeffs, config, data, traj)
+        assert rows == plans == []
         sga.costs(o, np.stack([coeffs.c] * 3), config, data)
         assert rows == [8 * m + 1]
 
@@ -362,8 +378,7 @@ class TestNonFiniteData:
         traj = integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
                                  data.z_dith, config.grid)
         with pytest.raises(ValueError, match="validation dataset"):
-            integrate_adjoint(o, traj, coeffs, config.eps, data.z_train,
-                              data.z_dith, spoiled(data.z_val))
+            integrate_adjoint(o, traj, spoiled(data.z_val))
         with pytest.raises(ValueError, match="dithered dataset"):
             solve(o, config, replace(data, z_dith=spoiled(data.z_dith)))
 
@@ -389,11 +404,6 @@ class TestDitheredInputs:
         with pytest.raises(ValueError, match=match):
             integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
                               other, config.grid)
-        traj = integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
-                                 zd, config.grid)
-        with pytest.raises(ValueError, match=match):
-            integrate_adjoint(o, traj, coeffs, config.eps, data.z_train,
-                              other, data.z_val)
         with pytest.raises(ValueError, match=match):
             final_states(o, theta0, coeffs.c[None], config.basis, config.eps,
                          data.z_train, other, config.grid)

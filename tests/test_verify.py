@@ -6,7 +6,7 @@ import pytest
 
 from sgaflow import ModelOracle, ProblemData, cli, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.dynamics import Trajectory, integrate_forward
+from sgaflow.dynamics import integrate_forward
 from sgaflow.sga import SolverConfig, costs, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
@@ -214,7 +214,7 @@ class TestCheckRk4Order:
             traj = integrate_forward(*args)
             fine = traj.theta_fine.copy()
             fine[-1] += 1e-2 * traj.grid.h ** 2
-            return Trajectory(traj.grid, fine, traj.gt_fine)
+            return replace(traj, theta_fine=fine)
 
         monkeypatch.setattr(verify, "integrate_forward", second_order)
         report = check_rk4_order(o, config, data)
