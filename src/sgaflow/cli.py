@@ -356,29 +356,28 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg, data, oracle, config, out = _pipeline(args)
-    reports = [
-        check_coefficient_gradient(oracle, config, data),
-        check_rk4_order(oracle, config, data),
-    ]
-    _write_json(out / "gradcheck.json", [r.to_dict() for r in reports])
-    ok = all(r.passed for r in reports)
+def _verdict(args, reports) -> int:
+    """Print each check's PASS/FAIL line unless --quiet; 1 if one failed."""
     if not args.quiet:
         for r in reports:
             print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
                   f"(err={r.max_rel_err:.3e}, tol={r.tol:.1e})")
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
+
+
+def cmd_gradcheck(args) -> int:
+    cfg, data, oracle, config, out = _pipeline(args)
+    reports = [check_coefficient_gradient(oracle, config, data),
+               check_rk4_order(oracle, config, data)]
+    _write_json(out / "gradcheck.json", [r.to_dict() for r in reports])
+    return _verdict(args, reports)
 
 
 def cmd_dpcheck(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
     report = check_dp_identity(oracle, config, data)
     _write_json(out / "dpcheck.json", report.to_dict())
-    if not args.quiet:
-        print(f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
-              f"(err={report.max_rel_err:.3e}, tol={report.tol:.1e})")
-    return 0 if report.passed else 1
+    return _verdict(args, [report])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -174,14 +174,14 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           config: SolverConfig, data: ProblemData,
           traj: Trajectory | None = None):
-    """One forward/backward pass; returns (trajectory, adjoint, G).
-
-    traj, when given, is the forward pass: the forward integration is
-    skipped, and the backward pass and G read the trajectory's own control,
-    eps and flow plan, not coeffs and config.
-    """
+    """One forward/backward pass; returns (trajectory, adjoint, G).  traj,
+    when given, is the forward pass under coeffs and config, so it is not
+    integrated again; ValueError if its C, eps or grid differ from theirs."""
     if traj is None:
         traj = forward(oracle, coeffs, config, data)
+    elif (traj.eps != config.eps or traj.grid != config.grid
+          or not np.array_equal(traj.c, coeffs.c)):
+        raise ValueError("traj was not integrated under coeffs and config")
     adj = integrate_adjoint(oracle, traj, data.z_val)
     return traj, adj, coefficient_gradient(adj)
 

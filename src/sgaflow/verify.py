@@ -2,7 +2,10 @@
 of J along random directions in C-space (a Taylor test), the RK4 order of
 the forward and backward integrations read off successive grid levels, and
 the value-function/costate identity at initial time, whose value gradient
-fd_gradient takes entry by entry."""
+fd_gradient takes entry by entry.  A check's steps, seeds, tolerances and
+levels are the constants below.  The coefficient and order checks run
+sga.sweep, the solver's own forward/backward pair, at the controls of one
+seeded stream (probes), the order check at its first: the control moves."""
 
 from __future__ import annotations
 
@@ -11,12 +14,18 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .basis import ControlCoefficients, project_admissible
-from .dynamics import TimeGrid, integrate_adjoint, integrate_forward
 from .model import ModelOracle
 from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep
 
-# random directions along which each probe differences J
-DIRECTIONS = 4
+PROBE_SEED = 0                  # seed of the stream of probe controls
+DIRECTION_SEED = (0, 1)         # seed of the gradient check's directions,
+DIRECTIONS = 4                  # their number per probe,
+FD_STEP = 1e-4                  # its difference step in C
+GRAD_TOL = 1e-6                 # and its tolerance
+ORDER_LEVELS = (25, 50, 100, 200)   # order check's grids, each run at 2m too
+ORDER_TOL = 0.3                 # and its tolerance on |slope - 4|
+DP_STEP = 1e-3                  # value-function check's step in theta0
+DP_TOL = 0.05                   # and its tolerance
 
 
 @dataclass
@@ -51,31 +60,33 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
+def probes(oracle: ModelOracle, config: SolverConfig, count: int) -> list:
+    """The first count controls the checks run at: C with entries drawn
+    uniform on [-0.5, 0.5] from PROBE_SEED, projected onto the admissible
+    set of config."""
+    rng = np.random.default_rng(PROBE_SEED)
+    return [project_admissible(ControlCoefficients(
+        rng.uniform(-0.5, 0.5, size=(oracle.param_dim, config.basis.n)),
+        config.basis, config.u_max), config.projection_grid)
+        for _ in range(count)]
+
+
 def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
-                               data: ProblemData, n_probes: int = 5,
-                               tol: float = 1e-6, fd_step: float = 1e-4,
-                               seed: int = 0) -> CheckReport:
-    """Check dJ/dC = -G at random admissible coefficients C: along each of
+                               data: ProblemData,
+                               n_probes: int = 5) -> CheckReport:
+    """Check dJ/dC = -G at the first n_probes probes: along each of
     DIRECTIONS random unit directions D, -<G, D> against the central
-    difference (J(C + hD) - J(C - hD)) / 2h.  The 2 * DIRECTIONS flows of
-    every probe are integrated as one batch, so the check's cost does not
-    depend on the number of coefficients."""
-    if fd_step <= 0:
-        raise ValueError("step must be > 0")
-    rng = np.random.default_rng(seed)
-    directions = np.random.default_rng([seed, 1])
-    p, n = oracle.param_dim, config.basis.n
+    difference (J(C + hD) - J(C - hD)) / 2h, h = FD_STEP, to GRAD_TOL.  The
+    2 * DIRECTIONS flows of every probe are integrated as one batch, so the
+    check's cost does not depend on the number of coefficients."""
+    directions = np.random.default_rng(DIRECTION_SEED)
     analytic, trials = [], []
-    for _ in range(n_probes):
-        c0 = rng.uniform(-0.5, 0.5, size=(p, n))
-        coeffs = project_admissible(
-            ControlCoefficients(c0, config.basis, config.u_max),
-            config.projection_grid)
+    for coeffs in probes(oracle, config, n_probes):
         _, _, grad = sweep(oracle, coeffs, config, data)
-        d = directions.standard_normal((DIRECTIONS, p, n))
+        d = directions.standard_normal((DIRECTIONS,) + coeffs.c.shape)
         d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
         analytic.append(-np.einsum("ij,kij->k", grad, d))
-        trials.append(coeffs.c + fd_step * np.concatenate([d, -d]))
+        trials.append(coeffs.c + FD_STEP * np.concatenate([d, -d]))
     js = costs(oracle, np.concatenate(trials), config,
                data).reshape(n_probes, 2, DIRECTIONS)
     details = []
@@ -83,22 +94,22 @@ def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
         if not np.all(np.isfinite(j)):
             raise ValueError(f"non-finite cost near the coefficients of "
                              f"probe {probe}")
-        fd = (j[0] - j[1]) / (2.0 * fd_step)
+        fd = (j[0] - j[1]) / (2.0 * FD_STEP)
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
         err = float(np.max(np.abs(a - fd)) / scale)
         details.append({"probe": probe, "rel_err": err})
     worst = max(d["rel_err"] for d in details)
-    return CheckReport("coefficient_gradient_vs_fd", worst, tol, details)
+    return CheckReport("coefficient_gradient_vs_fd", worst, GRAD_TOL, details)
 
 
 def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
-                      data: ProblemData, delta: float = 1e-3,
-                      tol: float = 0.05) -> CheckReport:
-    """Check that the costate at t=0 equals minus the value-function gradient.
+                      data: ProblemData) -> CheckReport:
+    """Check that the costate at t=0 equals minus the value-function
+    gradient, to DP_TOL.
 
     The value function is probed by re-solving the control problem from
-    perturbed initial states theta0 +/- delta*e_i; the frozen-control variant
-    (control fixed at the base optimizer) is reported alongside.
+    perturbed initial states theta0 +/- DP_STEP*e_i; the frozen-control
+    variant (control fixed at the base optimizer) is reported alongside.
     """
     p = oracle.param_dim
     if p > 3:
@@ -108,15 +119,15 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
     p0 = sweep(oracle, base.final_coeffs, config, data)[1].p_nodes[0]
 
     def v_reopt(th0):
-        rep = solve(oracle, replace(config, theta0=np.asarray(th0)), data)
-        return rep.final_cost
+        return solve(oracle, replace(config, theta0=np.asarray(th0)),
+                     data).final_cost
 
     def v_frozen(th0):
         return cost(oracle, base.final_coeffs,
                     replace(config, theta0=np.asarray(th0)), data)
 
-    grad_reopt = fd_gradient(v_reopt, theta0, delta)
-    grad_frozen = fd_gradient(v_frozen, theta0, delta)
+    grad_reopt = fd_gradient(v_reopt, theta0, DP_STEP)
+    grad_frozen = fd_gradient(v_frozen, theta0, DP_STEP)
     scale = max(np.max(np.abs(p0)), np.max(np.abs(grad_reopt)), 1e-12)
     err = float(np.max(np.abs(grad_reopt - (-p0))) / scale)
     err_frozen = float(np.max(np.abs(grad_frozen - (-p0))) / scale)
@@ -126,37 +137,27 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
         "value_grad_frozen_control": grad_frozen.tolist(),
         "rel_err_reoptimized": err,
         "rel_err_frozen_control": err_frozen,
-        "delta": delta,
+        "delta": DP_STEP,
         "base_converged": base.converged,
     }]
-    return CheckReport("dp_identity_t0", err, tol, details)
+    return CheckReport("dp_identity_t0", err, DP_TOL, details)
 
 
 def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
-                    data: ProblemData,
-                    step_counts=(25, 50, 100, 200)) -> CheckReport:
+                    data: ProblemData) -> CheckReport:
     """Fit the log-log slope of final-state and initial-costate error versus
-    step size, reading level m's error as |x_m - x_2m| rather than against a
-    finer reference run; RK4 should give slope 4."""
-    if len(step_counts) < 3:
-        raise ValueError("need >= 3 grid levels for a slope fit")
-    theta0 = config.initial_theta(oracle.param_dim)
-    coeffs = config.initial_coefficients(oracle.param_dim)
-
-    def run(steps):
-        grid = TimeGrid(config.basis.t_final, steps)
-        traj = integrate_forward(oracle, theta0, coeffs, config.eps,
-                                 data.z_train, data.z_dith, grid)
-        adj = integrate_adjoint(oracle, traj, data.z_val)
-        return traj.theta_final, adj.p_nodes[0]
-
-    level = {m: run(m) for m in {*step_counts, *(2 * m for m in step_counts)}}
-    hs = [config.basis.t_final / m for m in step_counts]
+    step size at the first probe, reading the error of level m's sweep (on
+    config with m steps) as |x_m - x_2m| rather than against a finer
+    reference run; RK4 should give slope 4, to ORDER_TOL."""
+    coeffs, level = probes(oracle, config, 1)[0], {}
+    for m in {*ORDER_LEVELS, *(2 * m for m in ORDER_LEVELS)}:
+        traj, adj, _ = sweep(oracle, coeffs, replace(config, steps=m), data)
+        level[m] = traj.theta_final, adj.p_nodes[0]
+    hs = [config.basis.t_final / m for m in ORDER_LEVELS]
     errs = [[np.linalg.norm(x - x2) for x, x2 in zip(level[m], level[2 * m])]
-            for m in step_counts]   # (levels, 2): forward, adjoint
+            for m in ORDER_LEVELS]   # (levels, 2): forward, adjoint
     slope_f, slope_b = map(float, np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    # report deviation from 4 as the error; tolerance 0.3 per the order bound
     err = max(abs(slope_f - 4.0), abs(slope_b - 4.0))
     details = [{"forward_slope": slope_f, "adjoint_slope": slope_b,
-                "step_counts": list(step_counts)}]
-    return CheckReport("rk4_order", err, 0.3, details)
+                "step_counts": list(ORDER_LEVELS)}]
+    return CheckReport("rk4_order", err, ORDER_TOL, details)

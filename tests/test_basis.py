@@ -99,6 +99,18 @@ class TestControlCoefficients:
         with pytest.raises(ValueError, match="C has non-finite"):
             ControlCoefficients([[0.0, bad]], basis, 1.0)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_column_mismatch_rejected(self, cols):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError,
+                           match=f"C has {cols} columns, basis has n=2"):
+            ControlCoefficients(np.zeros((2, cols)), basis, 1.0)
+
+    def test_negative_bound_rejected(self):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match="u_max must be >= 0"):
+            ControlCoefficients(np.zeros((1, 2)), basis, -1e-9)
+
 
 class TestEvalControl:
     def test_zero_coefficients(self):

@@ -85,6 +85,77 @@ class TestSynth:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_sinusoid_matches_its_formula(self, noise):
+        # y = a sin(f sum_j x_j) + noise N(0, 1), x drawn first from the
+        # seed's generator and the noise after it, as the mlp-solve
+        # workload's data are made
+        source = {"kind": "sinusoid", "m": 2000, "d": 3, "seed": 7,
+                  "amplitude": 1.5, "frequency": 0.8, "noise": noise}
+        ds = cli.synth_dataset(source)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2000, 3))
+        clean = 1.5 * np.sin(0.8 * (x[:, 0] + x[:, 1] + x[:, 2]))
+        np.testing.assert_array_equal(ds.x, x)
+        np.testing.assert_allclose(ds.y, clean + noise
+                                   * rng.standard_normal(2000), atol=1e-14)
+        if noise > 0:
+            z = (ds.y - clean) / noise
+            assert abs(z.mean()) < 0.1 and abs(z.std() - 1.0) < 0.1
+        again = cli.synth_dataset(source)
+        np.testing.assert_array_equal(again.y, ds.y)
+        other = cli.synth_dataset({**source, "seed": 8})
+        assert not np.array_equal(other.x, ds.x)
+
+    def test_noise_added_to_linear_targets(self):
+        source = {"kind": "linear", "m": 50, "d": 2, "seed": 3,
+                  "noise": 0.5}
+        noisy = cli.synth_dataset(source)
+        clean = cli.synth_dataset({**source, "noise": 0.0})
+        np.testing.assert_array_equal(noisy.x, clean.x)
+        rng = np.random.default_rng(3)
+        rng.standard_normal((50, 2))
+        rng.standard_normal(2)
+        np.testing.assert_allclose(noisy.y - clean.y,
+                                   0.5 * rng.standard_normal(50), atol=1e-14)
+
+    def test_seed_replaces_the_sources(self, tmp_path):
+        c = base_config()
+        c["data"]["source"]["seed"] = 5
+        cfg5 = write_config(tmp_path, c, "five.json")
+        cfg = write_config(tmp_path, base_config())
+        a, b, z = (tmp_path / f"{n}.csv" for n in ("a", "b", "z"))
+        assert cli.main(["synth", "--config", str(cfg), "--seed", "5",
+                         "--out", str(a), "--quiet"]) == 0
+        cli.main(["synth", "--config", str(cfg5), "--out", str(b), "--quiet"])
+        cli.main(["synth", "--config", str(cfg5), "--seed", "0", "--out",
+                  str(z), "--quiet"])
+        assert a.read_bytes() == b.read_bytes()
+        assert z.read_bytes() != b.read_bytes()
+        ref = tmp_path / "ref.csv"
+        cli.main(["synth", "--config", str(cfg), "--out", str(ref),
+                  "--quiet"])
+        assert z.read_bytes() == ref.read_bytes()
+
+    def test_directory_out_gets_dataset_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "data"
+        out.mkdir()
+        assert cli.main(["synth", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        assert (out / "dataset.csv").exists()
+        assert f"wrote {out / 'dataset.csv'} (m=60, d=2)" in (
+            capsys.readouterr().out)
+
+    @pytest.mark.parametrize("text", ["{not json", "", '{"data": 1,}'])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match="is not valid JSON"):
+            cli.load_config(path)
+        assert cli.main(["synth", "--config", str(path), "--quiet"]) == 1
+        assert f"error: {path} is not valid JSON" in capsys.readouterr().err
+
 
 class TestRun:
     def test_metrics_show_baseline_dominance(self, tmp_path):

@@ -28,6 +28,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no rows"):
             load_csv(path)
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ValueError, match="empty file"):
+            load_csv(write_csv(tmp_path, ""))
+
+    @pytest.mark.parametrize("header", ["x1,z", "y", "y,x1"])
+    def test_bad_header(self, tmp_path, header):
+        path = write_csv(tmp_path, header + "\n1,2\n")
+        with pytest.raises(ValueError, match="header must be x1,...,xd,y"):
+            load_csv(path)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        ds = load_csv(write_csv(tmp_path, "x1,y\n1,2\n\n3,4\n\n"))
+        np.testing.assert_array_equal(ds.x, [[1.0], [3.0]])
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+        path = write_csv(tmp_path, "x1,y\n1,2\n\nfoo,4\n")
+        with pytest.raises(ValueError, match=":4: non-numeric"):
+            load_csv(path)
+
     def test_non_numeric_reports_line(self, tmp_path):
         path = write_csv(tmp_path, "x1,y\n1,2\nfoo,3\n")
         with pytest.raises(ValueError, match=":3:"):
@@ -71,6 +89,12 @@ class TestBootstrap:
         b = bootstrap(self.src, 3, replacement=True, seed=42)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("m_k", [0, -1])
+    def test_size_below_one_rejected(self, m_k):
+        for replacement in (True, False):
+            with pytest.raises(ValueError, match="resample size must be >= 1"):
+                bootstrap(self.src, m_k, replacement, seed=0)
 
     def test_oversample_without_replacement_rejected(self):
         with pytest.raises(ValueError):
@@ -142,3 +166,11 @@ class TestDatasetInvariants:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             Dataset([[1.0]], [1.0], tag="bogus")
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            Dataset(np.empty((0, 2)), np.empty(0))
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="feature dimension must be >= 1"):
+            Dataset(np.empty((2, 0)), [1.0, 2.0])

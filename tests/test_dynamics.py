@@ -137,6 +137,21 @@ class TestIntegrateForward:
             integrate_forward(o, [np.nan], zero_control(1), 0.0, z1, zd,
                               TimeGrid(1.0, 10))
 
+    @pytest.mark.parametrize("theta0", [[], [1.0, 2.0]])
+    def test_theta0_of_other_dimension_rejected(self, theta0):
+        o, z1, zd, _ = quad_oracle()
+        with pytest.raises(ValueError, match="theta has dim .*, oracle "
+                                             "expects 1"):
+            integrate_forward(o, theta0, zero_control(1), 0.0, z1, zd,
+                              TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("t_final,steps,match", [
+        (0.0, 10, "final time must be > 0"), (-1.0, 10, "final time"),
+        (1.0, 0, "steps must be >= 1"), (1.0, -3, "steps")])
+    def test_grid_bounds(self, t_final, steps, match):
+        with pytest.raises(ValueError, match=match):
+            TimeGrid(t_final, steps)
+
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_keeps_dithered_gradient_of_every_state_bitwise(self, family):
         rng = np.random.default_rng(10)

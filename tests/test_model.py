@@ -294,3 +294,25 @@ class TestPhi:
         assert phi_value(o, theta, zv) == pytest.approx(0.0, abs=1e-28)
         np.testing.assert_allclose(loss_gradient(o, theta, zv),
                                    np.zeros(o.param_dim), atol=1e-13)
+
+
+class TestModelOracleBounds:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"family": "quadratic", "input_dim": 1}, "unknown model family"),
+        ({"family": "linear_features", "input_dim": 0},
+         "input_dim must be >= 1"),
+        ({"family": "linear_features", "input_dim": 2, "degree": 0},
+         "degree must be >= 1"),
+        ({"family": "mlp_tanh", "input_dim": 2, "hidden": 0},
+         r"hidden width must be in \[1, 32\]"),
+        ({"family": "mlp_tanh", "input_dim": 2, "hidden": 33},
+         r"hidden width must be in \[1, 32\]")])
+    def test_out_of_range_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ModelOracle(**kwargs)
+
+    def test_bounds_are_inclusive(self):
+        assert ModelOracle("mlp_tanh", 1, hidden=1).param_dim == 4
+        assert ModelOracle("mlp_tanh", 1, hidden=32).param_dim == 97
+        # the degree bound applies to the linear family only
+        assert ModelOracle("mlp_tanh", 1, degree=0).param_dim == 13

@@ -1,10 +1,11 @@
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData, dynamics, sga
+from sgaflow import Dataset, ModelOracle, ProblemData, cli, dynamics, sga
 from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
@@ -14,9 +15,11 @@ from sgaflow.dynamics import (AdjointTrajectory, final_states,
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
                          solve, sweep)
-from sgaflow.verify import fd_gradient
+from sgaflow.verify import fd_gradient, probes
 
 from conftest import linear_problem, mlp_problem, quadratic_datasets
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def quad_config(p=1, steps=200, n=2, eps=0.1, u_max=5.0, **kw):
@@ -244,6 +247,25 @@ class TestSweep:
         assert rows == plans == []
         sga.costs(o, np.stack([coeffs.c] * 3), config, data)
         assert rows == [8 * m + 1]
+
+    def test_refuses_a_trajectory_not_run_under_coeffs_and_config(self):
+        # configs/linear.json: swept with the zero C, a trajectory run under
+        # a random admissible C gave that C's G bit for bit, with no error
+        cfg = cli.load_config(ROOT / "configs" / "linear.json")
+        data = cli.build_data(cfg["data"])
+        o = cli.build_oracle(cfg["model"], data.z_train.d)
+        config = cli.build_solver_config(cfg)
+        coeffs = probes(o, config, 1)[0]
+        traj = forward(o, coeffs, config, data)
+        zero = zero_coefficients(o.param_dim, config.basis, config.u_max)
+        for c, other in ((zero, config), (coeffs, replace(config, eps=0.05)),
+                         (coeffs, replace(config, steps=config.steps + 1))):
+            with pytest.raises(ValueError, match="not integrated under"):
+                sweep(o, c, other, data, traj)
+        # an equal C is the trajectory's own, and the trajectory is reused
+        g = sweep(o, replace(coeffs, c=coeffs.c.copy()), config, data,
+                  traj)[2]
+        np.testing.assert_array_equal(g, sweep(o, coeffs, config, data)[2])
 
 
 def one_step(o, coeffs, config, data):
@@ -498,3 +520,19 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="steps"):
             SolverConfig(eps=0.1, steps=0, basis=basis,
                          u_max=1.0)
+
+    @pytest.mark.parametrize("kw,match", [
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+        ({"u_max": -1.0}, "u_max must be >= 0")])
+    def test_counts_and_bound_rejected(self, kw, match):
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**{"eps": 0.1, "steps": 10, "basis": basis,
+                            "u_max": 1.0, **kw})
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_c0_of_other_row_count_rejected(self, rows):
+        config = quad_config(p=2, c0=np.zeros((rows, 2)))
+        with pytest.raises(ValueError, match=f"c0 has {rows} rows, "
+                                             f"expected 2"):
+            config.initial_coefficients(2)

@@ -1,12 +1,14 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgaflow import ModelOracle, ProblemData, cli, verify
+from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.dynamics import integrate_forward
+from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
+                              integrate_forward)
 from sgaflow.sga import SolverConfig, costs, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
@@ -157,11 +159,25 @@ class TestCheckCoefficientGradient:
         assert report.details == serial
         assert report.max_rel_err == max(e["rel_err"] for e in serial)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_names_the_probe(self, monkeypatch, bad):
+        # a flow of probe 1's batch whose J is not finite
+        o, config, data = quad_setup(steps=20)
+
+        def broken(*args):
+            js = costs(*args)
+            js[2 * verify.DIRECTIONS + 3] = bad
+            return js
+
+        monkeypatch.setattr(verify, "costs", broken)
+        with pytest.raises(ValueError, match="non-finite cost near the "
+                                             "coefficients of probe 1"):
+            check_coefficient_gradient(o, config, data, n_probes=2)
+
     def test_eps_zero_both_sides_vanish(self):
         o, config, data = quad_setup(eps=0.0, steps=50)
-        report = check_coefficient_gradient(o, config, data, n_probes=1,
-                                            tol=1e-8)
-        assert report.passed
+        report = check_coefficient_gradient(o, config, data, n_probes=1)
+        assert report.max_rel_err <= 1e-8, report.to_dict()
 
 
 class TestCheckDpIdentity:
@@ -176,14 +192,17 @@ class TestCheckDpIdentity:
 
     def test_null_control_reduction_is_tight(self):
         o, config, data = quad_setup(steps=100, u_max=0.0, max_iters=3)
-        report = check_dp_identity(o, config, data, tol=1e-4)
-        assert report.passed, report.to_dict()
+        report = check_dp_identity(o, config, data)
+        assert report.max_rel_err <= 1e-4, report.to_dict()
 
-    def test_large_probe_step_degrades(self):
+    def test_large_probe_step_degrades(self, monkeypatch):
         # far outside the linearization regime the identity visibly breaks
         o, config, data = quad_setup(steps=100, max_iters=10)
-        small = check_dp_identity(o, config, data, delta=1e-3)
-        large = check_dp_identity(o, config, data, delta=1.0)
+        small = check_dp_identity(o, config, data)
+        monkeypatch.setattr(verify, "DP_STEP", 1.0)
+        large = check_dp_identity(o, config, data)
+        assert (small.details[0]["delta"], large.details[0]["delta"]) == (
+            1e-3, 1.0)
         assert large.max_rel_err > small.max_rel_err
 
     def test_refuses_high_dimension(self):
@@ -216,12 +235,71 @@ class TestCheckRk4Order:
             fine[-1] += 1e-2 * traj.grid.h ** 2
             return replace(traj, theta_fine=fine)
 
-        monkeypatch.setattr(verify, "integrate_forward", second_order)
+        monkeypatch.setattr(sga, "integrate_forward", second_order)
         report = check_rk4_order(o, config, data)
         assert not report.passed
         assert abs(report.details[0]["forward_slope"] - 2.0) <= 0.1
 
-    def test_too_few_levels_rejected(self):
-        o, config, data = quad_setup(steps=100)
-        with pytest.raises(ValueError, match="3 grid levels"):
-            check_rk4_order(o, config, data, step_counts=(50,))
+    def test_runs_the_solvers_sweep_at_the_first_probe(self, monkeypatch):
+        # configs/linear.json: every level is a sweep at the coefficient
+        # check's first probe, on the config with that level's steps
+        o, config, data = linear_json_problem()
+        seen = []
+
+        def recorded(oracle, coeffs, cfg, *args):
+            seen.append((coeffs.c, replace(cfg, steps=config.steps)))
+            return sweep(oracle, coeffs, cfg, *args)
+
+        monkeypatch.setattr(verify, "sweep", recorded)
+        check_rk4_order(o, config, data)
+        assert len(seen) == 5
+        first = verify.probes(o, config, 1)[0].c
+        assert np.any(first != 0.0)
+        for c, cfg in seen:
+            np.testing.assert_array_equal(c, first)
+            assert cfg == config
+        seen.clear()
+        check_coefficient_gradient(o, config, data, n_probes=1)
+        np.testing.assert_array_equal(seen[0][0], first)
+
+    def test_forward_midpoint_control_at_step_start_fails(self, monkeypatch):
+        # configs/linear.json: the forward pass's k2 taken under the step's
+        # start control u1, not its midpoint control u2, is first order in
+        # the control, which the null control would not show
+        o, config, data = linear_json_problem()
+        stage, u1 = itertools.count(), [None]
+
+        def k2_under_u1(plan, theta, u, eps):
+            i = next(stage) % 4   # a step's k1, k2, k3 and k4, in turn
+            if i == 0:
+                u1[0] = u
+            return forward_rhs(plan, theta, u1[0] if i == 1 else u, eps)
+
+        monkeypatch.setattr(dynamics, "forward_rhs", k2_under_u1)
+        report = check_rk4_order(o, config, data)
+        assert not report.passed, report.to_dict()
+        assert abs(report.details[0]["forward_slope"] - 1.0) <= 0.1
+
+    def test_adjoint_end_stage_at_midpoint_fails(self, monkeypatch):
+        # configs/linear.json: the adjoint's end-stage K formed at the
+        # midpoint row 2j-1, not at row 2j-2, is first order in the control
+        o, config, data = linear_json_problem()
+        ks = []
+
+        def fresh(oracle, traj, z_val):
+            ks.clear()
+            return integrate_adjoint(oracle, traj, z_val)
+
+        def m4_at_midpoint(*args):
+            # a sweep forms K at row 4M, then at rows 2j-1 and 2j-2 of each
+            # half step j: every even call after the first is an end stage
+            n = len(ks)
+            ks.append(ks[-1] if n and n % 2 == 0 else adjoint_matrix(*args))
+            return ks[-1]
+
+        monkeypatch.setattr(sga, "integrate_adjoint", fresh)
+        monkeypatch.setattr(dynamics, "adjoint_matrix", m4_at_midpoint)
+        report = check_rk4_order(o, config, data)
+        assert not report.passed, report.to_dict()
+        assert abs(report.details[0]["forward_slope"] - 4.0) <= 0.3
+        assert abs(report.details[0]["adjoint_slope"] - 1.0) <= 0.1
