@@ -12,7 +12,7 @@ from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
 from sgaflow.basis import BasisSpec
 from sgaflow.sga import SolverConfig
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
-                            check_rk4_order)
+                            check_rk4_order, verdict)
 
 
 def mlp_problem(seed: int = 61):
@@ -43,19 +43,12 @@ def main() -> int:
     config = SolverConfig(eps=0.1, steps=100,
                           basis=BasisSpec("legendre_shifted", 2, 1.0),
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
-    reports = [
+    return verdict([
         check_rk4_order(oracle, config, data),
         check_coefficient_gradient(oracle, config, data),
         check_dp_identity(oracle, config, data),
         check_coefficient_gradient(*mlp_problem(), n_probes=1),
-    ]
-    ok = True
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{rep.name}: {status} (err={rep.max_rel_err:.3e}, "
-              f"tol={rep.tol:.1e})")
-        ok &= rep.passed
-    return 0 if ok else 1
+    ])
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .dynamics import integrate_adjoint
 from .model import ModelOracle, phi_value
 from .sga import ProblemData, SolverConfig, SolverReport, cost, forward, solve
 from .verify import (check_coefficient_gradient, check_dp_identity,
-                     check_rk4_order)
+                     check_rk4_order, verdict)
 
 
 class ConfigError(ValueError):
@@ -356,28 +356,19 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _verdict(args, reports) -> int:
-    """Print each check's PASS/FAIL line unless --quiet; 1 if one failed."""
-    if not args.quiet:
-        for r in reports:
-            print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
-                  f"(err={r.max_rel_err:.3e}, tol={r.tol:.1e})")
-    return 0 if all(r.passed for r in reports) else 1
-
-
 def cmd_gradcheck(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
     reports = [check_coefficient_gradient(oracle, config, data),
                check_rk4_order(oracle, config, data)]
     _write_json(out / "gradcheck.json", [r.to_dict() for r in reports])
-    return _verdict(args, reports)
+    return verdict(reports, args.quiet)
 
 
 def cmd_dpcheck(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
     report = check_dp_identity(oracle, config, data)
     _write_json(out / "dpcheck.json", report.to_dict())
-    return _verdict(args, [report])
+    return verdict([report], args.quiet)
 
 
 def build_parser() -> argparse.ArgumentParser:

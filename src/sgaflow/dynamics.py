@@ -13,9 +13,11 @@ states from those values, so no interpolation is ever done.
 The forward kernel advances a stack of B independent flows at once: theta
 has shape (B, p), member b runs under its own control u_b = C_b Psi(t) with
 C of shape (B, p, n), and each RK4 stage makes one oracle call for the whole
-stack.  final_states keeps only the (B, p) final states; integrate_forward
-runs one (p,) flow and keeps every state.  The null control is a zero C,
-and a state whose norm exceeds DIVERGENCE_BOUND stops the integration.
+stack.  final_states keeps the (B, p) final states, or a Trajectory of
+(B, p) rows; integrate_forward runs one (p,) flow and keeps every state.
+The backward pass takes either, K and p gaining the stack's axis, each
+member bit for bit its own flow's.  The null control is a zero C, and a
+state whose norm exceeds DIVERGENCE_BOUND stops the integration.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
 forms u = C @ psi once per stage time, a step's end control carried into the
@@ -89,12 +91,12 @@ class TimeGrid:
 
 def _read_only_rows(obj, rows: int, *names: str) -> None:
     """Set each named field of the frozen dataclass obj to a read-only
-    float view of it; ValueError unless it is 2-D with rows rows."""
+    float view of it; ValueError unless it is >= 2-D with rows rows."""
     for name in names:
         a = np.asarray(getattr(obj, name), dtype=float).view()
-        if a.ndim != 2 or a.shape[0] != rows:
+        if a.ndim < 2 or a.shape[0] != rows:
             raise ValueError(
-                f"{name} has shape {a.shape}, expected 2-D with {rows} rows")
+                f"{name} has shape {a.shape}, expected >= 2-D, {rows} rows")
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
 
@@ -174,10 +176,10 @@ def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
 
     Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c,
     with Psi evaluated once at the stage times i*h/8.  Returns the
-    Trajectory of a (p,) theta0 if keep_states, its grad J~0 rows taken from
-    each step's first stage, else the final states.  Raises ValueError if
-    the grid lies beyond the basis's range, and DivergenceError for the
-    first member whose state leaves DIVERGENCE_BOUND.
+    Trajectory if keep_states, its rows shaped as theta0 and grad J~0 taken
+    at each step's first stage, else the final states.  ValueError if the
+    grid lies beyond the basis's range; DivergenceError for the first
+    member whose state leaves DIVERGENCE_BOUND.
     """
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
@@ -242,9 +244,10 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
 
 def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                  basis: BasisSpec, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid) -> np.ndarray:
+                 z_dith: Dataset, grid: TimeGrid, keep_states: bool = False):
     """Final states of B flows from one theta0, flow b under the control
-    u = cs[b] Psi(t); cs has shape (B, p, n), the result (B, p)."""
+    u = cs[b] Psi(t); cs has shape (B, p, n), the result (B, p).  With
+    keep_states, the flows' Trajectory instead, its rows (B, p) stacks."""
     theta0 = _state(oracle, theta0)
     cs = np.asarray(cs, dtype=float)
     if cs.ndim != 3 or cs.shape[1:] != (oracle.param_dim, basis.n):
@@ -252,21 +255,21 @@ def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
                          f"(B, {oracle.param_dim}, {basis.n})")
     theta0 = np.broadcast_to(theta0, (cs.shape[0], oracle.param_dim))
     return _rk4_forward(oracle, theta0, cs, basis, eps, z_train, z_dith,
-                        grid, keep_states=False)
+                        grid, keep_states)
 
 
 def adjoint_matrix(plan: LossPlan, theta: np.ndarray, gt: np.ndarray,
                    u: np.ndarray, eps: float) -> np.ndarray:
-    """K = -(df/dtheta)^T = H - 2 eps H~ diag(g~ u), the (p, p) matrix of the
-    costate equation p' = K p at (theta, u), with g~ = gt = grad J~0(theta)
-    and H, H~ the loss Hessians on the training and dithered sets."""
+    """K = -(df/dtheta)^T = H - 2 eps H~ diag(g~ u) of p' = K p at (theta, u),
+    (p, p) or (B, p, p) at (B, p) stacks, with g~ = gt = grad J~0(theta) and
+    H, H~ the loss Hessians on the training and dithered sets."""
     h, ht = plan.hessians(theta)
-    return h - ht * ((2.0 * eps) * (gt * u))
+    return h - ht * ((2.0 * eps) * (gt * u))[..., None, :]
 
 
 def adjoint_rhs(k: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Time derivative of the costate, K p with K from adjoint_matrix."""
-    return k @ p
+    return np.matvec(k, p)
 
 
 def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
@@ -290,7 +293,7 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         return adjoint_matrix(traj.plan, fine[i], gt[i], traj.c @ psi[2 * i],
                               traj.eps)
 
-    out = np.empty((2 * M + 1, oracle.param_dim))
+    out = np.empty((2 * M + 1,) + traj.theta_final.shape)
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
     m4 = matrix(4 * M)

@@ -169,20 +169,23 @@ class MlpPlan:
             coef.sum(axis=-1, keepdims=True)], axis=-1)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """The Hessian at a (p,) theta, (..., p, p) as the targets stack:
-        (2/m) Jac^T Jac, Jac the (m, p) Jacobian of the prediction, plus
-        sum_i coef_i times the Hessian of the model output at sample i."""
+        """The Hessian, (..., p, p) as theta's rows and the targets stack
+        broadcast: (2/m) Jac^T Jac, Jac the (m, p) Jacobian of the output,
+        plus sum_i coef_i times the Hessian of the output at sample i."""
         x, d, p = self.x, self.oracle.input_dim, self.oracle.param_dim
         t, dt, q, coef = self._layer(theta)
-        h = len(t)
-        jac_t = np.empty((p, len(x)))  # written in place: no large temporaries
-        np.multiply(q[:, None, :], x.T, out=jac_t[:h * d].reshape(h, d, -1))
-        np.concatenate([q, t, np.ones((1, len(x)))], out=jac_t[h * d:])
+        h, rows = t.shape[-2], t.shape[:-2]
+        jac_t = np.empty(rows + (p, len(x)))  # filled in place: no temporaries
+        np.multiply(q[..., None, :], x.T,
+                    out=jac_t[..., :h * d, :].reshape(rows + (h, d, -1)))
+        np.concatenate([q, t, np.ones(rows + (1, len(x)))], axis=-2,
+                       out=jac_t[..., h * d:, :])
         lead, cw = coef.shape[:-1], coef[..., None, :]
         blocks = (cw * (-2.0 * t * q)) @ self.xx
         cross = (cw * dt) @ self.xx[:, -(d + 1):]
         hs = np.empty(lead + (p * p,))
-        np.multiply((jac_t @ jac_t.T).ravel(), 2.0 / len(x), out=hs)
+        np.multiply((jac_t @ jac_t.swapaxes(-1, -2)).reshape(rows + (-1,)),
+                    2.0 / len(x), out=hs)
         hs[..., self.at] += np.concatenate(
             [a.reshape(lead + (-1,)) for a in (blocks, cross, cross)], axis=-1)
         return hs.reshape(lead + (p, p))
@@ -192,7 +195,8 @@ class MlpPlan:
         return g[..., 0, :], g[..., 1, :]
 
     def hessians(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self.hessian(theta))
+        hs = self.hessian(theta[..., None, :])
+        return hs[..., 0, :, :], hs[..., 1, :, :]
 
 
 LossPlan = LinearPlan | MlpPlan
@@ -243,21 +247,22 @@ def flow_plan(oracle: ModelOracle, z_train: Dataset,
 
 
 def _params(oracle: ModelOracle, a) -> np.ndarray:
-    """a flattened to a (p,) vector; ValueError if it has not p entries."""
-    a = np.asarray(a, dtype=float).ravel()
-    if a.shape[-1] != oracle.param_dim:
-        raise ValueError(f"dim {a.shape[-1]}, expected {oracle.param_dim}")
+    """a as a (..., p) array; ValueError if its last axis has not p entries."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (oracle.param_dim,):
+        raise ValueError(f"shape {a.shape} is not (..., {oracle.param_dim})")
     return a
 
 
 def loss_value(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> float:
     """Mean squared error of the model on z."""
-    return loss_plan(oracle, z).value(_params(oracle, theta))
+    return loss_plan(oracle, z).value(_params(oracle, np.ravel(theta)))
 
 
 def loss_gradient(oracle: ModelOracle, theta: np.ndarray, z: Dataset) -> np.ndarray:
-    """Gradient of loss_value with respect to theta, flattened to (p,); on
-    z_val, grad Phi."""
+    """Gradient of loss_value with respect to theta, at a (p,) theta or at
+    each row of a (..., p) stack, each row equal to its own call bit for
+    bit; on z_val, grad Phi."""
     return loss_plan(oracle, z).grad(_params(oracle, theta))
 
 
@@ -265,8 +270,8 @@ def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
              v: np.ndarray) -> np.ndarray:
     """Hessian-vector product of loss_value at theta in direction v: A v for
     the linear family, the explicit Hessian's product for the mlp."""
-    return (loss_plan(oracle, z).hessian(_params(oracle, theta))
-            @ _params(oracle, v))
+    return (loss_plan(oracle, z).hessian(_params(oracle, np.ravel(theta)))
+            @ _params(oracle, np.ravel(v)))
 
 
 def phi_value(oracle: ModelOracle, theta: np.ndarray, z_val: Dataset) -> float:

@@ -14,7 +14,8 @@ backtracks from a trial step whose flow diverges.
 Each Armijo trial integrates its control forward, and the accepted trial's
 trajectory, with its cost, is the next sweep's forward pass, so a solver
 iteration runs one forward integration per trial and one backward
-integration, and J is evaluated once per trajectory.
+integration, and J is evaluated once per trajectory.  costs and sweeps run
+a stack of controls as one pass, each member bit for bit cost's and sweep's.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
 
 
 def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
-    """Hamiltonian gradient with respect to the C of adj's forward
-    trajectory, integrated on its time grid.
+    """Hamiltonian gradient in the C of adj's forward trajectory, (p, n) or
+    (B, p, n) for a stacked one, integrated on its time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
     Composite Simpson over the half-step rows of the integrand eps * p * D,
@@ -168,7 +169,7 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
     w[0] = w[-1] = 1.0
     g = traj.gt_fine[::2]
     f = traj.eps * adj.p_half * (g * g)
-    return (f * ((grid.h / 6.0) * w)[:, None]).T @ traj.psi[::4]
+    return (np.moveaxis(f, 0, -1) * ((grid.h / 6.0) * w)) @ traj.psi[::4]
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -176,14 +177,27 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           traj: Trajectory | None = None):
     """One forward/backward pass; returns (trajectory, adjoint, G).  traj,
     when given, is the forward pass under coeffs and config, so it is not
-    integrated again; ValueError if its C, eps or grid differ from theirs."""
+    integrated again; ValueError if its C, eps, grid or theta0 differ."""
     if traj is None:
         traj = forward(oracle, coeffs, config, data)
     elif (traj.eps != config.eps or traj.grid != config.grid
-          or not np.array_equal(traj.c, coeffs.c)):
+          or not np.array_equal(traj.c, coeffs.c)
+          or not np.array_equal(traj.theta_fine[0],
+                                config.initial_theta(oracle.param_dim))):
         raise ValueError("traj was not integrated under coeffs and config")
     adj = integrate_adjoint(oracle, traj, data.z_val)
     return traj, adj, coefficient_gradient(adj)
+
+
+def sweeps(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
+           data: ProblemData) -> np.ndarray:
+    """G of the sweeps under each coefficient matrix of the (B, p, n) stack
+    cs on config.basis, run as one stacked forward/backward pass; each
+    member of the (B, p, n) result equals sweep's G bit for bit."""
+    traj = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
+                        config.basis, config.eps, data.z_train, data.z_dith,
+                        config.grid, keep_states=True)
+    return coefficient_gradient(integrate_adjoint(oracle, traj, data.z_val))
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):

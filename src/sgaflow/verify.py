@@ -3,9 +3,10 @@ of J along random directions in C-space (a Taylor test), the RK4 order of
 the forward and backward integrations read off successive grid levels, and
 the value-function/costate identity at initial time, whose value gradient
 fd_gradient takes entry by entry.  A check's steps, seeds, tolerances and
-levels are the constants below.  The coefficient and order checks run
-sga.sweep, the solver's own forward/backward pair, at the controls of one
-seeded stream (probes), the order check at its first: the control moves."""
+levels are the constants below.  The checks run the solver's own
+forward/backward pair at the controls of one seeded stream (probes): the
+coefficient check as one sga.sweeps stack, the order check as sga.sweep at
+the first probe, so the control moves."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .basis import ControlCoefficients, project_admissible
 from .model import ModelOracle
-from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep
+from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep, sweeps
 
 PROBE_SEED = 0                  # seed of the stream of probe controls
 DIRECTION_SEED = (0, 1)         # seed of the gradient check's directions,
@@ -41,6 +42,15 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
+
+
+def verdict(reports: list, quiet: bool = False) -> int:
+    """Print each check's PASS/FAIL line unless quiet; 1 if one failed."""
+    if not quiet:
+        for r in reports:
+            print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
+                  f"(err={r.max_rel_err:.3e}, tol={r.tol:.1e})")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
@@ -77,16 +87,17 @@ def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
     """Check dJ/dC = -G at the first n_probes probes: along each of
     DIRECTIONS random unit directions D, -<G, D> against the central
     difference (J(C + hD) - J(C - hD)) / 2h, h = FD_STEP, to GRAD_TOL.  The
-    2 * DIRECTIONS flows of every probe are integrated as one batch, so the
-    check's cost does not depend on the number of coefficients."""
+    probes' sweeps run as one stack, and the 2 * DIRECTIONS flows of every
+    probe are integrated as one batch, so the check's cost does not depend
+    on the number of coefficients."""
     directions = np.random.default_rng(DIRECTION_SEED)
+    cs = np.stack([coeffs.c for coeffs in probes(oracle, config, n_probes)])
     analytic, trials = [], []
-    for coeffs in probes(oracle, config, n_probes):
-        _, _, grad = sweep(oracle, coeffs, config, data)
-        d = directions.standard_normal((DIRECTIONS,) + coeffs.c.shape)
+    for c, grad in zip(cs, sweeps(oracle, cs, config, data)):
+        d = directions.standard_normal((DIRECTIONS,) + c.shape)
         d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
         analytic.append(-np.einsum("ij,kij->k", grad, d))
-        trials.append(coeffs.c + FD_STEP * np.concatenate([d, -d]))
+        trials.append(c + FD_STEP * np.concatenate([d, -d]))
     js = costs(oracle, np.concatenate(trials), config,
                data).reshape(n_probes, 2, DIRECTIONS)
     details = []

@@ -75,8 +75,8 @@ class TestLossGradient:
 class TestLossGradientStack:
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_stack_equals_row_by_row(self, family):
-        # the integrators step (B, p) stacks through a plan, not through
-        # loss_gradient
+        # the integrators step (B, p) stacks through a plan, and the
+        # stacked costate's p(T) through loss_gradient
         if family == "linear":
             _, data = linear_problem(d=2, seed=8)
             o = ModelOracle("linear_features", 2, degree=2, include_bias=True)
@@ -91,6 +91,8 @@ class TestLossGradientStack:
             # and each row is loss_gradient's one-shot result
             np.testing.assert_array_equal(
                 stacked[b], loss_gradient(o, thetas[b], data.z_train))
+        np.testing.assert_array_equal(
+            loss_gradient(o, thetas, data.z_train), stacked)
         assert plan.grad(thetas[:1]).shape == (1, o.param_dim)
         # a strided view, as Trajectory.theta_nodes is, stacks the same way
         np.testing.assert_array_equal(plan.grad(thetas[::2]), stacked[::2])
@@ -103,9 +105,10 @@ class TestLossGradientStack:
             o, data = mlp_problem(d=2, seed=9)
         with pytest.raises(ValueError):
             loss_gradient(o, np.ones((4, o.param_dim + 1)), data.z_train)
-        # loss_gradient takes one state: a stack is no (p,) theta
+        # loss_gradient keeps a stack's rows: a (p, 1) column is p states
+        # of dimension 1, not one (p,) theta
         with pytest.raises(ValueError):
-            loss_gradient(o, np.ones((2, o.param_dim)), data.z_train)
+            loss_gradient(o, np.ones((o.param_dim, 1)), data.z_train)
 
 
 class TestLossPlan:
@@ -178,6 +181,19 @@ class TestFlowPlan:
         # Hessians differ with them, the linear family's are both A
         assert np.all(g != gt)
         assert np.any(h != ht) == (family == "mlp")
+
+    def test_mlp_hessians_of_a_stack_equal_per_row_calls(self):
+        # the stacked costate sweep forms K at a (B, p) stack of states
+        o, data = mlp_problem(d=2, seed=15)
+        plan = flow_plan(o, data.z_train, data.z_dith)
+        thetas = np.random.default_rng(13).standard_normal((4, o.param_dim))
+        for stack in (thetas, thetas[:1], thetas[::2]):
+            h, ht = plan.hessians(stack)
+            assert h.shape == ht.shape == stack.shape + (o.param_dim,)
+            for b, th in enumerate(stack):
+                np.testing.assert_array_equal(h[b], plan.hessians(th)[0])
+                np.testing.assert_array_equal(ht[b], plan.hessians(th)[1])
+        assert np.any(h != ht)
 
     def test_checks_both_datasets(self):
         o, data = linear_problem(d=2, seed=16)

@@ -14,10 +14,11 @@ from sgaflow.dynamics import (AdjointTrajectory, final_states,
                               integrate_adjoint, integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
-                         solve, sweep)
+                         solve, sweep, sweeps)
 from sgaflow.verify import fd_gradient, probes
 
-from conftest import linear_problem, mlp_problem, quadratic_datasets
+from conftest import (linear_problem, mlp_check_problem, mlp_problem,
+                      quadratic_datasets)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -266,6 +267,51 @@ class TestSweep:
         g = sweep(o, replace(coeffs, c=coeffs.c.copy()), config, data,
                   traj)[2]
         np.testing.assert_array_equal(g, sweep(o, coeffs, config, data)[2])
+
+    def test_refuses_a_trajectory_from_another_theta0(self):
+        # configs/linear.json (theta0 = 0) at the first probe: swept under
+        # theta0 = 1, that trajectory's costate and G are off by about 0.97
+        # of max |G| from the G of the flow from theta0 = 1
+        o, config, data = linear_json_problem()
+        coeffs = probes(o, config, 1)[0]
+        traj = forward(o, coeffs, config, data)
+        ones = replace(config, theta0=np.ones(o.param_dim))
+        want = sweep(o, coeffs, ones, data)[2]
+        stale = coefficient_gradient(integrate_adjoint(o, traj, data.z_val))
+        assert np.max(np.abs(stale - want)) / np.max(np.abs(want)) > 0.9
+        with pytest.raises(ValueError, match="not integrated under"):
+            sweep(o, coeffs, ones, data, traj)
+        # an explicit theta0 = 0 is the trajectory's own
+        zeros = replace(config, theta0=np.zeros(o.param_dim))
+        np.testing.assert_array_equal(
+            sweep(o, coeffs, zeros, data, traj)[2],
+            sweep(o, coeffs, config, data)[2])
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_members_equal_sweep_bitwise(self, family):
+        # configs/linear.json and criterion 3's mlp problem at the
+        # coefficient check's probes: each member of a stack of B = 1 or 3
+        # is the G of sweep at its C, bit for bit
+        o, config, data = (linear_json_problem() if family == "linear"
+                           else mlp_check_problem(seed=61, steps=200,
+                                                  n_basis=3))
+        ps = probes(o, config, 3)
+        serial = [sweep(o, c, config, data)[2] for c in ps]
+        for b in (1, 3):
+            gs = sweeps(o, np.stack([c.c for c in ps[:b]]), config, data)
+            assert gs.shape == (b, o.param_dim, config.basis.n)
+            for g, want in zip(gs, serial):
+                np.testing.assert_array_equal(g, want)
+
+
+def linear_json_problem():
+    """configs/linear.json, as `sgaflow run` solves it."""
+    cfg = cli.load_config(ROOT / "configs" / "linear.json")
+    data = cli.build_data(cfg["data"])
+    return (cli.build_oracle(cfg["model"], data.z_train.d),
+            cli.build_solver_config(cfg), data)
 
 
 def one_step(o, coeffs, config, data):

@@ -9,7 +9,7 @@ from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
 from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
-from sgaflow.sga import SolverConfig, costs, sweep
+from sgaflow.sga import SolverConfig, costs, sweep, sweeps
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
@@ -76,7 +76,8 @@ class TestCheckCoefficientGradient:
     def test_one_percent_error_in_one_entry_of_G_fails(self, monkeypatch,
                                                         problem, corner):
         # configs/linear.json, as `sgaflow gradcheck` checks it, and
-        # criterion 3's mlp problem; G[0, 0] or G[p-1, n-1] scaled by 1.01
+        # criterion 3's mlp problem; G[0, 0] or G[p-1, n-1] of the first
+        # probe's G scaled by 1.01
         if problem == "linear":
             cfg = cli.load_config(ROOT / "configs" / "linear.json")
             data = cli.build_data(cfg["data"])
@@ -87,13 +88,12 @@ class TestCheckCoefficientGradient:
         entry = (0, 0) if corner == "first" else (o.param_dim - 1,
                                                   config.basis.n - 1)
 
-        def corrupted(*args, **kwargs):
-            traj, adj, grad = sweep(*args, **kwargs)
-            grad = grad.copy()
-            grad[entry] *= 1.01
-            return traj, adj, grad
+        def corrupted(*args):
+            grads = sweeps(*args).copy()
+            grads[(0,) + entry] *= 1.01
+            return grads
 
-        monkeypatch.setattr(verify, "sweep", corrupted)
+        monkeypatch.setattr(verify, "sweeps", corrupted)
         report = check_coefficient_gradient(o, config, data, n_probes=1)
         assert not report.passed, report.to_dict()
 
@@ -250,7 +250,12 @@ class TestCheckRk4Order:
             seen.append((coeffs.c, replace(cfg, steps=config.steps)))
             return sweep(oracle, coeffs, cfg, *args)
 
+        def stacked(oracle, cs, *args):
+            seen.append(cs[0])   # the coefficient check's first member
+            return sweeps(oracle, cs, *args)
+
         monkeypatch.setattr(verify, "sweep", recorded)
+        monkeypatch.setattr(verify, "sweeps", stacked)
         check_rk4_order(o, config, data)
         assert len(seen) == 5
         first = verify.probes(o, config, 1)[0].c
@@ -260,7 +265,8 @@ class TestCheckRk4Order:
             assert cfg == config
         seen.clear()
         check_coefficient_gradient(o, config, data, n_probes=1)
-        np.testing.assert_array_equal(seen[0][0], first)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], first)
 
     def test_forward_midpoint_control_at_step_start_fails(self, monkeypatch):
         # configs/linear.json: the forward pass's k2 taken under the step's
