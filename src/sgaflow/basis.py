@@ -99,7 +99,7 @@ def control_grid_max(coeffs: ControlCoefficients, n_grid: int) -> np.ndarray:
 
 
 def project_admissible(coeffs: ControlCoefficients,
-                       n_grid: int = 2010) -> ControlCoefficients:
+                       n_grid: int) -> ControlCoefficients:
     """Rescale rows of C so the grid max of each |u_i| is within u_max.
 
     Rows already within the bound are left untouched, so the projection is

@@ -334,7 +334,7 @@ def cmd_run(args) -> int:
     null_cost = (report.iterations[0].cost if config.c0 is None else
                  cost(oracle, zero_coefficients(p, config.basis, config.u_max),
                       config, data))
-    traj = forward(oracle, report.final_coeffs, config, data)
+    traj = forward(oracle, report.final_coeffs.c, config, data)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
     if not args.quiet:
@@ -347,7 +347,7 @@ def cmd_baseline(args) -> int:
     """The null control as a zero-iteration run."""
     cfg, data, oracle, config, out = _pipeline(args)
     coeffs = zero_coefficients(oracle.param_dim, config.basis, config.u_max)
-    traj = forward(oracle, coeffs, config, data)
+    traj = forward(oracle, coeffs.c, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
     report = SolverReport([], coeffs, traj.theta_final, j0, False, "baseline")
     _emit_run(out, cfg, args.seed, report, j0, traj)

@@ -10,14 +10,14 @@ substeps of h/4), so theta is available exactly at every node, midpoint and
 quarter point; the backward pass runs on half steps and reads its stage
 states from those values, so no interpolation is ever done.
 
-The forward kernel advances a stack of B independent flows at once: theta
-has shape (B, p), member b runs under its own control u_b = C_b Psi(t) with
-C of shape (B, p, n), and each RK4 stage makes one oracle call for the whole
-stack.  final_states keeps the (B, p) final states, or a Trajectory of
-(B, p) rows; integrate_forward runs one (p,) flow and keeps every state.
-The backward pass takes either, K and p gaining the stack's axis, each
-member bit for bit its own flow's.  The null control is a zero C, and a
-state whose norm exceeds DIVERGENCE_BOUND stops the integration.
+integrate_forward runs one flow under a (p, n) C, or a stack of B
+independent flows at once under a (B, p, n) C: theta then has shape (B, p),
+member b runs under its own control u_b = C_b Psi(t), and each RK4 stage
+makes one oracle call for the whole stack.  Either way it keeps every state
+in a Trajectory; the backward pass takes either, K and p gaining the
+stack's axis, each member bit for bit its own flow's.  The null control is
+a zero C, and a state whose norm exceeds DIVERGENCE_BOUND stops the
+integration.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
 forms u = C @ psi once per stage time, a step's end control carried into the
@@ -41,8 +41,7 @@ from math import inf
 
 import numpy as np
 
-from .basis import (BasisSpec, ControlCoefficients, _check_time,
-                    eval_basis_grid)
+from .basis import BasisSpec, _check_time, eval_basis_grid
 from .dataset import Dataset
 from .model import LossPlan, ModelOracle, flow_plan, loss_gradient
 
@@ -115,9 +114,9 @@ class Trajectory:
     """
 
     grid: TimeGrid
-    theta_fine: np.ndarray  # (4M+1, p)
-    gt_fine: np.ndarray     # (4M+1, p)
-    c: np.ndarray           # (p, n)
+    theta_fine: np.ndarray  # (4M+1, p) or (4M+1, B, p)
+    gt_fine: np.ndarray     # (4M+1, p) or (4M+1, B, p)
+    c: np.ndarray           # (p, n) or (B, p, n)
     eps: float
     plan: LossPlan
     psi: np.ndarray         # (8M+1, n)
@@ -169,53 +168,6 @@ def forward_rhs(plan: LossPlan, theta: np.ndarray, u: np.ndarray,
     return eps * (gt * gt) * u - g, gt
 
 
-def _rk4_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
-                 basis: BasisSpec, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid, keep_states: bool):
-    """Fixed-step RK4 on the quarter-step grid for a (B, p) stack theta0.
-
-    Member b runs under u = c[b] Psi(t), or a (p,) theta0 under a (p, n) c,
-    with Psi evaluated once at the stage times i*h/8.  Returns the
-    Trajectory if keep_states, its rows shaped as theta0 and grad J~0 taken
-    at each step's first stage, else the final states.  ValueError if the
-    grid lies beyond the basis's range; DivergenceError for the first
-    member whose state leaves DIVERGENCE_BOUND.
-    """
-    h = 0.25 * grid.h
-    nsteps = 4 * grid.steps
-    ts = np.arange(2 * nsteps + 1) * (grid.h / 8)
-    _check_time(basis, ts[-1])
-    psi = eval_basis_grid(basis, ts)
-    plan = flow_plan(oracle, z_train, z_dith)
-    th = theta0
-    if keep_states:
-        out = np.empty((nsteps + 1,) + theta0.shape)
-        gts = np.empty_like(out)
-        out[0] = th
-    u4 = c @ psi[0]
-    for k in range(nsteps):
-        u1, u2, u4 = u4, c @ psi[2 * k + 1], c @ psi[2 * k + 2]
-        k1, gt = forward_rhs(plan, th, u1, eps)
-        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
-        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
-        k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
-        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # |th| as np.linalg.norm computes it, without its per-call overhead;
-        # nan compares False
-        inside = np.sqrt((th * th).sum(axis=-1)) <= DIVERGENCE_BOUND
-        if not inside.all():
-            b = int(np.argmin(inside))
-            nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
-            raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
-        if keep_states:
-            out[k + 1] = th
-            gts[k] = gt
-    if not keep_states:
-        return th
-    gts[nsteps] = plan.grads(th)[1]
-    return Trajectory(grid, out, gts, c, eps, plan, psi)
-
-
 def _state(oracle: ModelOracle, theta) -> np.ndarray:
     """theta as a finite (p,) state; ValueError otherwise."""
     theta = np.asarray(theta, dtype=float).ravel()
@@ -228,34 +180,54 @@ def _state(oracle: ModelOracle, theta) -> np.ndarray:
     return theta
 
 
-def integrate_forward(oracle: ModelOracle, theta0: np.ndarray,
-                      coeffs: ControlCoefficients, eps: float,
-                      z_train: Dataset, z_dith: Dataset,
-                      grid: TimeGrid) -> Trajectory:
-    """Integrate the controlled flow from theta0 over the grid; ValueError
-    unless C has the oracle's p rows."""
-    if coeffs.p != oracle.param_dim:
-        raise ValueError(f"C has {coeffs.p} rows, oracle expects "
-                         f"p={oracle.param_dim}")
-    return _rk4_forward(oracle, _state(oracle, theta0), coeffs.c,
-                        coeffs.basis, eps, z_train, z_dith, grid,
-                        keep_states=True)
+def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
+                      basis: BasisSpec, eps: float, z_train: Dataset,
+                      z_dith: Dataset, grid: TimeGrid) -> Trajectory:
+    """Integrate the controlled flow from theta0 over the grid by RK4 on its
+    quarter steps, with Psi evaluated once at the stage times i*h/8.
 
-
-def final_states(oracle: ModelOracle, theta0: np.ndarray, cs: np.ndarray,
-                 basis: BasisSpec, eps: float, z_train: Dataset,
-                 z_dith: Dataset, grid: TimeGrid, keep_states: bool = False):
-    """Final states of B flows from one theta0, flow b under the control
-    u = cs[b] Psi(t); cs has shape (B, p, n), the result (B, p).  With
-    keep_states, the flows' Trajectory instead, its rows (B, p) stacks."""
-    theta0 = _state(oracle, theta0)
-    cs = np.asarray(cs, dtype=float)
-    if cs.ndim != 3 or cs.shape[1:] != (oracle.param_dim, basis.n):
-        raise ValueError(f"coefficient stack has shape {cs.shape}, expected "
-                         f"(B, {oracle.param_dim}, {basis.n})")
-    theta0 = np.broadcast_to(theta0, (cs.shape[0], oracle.param_dim))
-    return _rk4_forward(oracle, theta0, cs, basis, eps, z_train, z_dith,
-                        grid, keep_states)
+    c is one (p, n) matrix or a (B, p, n) stack, member b running under
+    u = c[b] Psi(t); theta0 is broadcast to c.shape[:-1], the shape of the
+    Trajectory's rows, whose grad J~0 is taken at each step's first stage.
+    ValueError unless c is such a finite matrix or stack, or if the grid
+    lies beyond the basis's range; DivergenceError for the first member
+    whose state leaves DIVERGENCE_BOUND.
+    """
+    c = np.asarray(c, dtype=float)
+    p = oracle.param_dim
+    if c.ndim not in (2, 3) or c.shape[-2:] != (p, basis.n):
+        raise ValueError(f"C has shape {c.shape}, expected ({p}, {basis.n}) "
+                         f"or a (B, {p}, {basis.n}) stack")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("C has non-finite entries")
+    th = np.broadcast_to(_state(oracle, theta0), c.shape[:-1])
+    h = 0.25 * grid.h
+    nsteps = 4 * grid.steps
+    ts = np.arange(2 * nsteps + 1) * (grid.h / 8)
+    _check_time(basis, ts[-1])
+    psi = eval_basis_grid(basis, ts)
+    plan = flow_plan(oracle, z_train, z_dith)
+    out = np.empty((nsteps + 1,) + th.shape)
+    gts = np.empty_like(out)
+    out[0] = th
+    u4 = c @ psi[0]
+    for k in range(nsteps):
+        u1, u2, u4 = u4, c @ psi[2 * k + 1], c @ psi[2 * k + 2]
+        k1, gts[k] = forward_rhs(plan, th, u1, eps)
+        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
+        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
+        k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
+        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # |th| as np.linalg.norm computes it, without its per-call overhead;
+        # nan compares False
+        inside = np.sqrt((th * th).sum(axis=-1)) <= DIVERGENCE_BOUND
+        if not inside.all():
+            b = int(np.argmin(inside))
+            nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
+            raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
+        out[k + 1] = th
+    gts[nsteps] = plan.grads(th)[1]
+    return Trajectory(grid, out, gts, c, eps, plan, psi)
 
 
 def adjoint_matrix(plan: LossPlan, theta: np.ndarray, gt: np.ndarray,

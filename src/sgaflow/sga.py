@@ -14,8 +14,9 @@ backtracks from a trial step whose flow diverges.
 Each Armijo trial integrates its control forward, and the accepted trial's
 trajectory, with its cost, is the next sweep's forward pass, so a solver
 iteration runs one forward integration per trial and one backward
-integration, and J is evaluated once per trajectory.  costs and sweeps run
-a stack of controls as one pass, each member bit for bit cost's and sweep's.
+integration, and J is evaluated once per trajectory.  forward integrates
+one C or a stack, so costs and sweeps run a stack of controls as one pass,
+each member bit for bit cost's and sweep's.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .basis import (BasisSpec, ControlCoefficients, project_admissible,
                     zero_coefficients)
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
-                       Trajectory, final_states, integrate_adjoint,
-                       integrate_forward)
+                       Trajectory, integrate_adjoint, integrate_forward)
 from .model import ModelOracle, loss_plan, phi_value
 
 ARMIJO_C = 1e-4
@@ -131,19 +131,19 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     matrix of the (B, p, n) stack cs on config.basis, integrated as one
     batch; each entry equals phi_value at forward()'s final state bit for
     bit."""
-    thetas = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
-                          config.basis, config.eps, data.z_train, data.z_dith,
-                          config.grid)
+    thetas = forward(oracle, cs, config, data).theta_final
     val = loss_plan(oracle, data.z_val)
     return np.array([val.value(th) for th in thetas])
 
 
-def forward(oracle: ModelOracle, coeffs: ControlCoefficients,
-            config: SolverConfig, data: ProblemData) -> Trajectory:
-    """The controlled flow from config.initial_theta under coeffs."""
+def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
+            data: ProblemData) -> Trajectory:
+    """The controlled flow from config.initial_theta under the (p, n)
+    coefficient matrix c on config.basis, or the flows under each matrix
+    of a (B, p, n) stack c."""
     return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
-                             coeffs, config.eps, data.z_train, data.z_dith,
-                             config.grid)
+                             c, config.basis, config.eps, data.z_train,
+                             data.z_dith, config.grid)
 
 
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -176,14 +176,17 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           config: SolverConfig, data: ProblemData,
           traj: Trajectory | None = None):
     """One forward/backward pass; returns (trajectory, adjoint, G).  traj,
-    when given, is the forward pass under coeffs and config, so it is not
-    integrated again; ValueError if its C, eps, grid or theta0 differ."""
+    when given, is the forward pass under coeffs and config on data, so it
+    is not integrated again; ValueError if its C, eps, grid, theta0 or
+    training and dithered targets differ."""
     if traj is None:
-        traj = forward(oracle, coeffs, config, data)
+        traj = forward(oracle, coeffs.c, config, data)
     elif (traj.eps != config.eps or traj.grid != config.grid
           or not np.array_equal(traj.c, coeffs.c)
           or not np.array_equal(traj.theta_fine[0],
-                                config.initial_theta(oracle.param_dim))):
+                                config.initial_theta(oracle.param_dim))
+          or not np.array_equal(traj.plan.y, np.stack([data.z_train.y,
+                                                        data.z_dith.y]))):
         raise ValueError("traj was not integrated under coeffs and config")
     adj = integrate_adjoint(oracle, traj, data.z_val)
     return traj, adj, coefficient_gradient(adj)
@@ -194,10 +197,8 @@ def sweeps(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     """G of the sweeps under each coefficient matrix of the (B, p, n) stack
     cs on config.basis, run as one stacked forward/backward pass; each
     member of the (B, p, n) result equals sweep's G bit for bit."""
-    traj = final_states(oracle, config.initial_theta(oracle.param_dim), cs,
-                        config.basis, config.eps, data.z_train, data.z_dith,
-                        config.grid, keep_states=True)
-    return coefficient_gradient(integrate_adjoint(oracle, traj, data.z_val))
+    return coefficient_gradient(integrate_adjoint(
+        oracle, forward(oracle, cs, config, data), data.z_val))
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):
@@ -209,7 +210,7 @@ def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):
         cand = replace(coeffs, c=coeffs.c + gamma * grad)
         new = project_admissible(cand, config.projection_grid)
         try:
-            traj = forward(oracle, new, config, data)
+            traj = forward(oracle, new.c, config, data)
         except DivergenceError:
             continue  # a divergent trial is backtracked from
         j_new = phi_value(oracle, traj.theta_final, data.z_val)
@@ -234,7 +235,7 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
     converged = False
-    traj = forward(oracle, coeffs, config, data)
+    traj = forward(oracle, coeffs.c, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
     for k in range(config.max_iters):
         traj, adj, grad = sweep(oracle, coeffs, config, data, traj)

@@ -7,9 +7,11 @@ from sgaflow.sga import SolverConfig
 
 
 def zero_control(p: int, t_final: float = 1.0):
-    """The null control u = 0 of p parameters on [0, t_final]."""
-    return zero_coefficients(p, BasisSpec("legendre_shifted", 1, t_final),
-                             1.0)
+    """The null control u = 0 of p parameters on [0, t_final]: its C and
+    basis, as integrate_forward takes them."""
+    coeffs = zero_coefficients(p, BasisSpec("legendre_shifted", 1, t_final),
+                               1.0)
+    return coeffs.c, coeffs.basis
 
 
 def quadratic_datasets(p: int):

@@ -55,8 +55,8 @@ def test_criterion_1_closed_form_flow():
     oracle, data = quad_problem()
     grid = TimeGrid(1.0, 100)
     coeffs = zero_coefficients(1, BasisSpec("legendre_shifted", 2, 1.0), 5.0)
-    traj = integrate_forward(oracle, [1.0], coeffs, 0.1, data.z_train,
-                             data.z_dith, grid)
+    traj = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.1,
+                             data.z_train, data.z_dith, grid)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     err_f = abs(traj.theta_final[0] - np.exp(-1.0))
     err_b = abs(adj.p_nodes[0][0] + np.exp(-2.0))
@@ -72,8 +72,8 @@ def test_criterion_2_rk4_order():
     coeffs = zero_coefficients(1, BasisSpec("legendre_shifted", 2, 1.0), 5.0)
     hs, ef, eb = [], [], []
     for m in (25, 50, 100, 200):
-        traj = integrate_forward(oracle, [1.0], coeffs, 0.0, data.z_train,
-                                 data.z_dith, TimeGrid(1.0, m))
+        traj = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.0,
+                                 data.z_train, data.z_dith, TimeGrid(1.0, m))
         adj = integrate_adjoint(oracle, traj, data.z_val)
         hs.append(1.0 / m)
         ef.append(abs(traj.theta_final[0] - np.exp(-1.0)))
@@ -136,14 +136,14 @@ def test_criterion_5_eps_scaling():
     basis = BasisSpec("legendre_shifted", 3, 1.0)
     rng = np.random.default_rng(2)
     coeffs = project_admissible(
-        ControlCoefficients(rng.uniform(-1, 1, (1, 3)), basis, 5.0))
+        ControlCoefficients(rng.uniform(-1, 1, (1, 3)), basis, 5.0), 2010)
     grid = TimeGrid(1.0, 100)
-    base = integrate_forward(oracle, [1.0], coeffs, 0.0, data.z_train,
-                             data.z_dith, grid).theta_final
+    base = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.0,
+                             data.z_train, data.z_dith, grid).theta_final
     epss = [1e-1, 1e-2, 1e-3, 1e-4]
     diffs = [np.linalg.norm(
-        integrate_forward(oracle, [1.0], coeffs, e, data.z_train,
-                          data.z_dith, grid).theta_final - base)
+        integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, e,
+                          data.z_train, data.z_dith, grid).theta_final - base)
         for e in epss]
     slope = np.polyfit(np.log(epss), np.log(diffs), 1)[0]
     elapsed = time.time() - start
@@ -176,8 +176,9 @@ def test_criterion_6_dp_identity():
 def test_criterion_7_pmp_dominance(descent_run):
     oracle, config, data, rep = descent_run
     traj = integrate_forward(oracle, config.initial_theta(2),
-                             rep.final_coeffs, config.eps, data.z_train,
-                             data.z_dith, config.grid)
+                             rep.final_coeffs.c, rep.final_coeffs.basis,
+                             config.eps, data.z_train, data.z_dith,
+                             config.grid)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     nodes = config.grid.nodes
     dominant = 0

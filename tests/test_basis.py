@@ -161,7 +161,7 @@ class TestProjectAdmissible:
     def test_within_bound_is_identity(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         coeffs = ControlCoefficients([[0.1, 0.05]], basis, 10.0)
-        out = project_admissible(coeffs)
+        out = project_admissible(coeffs, 2010)
         np.testing.assert_array_equal(out.c, coeffs.c)
 
     def test_constant_control_scaled_to_bound(self):
@@ -169,7 +169,7 @@ class TestProjectAdmissible:
         basis = BasisSpec("legendre_shifted", 1, 1.0)
         u_max = 1.5
         coeffs = ControlCoefficients([[2.0 * u_max]], basis, u_max)
-        out = project_admissible(coeffs)
+        out = project_admissible(coeffs, 2010)
         np.testing.assert_allclose(out.c, [[u_max]], rtol=1e-12)
 
     @given(seed=st.integers(0, 500))
@@ -196,5 +196,5 @@ class TestProjectAdmissible:
     def test_zero_bound_zeroes_rows(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         coeffs = ControlCoefficients([[1.0, 2.0]], basis, 0.0)
-        out = project_admissible(coeffs)
+        out = project_admissible(coeffs, 2010)
         np.testing.assert_array_equal(out.c, [[0.0, 0.0]])

@@ -8,9 +8,9 @@ from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
                            eval_control, zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               NonFiniteCostateError, TimeGrid, Trajectory,
-                              adjoint_matrix, adjoint_rhs,
-                              final_states, forward_rhs, hamiltonian,
-                              integrate_adjoint, integrate_forward)
+                              adjoint_matrix, adjoint_rhs, forward_rhs,
+                              hamiltonian, integrate_adjoint,
+                              integrate_forward)
 from sgaflow import model
 from sgaflow.model import flow_plan, loss_gradient, loss_hvp, loss_plan
 
@@ -62,7 +62,7 @@ class TestIntegrateForward:
     def test_exponential_decay_closed_form(self):
         o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 100)
-        traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+        traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
                                  grid)
         assert traj.theta_final[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
@@ -71,8 +71,10 @@ class TestIntegrateForward:
         grid = TimeGrid(1.0, 100)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         coeffs = ControlCoefficients([[1.0, 0.5]], basis, 5.0)
-        a = integrate_forward(o, [1.0], coeffs, 0.0, z1, zd, grid)
-        b = integrate_forward(o, [1.0], coeffs, 1e-9, z1, zd, grid)
+        a = integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.0, z1, zd,
+                              grid)
+        b = integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 1e-9, z1, zd,
+                              grid)
         assert np.max(np.abs(a.theta_nodes - b.theta_nodes)) <= 1e-7
 
     def test_richardson_ratio_is_fourth_order(self):
@@ -80,7 +82,7 @@ class TestIntegrateForward:
         exact = np.exp(-1.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+            traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
                                      TimeGrid(1.0, m))
             errs.append(abs(traj.theta_final[0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
@@ -95,8 +97,8 @@ class TestIntegrateForward:
                         (0.5, Dataset(data.z_train.x, data.z_train.y + 1.0,
                                       "dithered"))):
             coeffs = zero_coefficients(o.param_dim, basis, 5.0)
-            runs.append(integrate_forward(o, theta0, coeffs, eps,
-                                          data.z_train, zd, grid))
+            runs.append(integrate_forward(o, theta0, coeffs.c, coeffs.basis,
+                                          eps, data.z_train, zd, grid))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].theta_nodes,
                                           other.theta_nodes)
@@ -109,12 +111,13 @@ class TestIntegrateForward:
         coeffs = ControlCoefficients(
             0.3 * rng.standard_normal((o.param_dim, 3)), basis, 5.0)
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        base = integrate_forward(o, theta0, coeffs, 0.0, data.z_train,
-                                 data.z_dith, grid).theta_final
+        base = integrate_forward(o, theta0, coeffs.c, coeffs.basis, 0.0,
+                                 data.z_train, data.z_dith, grid).theta_final
         epss = [1e-1, 1e-2, 1e-3, 1e-4]
         diffs = [np.linalg.norm(
-            integrate_forward(o, theta0, coeffs, e, data.z_train,
-                              data.z_dith, grid).theta_final - base)
+            integrate_forward(o, theta0, coeffs.c, coeffs.basis, e,
+                              data.z_train, data.z_dith, grid).theta_final
+            - base)
             for e in epss]
         slope = np.polyfit(np.log(epss), np.log(diffs), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -127,14 +130,15 @@ class TestIntegrateForward:
         coeffs = ControlCoefficients(
             [[20.0, 0.0]], BasisSpec("legendre_shifted", 2, 1.0), 50.0)
         with pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], coeffs, 0.5, z1, zd, grid)
+            integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.5, z1, zd,
+                              grid)
         assert abs(exc.value.t - np.log(10.0 / 9.0)) <= 0.25 * grid.h
         assert exc.value.norm > dynamics.DIVERGENCE_BOUND
 
     def test_nonfinite_theta0_rejected(self):
         o, z1, zd, _ = quad_oracle()
         with pytest.raises(ValueError):
-            integrate_forward(o, [np.nan], zero_control(1), 0.0, z1, zd,
+            integrate_forward(o, [np.nan], *zero_control(1), 0.0, z1, zd,
                               TimeGrid(1.0, 10))
 
     @pytest.mark.parametrize("theta0", [[], [1.0, 2.0]])
@@ -142,7 +146,7 @@ class TestIntegrateForward:
         o, z1, zd, _ = quad_oracle()
         with pytest.raises(ValueError, match="theta has dim .*, oracle "
                                              "expects 1"):
-            integrate_forward(o, theta0, zero_control(1), 0.0, z1, zd,
+            integrate_forward(o, theta0, *zero_control(1), 0.0, z1, zd,
                               TimeGrid(1.0, 10))
 
     @pytest.mark.parametrize("t_final,steps,match", [
@@ -163,8 +167,8 @@ class TestIntegrateForward:
             rng.uniform(-1.0, 1.0, (o.param_dim, 3)),
             BasisSpec("legendre_shifted", 3, 1.0), 5.0)
         traj = integrate_forward(o, 0.5 * rng.standard_normal(o.param_dim),
-                                 coeffs, 0.3, data.z_train, data.z_dith,
-                                 TimeGrid(1.0, 20))
+                                 coeffs.c, coeffs.basis, 0.3, data.z_train,
+                                 data.z_dith, TimeGrid(1.0, 20))
         assert traj.gt_fine.shape == (81, o.param_dim)
         # the final state's row included
         for theta, gt in zip(traj.theta_fine, traj.gt_fine):
@@ -174,6 +178,8 @@ class TestIntegrateForward:
 
 
 class TestFinalStates:
+    """The final states of integrate_forward under a (B, p, n) stack."""
+
     @pytest.mark.parametrize("family,kind", [("linear", "legendre_shifted"),
                                              ("mlp", "fourier")])
     def test_rows_match_single_integrations(self, family, kind):
@@ -189,13 +195,13 @@ class TestFinalStates:
         basis = BasisSpec(kind, 3, 1.0)
         grid = TimeGrid(1.0, 20)
         cs = rng.uniform(-2.0, 2.0, (5, p, 3))
-        finals = final_states(o, theta0, cs, basis, 0.3, data.z_train,
-                              data.z_dith, grid)
+        finals = integrate_forward(o, theta0, cs, basis, 0.3, data.z_train,
+                                   data.z_dith, grid).theta_final
         assert finals.shape == (5, p)
         for b in range(5):
-            single = integrate_forward(
-                o, theta0, ControlCoefficients(cs[b], basis, 5.0), 0.3,
-                data.z_train, data.z_dith, grid).theta_final
+            single = integrate_forward(o, theta0, cs[b], basis, 0.3,
+                                       data.z_train, data.z_dith,
+                                       grid).theta_final
             err = np.max(np.abs(finals[b] - single))
             assert err <= 1e-13 * np.max(np.abs(single))
         assert np.all(finals != theta0)
@@ -211,22 +217,32 @@ class TestFinalStates:
         cs = np.zeros((3, 1, 2))
         cs[1, 0, 0] = 20.0
         with pytest.raises(DivergenceError) as alone:
-            integrate_forward(o, [1.0], ControlCoefficients(cs[1], basis, 50.0),
-                              0.5, z1, zd, grid)
+            integrate_forward(o, [1.0], cs[1], basis, 0.5, z1, zd, grid)
         with pytest.raises(DivergenceError) as batch:
-            final_states(o, [1.0], cs, basis, 0.5, z1, zd, grid)
+            integrate_forward(o, [1.0], cs, basis, 0.5, z1, zd, grid)
         assert batch.value.t > 0.0
         assert (batch.value.t, batch.value.norm) == (alone.value.t,
                                                      alone.value.norm)
-        finals = final_states(o, [1.0], cs[[0, 2]], basis, 0.5, z1, zd, grid)
+        finals = integrate_forward(o, [1.0], cs[[0, 2]], basis, 0.5, z1, zd,
+                                   grid).theta_final
         assert np.all(np.isfinite(finals))
 
     def test_stack_shape_checked(self):
         o, z1, zd, _ = quad_oracle()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        with pytest.raises(ValueError, match="coefficient stack"):
-            final_states(o, [1.0], np.zeros((2, 1, 3)), basis, 0.1, z1, zd,
-                         TimeGrid(1.0, 10))
+        with pytest.raises(ValueError, match=r"C has shape \(2, 1, 3\)"):
+            integrate_forward(o, [1.0], np.zeros((2, 1, 3)), basis, 0.1, z1,
+                              zd, TimeGrid(1.0, 10))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 1, 2)], ids=["1-D", "4-D"])
+    def test_c_of_other_rank_rejected(self, shape):
+        # one (p, n) C or a (B, p, n) stack: a 1-D C is not read as a row,
+        # nor a 4-D one as a stack of stacks
+        o, z1, zd, _ = quad_oracle()
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match=r"C has shape \("):
+            integrate_forward(o, [1.0], np.zeros(shape), basis, 0.1, z1, zd,
+                              TimeGrid(1.0, 10))
 
     def test_grid_beyond_basis_range_rejected(self):
         # the Legendre basis is defined on [0, 1]; a grid to t=2 must not
@@ -235,11 +251,11 @@ class TestFinalStates:
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         grid = TimeGrid(2.0, 10)
         with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], ControlCoefficients(
-                np.zeros((1, 2)), basis, 1.0), 0.1, z1, zd, grid)
+            integrate_forward(o, [1.0], np.zeros((1, 2)), basis, 0.1, z1, zd,
+                              grid)
         with pytest.raises(ValueError, match="outside"):
-            final_states(o, [1.0], np.zeros((2, 1, 2)), basis, 0.1, z1, zd,
-                         grid)
+            integrate_forward(o, [1.0], np.zeros((2, 1, 2)), basis, 0.1, z1,
+                              zd, grid)
 
 
 class TestAdjointRhs:
@@ -357,8 +373,8 @@ class TestIntegrateAdjoint:
         coeffs = ControlCoefficients(
             rng.uniform(-1.0, 1.0, (o.param_dim, 3)), basis, 5.0)
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        traj = integrate_forward(o, theta0, coeffs, 0.3, data.z_train,
-                                 data.z_dith, TimeGrid(1.0, 20))
+        traj = integrate_forward(o, theta0, coeffs.c, coeffs.basis, 0.3,
+                                 data.z_train, data.z_dith, TimeGrid(1.0, 20))
         adj = integrate_adjoint(o, traj, data.z_val)
         np.testing.assert_array_equal(
             adj.p_half, per_stage_adjoint(o, traj, coeffs, 0.3, data))
@@ -376,7 +392,7 @@ class TestIntegrateAdjoint:
         zv = Dataset([[1.0]], [1.0], "validation")
         o = ModelOracle("linear_features", 1)
         grid = TimeGrid(1.0, 10)
-        traj = integrate_forward(o, [0.0], zero_control(1), 0.1, z1, zd,
+        traj = integrate_forward(o, [0.0], *zero_control(1), 0.1, z1, zd,
                                  grid)
         with (pytest.raises(NonFiniteCostateError) as exc,
               np.errstate(over="ignore", invalid="ignore")):
@@ -388,7 +404,7 @@ class TestIntegrateAdjoint:
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
         grid = TimeGrid(1.0, 200)
-        traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+        traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
                                  grid)
         adj = integrate_adjoint(o, traj, zv)
         assert adj.p_nodes[-1][0] == pytest.approx(-np.exp(-1.0), abs=1e-9)
@@ -400,7 +416,7 @@ class TestIntegrateAdjoint:
         theta0 = rng.standard_normal(o.param_dim)
         grid = TimeGrid(1.0, 50)
         null = zero_control(o.param_dim)
-        traj = integrate_forward(o, theta0, null, 0.0, data.z_train,
+        traj = integrate_forward(o, theta0, *null, 0.0, data.z_train,
                                  data.z_dith, grid)
         zv = Dataset(data.z_val.x, o.predict(traj.theta_final, data.z_val.x),
                      "validation")
@@ -412,7 +428,7 @@ class TestIntegrateAdjoint:
         exact = -np.exp(-2.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], zero_control(1), 0.0, z1, zd,
+            traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
                                      TimeGrid(1.0, m))
             adj = integrate_adjoint(o, traj, zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
@@ -438,16 +454,18 @@ class TestPlans:
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         coeffs = ControlCoefficients(np.ones((o.param_dim, 2)), basis, 5.0)
         grid = TimeGrid(1.0, steps)
-        traj = integrate_forward(o, np.zeros(o.param_dim), coeffs, 0.1,
-                                 data.z_train, data.z_dith, grid)
+        traj = integrate_forward(o, np.zeros(o.param_dim), coeffs.c,
+                                 coeffs.basis, 0.1, data.z_train, data.z_dith,
+                                 grid)
         assert built == [("train", "dithered")]
         built.clear()
         # the backward pass runs on the trajectory's flow plan
         integrate_adjoint(o, traj, data.z_val)
         assert built == ["validation"]
         built.clear()
-        final_states(o, np.zeros(o.param_dim), np.ones((3, o.param_dim, 2)),
-                     basis, 0.1, data.z_train, data.z_dith, grid)
+        integrate_forward(o, np.zeros(o.param_dim),
+                          np.ones((3, o.param_dim, 2)), basis, 0.1,
+                          data.z_train, data.z_dith, grid)
         assert built == [("train", "dithered")]
 
 
@@ -461,13 +479,13 @@ class TestControlRows:
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         grid = TimeGrid(1.0, 10)
         bad = ControlCoefficients(np.ones((rows, 2)), basis, 5.0)
+        with pytest.raises(ValueError, match=rf"C has shape \({rows}, 2\)"):
+            integrate_forward(o, np.zeros(2), bad.c, bad.basis, 0.1,
+                              data.z_train, data.z_dith, grid)
         with pytest.raises(ValueError,
-                           match=f"C has {rows} rows, oracle expects p=2"):
-            integrate_forward(o, np.zeros(2), bad, 0.1, data.z_train,
-                              data.z_dith, grid)
-        with pytest.raises(ValueError, match="coefficient stack"):
-            final_states(o, np.zeros(2), bad.c[None], basis, 0.1,
-                         data.z_train, data.z_dith, grid)
+                           match=rf"C has shape \(1, {rows}, 2\)"):
+            integrate_forward(o, np.zeros(2), bad.c[None], basis, 0.1,
+                              data.z_train, data.z_dith, grid)
 
 
 class TestStagePsi:
@@ -481,9 +499,8 @@ class TestStagePsi:
         o, z1, zd, _ = quad_oracle()
         basis = BasisSpec(kind, 5, t_final)
         grid = TimeGrid(t_final, steps)
-        psi = integrate_forward(
-            o, [1.0], ControlCoefficients(np.zeros((1, 5)), basis, 1.0), 0.1,
-            z1, zd, grid).psi
+        psi = integrate_forward(o, [1.0], np.zeros((1, 5)), basis, 0.1, z1,
+                                zd, grid).psi
         for per_step, rows in ((8, psi), (4, psi[::2]), (2, psi[::4])):
             ts = np.arange(per_step * steps + 1) * (grid.h / per_step)
             np.testing.assert_array_equal(rows, eval_basis_grid(basis, ts))
@@ -493,7 +510,7 @@ class TestStagePsi:
         coeffs = ControlCoefficients(
             np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
         with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], coeffs, 0.1, z1, zd,
+            integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.1, z1, zd,
                               TimeGrid(1.0 + 1e-9, 10))
 
 
@@ -504,7 +521,7 @@ class TestTrajectoryShape:
         # for M = 10: 4M+1 quarter-step states and grad J~0 rows and 8M+1
         # rows of Psi at the stage times, or 2M+1 half-step costates
         o, z1, zd, _ = quad_oracle(2)
-        traj = integrate_forward(o, np.ones(2), zero_control(2), 0.1, z1, zd,
+        traj = integrate_forward(o, np.ones(2), *zero_control(2), 0.1, z1, zd,
                                  TimeGrid(1.0, 10))
         assert traj.psi.shape == (81, 1)
         assert not traj.psi.flags.writeable

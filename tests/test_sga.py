@@ -10,12 +10,12 @@ from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
                            eval_basis_grid, project_admissible,
                            zero_coefficients)
 from sgaflow import model
-from sgaflow.dynamics import (AdjointTrajectory, final_states,
-                              integrate_adjoint, integrate_forward)
+from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
+                              integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
                          solve, sweep, sweeps)
-from sgaflow.verify import fd_gradient, probes
+from sgaflow.verify import check_coefficient_gradient, fd_gradient, probes
 
 from conftest import (linear_problem, mlp_check_problem, mlp_problem,
                       quadratic_datasets)
@@ -72,7 +72,7 @@ def quad_trajectory(o, data, eps):
     grad J~0 = theta stays away from zero along it."""
     config = quad_config(steps=10, eps=eps)
     coeffs = ControlCoefficients([[0.5, -0.3]], config.basis, config.u_max)
-    return forward(o, coeffs, config, data)
+    return forward(o, coeffs.c, config, data)
 
 
 class TestCoefficientGradient:
@@ -151,6 +151,7 @@ def count_flow_plans(monkeypatch):
     class Counted:
         def __init__(self, plan):
             self.plan = plan
+            self.y = plan.y   # the targets sweep checks a trajectory's on
 
         def grads(self, theta):
             calls["grads"].append(theta)
@@ -185,7 +186,7 @@ class TestSweep:
         monkeypatch.setattr(model, "loss_plan", counted)
         o, config, data = sweep_problem(family)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs, config, data)
+        traj = forward(o, coeffs.c, config, data)
         assert len(grads) == 16 * config.steps + 1
         grads.clear()
         sweep(o, coeffs, config, data, traj)
@@ -208,7 +209,7 @@ class TestSweep:
         monkeypatch.setattr(dynamics, "adjoint_rhs", counted_rhs)
         o, config, data = sweep_problem(family)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs, config, data)
+        traj = forward(o, coeffs.c, config, data)
         assert hessians == []
         sweep(o, coeffs, config, data, traj)
         m = config.steps
@@ -257,7 +258,7 @@ class TestSweep:
         o = cli.build_oracle(cfg["model"], data.z_train.d)
         config = cli.build_solver_config(cfg)
         coeffs = probes(o, config, 1)[0]
-        traj = forward(o, coeffs, config, data)
+        traj = forward(o, coeffs.c, config, data)
         zero = zero_coefficients(o.param_dim, config.basis, config.u_max)
         for c, other in ((zero, config), (coeffs, replace(config, eps=0.05)),
                          (coeffs, replace(config, steps=config.steps + 1))):
@@ -274,7 +275,7 @@ class TestSweep:
         # of max |G| from the G of the flow from theta0 = 1
         o, config, data = linear_json_problem()
         coeffs = probes(o, config, 1)[0]
-        traj = forward(o, coeffs, config, data)
+        traj = forward(o, coeffs.c, config, data)
         ones = replace(config, theta0=np.ones(o.param_dim))
         want = sweep(o, coeffs, ones, data)[2]
         stale = coefficient_gradient(integrate_adjoint(o, traj, data.z_val))
@@ -286,6 +287,21 @@ class TestSweep:
         np.testing.assert_array_equal(
             sweep(o, coeffs, zeros, data, traj)[2],
             sweep(o, coeffs, config, data)[2])
+
+    def test_refuses_a_trajectory_on_another_training_pair(self):
+        # configs/linear.json at the first probe: a trajectory integrated on
+        # the data of --seed 1 (every bootstrap and dither seed shifted by
+        # 1) was swept under the seed-0 data, G off by about 0.29 of max |G|
+        o, config, data = linear_json_problem()
+        cfg = cli.load_config(ROOT / "configs" / "linear.json")
+        coeffs = probes(o, config, 1)[0]
+        shifted = forward(o, coeffs.c, config, cli.build_data(cfg["data"], 1))
+        with pytest.raises(ValueError, match="not integrated under"):
+            sweep(o, coeffs, config, data, shifted)
+        # a trajectory on an equal copy of the data is the data's own
+        traj = forward(o, coeffs.c, config, cli.build_data(cfg["data"], 0))
+        np.testing.assert_array_equal(sweep(o, coeffs, config, data, traj)[2],
+                                      sweep(o, coeffs, config, data)[2])
 
 
 class TestSweeps:
@@ -304,6 +320,20 @@ class TestSweeps:
             assert gs.shape == (b, o.param_dim, config.basis.n)
             for g, want in zip(gs, serial):
                 np.testing.assert_array_equal(g, want)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_rejected_as_one_c_is(self, b, bad):
+        # configs/linear.json: a nan or inf in a stack's last member ran
+        # into the flow and ended as DivergenceError at t=0.00125
+        o, config, data = linear_json_problem()
+        cs = np.stack([c.c for c in probes(o, config, b)])
+        cs[-1, 0, 0] = bad
+        for run in (sga.costs, sweeps):
+            with pytest.raises(ValueError, match="C has non-finite entries"):
+                run(o, cs, config, data)
+        with pytest.raises(ValueError, match="C has non-finite entries"):
+            ControlCoefficients(cs[-1], config.basis, config.u_max)
 
 
 def linear_json_problem():
@@ -418,9 +448,9 @@ class TestSolve:
         o, data = quad1_problem
         config = quad_config(steps=100, max_iters=5)
         report = solve(o, config, data)
-        traj = integrate_forward(o, config.theta0, report.final_coeffs,
-                                 config.eps, data.z_train, data.z_dith,
-                                 config.grid)
+        traj = integrate_forward(o, config.theta0, report.final_coeffs.c,
+                                 report.final_coeffs.basis, config.eps,
+                                 data.z_train, data.z_dith, config.grid)
         np.testing.assert_array_equal(report.theta_star, traj.theta_final)
 
 
@@ -441,10 +471,11 @@ class TestNonFiniteData:
         coeffs = config.initial_coefficients(o.param_dim)
         theta0 = np.zeros(o.param_dim)
         with pytest.raises(ValueError, match="train dataset"):
-            integrate_forward(o, theta0, coeffs, config.eps,
+            integrate_forward(o, theta0, coeffs.c, coeffs.basis, config.eps,
                               spoiled(data.z_train), data.z_dith, config.grid)
-        traj = integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
-                                 data.z_dith, config.grid)
+        traj = integrate_forward(o, theta0, coeffs.c, coeffs.basis,
+                                 config.eps, data.z_train, data.z_dith,
+                                 config.grid)
         with pytest.raises(ValueError, match="validation dataset"):
             integrate_adjoint(o, traj, spoiled(data.z_val))
         with pytest.raises(ValueError, match="dithered dataset"):
@@ -470,11 +501,11 @@ class TestDitheredInputs:
         theta0 = np.zeros(o.param_dim)
         match = "dithered dataset's inputs differ"
         with pytest.raises(ValueError, match=match):
-            integrate_forward(o, theta0, coeffs, config.eps, data.z_train,
-                              other, config.grid)
+            integrate_forward(o, theta0, coeffs.c, coeffs.basis, config.eps,
+                              data.z_train, other, config.grid)
         with pytest.raises(ValueError, match=match):
-            final_states(o, theta0, coeffs.c[None], config.basis, config.eps,
-                         data.z_train, other, config.grid)
+            integrate_forward(o, theta0, coeffs.c[None], config.basis,
+                              config.eps, data.z_train, other, config.grid)
         with pytest.raises(ValueError, match=match):
             solve(o, config, replace(data, z_dith=other))
 
@@ -492,6 +523,21 @@ def forward_calls(monkeypatch):
     return calls
 
 
+def test_one_forward_entry_per_pass(forward_calls):
+    # forward, costs and sweeps each integrate once, a stack included, and
+    # the coefficient check twice: one stacked sweep and one cost batch
+    o, config, data = sweep_problem("linear")
+    cs = np.stack([c.c for c in probes(o, config, 3)])
+    for run, c in ((forward, cs[0]), (forward, cs), (sga.costs, cs),
+                   (sweeps, cs)):
+        forward_calls[0] = 0
+        run(o, c, config, data)
+        assert forward_calls[0] == 1
+    forward_calls[0] = 0
+    check_coefficient_gradient(o, config, data)
+    assert forward_calls[0] == 2
+
+
 def armijo_trials(report, config):
     """Trial steps the line search took, read off the iteration records."""
     n = 0
@@ -505,8 +551,9 @@ def armijo_trials(report, config):
 
 def assert_final_state_is_fresh(o, config, data, report):
     traj = integrate_forward(o, config.initial_theta(o.param_dim),
-                             report.final_coeffs, config.eps, data.z_train,
-                             data.z_dith, config.grid)
+                             report.final_coeffs.c, report.final_coeffs.basis,
+                             config.eps, data.z_train, data.z_dith,
+                             config.grid)
     np.testing.assert_array_equal(report.theta_star, traj.theta_final)
     assert report.final_cost == phi_value(o, traj.theta_final, data.z_val)
 
