@@ -20,18 +20,19 @@ a zero C, and a state whose norm exceeds DIVERGENCE_BOUND stops the
 integration.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
-forms u = C @ psi once per stage time, a step's end control carried into the
-next.  The training and dithered sets share x, so the pass builds one loss
-plan on their targets (model.flow_plan) for forward_rhs, the forward stage's
-right-hand side, and a stage takes both gradients in one grads call.  The
-trajectory keeps what the pass ran on (C, eps, the flow plan and the Psi
-table) and the first stage's grad J~0 at each of its 4M+1 states, so the
-backward pass takes nothing of its own but the validation set: u at forward
-state i is C @ psi[2i].  In the costate equation p' = K p,
-K = -(df/dtheta)^T is set by the forward state, its grad J~0 and u, so the
-backward pass forms K once per state (adjoint_matrix) and an adjoint stage
-is one product K p.  No stage checks its inputs or calls eval_basis or
-eval_control.
+forms u = C @ psi one grid step at a time, in one product for the step's
+nine stage times at its start.  The training and dithered sets share x, so
+the pass builds one loss plan on their targets (model.flow_plan) for
+forward_rhs, the forward stage's right-hand side, and a stage takes both
+gradients in one grads call.  The trajectory keeps what the pass ran on
+(C, eps, the flow plan and the Psi table) and the first stage's grad J~0 at
+each of its 4M+1 states, so the backward pass takes nothing of its own but
+the validation set: u at forward state i is C @ psi[2i].  In the costate
+equation p' = K p, K = -(df/dtheta)^T is set by the forward state, its
+grad J~0 and u, so the backward pass forms K one grid step at a time, in
+one adjoint_matrix call on the step's four states, and an adjoint stage is
+one product K p.  Neither pass keeps u or K beyond the grid step it is in.
+No stage checks its inputs or calls eval_basis or eval_control.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ class AdjointTrajectory:
         return self.p_half[::2]
 
 
+def _controls(c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """u = c @ psi[i] at each row i of psi, (rows, p), or (rows, B, p) for a
+    (B, p, n) stack c; each row bit for bit its own c @ psi[i] product."""
+    return np.matvec(c, psi if c.ndim == 2 else psi[:, None])
+
+
 def forward_rhs(plan: LossPlan, theta: np.ndarray, u: np.ndarray,
                 eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(f, g~): the controlled gradient-flow velocity f at (theta, u), from
@@ -184,7 +191,8 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
                       basis: BasisSpec, eps: float, z_train: Dataset,
                       z_dith: Dataset, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled flow from theta0 over the grid by RK4 on its
-    quarter steps, with Psi evaluated once at the stage times i*h/8.
+    quarter steps, with Psi evaluated once at the stage times i*h/8 and u
+    formed at a grid step's nine stage times in one product at its start.
 
     c is one (p, n) matrix or a (B, p, n) stack, member b running under
     u = c[b] Psi(t); theta0 is broadcast to c.shape[:-1], the shape of the
@@ -210,9 +218,10 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
     out = np.empty((nsteps + 1,) + th.shape)
     gts = np.empty_like(out)
     out[0] = th
-    u4 = c @ psi[0]
     for k in range(nsteps):
-        u1, u2, u4 = u4, c @ psi[2 * k + 1], c @ psi[2 * k + 2]
+        if k % 4 == 0:  # a grid step starts: u at its nine stage times
+            us = _controls(c, psi[2 * k:2 * k + 9])
+        u1, u2, u4 = us[2 * (k % 4):2 * (k % 4) + 3]
         k1, gts[k] = forward_rhs(plan, th, u1, eps)
         k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
         k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
@@ -254,23 +263,27 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     plan at forward state i are the ones the trajectory ran on, so no
     re-integration, interpolation, gradient call or Psi evaluation happens
     here.  K is formed once per forward state, for the two stages that read
-    it (k2 and k3; k4 and the next step's k1).  Raises
+    it (k2 and k3; k4 and the next step's k1), in one adjoint_matrix call
+    per grid step on its four states, and one more for the final state;
+    each K is bit for bit its own state's call.  Raises
     NonFiniteCostateError if the costate becomes nan or inf.
     """
     M = traj.grid.steps
     hh = 0.5 * traj.grid.h
     fine, gt, psi = traj.theta_fine, traj.gt_fine, traj.psi
 
-    def matrix(i):  # K at the forward state of row i
-        return adjoint_matrix(traj.plan, fine[i], gt[i], traj.c @ psi[2 * i],
-                              traj.eps)
+    def matrices(a, b):  # K at the forward states of rows a..b-1
+        u = _controls(traj.c, psi[2 * a:2 * b:2])
+        return adjoint_matrix(traj.plan, fine[a:b], gt[a:b], u, traj.eps)
 
     out = np.empty((2 * M + 1,) + traj.theta_final.shape)
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
-    m4 = matrix(4 * M)
+    m4 = matrices(4 * M, 4 * M + 1)[0]
     for j in range(2 * M, 0, -1):
-        m1, m2, m4 = m4, matrix(2 * j - 1), matrix(2 * j - 2)
+        if j % 2 == 0:  # a grid step starts: K at its other four states
+            ks = matrices(2 * j - 4, 2 * j)
+        m1, m2, m4 = m4, ks[(2 * j - 1) % 4], ks[(2 * j - 2) % 4]
         k1 = adjoint_rhs(m1, p)
         k2 = adjoint_rhs(m2, p - 0.5 * hh * k1)
         k3 = adjoint_rhs(m2, p - 0.5 * hh * k2)

@@ -130,8 +130,8 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     """Validation costs at final time of the flows under each coefficient
     matrix of the (B, p, n) stack cs on config.basis, integrated as one
     batch; each entry equals phi_value at forward()'s final state bit for
-    bit."""
-    thetas = forward(oracle, cs, config, data).theta_final
+    bit.  ValueError if cs is not such a stack."""
+    thetas = _forward_stack(oracle, cs, config, data).theta_final
     val = loss_plan(oracle, data.z_val)
     return np.array([val.value(th) for th in thetas])
 
@@ -144,6 +144,17 @@ def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
     return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
                              c, config.basis, config.eps, data.z_train,
                              data.z_dith, config.grid)
+
+
+def _forward_stack(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
+                   data: ProblemData) -> Trajectory:
+    """forward of the (B, p, n) stack cs; ValueError, naming cs's shape,
+    unless it is 3-D."""
+    cs = np.asarray(cs, dtype=float)
+    if cs.ndim != 3:
+        raise ValueError(f"C has shape {cs.shape}, expected a "
+                         f"(B, {oracle.param_dim}, {config.basis.n}) stack")
+    return forward(oracle, cs, config, data)
 
 
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -196,9 +207,10 @@ def sweeps(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
            data: ProblemData) -> np.ndarray:
     """G of the sweeps under each coefficient matrix of the (B, p, n) stack
     cs on config.basis, run as one stacked forward/backward pass; each
-    member of the (B, p, n) result equals sweep's G bit for bit."""
+    member of the (B, p, n) result equals sweep's G bit for bit.
+    ValueError if cs is not such a stack."""
     return coefficient_gradient(integrate_adjoint(
-        oracle, forward(oracle, cs, config, data), data.z_val))
+        oracle, _forward_stack(oracle, cs, config, data), data.z_val))
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):

@@ -435,6 +435,71 @@ class TestIntegrateAdjoint:
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
+def per_stage_forward(o, theta0, c, basis, eps, data, grid):
+    """The quarter-step RK4 pass with u = c @ psi[i] formed anew at every
+    stage; returns its states and the first stage's grad J~0 at each."""
+    h = 0.25 * grid.h
+    psi = eval_basis_grid(basis, np.arange(8 * grid.steps + 1) * (grid.h / 8))
+    plan = flow_plan(o, data.z_train, data.z_dith)
+    th = np.broadcast_to(np.asarray(theta0, dtype=float), c.shape[:-1])
+    out, gts = [th], []
+    for k in range(4 * grid.steps):
+        k1, gt = forward_rhs(plan, th, c @ psi[2 * k], eps)
+        k2 = forward_rhs(plan, th + 0.5 * h * k1, c @ psi[2 * k + 1], eps)[0]
+        k3 = forward_rhs(plan, th + 0.5 * h * k2, c @ psi[2 * k + 1], eps)[0]
+        k4 = forward_rhs(plan, th + h * k3, c @ psi[2 * k + 2], eps)[0]
+        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(th)
+        gts.append(gt)
+    gts.append(plan.grads(th)[1])
+    return np.array(out), np.array(gts)
+
+
+class TestGridStepBlocks:
+    """Both passes form u, and the backward pass K, one grid step at a
+    time; each must equal its per-stage or per-state product bit for
+    bit."""
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("family", ["linear", "mlp"])
+    def test_match_per_stage_and_per_state_bitwise(self, family, stack, steps,
+                                                   monkeypatch):
+        rng = np.random.default_rng(steps)
+        if family == "linear":
+            o, data = linear_problem(d=3, seed=25)
+        else:
+            o, data = mlp_problem(d=2, seed=24)
+        basis = BasisSpec("legendre_shifted", 3, 1.0)
+        shape = (o.param_dim, 3) if stack is None else (stack, o.param_dim, 3)
+        c = rng.uniform(-1.0, 1.0, shape)
+        theta0 = 0.5 * rng.standard_normal(o.param_dim)
+        grid = TimeGrid(1.0, steps)
+        traj = integrate_forward(o, theta0, c, basis, 0.3, data.z_train,
+                                 data.z_dith, grid)
+        fine, gts = per_stage_forward(o, theta0, c, basis, 0.3, data, grid)
+        np.testing.assert_array_equal(traj.theta_fine, fine)
+        np.testing.assert_array_equal(traj.gt_fine, gts)
+
+        blocks = []
+
+        def spy(plan, theta, gt, u, eps, orig=dynamics.adjoint_matrix):
+            blocks.append((theta, orig(plan, theta, gt, u, eps)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(dynamics, "adjoint_matrix", spy)
+        integrate_adjoint(o, traj, data.z_val)
+        # the blocks, last first, each in state order: one per grid step
+        # and one for the final state
+        assert len(blocks) == steps + 1
+        np.testing.assert_array_equal(
+            np.concatenate([th for th, _ in blocks[::-1]]), fine)
+        ks = np.concatenate([k for _, k in blocks[::-1]])
+        for i in range(4 * steps + 1):
+            np.testing.assert_array_equal(ks[i], adjoint_matrix(
+                traj.plan, fine[i], gts[i], c @ traj.psi[2 * i], 0.3))
+
+
 class TestPlans:
     @pytest.mark.parametrize("steps", [3, 40])
     def test_each_plan_built_once_per_integration(self, steps, monkeypatch):

@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,8 +198,9 @@ class TestSweep:
     def test_forms_costate_matrix_once_per_forward_state(self, family,
                                                          monkeypatch):
         # the forward pass forms no Hessian; the backward pass forms K at
-        # each of the 4M+1 forward states, in order from the last, and its
-        # 8M stages each take one K p
+        # each of the 4M+1 forward states once, in at most M+1 stacked
+        # calls taken from the last grid step back, and its 8M stages each
+        # take one K p
         _, hessians = count_flow_plans(monkeypatch)
         rhs = []
 
@@ -213,8 +215,11 @@ class TestSweep:
         assert hessians == []
         sweep(o, coeffs, config, data, traj)
         m = config.steps
-        assert len(hessians) == 4 * m + 1
-        np.testing.assert_array_equal(hessians, traj.theta_fine[::-1])
+        assert len(hessians) <= m + 1
+        # the blocks, last first, each in state order: read back to front,
+        # they are the trajectory's states, each once
+        np.testing.assert_array_equal(np.concatenate(hessians[::-1]),
+                                      traj.theta_fine)
         assert len(rhs) == 8 * m
         # k1 of a step and k4 of the step before it share a matrix, and so
         # do k2 and k3
@@ -334,6 +339,21 @@ class TestSweeps:
                 run(o, cs, config, data)
         with pytest.raises(ValueError, match="C has non-finite entries"):
             ControlCoefficients(cs[-1], config.basis, config.u_max)
+
+    def test_one_c_rejected_naming_its_shape(self):
+        # configs/linear.json at the first probe: costs of one (p, n) C
+        # failed deep in the validation loss with numpy's "matmul: Input
+        # operand 1 does not have enough dimensions", and sweeps returned
+        # that C's (p, n) G
+        o, config, data = linear_json_problem()
+        c = probes(o, config, 1)[0].c
+        p, n = c.shape
+        for bad in (c, c[None, None]):
+            msg = re.escape(f"C has shape {bad.shape}, expected a "
+                            f"(B, {p}, {n}) stack")
+            for run in (sga.costs, sweeps):
+                with pytest.raises(ValueError, match=msg):
+                    run(o, bad, config, data)
 
 
 def linear_json_problem():

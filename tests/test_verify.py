@@ -7,8 +7,7 @@ import pytest
 
 from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
-                              integrate_forward)
+from sgaflow.dynamics import adjoint_matrix, forward_rhs, integrate_forward
 from sgaflow.sga import SolverConfig, costs, sweep, sweeps
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
@@ -290,20 +289,14 @@ class TestCheckRk4Order:
         # configs/linear.json: the adjoint's end-stage K formed at the
         # midpoint row 2j-1, not at row 2j-2, is first order in the control
         o, config, data = linear_json_problem()
-        ks = []
 
-        def fresh(oracle, traj, z_val):
-            ks.clear()
-            return integrate_adjoint(oracle, traj, z_val)
+        def m4_at_midpoint(plan, theta, gt, u, eps):
+            # a sweep forms K at row 4M, then at rows 4a..4a+3 of each grid
+            # step a in one call: the end-stage rows 4a and 4a+2 take the
+            # K of the midpoint rows 4a+1 and 4a+3
+            k = adjoint_matrix(plan, theta, gt, u, eps)
+            return k[[1, 1, 3, 3]] if len(theta) == 4 else k
 
-        def m4_at_midpoint(*args):
-            # a sweep forms K at row 4M, then at rows 2j-1 and 2j-2 of each
-            # half step j: every even call after the first is an end stage
-            n = len(ks)
-            ks.append(ks[-1] if n and n % 2 == 0 else adjoint_matrix(*args))
-            return ks[-1]
-
-        monkeypatch.setattr(sga, "integrate_adjoint", fresh)
         monkeypatch.setattr(dynamics, "adjoint_matrix", m4_at_midpoint)
         report = check_rk4_order(o, config, data)
         assert not report.passed, report.to_dict()
