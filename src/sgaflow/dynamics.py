@@ -227,10 +227,10 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
         k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
         k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # |th| as np.linalg.norm computes it, without its per-call overhead;
-        # nan compares False
-        inside = np.sqrt((th * th).sum(axis=-1)) <= DIVERGENCE_BOUND
-        if not inside.all():
+        # each member's |th|^2 against the bound's square, and one ufunc
+        # reduce over the members; nan compares False
+        inside = np.vecdot(th, th) <= DIVERGENCE_BOUND ** 2
+        if not np.logical_and.reduce(inside, axis=None):
             b = int(np.argmin(inside))
             nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
             raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
@@ -298,10 +298,15 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
 def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
                 u: np.ndarray, eps: float, z_train: Dataset,
                 z_dith: Dataset) -> float:
-    """Control Hamiltonian: <p, f(theta, u)>."""
-    p = np.asarray(p, dtype=float).ravel()
+    """Control Hamiltonian: <p, f(theta, u)>.  ValueError unless p and u
+    are finite (p,) vectors, naming the one that is not."""
+    dim = oracle.param_dim
+    p, u = (np.asarray(a, dtype=float) for a in (p, u))
+    for name, a in (("p", p), ("u", u)):
+        if a.shape != (dim,):
+            raise ValueError(f"{name} has shape {a.shape}, expected ({dim},)")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
     f, _ = forward_rhs(flow_plan(oracle, z_train, z_dith),
-                       _state(oracle, theta), np.asarray(u, dtype=float), eps)
-    if p.shape != f.shape:
-        raise ValueError(f"p has dim {p.shape[0]}, expected {f.shape[0]}")
+                       _state(oracle, theta), u, eps)
     return float(p @ f)

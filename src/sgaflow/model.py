@@ -7,6 +7,9 @@
 * ``mlp_tanh`` -- one hidden tanh layer of configurable width; gradients are
   analytic, and the Hessian explicit: (2/m) Jac^T Jac plus the curvature of
   each hidden unit's output, which lies in its own W1 row, b1 and w2 entries.
+  The plan reads W1 and b1 as one (h, d+1) block against the inputs with a
+  ones column, so a gradient is one product for that block, one for w2 and
+  b2 and one reorder into theta's order.
 
 The training loss is the mean squared error (1/m) sum (h(x_i) - y_i)^2; the
 validation cost uses the same formula on the validation set.  Loops evaluate
@@ -16,8 +19,9 @@ and value check nothing.  The flow's training set and its dithered version
 share x, so one plan per integration (flow_plan) serves both: the family's
 plan on the (2, m) target stack (y, y~), whose grads takes both gradients
 from one A theta (linear) or one forward pass (mlp), and hessians both
-Hessians from one call.  loss_value, loss_gradient and loss_hvp are one-shot
-plan calls at a (p,) theta that also check it.
+Hessians from one call.  loss_value and loss_hvp are one-shot plan calls at
+a (p,) theta, and loss_gradient at a (p,) theta or a (..., p) stack; each
+also checks it.
 """
 
 from __future__ import annotations
@@ -123,14 +127,25 @@ class LinearPlan:
 @dataclass(frozen=True)
 class MlpPlan:
     """The mlp family's loss on one dataset, or on a (k, m) stack of targets
-    for its inputs."""
+    for its inputs.
+
+    The hidden layer reads W1 and b1 as one (h, d+1) block [W1|b1] against
+    xb = (x, 1), so t = tanh([W1|b1] @ xb^T), and the output reads [w2|b2]
+    against [t; 1].  A gradient is then one product for the W1 and b1 block,
+    ((1 - t^2) * coef) @ xb scaled by w2, one for [w2|b2], [t; 1] @ coef,
+    and one reorder of the concatenated blocks into theta's order."""
 
     oracle: ModelOracle
     x: np.ndarray  # (m, d)
     y: np.ndarray  # (..., m)
-    # xx: each sample's products xb_k xb_l of xb = (x, 1), the last d+1 of
-    # them xb itself; at: the flat (p, p) Hessian entries the model output
-    # curves in, those pairing a hidden unit's W1 row, b1 and w2 entries
+    # xb: (x, 1), (m, d+1); wb: the (h, d+1) theta indices of [W1|b1];
+    # order: the permutation from the gradient's block order to theta's
+    xb: np.ndarray = field(init=False, repr=False, compare=False)
+    wb: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    # xx: each sample's products xb_k xb_l; at: the flat (p, p) Hessian
+    # entries the model output curves in, those pairing a hidden unit's W1
+    # row, b1 and w2 entries
     xx: np.ndarray = field(init=False, repr=False, compare=False)
     at: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -141,6 +156,11 @@ class MlpPlan:
         wb = np.column_stack([np.arange(h * d).reshape(h, d),
                               h * d + np.arange(h)])
         w2 = wb[:, -1:] + h
+        object.__setattr__(self, "xb", xb)
+        object.__setattr__(self, "wb", wb)
+        blk = np.arange(h * (d + 1)).reshape(h, d + 1)  # [W1|b1] positions
+        object.__setattr__(self, "order", np.concatenate(
+            [blk[:, :d].ravel(), blk[:, d], np.arange(h * (d + 1), p)]))
         object.__setattr__(self, "xx", (xb[:, :, None] * xb[:, None, :])
                            .reshape(len(xb), -1))
         object.__setattr__(self, "at", np.concatenate(
@@ -152,40 +172,47 @@ class MlpPlan:
         return float(np.mean(r * r))
 
     def _layer(self, theta: np.ndarray):
-        """The hidden layer t (..., h, m), 1 - t^2, q = (1 - t^2) w2 and the
-        residual weights coef = (2/m) r (..., m) on the targets."""
-        w1, b1, w2, b2 = self.oracle._unpack(theta)
-        t = np.tanh(w1 @ self.x.T + b1[..., None])
-        r = (w2[..., None, :] @ t)[..., 0, :] + b2[..., None] - self.y
-        dt = 1.0 - t * t
-        return t, dt, dt * w2[..., None], (2.0 / self.y.shape[-1]) * r
+        """tb = [t; 1] (..., h+1, m), t the hidden layer, [w2|b2] (..., h+1)
+        and the residual weights coef = (2/m) r (..., m) on the targets."""
+        h = self.oracle.hidden
+        tb = np.empty_like(theta,
+                           shape=theta.shape[:-1] + (h + 1, len(self.xb)))
+        np.tanh(theta[..., self.wb] @ self.xb.T, out=tb[..., :h, :])
+        tb[..., h, :] = 1.0
+        w2b = theta[..., -(h + 1):]
+        r = (w2b[..., None, :] @ tb)[..., 0, :] - self.y
+        return tb, w2b, (2.0 / self.y.shape[-1]) * r
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        t, _, q, coef = self._layer(theta)
-        c = coef[..., None]
-        g_w1 = (self.x.T * coef[..., None, :]) @ q.swapaxes(-1, -2)  # d x h
-        return np.concatenate([g_w1.swapaxes(-1, -2).reshape(
-            g_w1.shape[:-2] + (-1,)), (q @ c)[..., 0], (t @ c)[..., 0],
-            coef.sum(axis=-1, keepdims=True)], axis=-1)
+        tb, w2b, coef = self._layer(theta)
+        t = tb[..., :-1, :]
+        g = ((1.0 - t * t) * coef[..., None, :]) @ self.xb
+        g *= w2b[..., :-1, None]
+        return np.concatenate([g.reshape(g.shape[:-2] + (-1,)),
+                               np.matvec(tb, coef)], axis=-1)[..., self.order]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """The Hessian, (..., p, p) as theta's rows and the targets stack
         broadcast: (2/m) Jac^T Jac, Jac the (m, p) Jacobian of the output,
         plus sum_i coef_i times the Hessian of the output at sample i."""
-        x, d, p = self.x, self.oracle.input_dim, self.oracle.param_dim
-        t, dt, q, coef = self._layer(theta)
-        h, rows = t.shape[-2], t.shape[:-2]
-        jac_t = np.empty(rows + (p, len(x)))  # filled in place: no temporaries
-        np.multiply(q[..., None, :], x.T,
+        xb, d, p = self.xb, self.oracle.input_dim, self.oracle.param_dim
+        tb, w2b, coef = self._layer(theta)
+        h, rows = self.oracle.hidden, tb.shape[:-2]
+        t = tb[..., :h, :]
+        dt = 1.0 - t * t
+        # filled in place: no temporaries
+        jac_t = np.empty(rows + (p, len(xb)))
+        q = np.multiply(dt, w2b[..., :h, None],
+                        out=jac_t[..., h * d:h * d + h, :])
+        np.multiply(q[..., None, :], xb.T[:d],
                     out=jac_t[..., :h * d, :].reshape(rows + (h, d, -1)))
-        np.concatenate([q, t, np.ones(rows + (1, len(x)))], axis=-2,
-                       out=jac_t[..., h * d:, :])
+        jac_t[..., h * d + h:, :] = tb
         lead, cw = coef.shape[:-1], coef[..., None, :]
         blocks = (cw * (-2.0 * t * q)) @ self.xx
-        cross = (cw * dt) @ self.xx[:, -(d + 1):]
+        cross = (cw * dt) @ xb
         hs = np.empty(lead + (p * p,))
         np.multiply((jac_t @ jac_t.swapaxes(-1, -2)).reshape(rows + (-1,)),
-                    2.0 / len(x), out=hs)
+                    2.0 / len(xb), out=hs)
         hs[..., self.at] += np.concatenate(
             [a.reshape(lead + (-1,)) for a in (blocks, cross, cross)], axis=-1)
         return hs.reshape(lead + (p, p))
@@ -223,9 +250,10 @@ def _plan(oracle: ModelOracle, x: np.ndarray, y: np.ndarray) -> LossPlan:
 
 def loss_plan(oracle: ModelOracle, z: Dataset) -> LossPlan:
     """The loss of oracle on z; ValueError if z's input dimension is not the
-    oracle's or z holds nan or inf.  The plan's grad, hessian and value take
-    a (p,) theta, grad also a (B, p) stack, each row's result equal to that
-    row's alone bit for bit."""
+    oracle's or z holds nan or inf.  The plan's value takes a (p,) theta,
+    and its grad and hessian a (p,) theta or a (B, p) stack, each row's
+    result equal to that row's alone bit for bit (the linear family's
+    Hessian is A whatever theta)."""
     _check(oracle, z)
     return _plan(oracle, z.x, z.y)
 
@@ -235,9 +263,10 @@ def flow_plan(oracle: ModelOracle, z_train: Dataset,
     """The losses of oracle on z_train and on its dithered version z_dith:
     the family's plan on the targets (y, y~).  Its grads(theta) is
     (grad J0, grad J~0) at a (p,) theta or at each row of a (B, p) stack,
-    and hessians(theta) is (H, H~) at a (p,) theta, each equal to the
-    per-dataset plan's call bit for bit.  ValueError if either dataset fails
-    loss_plan's checks or z_dith's inputs are not z_train's."""
+    and hessians(theta) is (H, H~) at the same (the linear family's A and A
+    whatever theta), each equal to the per-dataset plan's call bit for
+    bit.  ValueError if either dataset fails loss_plan's checks or z_dith's
+    inputs are not z_train's."""
     _check(oracle, z_train)
     _check(oracle, z_dith)
     if not np.array_equal(z_dith.x, z_train.x):

@@ -135,6 +135,23 @@ class TestIntegrateForward:
         assert abs(exc.value.t - np.log(10.0 / 9.0)) <= 0.25 * grid.h
         assert exc.value.norm > dynamics.DIVERGENCE_BOUND
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_divergence_guard_counts_a_nan_state_as_outside(self, stacked):
+        # u = 1e300 overflows the first quarter step's stages, so theta
+        # becomes nan there, which compares False against any bound; in a
+        # stack, the other members stay finite
+        o, z1, zd, _ = quad_oracle()
+        grid = TimeGrid(1.0, 50)
+        cs = np.zeros((3, 1, 2))
+        cs[1, 0, 0] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            integrate_forward(o, [1.0], cs if stacked else cs[1],
+                              BasisSpec("legendre_shifted", 2, 1.0), 0.5,
+                              z1, zd, grid)
+        assert exc.value.t == 0.25 * grid.h
+        assert exc.value.norm == np.inf
+
     def test_nonfinite_theta0_rejected(self):
         o, z1, zd, _ = quad_oracle()
         with pytest.raises(ValueError):
@@ -648,3 +665,23 @@ class TestHamiltonian:
         o, z1, zd, _ = quad_oracle(2)
         with pytest.raises(ValueError):
             hamiltonian(o, np.ones(2), np.ones(3), np.ones(2), 0.1, z1, zd)
+
+    @pytest.mark.parametrize("name", ["p", "u"])
+    @pytest.mark.parametrize("bad,match", [
+        (lambda dim: 1.0, r"shape \(\), expected \(17,\)"),
+        (lambda dim: np.ones(1), r"shape \(1,\), expected"),
+        (lambda dim: np.ones((2, dim)), r"shape \(2, 17\), expected"),
+        (lambda dim: np.full(dim, np.nan), "non-finite"),
+        (lambda dim: np.full(dim, np.inf), "non-finite"),
+    ], ids=["scalar", "one-entry", "stack", "nan", "inf"])
+    def test_refuses_p_or_u_not_a_finite_vector_naming_it(self, name, bad,
+                                                           match):
+        # a scalar or one-entry vector would broadcast, a stack would give
+        # a stack of velocities, and nan or inf would come back as H
+        o, data = mlp_problem(d=2, seed=19)
+        dim = o.param_dim
+        theta = np.random.default_rng(20).standard_normal(dim)
+        args = {"p": np.ones(dim), "u": np.ones(dim), name: bad(dim)}
+        with pytest.raises(ValueError, match=f"^{name} has " + match):
+            hamiltonian(o, theta, args["p"], args["u"], 0.1, data.z_train,
+                        data.z_dith)

@@ -10,6 +10,14 @@ from conftest import (complex_step_hvp, fd_hvp, linear_problem, mlp_problem,
                       quadratic_datasets)
 
 
+def complex_step_gradient(oracle, theta, z, h=1e-30):
+    """The gradient of the mean squared error on z, Im MSE(theta + i h e_k)
+    / h for each k, with the model output taken by oracle.predict: exact to
+    rounding, as no difference is taken."""
+    return np.array([np.mean((oracle.predict(theta + 1j * h * e, z.x) - z.y)
+                             ** 2).imag / h for e in np.eye(theta.size)])
+
+
 class TestLossValue:
     def test_scalar_linear_case(self):
         # h(x) = theta*x, theta=2, point (1, 0), squared loss -> 4
@@ -70,6 +78,28 @@ class TestLossGradient:
             g = loss_gradient(o, theta, data.z_train)
             scale = max(np.max(np.abs(fd)), 1e-12)
             assert np.max(np.abs(g - fd)) / scale <= tol
+
+    @pytest.mark.parametrize("case", ["single", "stack", "flow"])
+    def test_mlp_matches_complex_step_of_the_loss(self, case):
+        # the plan's gradient against the loss's own derivative through
+        # oracle.predict, not the plan: no difference step, so the two
+        # agree to rounding, for a (p,) theta, a (B, p) stack and the
+        # flow plan's two targets
+        o, data = mlp_problem(d=2, seed=17)
+        z1, zd = data.z_train, data.z_dith
+        thetas = np.random.default_rng(18).standard_normal((3, o.param_dim))
+        if case == "single":
+            got = loss_plan(o, z1).grad(thetas[0])
+            want = complex_step_gradient(o, thetas[0], z1)
+        elif case == "stack":
+            got = loss_plan(o, z1).grad(thetas)
+            want = [complex_step_gradient(o, th, z1) for th in thetas]
+        else:
+            got = flow_plan(o, z1, zd).grads(thetas[0])
+            want = [complex_step_gradient(o, thetas[0], z) for z in (z1, zd)]
+        want = np.asarray(want)
+        assert np.shape(got) == want.shape
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13
 
 
 class TestLossGradientStack:
