@@ -15,8 +15,9 @@ Each Armijo trial integrates its control forward, and the accepted trial's
 trajectory, with its cost, is the next sweep's forward pass, so a solver
 iteration runs one forward integration per trial and one backward
 integration, and J is evaluated once per trajectory.  forward integrates
-one C or a stack, so costs and sweeps run a stack of controls as one pass,
-each member bit for bit cost's and sweep's.
+one C or a stack and backward sweeps back along either, so costs and the
+gradient check run a stack of controls as one pass, each member bit for
+bit cost's and sweep's; sweep is forward and backward under one C.
 """
 
 from __future__ import annotations
@@ -130,10 +131,14 @@ def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
     """Validation costs at final time of the flows under each coefficient
     matrix of the (B, p, n) stack cs on config.basis, integrated as one
     batch; each entry equals phi_value at forward()'s final state bit for
-    bit.  ValueError if cs is not such a stack."""
-    thetas = _forward_stack(oracle, cs, config, data).theta_final
+    bit.  ValueError, naming cs's shape, unless it is 3-D."""
+    cs = np.asarray(cs, dtype=float)
+    if cs.ndim != 3:
+        raise ValueError(f"C has shape {cs.shape}, expected a "
+                         f"(B, {oracle.param_dim}, {config.basis.n}) stack")
     val = loss_plan(oracle, data.z_val)
-    return np.array([val.value(th) for th in thetas])
+    return np.array([val.value(th) for th in
+                     forward(oracle, cs, config, data).theta_final])
 
 
 def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
@@ -144,17 +149,6 @@ def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
     return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
                              c, config.basis, config.eps, data.z_train,
                              data.z_dith, config.grid)
-
-
-def _forward_stack(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
-                   data: ProblemData) -> Trajectory:
-    """forward of the (B, p, n) stack cs; ValueError, naming cs's shape,
-    unless it is 3-D."""
-    cs = np.asarray(cs, dtype=float)
-    if cs.ndim != 3:
-        raise ValueError(f"C has shape {cs.shape}, expected a "
-                         f"(B, {oracle.param_dim}, {config.basis.n}) stack")
-    return forward(oracle, cs, config, data)
 
 
 def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
@@ -183,6 +177,14 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
     return (np.moveaxis(f, 0, -1) * ((grid.h / 6.0) * w)) @ traj.psi[::4]
 
 
+def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset):
+    """The costate sweep along the forward trajectory traj, one flow or a
+    stack, on the validation set z_val, and the G it gives: (adjoint, G),
+    each member of a stack bit for bit its own flow's."""
+    adj = integrate_adjoint(oracle, traj, z_val)
+    return adj, coefficient_gradient(adj)
+
+
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           config: SolverConfig, data: ProblemData,
           traj: Trajectory | None = None):
@@ -199,18 +201,7 @@ def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
           or not np.array_equal(traj.plan.y, np.stack([data.z_train.y,
                                                         data.z_dith.y]))):
         raise ValueError("traj was not integrated under coeffs and config")
-    adj = integrate_adjoint(oracle, traj, data.z_val)
-    return traj, adj, coefficient_gradient(adj)
-
-
-def sweeps(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
-           data: ProblemData) -> np.ndarray:
-    """G of the sweeps under each coefficient matrix of the (B, p, n) stack
-    cs on config.basis, run as one stacked forward/backward pass; each
-    member of the (B, p, n) result equals sweep's G bit for bit.
-    ValueError if cs is not such a stack."""
-    return coefficient_gradient(integrate_adjoint(
-        oracle, _forward_stack(oracle, cs, config, data), data.z_val))
+    return (traj, *backward(oracle, traj, data.z_val))
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):

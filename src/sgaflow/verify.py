@@ -5,8 +5,9 @@ the value-function/costate identity at initial time, whose value gradient
 fd_gradient takes entry by entry.  A check's steps, seeds, tolerances and
 levels are the constants below.  The checks run the solver's own
 forward/backward pair at the controls of one seeded stream (probes): the
-coefficient check as one sga.sweeps stack, the order check as sga.sweep at
-the first probe, so the control moves."""
+coefficient check as one sga.forward stack of the probes and their
+difference flows, swept back by sga.backward over the probes alone, the
+order check as sga.sweep at the first probe, so the control moves."""
 
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .basis import ControlCoefficients, project_admissible
-from .model import ModelOracle
-from .sga import ProblemData, SolverConfig, cost, costs, solve, sweep, sweeps
+from .model import ModelOracle, loss_plan
+from .sga import (ProblemData, SolverConfig, backward, cost, forward, solve,
+                  sweep)
 
 PROBE_SEED = 0                  # seed of the stream of probe controls
 DIRECTION_SEED = (0, 1)         # seed of the gradient check's directions,
@@ -84,27 +86,32 @@ def probes(oracle: ModelOracle, config: SolverConfig, count: int) -> list:
 def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
                                data: ProblemData,
                                n_probes: int = 5) -> CheckReport:
-    """Check dJ/dC = -G at the first n_probes probes: along each of
+    """Check dJ/dC = -G at the first n_probes >= 1 probes: along each of
     DIRECTIONS random unit directions D, -<G, D> against the central
     difference (J(C + hD) - J(C - hD)) / 2h, h = FD_STEP, to GRAD_TOL.  The
-    probes' sweeps run as one stack, and the 2 * DIRECTIONS flows of every
-    probe are integrated as one batch, so the check's cost does not depend
-    on the number of coefficients."""
-    directions = np.random.default_rng(DIRECTION_SEED)
+    probes and the 2 * DIRECTIONS flows of every probe are integrated
+    forward as one stack, and swept back over the probes' members alone, so
+    the check's cost does not depend on the number of coefficients."""
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     cs = np.stack([coeffs.c for coeffs in probes(oracle, config, n_probes)])
-    analytic, trials = [], []
-    for c, grad in zip(cs, sweeps(oracle, cs, config, data)):
-        d = directions.standard_normal((DIRECTIONS,) + c.shape)
-        d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
-        analytic.append(-np.einsum("ij,kij->k", grad, d))
-        trials.append(c + FD_STEP * np.concatenate([d, -d]))
-    js = costs(oracle, np.concatenate(trials), config,
-               data).reshape(n_probes, 2, DIRECTIONS)
+    ds = np.random.default_rng(DIRECTION_SEED).standard_normal(
+        (n_probes, DIRECTIONS) + cs.shape[1:])
+    ds /= np.linalg.norm(ds, axis=(2, 3), keepdims=True)
+    trials = cs[:, None] + FD_STEP * np.concatenate([ds, -ds], axis=1)
+    traj = forward(oracle, np.concatenate([cs, *trials]), config, data)
+    _, grads = backward(oracle, replace(
+        traj, theta_fine=traj.theta_fine[:, :n_probes],
+        gt_fine=traj.gt_fine[:, :n_probes], c=traj.c[:n_probes]), data.z_val)
+    val = loss_plan(oracle, data.z_val)
+    js = np.array([val.value(th) for th in traj.theta_final[n_probes:]])
     details = []
-    for probe, (a, j) in enumerate(zip(analytic, js)):
+    for probe, (grad, d, j) in enumerate(
+            zip(grads, ds, js.reshape(n_probes, 2, DIRECTIONS))):
         if not np.all(np.isfinite(j)):
             raise ValueError(f"non-finite cost near the coefficients of "
                              f"probe {probe}")
+        a = -np.einsum("ij,kij->k", grad, d)
         fd = (j[0] - j[1]) / (2.0 * FD_STEP)
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
         err = float(np.max(np.abs(a - fd)) / scale)

@@ -14,8 +14,8 @@ from sgaflow import model
 from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
                               integrate_forward)
 from sgaflow.model import loss_gradient, phi_value
-from sgaflow.sga import (SolverConfig, coefficient_gradient, cost, forward,
-                         solve, sweep, sweeps)
+from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
+                         forward, solve, sweep)
 from sgaflow.verify import check_coefficient_gradient, fd_gradient, probes
 
 from conftest import (linear_problem, mlp_check_problem, mlp_problem,
@@ -310,21 +310,31 @@ class TestSweep:
 
 
 class TestSweeps:
+    """Stacked sweeps: a forward stack, its costs, and backward over a
+    slice of its members."""
+
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_members_equal_sweep_bitwise(self, family):
         # configs/linear.json and criterion 3's mlp problem at the
-        # coefficient check's probes: each member of a stack of B = 1 or 3
-        # is the G of sweep at its C, bit for bit
+        # coefficient check's probes: backward over the first b members of
+        # a forward stack of 4 gives each member's sweep costate and G, bit
+        # for bit
         o, config, data = (linear_json_problem() if family == "linear"
                            else mlp_check_problem(seed=61, steps=200,
                                                   n_basis=3))
-        ps = probes(o, config, 3)
-        serial = [sweep(o, c, config, data)[2] for c in ps]
+        ps = probes(o, config, 4)
+        serial = [sweep(o, c, config, data)[1:] for c in ps[:3]]
+        traj = forward(o, np.stack([c.c for c in ps]), config, data)
         for b in (1, 3):
-            gs = sweeps(o, np.stack([c.c for c in ps[:b]]), config, data)
+            adj, gs = backward(o, replace(
+                traj, theta_fine=traj.theta_fine[:, :b],
+                gt_fine=traj.gt_fine[:, :b], c=traj.c[:b]), data.z_val)
             assert gs.shape == (b, o.param_dim, config.basis.n)
-            for g, want in zip(gs, serial):
-                np.testing.assert_array_equal(g, want)
+            assert adj.p_half.shape[1] == b
+            for i, (want_adj, want_g) in enumerate(serial[:b]):
+                np.testing.assert_array_equal(gs[i], want_g)
+                np.testing.assert_array_equal(adj.p_half[:, i],
+                                              want_adj.p_half)
 
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -334,7 +344,7 @@ class TestSweeps:
         o, config, data = linear_json_problem()
         cs = np.stack([c.c for c in probes(o, config, b)])
         cs[-1, 0, 0] = bad
-        for run in (sga.costs, sweeps):
+        for run in (sga.costs, forward):
             with pytest.raises(ValueError, match="C has non-finite entries"):
                 run(o, cs, config, data)
         with pytest.raises(ValueError, match="C has non-finite entries"):
@@ -343,17 +353,15 @@ class TestSweeps:
     def test_one_c_rejected_naming_its_shape(self):
         # configs/linear.json at the first probe: costs of one (p, n) C
         # failed deep in the validation loss with numpy's "matmul: Input
-        # operand 1 does not have enough dimensions", and sweeps returned
-        # that C's (p, n) G
+        # operand 1 does not have enough dimensions"
         o, config, data = linear_json_problem()
         c = probes(o, config, 1)[0].c
         p, n = c.shape
         for bad in (c, c[None, None]):
             msg = re.escape(f"C has shape {bad.shape}, expected a "
                             f"(B, {p}, {n}) stack")
-            for run in (sga.costs, sweeps):
-                with pytest.raises(ValueError, match=msg):
-                    run(o, bad, config, data)
+            with pytest.raises(ValueError, match=msg):
+                sga.costs(o, bad, config, data)
 
 
 def linear_json_problem():
@@ -544,18 +552,17 @@ def forward_calls(monkeypatch):
 
 
 def test_one_forward_entry_per_pass(forward_calls):
-    # forward, costs and sweeps each integrate once, a stack included, and
-    # the coefficient check twice: one stacked sweep and one cost batch
+    # forward and costs each integrate once, a stack included, and so does
+    # the coefficient check: its probes and their flows are one stack
     o, config, data = sweep_problem("linear")
     cs = np.stack([c.c for c in probes(o, config, 3)])
-    for run, c in ((forward, cs[0]), (forward, cs), (sga.costs, cs),
-                   (sweeps, cs)):
+    for run, c in ((forward, cs[0]), (forward, cs), (sga.costs, cs)):
         forward_calls[0] = 0
         run(o, c, config, data)
         assert forward_calls[0] == 1
     forward_calls[0] = 0
     check_coefficient_gradient(o, config, data)
-    assert forward_calls[0] == 2
+    assert forward_calls[0] == 1
 
 
 def armijo_trials(report, config):

@@ -7,8 +7,9 @@ import pytest
 
 from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
-from sgaflow.dynamics import adjoint_matrix, forward_rhs, integrate_forward
-from sgaflow.sga import SolverConfig, costs, sweep, sweeps
+from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
+                              integrate_forward)
+from sgaflow.sga import SolverConfig, backward, costs, forward, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
@@ -88,11 +89,11 @@ class TestCheckCoefficientGradient:
                                                   config.basis.n - 1)
 
         def corrupted(*args):
-            grads = sweeps(*args).copy()
+            adj, grads = backward(*args)
             grads[(0,) + entry] *= 1.01
-            return grads
+            return adj, grads
 
-        monkeypatch.setattr(verify, "sweeps", corrupted)
+        monkeypatch.setattr(verify, "backward", corrupted)
         report = check_coefficient_gradient(o, config, data, n_probes=1)
         assert not report.passed, report.to_dict()
 
@@ -118,10 +119,11 @@ class TestCheckCoefficientGradient:
         assert zero_rows(replace(config, theta0=None)) == o.param_dim - 1
 
     @pytest.mark.parametrize("problem", ["linear", "mlp"])
-    def test_batched_probes_match_serial_probes(self, monkeypatch, problem):
+    def test_batched_probes_match_serial_probes(self, problem):
         # configs/linear.json and criterion 3's mlp problem: the check
-        # integrates every probe's flows in one costs call, and each probe's
-        # entry equals one built by a costs call of its own, bit for bit
+        # integrates the probes and all their flows as one stack, and each
+        # probe's entry equals one built by a sweep and a costs call of its
+        # own, bit for bit
         o, config, data = (linear_json_problem() if problem == "linear"
                            else mlp_check_problem(seed=61, steps=200,
                                                   n_basis=3))
@@ -145,33 +147,65 @@ class TestCheckCoefficientGradient:
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
             serial.append({"probe": probe, "rel_err": float(
                 np.max(np.abs(analytic - fd)) / scale)})
-        batches = []
-
-        def counted(oracle, cs, *args):
-            batches.append(len(cs))
-            return costs(oracle, cs, *args)
-
-        monkeypatch.setattr(verify, "costs", counted)
         report = check_coefficient_gradient(o, config, data,
                                             n_probes=n_probes)
-        assert batches == [2 * k * n_probes]
         assert report.details == serial
         assert report.max_rel_err == max(e["rel_err"] for e in serial)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cost_names_the_probe(self, monkeypatch, bad):
-        # a flow of probe 1's batch whose J is not finite
+        # a flow of probe 1's batch whose final state, so its J, is not
+        # finite; the stack's first two members are the probes
         o, config, data = quad_setup(steps=20)
 
         def broken(*args):
-            js = costs(*args)
-            js[2 * verify.DIRECTIONS + 3] = bad
-            return js
+            traj = forward(*args)
+            fine = traj.theta_fine.copy()
+            fine[-1, 2 + 2 * verify.DIRECTIONS + 3] = bad
+            return replace(traj, theta_fine=fine)
 
-        monkeypatch.setattr(verify, "costs", broken)
+        monkeypatch.setattr(verify, "forward", broken)
         with pytest.raises(ValueError, match="non-finite cost near the "
                                              "coefficients of probe 1"):
             check_coefficient_gradient(o, config, data, n_probes=2)
+
+    def test_one_forward_and_one_backward_integration(self, monkeypatch):
+        # configs/linear.json: the probes and their 2 * DIRECTIONS flows
+        # each are one forward stack, and only the probes are swept back
+        o, config, data = linear_json_problem()
+        fwd, bwd = [], []
+
+        def counted_forward(oracle, theta0, c, *args):
+            fwd.append(c.shape)
+            return integrate_forward(oracle, theta0, c, *args)
+
+        def counted_adjoint(oracle, traj, *args):
+            bwd.append(traj.c.shape)
+            return integrate_adjoint(oracle, traj, *args)
+
+        monkeypatch.setattr(sga, "integrate_forward", counted_forward)
+        monkeypatch.setattr(sga, "integrate_adjoint", counted_adjoint)
+        p, n = o.param_dim, config.basis.n
+        for n_probes in (1, 3):
+            fwd.clear()
+            bwd.clear()
+            check_coefficient_gradient(o, config, data, n_probes=n_probes)
+            assert fwd == [(n_probes * (1 + 2 * verify.DIRECTIONS), p, n)]
+            assert bwd == [(n_probes, p, n)]
+
+    @pytest.mark.parametrize("n_probes", [0, -1])
+    def test_refuses_fewer_than_one_probe_before_integrating(
+            self, monkeypatch, n_probes):
+        # n_probes = 0 ended in numpy's "need at least one array to stack"
+        o, config, data = quad_setup(steps=20)
+
+        def never(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(sga, "integrate_forward", never)
+        with pytest.raises(ValueError, match=f"n_probes must be >= 1, got "
+                                             f"{n_probes}"):
+            check_coefficient_gradient(o, config, data, n_probes=n_probes)
 
     def test_eps_zero_both_sides_vanish(self):
         o, config, data = quad_setup(eps=0.0, steps=50)
@@ -249,12 +283,13 @@ class TestCheckRk4Order:
             seen.append((coeffs.c, replace(cfg, steps=config.steps)))
             return sweep(oracle, coeffs, cfg, *args)
 
-        def stacked(oracle, cs, *args):
-            seen.append(cs[0])   # the coefficient check's first member
-            return sweeps(oracle, cs, *args)
+        def stacked(oracle, traj, *args):
+            assert len(traj.c) == 1   # the coefficient check's one probe
+            seen.append(traj.c[0])
+            return backward(oracle, traj, *args)
 
         monkeypatch.setattr(verify, "sweep", recorded)
-        monkeypatch.setattr(verify, "sweeps", stacked)
+        monkeypatch.setattr(verify, "backward", stacked)
         check_rk4_order(o, config, data)
         assert len(seen) == 5
         first = verify.probes(o, config, 1)[0].c
