@@ -329,11 +329,10 @@ def cmd_run(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
     p = oracle.param_dim
     report = solve(oracle, config, data)
-    # from the zero initial control, the first sweep's cost is the null
+    # from the zero initial control, the first iteration's cost is the null
     # control's, computed the same way
     null_cost = (report.iterations[0].cost if config.c0 is None else
-                 cost(oracle, zero_coefficients(p, config.basis, config.u_max),
-                      config, data))
+                 cost(oracle, np.zeros((p, config.basis.n)), config, data))
     traj = forward(oracle, report.final_coeffs.c, config, data)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
@@ -349,7 +348,7 @@ def cmd_baseline(args) -> int:
     coeffs = zero_coefficients(oracle.param_dim, config.basis, config.u_max)
     traj = forward(oracle, coeffs.c, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
-    report = SolverReport([], coeffs, traj.theta_final, j0, False, "baseline")
+    report = SolverReport([], coeffs, traj.theta_final, j0, "baseline")
     _emit_run(out, cfg, args.seed, report, j0, traj)
     if not args.quiet:
         print(f"J[0]={j0:.6e}")

@@ -11,13 +11,14 @@ and the variational identity dJ/dC = -G makes the update self-checking: an
 Armijo backtracking line search enforces sufficient decrease of J and
 backtracks from a trial step whose flow diverges.
 
-Each Armijo trial integrates its control forward, and the accepted trial's
-trajectory, with its cost, is the next sweep's forward pass, so a solver
-iteration runs one forward integration per trial and one backward
-integration, and J is evaluated once per trajectory.  forward integrates
-one C or a stack and backward sweeps back along either, so costs and the
-gradient check run a stack of controls as one pass, each member bit for
-bit cost's and sweep's; sweep is forward and backward under one C.
+Each iteration sweeps back, with backward, along the forward trajectory
+the solver holds: the first forward pass, then the accepted Armijo trial's,
+whose cost is the next j0.  So an iteration runs one forward integration
+per trial and one backward integration, and J is evaluated once per
+trajectory.  forward integrates one C or a stack and backward sweeps back
+along either, so cost and the gradient check run a stack of controls as one
+pass, each member bit for bit its own flow's; sweep is forward and backward
+under one C.
 """
 
 from __future__ import annotations
@@ -112,8 +113,11 @@ class SolverReport:
     final_coeffs: ControlCoefficients
     theta_star: np.ndarray
     final_cost: float
-    converged: bool
     stop_reason: str  # 'tolerance' | 'max_iters' | 'line_search_failure'
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
     def to_dict(self) -> dict:
         return {
@@ -126,21 +130,6 @@ class SolverReport:
         }
 
 
-def costs(oracle: ModelOracle, cs: np.ndarray, config: SolverConfig,
-          data: ProblemData) -> np.ndarray:
-    """Validation costs at final time of the flows under each coefficient
-    matrix of the (B, p, n) stack cs on config.basis, integrated as one
-    batch; each entry equals phi_value at forward()'s final state bit for
-    bit.  ValueError, naming cs's shape, unless it is 3-D."""
-    cs = np.asarray(cs, dtype=float)
-    if cs.ndim != 3:
-        raise ValueError(f"C has shape {cs.shape}, expected a "
-                         f"(B, {oracle.param_dim}, {config.basis.n}) stack")
-    val = loss_plan(oracle, data.z_val)
-    return np.array([val.value(th) for th in
-                     forward(oracle, cs, config, data).theta_final])
-
-
 def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
             data: ProblemData) -> Trajectory:
     """The controlled flow from config.initial_theta under the (p, n)
@@ -151,11 +140,18 @@ def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
                              data.z_dith, config.grid)
 
 
-def cost(oracle: ModelOracle, coeffs: ControlCoefficients,
-         config: SolverConfig, data: ProblemData) -> float:
-    """Validation cost at final time of the controlled flow under coeffs on
-    config.basis: the one-member costs stack."""
-    return float(costs(oracle, coeffs.c[None], config, data)[0])
+def cost(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
+         data: ProblemData) -> float | np.ndarray:
+    """Validation cost at final time of the controlled flow under the (p, n)
+    coefficient matrix c on config.basis, a float, or an array of the costs
+    of the flows under each matrix of a (B, p, n) stack c, integrated as one
+    forward pass; each value is phi_value at its flow's final state bit for
+    bit."""
+    val = loss_plan(oracle, data.z_val)
+    theta = forward(oracle, c, config, data).theta_final
+    if theta.ndim == 1:
+        return val.value(theta)
+    return np.array([val.value(th) for th in theta])
 
 
 def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
@@ -186,21 +182,10 @@ def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset):
 
 
 def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
-          config: SolverConfig, data: ProblemData,
-          traj: Trajectory | None = None):
-    """One forward/backward pass; returns (trajectory, adjoint, G).  traj,
-    when given, is the forward pass under coeffs and config on data, so it
-    is not integrated again; ValueError if its C, eps, grid, theta0 or
-    training and dithered targets differ."""
-    if traj is None:
-        traj = forward(oracle, coeffs.c, config, data)
-    elif (traj.eps != config.eps or traj.grid != config.grid
-          or not np.array_equal(traj.c, coeffs.c)
-          or not np.array_equal(traj.theta_fine[0],
-                                config.initial_theta(oracle.param_dim))
-          or not np.array_equal(traj.plan.y, np.stack([data.z_train.y,
-                                                        data.z_dith.y]))):
-        raise ValueError("traj was not integrated under coeffs and config")
+          config: SolverConfig, data: ProblemData):
+    """One forward/backward pass under coeffs; returns (trajectory, adjoint,
+    G)."""
+    traj = forward(oracle, coeffs.c, config, data)
     return (traj, *backward(oracle, traj, data.z_val))
 
 
@@ -228,33 +213,32 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     """Run the successive approximation loop to a stationary control.
 
     Stops when the Frobenius norm of the coefficient gradient falls below
-    eps_tol, after max_iters sweeps, or when the line search cannot find a
-    decreasing step.  The accepted Armijo trial's trajectory and cost are
-    the next sweep's forward pass and j0, and give theta_star and
-    final_cost, so nothing is integrated forward after an update but its
-    trials, and J is evaluated once per integrated trajectory.
+    eps_tol, after max_iters iterations, or when the line search cannot
+    find a decreasing step.  Each iteration calls backward on the
+    trajectory it holds; the accepted Armijo trial's trajectory and cost
+    are the next iteration's, and give theta_star and final_cost, so
+    nothing is integrated forward after an update but its trials, and J is
+    evaluated once per integrated trajectory.
     """
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
-    converged = False
     traj = forward(oracle, coeffs.c, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
     for k in range(config.max_iters):
-        traj, adj, grad = sweep(oracle, coeffs, config, data, traj)
+        _, grad = backward(oracle, traj, data.z_val)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.eps_tol:
             records.append(IterationRecord(k, j0, gnorm, 0.0, False))
-            converged = True
             stop_reason = "tolerance"
             break
         coeffs, rec, trial = _apply_update(oracle, coeffs, config, data,
                                            grad, gnorm, j0, k)
         records.append(rec)
         if rec.gamma == 0.0:
-            # coeffs did not change, so the sweep's trajectory still holds
+            # coeffs did not change, so the trajectory still holds
             stop_reason = "line_search_failure"
             break
         traj, j0 = trial
     return SolverReport(records, coeffs, traj.theta_final.copy(), j0,
-                        converged, stop_reason)
+                        stop_reason)

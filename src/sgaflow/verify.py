@@ -141,7 +141,7 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
                      data).final_cost
 
     def v_frozen(th0):
-        return cost(oracle, base.final_coeffs,
+        return cost(oracle, base.final_coeffs.c,
                     replace(config, theta0=np.asarray(th0)), data)
 
     grad_reopt = fd_gradient(v_reopt, theta0, DP_STEP)

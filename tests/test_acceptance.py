@@ -116,7 +116,7 @@ def test_criterion_3_gradient_identity():
 def test_criterion_4_monotone_descent(descent_run):
     start = time.time()
     oracle, config, data, rep = descent_run
-    j_null = cost(oracle, zero_coefficients(2, config.basis, config.u_max),
+    j_null = cost(oracle, zero_coefficients(2, config.basis, config.u_max).c,
                   config, data)
     costs = [r.cost for r in rep.iterations]
     monotone = all(b <= a for a, b in zip(costs, costs[1:]))

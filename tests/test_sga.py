@@ -41,7 +41,7 @@ class TestCost:
         o, data = quad1_problem
         config = quad_config(steps=100)
         coeffs = zero_coefficients(1, config.basis, config.u_max)
-        j = cost(o, coeffs, config, data)
+        j = cost(o, coeffs.c, config, data)
         assert j == pytest.approx(0.5 * np.exp(-2.0), abs=1e-8)
 
     def test_fixed_point_at_joint_optimum(self):
@@ -56,7 +56,8 @@ class TestCost:
                            refit(data.z_val, "validation"))
         config = replace(quad_config(), theta0=theta_fit)
         coeffs = zero_coefficients(o.param_dim, config.basis, config.u_max)
-        assert cost(o, coeffs, config, data) == pytest.approx(0.0, abs=1e-20)
+        assert cost(o, coeffs.c, config, data) == pytest.approx(0.0,
+                                                                abs=1e-20)
 
     def test_invariant_to_u_max_when_control_off(self, quad1_problem):
         o, data = quad1_problem
@@ -64,7 +65,7 @@ class TestCost:
         for u_max in (1.0, 5.0, 50.0):
             config = quad_config(u_max=u_max)
             coeffs = zero_coefficients(1, config.basis, u_max)
-            costs.append(cost(o, coeffs, config, data))
+            costs.append(cost(o, coeffs.c, config, data))
         assert costs[0] == costs[1] == costs[2]
 
 
@@ -102,8 +103,7 @@ class TestCoefficientGradient:
             config.projection_grid)
         _, _, grad = sweep(o, coeffs, config, data)
         fd = fd_gradient(
-            lambda cv: cost(o, replace(coeffs, c=cv.reshape(1, 2)),
-                            config, data),
+            lambda cv: cost(o, cv.reshape(1, 2), config, data),
             coeffs.c.ravel(), 1e-5).reshape(1, 2)
         assert np.max(np.abs(-grad - fd)) / np.max(np.abs(fd)) <= 1e-5
 
@@ -152,7 +152,6 @@ def count_flow_plans(monkeypatch):
     class Counted:
         def __init__(self, plan):
             self.plan = plan
-            self.y = plan.y   # the targets sweep checks a trajectory's on
 
         def grads(self, theta):
             calls["grads"].append(theta)
@@ -175,8 +174,8 @@ class TestSweep:
                                                     monkeypatch):
         # the forward pass takes grad J~0 at every RK4 stage and keeps the
         # first stage's at each of the 4M+1 states (one more call at the
-        # final state); a sweep given that trajectory reads it there, and
-        # builds no dithered loss plan and makes no gradient call
+        # final state); the backward pass along that trajectory reads it
+        # there, and builds no dithered loss plan and makes no gradient call
         built = []
         grads, _ = count_flow_plans(monkeypatch)
 
@@ -190,7 +189,7 @@ class TestSweep:
         traj = forward(o, coeffs.c, config, data)
         assert len(grads) == 16 * config.steps + 1
         grads.clear()
-        sweep(o, coeffs, config, data, traj)
+        backward(o, traj, data.z_val)
         assert grads == []
         assert built == ["validation"]   # p(T) = -grad Phi
 
@@ -213,7 +212,7 @@ class TestSweep:
         coeffs = config.initial_coefficients(o.param_dim)
         traj = forward(o, coeffs.c, config, data)
         assert hessians == []
-        sweep(o, coeffs, config, data, traj)
+        backward(o, traj, data.z_val)
         m = config.steps
         assert len(hessians) <= m + 1
         # the blocks, last first, each in state order: read back to front,
@@ -250,67 +249,14 @@ class TestSweep:
         assert plans == [("train", "dithered")]
         rows.clear()
         plans.clear()
-        sweep(o, coeffs, config, data, traj)
+        backward(o, traj, data.z_val)
         assert rows == plans == []
-        sga.costs(o, np.stack([coeffs.c] * 3), config, data)
+        cost(o, np.stack([coeffs.c] * 3), config, data)
         assert rows == [8 * m + 1]
-
-    def test_refuses_a_trajectory_not_run_under_coeffs_and_config(self):
-        # configs/linear.json: swept with the zero C, a trajectory run under
-        # a random admissible C gave that C's G bit for bit, with no error
-        cfg = cli.load_config(ROOT / "configs" / "linear.json")
-        data = cli.build_data(cfg["data"])
-        o = cli.build_oracle(cfg["model"], data.z_train.d)
-        config = cli.build_solver_config(cfg)
-        coeffs = probes(o, config, 1)[0]
-        traj = forward(o, coeffs.c, config, data)
-        zero = zero_coefficients(o.param_dim, config.basis, config.u_max)
-        for c, other in ((zero, config), (coeffs, replace(config, eps=0.05)),
-                         (coeffs, replace(config, steps=config.steps + 1))):
-            with pytest.raises(ValueError, match="not integrated under"):
-                sweep(o, c, other, data, traj)
-        # an equal C is the trajectory's own, and the trajectory is reused
-        g = sweep(o, replace(coeffs, c=coeffs.c.copy()), config, data,
-                  traj)[2]
-        np.testing.assert_array_equal(g, sweep(o, coeffs, config, data)[2])
-
-    def test_refuses_a_trajectory_from_another_theta0(self):
-        # configs/linear.json (theta0 = 0) at the first probe: swept under
-        # theta0 = 1, that trajectory's costate and G are off by about 0.97
-        # of max |G| from the G of the flow from theta0 = 1
-        o, config, data = linear_json_problem()
-        coeffs = probes(o, config, 1)[0]
-        traj = forward(o, coeffs.c, config, data)
-        ones = replace(config, theta0=np.ones(o.param_dim))
-        want = sweep(o, coeffs, ones, data)[2]
-        stale = coefficient_gradient(integrate_adjoint(o, traj, data.z_val))
-        assert np.max(np.abs(stale - want)) / np.max(np.abs(want)) > 0.9
-        with pytest.raises(ValueError, match="not integrated under"):
-            sweep(o, coeffs, ones, data, traj)
-        # an explicit theta0 = 0 is the trajectory's own
-        zeros = replace(config, theta0=np.zeros(o.param_dim))
-        np.testing.assert_array_equal(
-            sweep(o, coeffs, zeros, data, traj)[2],
-            sweep(o, coeffs, config, data)[2])
-
-    def test_refuses_a_trajectory_on_another_training_pair(self):
-        # configs/linear.json at the first probe: a trajectory integrated on
-        # the data of --seed 1 (every bootstrap and dither seed shifted by
-        # 1) was swept under the seed-0 data, G off by about 0.29 of max |G|
-        o, config, data = linear_json_problem()
-        cfg = cli.load_config(ROOT / "configs" / "linear.json")
-        coeffs = probes(o, config, 1)[0]
-        shifted = forward(o, coeffs.c, config, cli.build_data(cfg["data"], 1))
-        with pytest.raises(ValueError, match="not integrated under"):
-            sweep(o, coeffs, config, data, shifted)
-        # a trajectory on an equal copy of the data is the data's own
-        traj = forward(o, coeffs.c, config, cli.build_data(cfg["data"], 0))
-        np.testing.assert_array_equal(sweep(o, coeffs, config, data, traj)[2],
-                                      sweep(o, coeffs, config, data)[2])
 
 
 class TestSweeps:
-    """Stacked sweeps: a forward stack, its costs, and backward over a
+    """Stacked passes: a forward stack, its costs, and backward over a
     slice of its members."""
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
@@ -344,24 +290,32 @@ class TestSweeps:
         o, config, data = linear_json_problem()
         cs = np.stack([c.c for c in probes(o, config, b)])
         cs[-1, 0, 0] = bad
-        for run in (sga.costs, forward):
+        for run in (cost, forward):
             with pytest.raises(ValueError, match="C has non-finite entries"):
                 run(o, cs, config, data)
         with pytest.raises(ValueError, match="C has non-finite entries"):
             ControlCoefficients(cs[-1], config.basis, config.u_max)
 
-    def test_one_c_rejected_naming_its_shape(self):
-        # configs/linear.json at the first probe: costs of one (p, n) C
-        # failed deep in the validation loss with numpy's "matmul: Input
-        # operand 1 does not have enough dimensions"
+    def test_cost_of_one_c_is_a_float_of_a_stack_an_array(self):
+        # configs/linear.json at the probes: one (p, n) C gives a float,
+        # phi_value at forward's final state bit for bit, a (B, p, n) stack
+        # an array of its members' own costs, and any other shape is
+        # refused, naming it
         o, config, data = linear_json_problem()
-        c = probes(o, config, 1)[0].c
-        p, n = c.shape
-        for bad in (c, c[None, None]):
-            msg = re.escape(f"C has shape {bad.shape}, expected a "
-                            f"(B, {p}, {n}) stack")
-            with pytest.raises(ValueError, match=msg):
-                sga.costs(o, bad, config, data)
+        cs = np.stack([c.c for c in probes(o, config, 3)])
+        p, n = cs.shape[1:]
+        j = cost(o, cs[0], config, data)
+        assert type(j) is float
+        assert j == phi_value(o, forward(o, cs[0], config, data).theta_final,
+                              data.z_val)
+        js = cost(o, cs, config, data)
+        assert isinstance(js, np.ndarray) and js.shape == (3,)
+        assert js.tolist() == [cost(o, c, config, data) for c in cs]
+        bad = cs[None]
+        msg = re.escape(f"C has shape {bad.shape}, expected ({p}, {n}) or a "
+                        f"(B, {p}, {n}) stack")
+        with pytest.raises(ValueError, match=msg):
+            cost(o, bad, config, data)
 
 
 def linear_json_problem():
@@ -401,9 +355,9 @@ class TestStep:
                 ControlCoefficients(rng.uniform(-1, 1, (o.param_dim, 3)),
                                     config.basis, config.u_max),
                 config.projection_grid)
-            j0 = cost(o, coeffs, config, data)
+            j0 = cost(o, coeffs.c, config, data)
             new, rec = one_step(o, coeffs, config, data)
-            assert cost(o, new, config, data) <= j0
+            assert cost(o, new.c, config, data) <= j0
 
     def test_projection_triggers_only_beyond_bound(self, quad1_problem):
         o, data = quad1_problem
@@ -431,7 +385,7 @@ class TestSolve:
                              max_iters=30)
         report = solve(o, config, data)
         coeffs0 = zero_coefficients(1, config.basis, config.u_max)
-        j_null = cost(o, coeffs0, config, data)
+        j_null = cost(o, coeffs0.c, config, data)
         assert report.iterations[0].grad_norm > config.eps_tol
         assert report.final_cost < j_null
 
@@ -448,7 +402,7 @@ class TestSolve:
         # the line search must halve a divergent step rather than abort
         o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
-        j_null = cost(o, zero_coefficients(1, config.basis, config.u_max),
+        j_null = cost(o, zero_coefficients(1, config.basis, config.u_max).c,
                       config, data)
         assert np.isfinite(report.final_cost)
         assert report.final_cost <= j_null
@@ -540,23 +494,30 @@ class TestDitheredInputs:
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Counts the solver's forward integrations, divergent ones included."""
-    calls = [0]
+    """Counts the solver's forward integrations, divergent ones included,
+    in [0], and its adjoint integrations in [1]."""
+    calls = [0, 0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return integrate_forward(*args, **kwargs)
 
+    def counted_adjoint(*args, **kwargs):
+        calls[1] += 1
+        return integrate_adjoint(*args, **kwargs)
+
     monkeypatch.setattr(sga, "integrate_forward", counted)
+    monkeypatch.setattr(sga, "integrate_adjoint", counted_adjoint)
     return calls
 
 
 def test_one_forward_entry_per_pass(forward_calls):
-    # forward and costs each integrate once, a stack included, and so does
+    # forward and cost each integrate once, a stack included, and so does
     # the coefficient check: its probes and their flows are one stack
     o, config, data = sweep_problem("linear")
     cs = np.stack([c.c for c in probes(o, config, 3)])
-    for run, c in ((forward, cs[0]), (forward, cs), (sga.costs, cs)):
+    for run, c in ((forward, cs[0]), (forward, cs), (cost, cs[0]),
+                   (cost, cs)):
         forward_calls[0] = 0
         run(o, c, config, data)
         assert forward_calls[0] == 1
@@ -603,7 +564,8 @@ class TestForwardReuse:
         report = solve(o, config, data)
         assert report.stop_reason == "max_iters"
         assert all(rec.gamma == config.gamma0 for rec in report.iterations)
-        assert forward_calls[0] == 1 + len(report.iterations)
+        assert forward_calls == [1 + len(report.iterations),
+                                 len(report.iterations)]
         assert_final_state_is_fresh(o, config, data, report)
 
     def test_one_forward_integration_per_trial_with_backtracks(
@@ -611,7 +573,8 @@ class TestForwardReuse:
         o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
         assert report.iterations[0].gamma < config.gamma0
-        assert forward_calls[0] == 1 + armijo_trials(report, config)
+        assert forward_calls == [1 + armijo_trials(report, config),
+                                 len(report.iterations)]
 
     def test_line_search_failure_keeps_the_sweeps_trajectory(
             self, quad1_problem, forward_calls, monkeypatch):
@@ -621,7 +584,7 @@ class TestForwardReuse:
         report = solve(o, config, data)
         assert report.stop_reason == "line_search_failure"
         assert len(report.iterations) == 1
-        assert forward_calls[0] == 1 + sga.MAX_BACKTRACKS + 1
+        assert forward_calls == [1 + sga.MAX_BACKTRACKS + 1, 1]
         assert_final_state_is_fresh(o, config, data, report)
 
 

@@ -9,7 +9,7 @@ from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
 from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
-from sgaflow.sga import SolverConfig, backward, costs, forward, sweep
+from sgaflow.sga import SolverConfig, backward, cost, forward, sweep
 from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
                             check_rk4_order, fd_gradient)
 
@@ -122,7 +122,7 @@ class TestCheckCoefficientGradient:
     def test_batched_probes_match_serial_probes(self, problem):
         # configs/linear.json and criterion 3's mlp problem: the check
         # integrates the probes and all their flows as one stack, and each
-        # probe's entry equals one built by a sweep and a costs call of its
+        # probe's entry equals one built by a sweep and a cost call of its
         # own, bit for bit
         o, config, data = (linear_json_problem() if problem == "linear"
                            else mlp_check_problem(seed=61, steps=200,
@@ -140,8 +140,8 @@ class TestCheckCoefficientGradient:
             _, _, grad = sweep(o, coeffs, config, data)
             d = directions.standard_normal((k, p, n))
             d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
-            js = costs(o, coeffs.c + fd_step * np.concatenate([d, -d]),
-                       config, data)
+            js = cost(o, coeffs.c + fd_step * np.concatenate([d, -d]),
+                      config, data)
             fd = (js[:k] - js[k:]) / (2.0 * fd_step)
             analytic = -np.einsum("ij,kij->k", grad, d)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
