@@ -16,8 +16,9 @@ member b runs under its own control u_b = C_b Psi(t), and each RK4 stage
 makes one oracle call for the whole stack.  Either way it keeps every state
 in a Trajectory; the backward pass takes either, K and p gaining the
 stack's axis, each member bit for bit its own flow's.  The null control is
-a zero C, and a state whose norm exceeds DIVERGENCE_BOUND stops the
-integration.
+a zero C.  A pass checks a grid step's rows at its end, for a state norm
+beyond DIVERGENCE_BOUND or a nan or inf costate, and names the first bad
+row and member; the substeps past it run with overflow warnings off.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
 forms u = C @ psi one grid step at a time, in one product for the step's
@@ -198,8 +199,8 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
     u = c[b] Psi(t); theta0 is broadcast to c.shape[:-1], the shape of the
     Trajectory's rows, whose grad J~0 is taken at each step's first stage.
     ValueError unless c is such a finite matrix or stack, or if the grid
-    lies beyond the basis's range; DivergenceError for the first member
-    whose state leaves DIVERGENCE_BOUND.
+    lies beyond the basis's range; DivergenceError at the first quarter
+    step (and member) whose state leaves DIVERGENCE_BOUND.
     """
     c = np.asarray(c, dtype=float)
     p = oracle.param_dim
@@ -218,23 +219,25 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
     out = np.empty((nsteps + 1,) + th.shape)
     gts = np.empty_like(out)
     out[0] = th
-    for k in range(nsteps):
-        if k % 4 == 0:  # a grid step starts: u at its nine stage times
-            us = _controls(c, psi[2 * k:2 * k + 9])
-        u1, u2, u4 = us[2 * (k % 4):2 * (k % 4) + 3]
-        k1, gts[k] = forward_rhs(plan, th, u1, eps)
-        k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
-        k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
-        k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
-        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # each member's |th|^2 against the bound's square, and one ufunc
-        # reduce over the members; nan compares False
-        inside = np.vecdot(th, th) <= DIVERGENCE_BOUND ** 2
-        if not np.logical_and.reduce(inside, axis=None):
-            b = int(np.argmin(inside))
-            nrm = float(np.linalg.norm(np.atleast_2d(th)[b]))
-            raise DivergenceError((k + 1) * h, inf if np.isnan(nrm) else nrm)
-        out[k + 1] = th
+    with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
+        for k in range(nsteps):
+            if k % 4 == 0:  # a grid step starts: u at its nine stage times
+                us = list(_controls(c, psi[2 * k:2 * k + 9]))  # row views
+            u1, u2, u4 = us[2 * (k % 4):2 * (k % 4) + 3]
+            k1, gts[k] = forward_rhs(plan, th, u1, eps)
+            k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
+            k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
+            k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
+            th = np.add(th, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                        out=out[k + 1])
+            if k % 4 == 3:  # a grid step ends: the guard over its four rows
+                rows = out[k - 2:k + 2].reshape(4, -1, th.shape[-1])
+                inside = np.vecdot(rows, rows) <= DIVERGENCE_BOUND ** 2
+                if not np.logical_and.reduce(inside, axis=None):
+                    i, b = divmod(int(np.argmin(inside)), inside.shape[1])
+                    nrm = float(np.linalg.norm(rows[i, b]))
+                    raise DivergenceError((k - 2 + i) * h,
+                                          inf if np.isnan(nrm) else nrm)
     gts[nsteps] = plan.grads(th)[1]
     return Trajectory(grid, out, gts, c, eps, plan, psi)
 
@@ -265,8 +268,8 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     here.  K is formed once per forward state, for the two stages that read
     it (k2 and k3; k4 and the next step's k1), in one adjoint_matrix call
     per grid step on its four states, and one more for the final state;
-    each K is bit for bit its own state's call.  Raises
-    NonFiniteCostateError if the costate becomes nan or inf.
+    each K is bit for bit its own state's call.  NonFiniteCostateError at
+    the first half step whose costate is nan or inf.
     """
     M = traj.grid.steps
     hh = 0.5 * traj.grid.h
@@ -280,18 +283,20 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
     m4 = matrices(4 * M, 4 * M + 1)[0]
-    for j in range(2 * M, 0, -1):
-        if j % 2 == 0:  # a grid step starts: K at its other four states
-            ks = matrices(2 * j - 4, 2 * j)
-        m1, m2, m4 = m4, ks[(2 * j - 1) % 4], ks[(2 * j - 2) % 4]
-        k1 = adjoint_rhs(m1, p)
-        k2 = adjoint_rhs(m2, p - 0.5 * hh * k1)
-        k3 = adjoint_rhs(m2, p - 0.5 * hh * k2)
-        k4 = adjoint_rhs(m4, p - hh * k3)
-        p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(p).all():
-            raise NonFiniteCostateError((j - 1) * hh)
-        out[j - 1] = p
+    with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
+        for j in range(2 * M, 0, -1):
+            if j % 2 == 0:  # a grid step starts: K at its other four states
+                ks = matrices(2 * j - 4, 2 * j)
+            m1, m2, m4 = m4, ks[(2 * j - 1) % 4], ks[(2 * j - 2) % 4]
+            k1 = adjoint_rhs(m1, p)
+            k2 = adjoint_rhs(m2, p - 0.5 * hh * k1)
+            k3 = adjoint_rhs(m2, p - 0.5 * hh * k2)
+            k4 = adjoint_rhs(m4, p - hh * k3)
+            p = np.subtract(p, (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            out=out[j - 1])
+            if j % 2 == 1 and not np.isfinite(out[j - 1:j + 1]).all():
+                raise NonFiniteCostateError(  # its midpoint j came first
+                    (j - int(np.isfinite(out[j]).all())) * hh)
     return AdjointTrajectory(traj, out)
 
 

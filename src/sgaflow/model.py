@@ -110,10 +110,10 @@ class LinearPlan:
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         # one matrix @ vector product per row: stack rows match (p,) calls
-        return (self.a @ theta[..., None])[..., 0] - self.b
+        return np.matvec(self.a, theta) - self.b
 
     def grads(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = (self.a @ theta[..., None])[..., 0]
+        at = np.matvec(self.a, theta)
         b, b_dith = self.rows
         return at - b, at - b_dith
 

@@ -1,9 +1,24 @@
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
 from sgaflow.basis import BasisSpec, zero_coefficients
 from sgaflow.sga import SolverConfig
+
+
+@contextmanager
+def warnings_as_errors():
+    """Turn every warning raised in the block into an error, with numpy's
+    floating-point error state as the caller left it, and check that the
+    block leaves that state as it found it."""
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+    assert np.geterr() == before
 
 
 def zero_control(p: int, t_final: float = 1.0):

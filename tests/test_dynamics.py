@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, dynamics
+from sgaflow import Dataset, ModelOracle, ProblemData, dynamics
 from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
                            eval_control, zero_coefficients)
 from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
@@ -15,7 +15,7 @@ from sgaflow import model
 from sgaflow.model import flow_plan, loss_gradient, loss_hvp, loss_plan
 
 from conftest import (linear_problem, mlp_problem, quadratic_datasets,
-                      zero_control)
+                      warnings_as_errors, zero_control)
 
 
 def quad_oracle(p=1):
@@ -151,6 +151,44 @@ class TestIntegrateForward:
                               z1, zd, grid)
         assert exc.value.t == 0.25 * grid.h
         assert exc.value.norm == np.inf
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_nan_state_warns_nothing(self, stacked):
+        # the same overflow, with no errstate of the caller's: the guard
+        # still reports it, and no warning escapes the integration
+        o, z1, zd, _ = quad_oracle()
+        grid = TimeGrid(1.0, 50)
+        cs = np.zeros((3, 1, 2))
+        cs[1, 0, 0] = 1e300
+        with warnings_as_errors(), pytest.raises(DivergenceError) as exc:
+            integrate_forward(o, [1.0], cs if stacked else cs[1],
+                              BasisSpec("legendre_shifted", 2, 1.0), 0.5,
+                              z1, zd, grid)
+        assert (exc.value.t, exc.value.norm) == (0.25 * grid.h, np.inf)
+
+    @pytest.mark.parametrize("us", [[20.0], [0.0, 20.0, 0.0],
+                                    [19.0, 0.0, 20.0]],
+                             ids=["one", "member-1", "row-before-member"])
+    def test_divergence_guard_reports_the_first_bad_quarter_step(self, us):
+        # theta' = -theta + 0.5 * theta^2 * u: u = 20 first passes the
+        # bound at quarter step 22, the midpoint of grid step 5 (rows 21 to
+        # 24), and u = 19 at row 24; the guard, run once per grid step,
+        # reports the row and member a guard after every quarter step
+        # reports, with no warning from the steps run past it
+        o, z1, zd, _ = quad_oracle()
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        grid = TimeGrid(1.0, 50)
+        cs = np.zeros((len(us), 1, 2))
+        cs[:, 0, 0] = us
+        c = cs[0] if len(us) == 1 else cs
+        with pytest.raises(DivergenceError) as want:
+            per_stage_forward(o, [1.0], c, basis, 0.5,
+                              ProblemData(z1, zd, None), grid)
+        with warnings_as_errors(), pytest.raises(DivergenceError) as got:
+            integrate_forward(o, [1.0], c, basis, 0.5, z1, zd, grid)
+        assert want.value.t == 22 * (0.25 * grid.h)
+        assert (got.value.t, got.value.norm) == (want.value.t,
+                                                 want.value.norm)
 
     def test_nonfinite_theta0_rejected(self):
         o, z1, zd, _ = quad_oracle()
@@ -418,6 +456,26 @@ class TestIntegrateAdjoint:
         assert isinstance(exc.value, RuntimeError)
         assert 0.0 <= exc.value.t < 1.0
 
+    @pytest.mark.parametrize("scale,row", [(1e100, 19), (1e30, 18)],
+                             ids=["midpoint", "node"])
+    def test_non_finite_costate_reports_its_first_row(self, scale, row):
+        # K = 2 x^2 makes the sweep grow by about (hh K)^4 / 24 a half
+        # step: x = 1e100 overflows the first half step's row 19, the
+        # midpoint of the last grid step, and x = 1e30 first its node 18,
+        # row 19 staying finite; the check, run once per grid step, names
+        # that row, and no warning escapes the sweep
+        x = [[scale]]
+        z1, zd = Dataset(x, [0.0], "train"), Dataset(x, [0.0], "dithered")
+        zv = Dataset([[1.0]], [1.0], "validation")
+        o = ModelOracle("linear_features", 1)
+        grid = TimeGrid(1.0, 10)
+        traj = integrate_forward(o, [0.0], *zero_control(1), 0.1, z1, zd,
+                                 grid)
+        with warnings_as_errors(), \
+                pytest.raises(NonFiniteCostateError) as exc:
+            integrate_adjoint(o, traj, zv)
+        assert exc.value.t == row * (0.5 * grid.h)
+
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
         grid = TimeGrid(1.0, 200)
@@ -454,7 +512,8 @@ class TestIntegrateAdjoint:
 
 def per_stage_forward(o, theta0, c, basis, eps, data, grid):
     """The quarter-step RK4 pass with u = c @ psi[i] formed anew at every
-    stage; returns its states and the first stage's grad J~0 at each."""
+    stage and the divergence guard after every quarter step; returns its
+    states and the first stage's grad J~0 at each."""
     h = 0.25 * grid.h
     psi = eval_basis_grid(basis, np.arange(8 * grid.steps + 1) * (grid.h / 8))
     plan = flow_plan(o, data.z_train, data.z_dith)
@@ -466,6 +525,11 @@ def per_stage_forward(o, theta0, c, basis, eps, data, grid):
         k3 = forward_rhs(plan, th + 0.5 * h * k2, c @ psi[2 * k + 1], eps)[0]
         k4 = forward_rhs(plan, th + h * k3, c @ psi[2 * k + 2], eps)[0]
         th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for row in np.atleast_2d(th):  # the guard, member by member
+            nrm = float(np.linalg.norm(row))
+            if not nrm <= dynamics.DIVERGENCE_BOUND:
+                raise DivergenceError((k + 1) * h,
+                                      np.inf if np.isnan(nrm) else nrm)
         out.append(th)
         gts.append(gt)
     gts.append(plan.grads(th)[1])

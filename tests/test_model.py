@@ -212,6 +212,26 @@ class TestFlowPlan:
         assert np.all(g != gt)
         assert np.any(h != ht) == (family == "mlp")
 
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_linear_grads_equal_the_per_row_product_bitwise(self, p):
+        # grad and grads form A theta in one np.matvec; each row must be
+        # the (p, p) @ (p, 1) product bit for bit, on one state, a stack,
+        # a strided view of one and a stack strided along its last axis
+        rng = np.random.default_rng(20 + p)
+        x = rng.standard_normal((9, p))
+        z1 = Dataset(x, rng.standard_normal(9), "train")
+        zd = Dataset(x, rng.standard_normal(9), "dithered")
+        o = ModelOracle("linear_features", p)
+        plan, train = flow_plan(o, z1, zd), loss_plan(o, z1)
+        wide = rng.standard_normal((7, 2 * p))
+        for th in (wide[0, :p], wide[:, :p], wide[::2, :p], wide[1::3, ::2]):
+            at = (plan.a @ th[..., None])[..., 0]
+            g, gt = plan.grads(th)
+            np.testing.assert_array_equal(g, at - plan.b[0])
+            np.testing.assert_array_equal(gt, at - plan.b[1])
+            np.testing.assert_array_equal(
+                train.grad(th), (train.a @ th[..., None])[..., 0] - train.b)
+
     def test_mlp_hessians_of_a_stack_equal_per_row_calls(self):
         # the stacked costate sweep forms K at a (B, p) stack of states
         o, data = mlp_problem(d=2, seed=15)

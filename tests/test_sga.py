@@ -19,7 +19,7 @@ from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
 from sgaflow.verify import check_coefficient_gradient, fd_gradient, probes
 
 from conftest import (linear_problem, mlp_check_problem, mlp_problem,
-                      quadratic_datasets)
+                      quadratic_datasets, warnings_as_errors)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -406,6 +406,14 @@ class TestSolve:
                       config, data)
         assert np.isfinite(report.final_cost)
         assert report.final_cost <= j_null
+        assert 0.0 < report.iterations[0].gamma < config.gamma0
+
+    def test_divergent_trial_step_warns_nothing(self):
+        # the trial flow runs past the bound to its grid step's end before
+        # the guard stops it; no overflow there may reach the caller
+        o, config, data = divergent_trial_problem()
+        with warnings_as_errors():
+            report = solve(o, config, data)
         assert 0.0 < report.iterations[0].gamma < config.gamma0
 
     def test_every_iterate_admissible(self):
