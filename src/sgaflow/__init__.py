@@ -4,7 +4,7 @@ Galerkin approximation."""
 
 __version__ = "0.1.0"
 
-from .basis import BasisSpec, ControlCoefficients, eval_basis, eval_control
+from .basis import BasisSpec, eval_basis, eval_control
 from .dataset import Dataset, bootstrap, dither, load_csv
 from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, hamiltonian,
                        integrate_adjoint, integrate_forward)
@@ -14,7 +14,7 @@ from .sga import (ProblemData, SolverConfig, SolverReport, cost,
                   coefficient_gradient, solve)
 
 __all__ = [
-    "BasisSpec", "ControlCoefficients", "eval_basis", "eval_control",
+    "BasisSpec", "eval_basis", "eval_control",
     "Dataset", "bootstrap", "dither", "load_csv",
     "AdjointTrajectory", "TimeGrid", "Trajectory", "hamiltonian",
     "integrate_adjoint", "integrate_forward",

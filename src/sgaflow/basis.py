@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -23,36 +23,6 @@ class BasisSpec:
             raise ValueError("basis size must be >= 1")
         if self.t_final <= 0:
             raise ValueError("final time must be > 0")
-
-
-@dataclass(frozen=True)
-class ControlCoefficients:
-    """p x n coefficient matrix defining u(t) = C Psi(t), with box bound u_max."""
-
-    c: np.ndarray
-    basis: BasisSpec
-    u_max: float
-
-    def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.c, dtype=float)).copy()
-        if c.shape[1] != self.basis.n:
-            raise ValueError(
-                f"C has {c.shape[1]} columns, basis has n={self.basis.n}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("C has non-finite entries")
-        if self.u_max < 0:
-            raise ValueError("u_max must be >= 0")
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
-
-    @property
-    def p(self) -> int:
-        return self.c.shape[0]
-
-
-def zero_coefficients(p: int, basis: BasisSpec, u_max: float) -> ControlCoefficients:
-    return ControlCoefficients(np.zeros((p, basis.n)), basis, u_max)
 
 
 def _check_time(basis: BasisSpec, t: float) -> None:
@@ -86,31 +56,36 @@ def eval_basis_grid(basis: BasisSpec, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def eval_control(coeffs: ControlCoefficients, t: float) -> np.ndarray:
-    """Control vector u(t) = C Psi(t), shape (p,)."""
-    return coeffs.c @ eval_basis(coeffs.basis, t)
+def eval_control(c: np.ndarray, basis: BasisSpec, t: float) -> np.ndarray:
+    """Control vector u(t) = C Psi(t) of the (p, n) matrix c, shape (p,)."""
+    return c @ eval_basis(basis, t)
 
 
-def control_grid_max(coeffs: ControlCoefficients, n_grid: int) -> np.ndarray:
-    """Per-row max of |u_i(t)| over a uniform n_grid-point grid on [0, T]."""
-    ts = np.linspace(0.0, coeffs.basis.t_final, n_grid)
-    u = coeffs.c @ eval_basis_grid(coeffs.basis, ts).T  # (p, n_grid)
-    return np.max(np.abs(u), axis=1)
+def control_grid_max(c: np.ndarray, basis: BasisSpec,
+                     n_grid: int) -> np.ndarray:
+    """Per-row max of |u_i(t)| over a uniform n_grid-point grid on [0, T],
+    for a (p, n) C or each member of a (..., p, n) stack c."""
+    ts = np.linspace(0.0, basis.t_final, n_grid)
+    u = c @ eval_basis_grid(basis, ts).T  # (..., p, n_grid)
+    return np.max(np.abs(u), axis=-1)
 
 
-def project_admissible(coeffs: ControlCoefficients,
-                       n_grid: int) -> ControlCoefficients:
-    """Rescale rows of C so the grid max of each |u_i| is within u_max.
+def project_admissible(c: np.ndarray, basis: BasisSpec, u_max: float,
+                       n_grid: int) -> np.ndarray:
+    """Rescale each row of C, or of each member of a (..., p, n) stack c, so
+    the grid max of each |u_i| is within u_max.
 
     Rows already within the bound are left untouched, so the projection is
-    idempotent.
+    idempotent, and c itself is returned when no row is over.
     """
-    gmax = control_grid_max(coeffs, n_grid)
-    scale = np.ones_like(gmax)
+    if u_max < 0:
+        raise ValueError("u_max must be >= 0")
+    gmax = control_grid_max(c, basis, n_grid)
     # slack keeps the projection idempotent under roundoff
-    over = gmax > coeffs.u_max * (1.0 + 1e-12)
-    # a row over the bound has gmax > 0, so u_max = 0 scales it to +0.0
-    scale[over] = coeffs.u_max / gmax[over]
+    over = gmax > u_max * (1.0 + 1e-12)
     if not np.any(over):
-        return coeffs
-    return replace(coeffs, c=coeffs.c * scale[:, None])
+        return c
+    scale = np.ones_like(gmax)
+    # a row over the bound has gmax > 0, so u_max = 0 scales it to +0.0
+    scale[over] = u_max / gmax[over]
+    return c * scale[..., None]

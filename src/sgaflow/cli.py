@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import BasisSpec, zero_coefficients
+from .basis import BasisSpec
 from .dataset import Dataset, bootstrap, dither, load_csv, save_csv
 from .dynamics import integrate_adjoint
 from .model import ModelOracle, phi_value
@@ -276,7 +276,7 @@ def _emit_run(out: Path, cfg: dict, seed_override, report: SolverReport,
             "stop_reason": report.stop_reason,
         })
     if "coeffs.csv" in wanted:
-        c = report.final_coeffs.c
+        c = report.final_coeffs
         _write_matrix_csv(out / "coeffs.csv", c,
                           [f"c{j+1}" for j in range(c.shape[1])])
     if "theta_star.csv" in wanted:
@@ -333,7 +333,7 @@ def cmd_run(args) -> int:
     # control's, computed the same way
     null_cost = (report.iterations[0].cost if config.c0 is None else
                  cost(oracle, np.zeros((p, config.basis.n)), config, data))
-    traj = forward(oracle, report.final_coeffs.c, config, data)
+    traj = forward(oracle, report.final_coeffs, config, data)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
     if not args.quiet:
@@ -345,10 +345,10 @@ def cmd_run(args) -> int:
 def cmd_baseline(args) -> int:
     """The null control as a zero-iteration run."""
     cfg, data, oracle, config, out = _pipeline(args)
-    coeffs = zero_coefficients(oracle.param_dim, config.basis, config.u_max)
-    traj = forward(oracle, coeffs.c, config, data)
+    c = np.zeros((oracle.param_dim, config.basis.n))
+    traj = forward(oracle, c, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
-    report = SolverReport([], coeffs, traj.theta_final, j0, "baseline")
+    report = SolverReport([], c, traj.theta_final, j0, "baseline")
     _emit_run(out, cfg, args.seed, report, j0, traj)
     if not args.quiet:
         print(f"J[0]={j0:.6e}")

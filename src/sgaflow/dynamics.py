@@ -10,15 +10,15 @@ substeps of h/4), so theta is available exactly at every node, midpoint and
 quarter point; the backward pass runs on half steps and reads its stage
 states from those values, so no interpolation is ever done.
 
-integrate_forward runs one flow under a (p, n) C, or a stack of B
-independent flows at once under a (B, p, n) C: theta then has shape (B, p),
-member b runs under its own control u_b = C_b Psi(t), and each RK4 stage
-makes one oracle call for the whole stack.  Either way it keeps every state
-in a Trajectory; the backward pass takes either, K and p gaining the
-stack's axis, each member bit for bit its own flow's.  The null control is
-a zero C.  A pass checks a grid step's rows at its end, for a state norm
-beyond DIVERGENCE_BOUND or a nan or inf costate, and names the first bad
-row and member; the substeps past it run with overflow warnings off.
+integrate_forward runs one flow under a (p, n) C, or a stack of B independent
+flows at once under a (B, p, n) C: theta then has shape (B, p), member b runs
+under its own control u_b = C_b Psi(t), and each RK4 stage makes one oracle
+call for the whole stack.  C is a plain float array whose shape and finiteness
+this pass checks; the null control is a zero C.  The backward pass takes
+either Trajectory, K and p gaining the stack's axis, each member bit for bit
+its own flow's.  A pass checks a grid step's rows at its end, for a state norm
+beyond DIVERGENCE_BOUND or a nan or inf costate, and names the first bad row
+and member; the substeps past it run with overflow warnings off.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
 forms u = C @ psi one grid step at a time, in one product for the step's

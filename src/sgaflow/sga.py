@@ -11,24 +11,23 @@ and the variational identity dJ/dC = -G makes the update self-checking: an
 Armijo backtracking line search enforces sufficient decrease of J and
 backtracks from a trial step whose flow diverges.
 
-Each iteration sweeps back, with backward, along the forward trajectory
-the solver holds: the first forward pass, then the accepted Armijo trial's,
-whose cost is the next j0.  So an iteration runs one forward integration
-per trial and one backward integration, and J is evaluated once per
-trajectory.  forward integrates one C or a stack and backward sweeps back
-along either, so cost and the gradient check run a stack of controls as one
-pass, each member bit for bit its own flow's; sweep is forward and backward
-under one C.
+Each iteration sweeps back, with backward, along the forward trajectory the
+solver holds: the first forward pass, then the accepted Armijo trial's,
+whose cost is the next j0.  So an iteration runs one forward integration per
+trial and one backward integration, and J is evaluated once per trajectory.
+C is a plain (p, n) float array at every layer, and a stack a (B, p, n) one:
+forward integrates either and backward sweeps back along either, so cost and
+the gradient check run a stack as one pass, each member bit for bit its own
+flow's; sweep is forward and backward under one C.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .basis import (BasisSpec, ControlCoefficients, project_admissible,
-                    zero_coefficients)
+from .basis import BasisSpec, control_grid_max, project_admissible
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, integrate_adjoint, integrate_forward)
@@ -86,13 +85,23 @@ class SolverConfig:
             return np.zeros(p)
         return np.asarray(self.theta0, dtype=float).ravel()
 
-    def initial_coefficients(self, p: int) -> ControlCoefficients:
+    def initial_coefficients(self, p: int) -> np.ndarray:
+        """The (p, n) C a solve starts from: 0, or c0 checked and projected."""
+        n = self.basis.n
         if self.c0 is None:
-            return zero_coefficients(p, self.basis, self.u_max)
-        coeffs = ControlCoefficients(self.c0, self.basis, self.u_max)
-        if coeffs.p != p:
-            raise ValueError(f"c0 has {coeffs.p} rows, expected {p}")
-        return project_admissible(coeffs, self.projection_grid)
+            return np.zeros((p, n))
+        c = np.array(self.c0, dtype=float, ndmin=2)
+        if c.shape[0] != p:
+            raise ValueError(f"c0 has {c.shape[0]} rows, expected {p}")
+        if c.shape[1:] != (n,):
+            raise ValueError(f"c0 has shape {c.shape}, expected ({p}, {n})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            gmax = control_grid_max(c, self.basis, self.projection_grid)
+        if not np.all(np.isfinite(gmax)):  # as it is if C has an inf or nan
+            raise ValueError("c0: C has non-finite entries, or its "
+                             "control overflows float64")
+        return project_admissible(c, self.basis, self.u_max,
+                                  self.projection_grid)
 
 
 @dataclass
@@ -110,7 +119,7 @@ class IterationRecord:
 @dataclass
 class SolverReport:
     iterations: list[IterationRecord]
-    final_coeffs: ControlCoefficients
+    final_coeffs: np.ndarray
     theta_star: np.ndarray
     final_cost: float
     stop_reason: str  # 'tolerance' | 'max_iters' | 'line_search_failure'
@@ -122,7 +131,7 @@ class SolverReport:
     def to_dict(self) -> dict:
         return {
             "iterations": [r.to_dict() for r in self.iterations],
-            "final_coeffs": self.final_coeffs.c.tolist(),
+            "final_coeffs": self.final_coeffs.tolist(),
             "theta_star": self.theta_star.tolist(),
             "final_cost": self.final_cost,
             "converged": self.converged,
@@ -181,24 +190,25 @@ def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset):
     return adj, coefficient_gradient(adj)
 
 
-def sweep(oracle: ModelOracle, coeffs: ControlCoefficients,
-          config: SolverConfig, data: ProblemData):
-    """One forward/backward pass under coeffs; returns (trajectory, adjoint,
-    G)."""
-    traj = forward(oracle, coeffs.c, config, data)
+def sweep(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
+          data: ProblemData):
+    """One forward/backward pass under the (p, n) C c; returns (trajectory,
+    adjoint, G)."""
+    traj = forward(oracle, c, config, data)
     return (traj, *backward(oracle, traj, data.z_val))
 
 
 def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):
     """C <- project(C + gamma G) by Armijo backtracking from the cost j0,
-    gnorm being |G| > 0; returns (new coefficients, record, (accepted
-    trial's trajectory, its cost) or None)."""
+    gnorm being |G| > 0; returns (new C, record, (accepted trial's
+    trajectory, its cost) or None)."""
     for q in range(MAX_BACKTRACKS + 1):
         gamma = config.gamma0 * 0.5**q
-        cand = replace(coeffs, c=coeffs.c + gamma * grad)
-        new = project_admissible(cand, config.projection_grid)
+        cand = coeffs + gamma * grad
+        new = project_admissible(cand, config.basis, config.u_max,
+                                 config.projection_grid)
         try:
-            traj = forward(oracle, new.c, config, data)
+            traj = forward(oracle, new, config, data)
         except DivergenceError:
             continue  # a divergent trial is backtracked from
         j_new = phi_value(oracle, traj.theta_final, data.z_val)
@@ -223,7 +233,7 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
-    traj = forward(oracle, coeffs.c, config, data)
+    traj = forward(oracle, coeffs, config, data)
     j0 = phi_value(oracle, traj.theta_final, data.z_val)
     for k in range(config.max_iters):
         _, grad = backward(oracle, traj, data.z_val)

@@ -4,10 +4,10 @@ the forward and backward integrations read off successive grid levels, and
 the value-function/costate identity at initial time, whose value gradient
 fd_gradient takes entry by entry.  A check's steps, seeds, tolerances and
 levels are the constants below.  The checks run the solver's own
-forward/backward pair at the controls of one seeded stream (probes): the
-coefficient check as one sga.forward stack of the probes and their
-difference flows, swept back by sga.backward over the probes alone, the
-order check as sga.sweep at the first probe, so the control moves."""
+forward/backward pair at one seeded (count, p, n) stack of controls
+(probes): the coefficient check as one sga.forward stack of the probes and
+their difference flows, swept back by sga.backward over the probes alone,
+the order check as sga.sweep at the first probe, so the control moves."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .basis import ControlCoefficients, project_admissible
+from .basis import project_admissible
 from .model import ModelOracle, loss_plan
 from .sga import (ProblemData, SolverConfig, backward, cost, forward, solve,
                   sweep)
@@ -72,15 +72,15 @@ def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
-def probes(oracle: ModelOracle, config: SolverConfig, count: int) -> list:
-    """The first count controls the checks run at: C with entries drawn
-    uniform on [-0.5, 0.5] from PROBE_SEED, projected onto the admissible
-    set of config."""
-    rng = np.random.default_rng(PROBE_SEED)
-    return [project_admissible(ControlCoefficients(
-        rng.uniform(-0.5, 0.5, size=(oracle.param_dim, config.basis.n)),
-        config.basis, config.u_max), config.projection_grid)
-        for _ in range(count)]
+def probes(oracle: ModelOracle, config: SolverConfig,
+           count: int) -> np.ndarray:
+    """The first count controls the checks run at, as a (count, p, n) stack:
+    C with entries drawn uniform on [-0.5, 0.5] from PROBE_SEED, projected
+    onto the admissible set of config."""
+    c = np.random.default_rng(PROBE_SEED).uniform(
+        -0.5, 0.5, size=(count, oracle.param_dim, config.basis.n))
+    return project_admissible(c, config.basis, config.u_max,
+                              config.projection_grid)
 
 
 def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
@@ -94,7 +94,7 @@ def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
     the check's cost does not depend on the number of coefficients."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    cs = np.stack([coeffs.c for coeffs in probes(oracle, config, n_probes)])
+    cs = probes(oracle, config, n_probes)
     ds = np.random.default_rng(DIRECTION_SEED).standard_normal(
         (n_probes, DIRECTIONS) + cs.shape[1:])
     ds /= np.linalg.norm(ds, axis=(2, 3), keepdims=True)
@@ -141,7 +141,7 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
                      data).final_cost
 
     def v_frozen(th0):
-        return cost(oracle, base.final_coeffs.c,
+        return cost(oracle, base.final_coeffs,
                     replace(config, theta0=np.asarray(th0)), data)
 
     grad_reopt = fd_gradient(v_reopt, theta0, DP_STEP)
@@ -167,9 +167,9 @@ def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
     step size at the first probe, reading the error of level m's sweep (on
     config with m steps) as |x_m - x_2m| rather than against a finer
     reference run; RK4 should give slope 4, to ORDER_TOL."""
-    coeffs, level = probes(oracle, config, 1)[0], {}
+    c, level = probes(oracle, config, 1)[0], {}
     for m in {*ORDER_LEVELS, *(2 * m for m in ORDER_LEVELS)}:
-        traj, adj, _ = sweep(oracle, coeffs, replace(config, steps=m), data)
+        traj, adj, _ = sweep(oracle, c, replace(config, steps=m), data)
         level[m] = traj.theta_final, adj.p_nodes[0]
     hs = [config.basis.t_final / m for m in ORDER_LEVELS]
     errs = [[np.linalg.norm(x - x2) for x, x2 in zip(level[m], level[2 * m])]

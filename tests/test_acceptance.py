@@ -12,8 +12,7 @@ import pytest
 
 import sgaflow as sf
 from sgaflow import cli
-from sgaflow.basis import BasisSpec, ControlCoefficients, zero_coefficients
-from sgaflow.basis import eval_control, project_admissible
+from sgaflow.basis import BasisSpec, eval_control, project_admissible
 from sgaflow.dynamics import (TimeGrid, hamiltonian, integrate_adjoint,
                               integrate_forward)
 from sgaflow.sga import ProblemData, SolverConfig, cost, solve
@@ -54,8 +53,8 @@ def test_criterion_1_closed_form_flow():
     start = time.time()
     oracle, data = quad_problem()
     grid = TimeGrid(1.0, 100)
-    coeffs = zero_coefficients(1, BasisSpec("legendre_shifted", 2, 1.0), 5.0)
-    traj = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.1,
+    basis = BasisSpec("legendre_shifted", 2, 1.0)
+    traj = integrate_forward(oracle, [1.0], np.zeros((1, 2)), basis, 0.1,
                              data.z_train, data.z_dith, grid)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     err_f = abs(traj.theta_final[0] - np.exp(-1.0))
@@ -69,10 +68,10 @@ def test_criterion_1_closed_form_flow():
 def test_criterion_2_rk4_order():
     start = time.time()
     oracle, data = quad_problem()
-    coeffs = zero_coefficients(1, BasisSpec("legendre_shifted", 2, 1.0), 5.0)
+    basis = BasisSpec("legendre_shifted", 2, 1.0)
     hs, ef, eb = [], [], []
     for m in (25, 50, 100, 200):
-        traj = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.0,
+        traj = integrate_forward(oracle, [1.0], np.zeros((1, 2)), basis, 0.0,
                                  data.z_train, data.z_dith, TimeGrid(1.0, m))
         adj = integrate_adjoint(oracle, traj, data.z_val)
         hs.append(1.0 / m)
@@ -116,8 +115,7 @@ def test_criterion_3_gradient_identity():
 def test_criterion_4_monotone_descent(descent_run):
     start = time.time()
     oracle, config, data, rep = descent_run
-    j_null = cost(oracle, zero_coefficients(2, config.basis, config.u_max).c,
-                  config, data)
+    j_null = cost(oracle, np.zeros((2, config.basis.n)), config, data)
     costs = [r.cost for r in rep.iterations]
     monotone = all(b <= a for a, b in zip(costs, costs[1:]))
     dominated = rep.final_cost <= j_null
@@ -135,14 +133,13 @@ def test_criterion_5_eps_scaling():
     oracle, data = quad_problem()
     basis = BasisSpec("legendre_shifted", 3, 1.0)
     rng = np.random.default_rng(2)
-    coeffs = project_admissible(
-        ControlCoefficients(rng.uniform(-1, 1, (1, 3)), basis, 5.0), 2010)
+    coeffs = project_admissible(rng.uniform(-1, 1, (1, 3)), basis, 5.0, 2010)
     grid = TimeGrid(1.0, 100)
-    base = integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, 0.0,
+    base = integrate_forward(oracle, [1.0], coeffs, basis, 0.0,
                              data.z_train, data.z_dith, grid).theta_final
     epss = [1e-1, 1e-2, 1e-3, 1e-4]
     diffs = [np.linalg.norm(
-        integrate_forward(oracle, [1.0], coeffs.c, coeffs.basis, e,
+        integrate_forward(oracle, [1.0], coeffs, basis, e,
                           data.z_train, data.z_dith, grid).theta_final - base)
         for e in epss]
     slope = np.polyfit(np.log(epss), np.log(diffs), 1)[0]
@@ -176,7 +173,7 @@ def test_criterion_6_dp_identity():
 def test_criterion_7_pmp_dominance(descent_run):
     oracle, config, data, rep = descent_run
     traj = integrate_forward(oracle, config.initial_theta(2),
-                             rep.final_coeffs.c, rep.final_coeffs.basis,
+                             rep.final_coeffs, config.basis,
                              config.eps, data.z_train, data.z_dith,
                              config.grid)
     adj = integrate_adjoint(oracle, traj, data.z_val)
@@ -185,7 +182,7 @@ def test_criterion_7_pmp_dominance(descent_run):
     for k, t in enumerate(nodes):
         theta = traj.theta_nodes[k]
         p = adj.p_nodes[k]
-        u = eval_control(rep.final_coeffs, t)
+        u = eval_control(rep.final_coeffs, config.basis, t)
         h_u = hamiltonian(oracle, theta, p, u, config.eps, data.z_train,
                           data.z_dith)
         h_0 = hamiltonian(oracle, theta, p, np.zeros(2), config.eps,

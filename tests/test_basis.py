@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
-                           eval_basis, eval_basis_grid, eval_control,
-                           project_admissible, zero_coefficients)
+from sgaflow.basis import (BasisSpec, control_grid_max, eval_basis,
+                           eval_basis_grid, eval_control, project_admissible)
 
 
 def trapezoid_gram(basis, n_nodes):
@@ -93,50 +92,36 @@ class TestEvalBasis:
 
 
 class TestControlCoefficients:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_rejected(self, bad):
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
-        with pytest.raises(ValueError, match="C has non-finite"):
-            ControlCoefficients([[0.0, bad]], basis, 1.0)
-
-    @pytest.mark.parametrize("cols", [1, 3])
-    def test_column_mismatch_rejected(self, cols):
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
-        with pytest.raises(ValueError,
-                           match=f"C has {cols} columns, basis has n=2"):
-            ControlCoefficients(np.zeros((2, cols)), basis, 1.0)
-
     def test_negative_bound_rejected(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError, match="u_max must be >= 0"):
-            ControlCoefficients(np.zeros((1, 2)), basis, -1e-9)
+            project_admissible(np.zeros((1, 2)), basis, -1e-9, 2010)
 
 
 class TestEvalControl:
     def test_zero_coefficients(self):
         basis = BasisSpec("legendre_shifted", 4, 1.0)
-        coeffs = zero_coefficients(3, basis, 1.0)
+        c = np.zeros((3, 4))
         for t in (0.0, 0.4, 1.0):
-            np.testing.assert_array_equal(eval_control(coeffs, t),
+            np.testing.assert_array_equal(eval_control(c, basis, t),
                                           np.zeros(3))
 
     def test_single_constant_basis(self):
         basis = BasisSpec("legendre_shifted", 1, 2.0)
-        coeffs = ControlCoefficients([[3.0], [-1.0]], basis, 10.0)
+        c = np.array([[3.0], [-1.0]])
         expect = np.array([3.0, -1.0]) * np.sqrt(1 / 2.0)
         for t in (0.0, 1.0, 2.0):
-            np.testing.assert_allclose(eval_control(coeffs, t), expect,
+            np.testing.assert_allclose(eval_control(c, basis, t), expect,
                                        rtol=1e-14)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(0)
         basis = BasisSpec("legendre_shifted", 5, 1.0)
         c = rng.standard_normal((4, 5))
-        coeffs = ControlCoefficients(c, basis, 100.0)
         psi = eval_basis(basis, 0.3)
         naive = np.array([sum(c[i, j] * psi[j] for j in range(5))
                           for i in range(4)])
-        np.testing.assert_allclose(eval_control(coeffs, 0.3), naive,
+        np.testing.assert_allclose(eval_control(c, basis, 0.3), naive,
                                    atol=1e-14)
 
     @given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3),
@@ -147,54 +132,68 @@ class TestEvalControl:
         basis = BasisSpec("legendre_shifted", 3, 1.0)
         c1 = rng.standard_normal((2, 3))
         c2 = rng.standard_normal((2, 3))
-        mix = ControlCoefficients(alpha * c1 + beta * c2, basis, 1e6)
-        a = ControlCoefficients(c1, basis, 1e6)
-        b = ControlCoefficients(c2, basis, 1e6)
         t = 0.37
         np.testing.assert_allclose(
-            eval_control(mix, t),
-            alpha * eval_control(a, t) + beta * eval_control(b, t),
+            eval_control(alpha * c1 + beta * c2, basis, t),
+            alpha * eval_control(c1, basis, t)
+            + beta * eval_control(c2, basis, t),
             atol=1e-12)
 
 
 class TestProjectAdmissible:
     def test_within_bound_is_identity(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        coeffs = ControlCoefficients([[0.1, 0.05]], basis, 10.0)
-        out = project_admissible(coeffs, 2010)
-        np.testing.assert_array_equal(out.c, coeffs.c)
+        c = np.array([[0.1, 0.05]])
+        out = project_admissible(c, basis, 10.0, 2010)
+        np.testing.assert_array_equal(out, c)
 
     def test_constant_control_scaled_to_bound(self):
         # N=1: u = c11 / sqrt(T); pick c11 so u = 2*u_max
         basis = BasisSpec("legendre_shifted", 1, 1.0)
         u_max = 1.5
-        coeffs = ControlCoefficients([[2.0 * u_max]], basis, u_max)
-        out = project_admissible(coeffs, 2010)
-        np.testing.assert_allclose(out.c, [[u_max]], rtol=1e-12)
+        out = project_admissible(np.array([[2.0 * u_max]]), basis, u_max,
+                                 2010)
+        np.testing.assert_allclose(out, [[u_max]], rtol=1e-12)
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_grid_max_within_bound_after_projection(self, seed):
         rng = np.random.default_rng(seed)
         basis = BasisSpec("legendre_shifted", 4, 1.0)
-        coeffs = ControlCoefficients(5.0 * rng.standard_normal((3, 4)),
-                                     basis, 1.0)
-        out = project_admissible(coeffs, 500)
-        assert np.all(control_grid_max(out, 500) <= 1.0 * (1 + 1e-12))
+        out = project_admissible(5.0 * rng.standard_normal((3, 4)), basis,
+                                 1.0, 500)
+        assert np.all(control_grid_max(out, basis, 500) <= 1.0 * (1 + 1e-12))
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         basis = BasisSpec("legendre_shifted", 3, 1.0)
-        coeffs = ControlCoefficients(4.0 * rng.standard_normal((2, 3)),
-                                     basis, 1.0)
-        once = project_admissible(coeffs, 300)
-        twice = project_admissible(once, 300)
-        np.testing.assert_array_equal(twice.c, once.c)
+        once = project_admissible(4.0 * rng.standard_normal((2, 3)), basis,
+                                  1.0, 300)
+        twice = project_admissible(once, basis, 1.0, 300)
+        np.testing.assert_array_equal(twice, once)
 
     def test_zero_bound_zeroes_rows(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        coeffs = ControlCoefficients([[1.0, 2.0]], basis, 0.0)
-        out = project_admissible(coeffs, 2010)
-        np.testing.assert_array_equal(out.c, [[0.0, 0.0]])
+        out = project_admissible(np.array([[1.0, 2.0]]), basis, 0.0, 2010)
+        np.testing.assert_array_equal(out, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", ["legendre_shifted", "fourier"])
+    @pytest.mark.parametrize("p", [1, 2, 33])
+    @pytest.mark.parametrize("b", [1, 5, 45])
+    def test_stack_projects_each_member_as_its_own_c(self, kind, p, b):
+        basis = BasisSpec(kind, 4, 1.0)
+        rng = np.random.default_rng(1000 * p + b)
+        # member 0 within the bound, the rest over it on some rows
+        cs = rng.uniform(-0.5, 0.5, (b, p, 4)) * np.geomspace(
+            0.1, 20.0, b)[:, None, None]
+        before = cs.copy()
+        out = project_admissible(cs, basis, 1.0, 2010)
+        np.testing.assert_array_equal(cs, before)
+        assert out.shape == cs.shape
+        for c, member in zip(cs, out):
+            np.testing.assert_array_equal(
+                member, project_admissible(c, basis, 1.0, 2010))
+        within = cs * (0.5 / control_grid_max(cs, basis, 2010).max())
+        assert project_admissible(within, basis, 1.0, 2010) is within

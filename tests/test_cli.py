@@ -6,6 +6,8 @@ import pytest
 from sgaflow import cli
 from sgaflow.model import loss_gradient
 
+from conftest import warnings_as_errors
+
 
 def base_config(**overrides):
     cfg = {
@@ -201,6 +203,21 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out",
                          str(tmp_path / "out"), "--quiet"]) == 1
         assert "C has non-finite" in capsys.readouterr().err
+
+    def test_init_whose_control_overflows_is_a_validation_error(
+            self, tmp_path, capsys):
+        # finite entries of 1e308 overflow the control's grid max to inf,
+        # which the projection would read as a scale of 0 and zero the
+        # rows; entries of 1e300 are rescaled
+        c = base_config()
+        c["solver"]["init"] = [[1e308] * 3, [1e308] * 3]
+        with warnings_as_errors():
+            assert cli.main(["run", "--config",
+                             str(write_config(tmp_path, c)), "--out",
+                             str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "c0" in err and "overflows float64" in err
+        assert not (tmp_path / "out").exists()
 
     def test_csv_artifacts_read_back_bitwise(self, tmp_path):
         cfg = base_config()

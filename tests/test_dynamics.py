@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, dynamics
-from sgaflow.basis import (BasisSpec, ControlCoefficients, eval_basis_grid,
-                           eval_control, zero_coefficients)
+from sgaflow.basis import BasisSpec, eval_basis_grid, eval_control
 from sgaflow.dynamics import (AdjointTrajectory, DivergenceError,
                               NonFiniteCostateError, TimeGrid, Trajectory,
                               adjoint_matrix, adjoint_rhs, forward_rhs,
@@ -70,11 +69,9 @@ class TestIntegrateForward:
         o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 100)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        coeffs = ControlCoefficients([[1.0, 0.5]], basis, 5.0)
-        a = integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.0, z1, zd,
-                              grid)
-        b = integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 1e-9, z1, zd,
-                              grid)
+        coeffs = np.array([[1.0, 0.5]])
+        a = integrate_forward(o, [1.0], coeffs, basis, 0.0, z1, zd, grid)
+        b = integrate_forward(o, [1.0], coeffs, basis, 1e-9, z1, zd, grid)
         assert np.max(np.abs(a.theta_nodes - b.theta_nodes)) <= 1e-7
 
     def test_richardson_ratio_is_fourth_order(self):
@@ -96,8 +93,8 @@ class TestIntegrateForward:
         for eps, zd in ((0.0, data.z_dith), (0.5, data.z_dith),
                         (0.5, Dataset(data.z_train.x, data.z_train.y + 1.0,
                                       "dithered"))):
-            coeffs = zero_coefficients(o.param_dim, basis, 5.0)
-            runs.append(integrate_forward(o, theta0, coeffs.c, coeffs.basis,
+            coeffs = np.zeros((o.param_dim, 3))
+            runs.append(integrate_forward(o, theta0, coeffs, basis,
                                           eps, data.z_train, zd, grid))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].theta_nodes,
@@ -108,14 +105,13 @@ class TestIntegrateForward:
         grid = TimeGrid(1.0, 100)
         basis = BasisSpec("legendre_shifted", 3, 1.0)
         rng = np.random.default_rng(2)
-        coeffs = ControlCoefficients(
-            0.3 * rng.standard_normal((o.param_dim, 3)), basis, 5.0)
+        coeffs = 0.3 * rng.standard_normal((o.param_dim, 3))
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        base = integrate_forward(o, theta0, coeffs.c, coeffs.basis, 0.0,
+        base = integrate_forward(o, theta0, coeffs, basis, 0.0,
                                  data.z_train, data.z_dith, grid).theta_final
         epss = [1e-1, 1e-2, 1e-3, 1e-4]
         diffs = [np.linalg.norm(
-            integrate_forward(o, theta0, coeffs.c, coeffs.basis, e,
+            integrate_forward(o, theta0, coeffs, basis, e,
                               data.z_train, data.z_dith, grid).theta_final
             - base)
             for e in epss]
@@ -127,11 +123,10 @@ class TestIntegrateForward:
         # t = ln(10/9); the guard stops it within one quarter step
         o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 50)
-        coeffs = ControlCoefficients(
-            [[20.0, 0.0]], BasisSpec("legendre_shifted", 2, 1.0), 50.0)
         with pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.5, z1, zd,
-                              grid)
+            integrate_forward(o, [1.0], np.array([[20.0, 0.0]]),
+                              BasisSpec("legendre_shifted", 2, 1.0), 0.5, z1,
+                              zd, grid)
         assert abs(exc.value.t - np.log(10.0 / 9.0)) <= 0.25 * grid.h
         assert exc.value.norm > dynamics.DIVERGENCE_BOUND
 
@@ -218,11 +213,10 @@ class TestIntegrateForward:
             o, data = linear_problem(d=3, seed=25)
         else:
             o, data = mlp_problem(d=2, seed=24)
-        coeffs = ControlCoefficients(
-            rng.uniform(-1.0, 1.0, (o.param_dim, 3)),
-            BasisSpec("legendre_shifted", 3, 1.0), 5.0)
+        coeffs = rng.uniform(-1.0, 1.0, (o.param_dim, 3))
         traj = integrate_forward(o, 0.5 * rng.standard_normal(o.param_dim),
-                                 coeffs.c, coeffs.basis, 0.3, data.z_train,
+                                 coeffs, BasisSpec("legendre_shifted", 3, 1.0),
+                                 0.3, data.z_train,
                                  data.z_dith, TimeGrid(1.0, 20))
         assert traj.gt_fine.shape == (81, o.param_dim)
         # the final state's row included
@@ -386,7 +380,7 @@ class TestAdjointRhs:
         assert np.max(np.abs(k - free)) > 1e-3
 
 
-def per_stage_adjoint(o, traj, coeffs, eps, data):
+def per_stage_adjoint(o, traj, coeffs, basis, eps, data):
     """The half-step costate sweep with u from eval_control at the stage
     times i*(h/4) of forward states i and grad J~0 from a per-state
     loss_gradient call at every stage, forming the costate matrix anew at
@@ -399,7 +393,7 @@ def per_stage_adjoint(o, traj, coeffs, eps, data):
 
     def rhs(t, theta, p):
         k = adjoint_matrix(plan, theta, loss_gradient(o, theta, data.z_dith),
-                           eval_control(coeffs, t), eps)
+                           eval_control(coeffs, basis, t), eps)
         return adjoint_rhs(k, p)
 
     p = -loss_gradient(o, traj.theta_final, data.z_val)
@@ -425,14 +419,13 @@ class TestIntegrateAdjoint:
         else:
             o, data = mlp_problem(d=2, seed=24)
         basis = BasisSpec(kind, 3, 1.0)
-        coeffs = ControlCoefficients(
-            rng.uniform(-1.0, 1.0, (o.param_dim, 3)), basis, 5.0)
+        coeffs = rng.uniform(-1.0, 1.0, (o.param_dim, 3))
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        traj = integrate_forward(o, theta0, coeffs.c, coeffs.basis, 0.3,
+        traj = integrate_forward(o, theta0, coeffs, basis, 0.3,
                                  data.z_train, data.z_dith, TimeGrid(1.0, 20))
         adj = integrate_adjoint(o, traj, data.z_val)
         np.testing.assert_array_equal(
-            adj.p_half, per_stage_adjoint(o, traj, coeffs, 0.3, data))
+            adj.p_half, per_stage_adjoint(o, traj, coeffs, basis, 0.3, data))
         # the trajectory's control moves the costate, so the check covers
         # it: the same states with the control dropped give another p(0)
         free = integrate_adjoint(o, replace(traj, c=np.zeros_like(traj.c)),
@@ -598,11 +591,10 @@ class TestPlans:
         monkeypatch.setattr(model, "loss_plan", counted)
         o, data = linear_problem()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        coeffs = ControlCoefficients(np.ones((o.param_dim, 2)), basis, 5.0)
         grid = TimeGrid(1.0, steps)
-        traj = integrate_forward(o, np.zeros(o.param_dim), coeffs.c,
-                                 coeffs.basis, 0.1, data.z_train, data.z_dith,
-                                 grid)
+        traj = integrate_forward(o, np.zeros(o.param_dim),
+                                 np.ones((o.param_dim, 2)), basis, 0.1,
+                                 data.z_train, data.z_dith, grid)
         assert built == [("train", "dithered")]
         built.clear()
         # the backward pass runs on the trajectory's flow plan
@@ -624,13 +616,13 @@ class TestControlRows:
         o, data = linear_problem(d=2)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         grid = TimeGrid(1.0, 10)
-        bad = ControlCoefficients(np.ones((rows, 2)), basis, 5.0)
+        bad = np.ones((rows, 2))
         with pytest.raises(ValueError, match=rf"C has shape \({rows}, 2\)"):
-            integrate_forward(o, np.zeros(2), bad.c, bad.basis, 0.1,
+            integrate_forward(o, np.zeros(2), bad, basis, 0.1,
                               data.z_train, data.z_dith, grid)
         with pytest.raises(ValueError,
                            match=rf"C has shape \(1, {rows}, 2\)"):
-            integrate_forward(o, np.zeros(2), bad.c[None], basis, 0.1,
+            integrate_forward(o, np.zeros(2), bad[None], basis, 0.1,
                               data.z_train, data.z_dith, grid)
 
 
@@ -653,11 +645,10 @@ class TestStagePsi:
 
     def test_grid_beyond_basis_range_rejected(self):
         o, z1, zd, _ = quad_oracle()
-        coeffs = ControlCoefficients(
-            np.zeros((1, 2)), BasisSpec("legendre_shifted", 2, 1.0), 1.0)
         with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], coeffs.c, coeffs.basis, 0.1, z1, zd,
-                              TimeGrid(1.0 + 1e-9, 10))
+            integrate_forward(o, [1.0], np.zeros((1, 2)),
+                              BasisSpec("legendre_shifted", 2, 1.0), 0.1, z1,
+                              zd, TimeGrid(1.0 + 1e-9, 10))
 
 
 class TestTrajectoryShape:

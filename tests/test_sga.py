@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from sgaflow import Dataset, ModelOracle, ProblemData, cli, dynamics, sga
-from sgaflow.basis import (BasisSpec, ControlCoefficients, control_grid_max,
-                           eval_basis_grid, project_admissible,
-                           zero_coefficients)
+from sgaflow.basis import (BasisSpec, control_grid_max, eval_basis_grid,
+                           project_admissible)
 from sgaflow import model
 from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
                               integrate_forward)
@@ -40,8 +39,7 @@ class TestCost:
     def test_closed_form_null_control(self, quad1_problem):
         o, data = quad1_problem
         config = quad_config(steps=100)
-        coeffs = zero_coefficients(1, config.basis, config.u_max)
-        j = cost(o, coeffs.c, config, data)
+        j = cost(o, np.zeros((1, 2)), config, data)
         assert j == pytest.approx(0.5 * np.exp(-2.0), abs=1e-8)
 
     def test_fixed_point_at_joint_optimum(self):
@@ -55,17 +53,16 @@ class TestCost:
                            refit(data.z_dith, "dithered"),
                            refit(data.z_val, "validation"))
         config = replace(quad_config(), theta0=theta_fit)
-        coeffs = zero_coefficients(o.param_dim, config.basis, config.u_max)
-        assert cost(o, coeffs.c, config, data) == pytest.approx(0.0,
-                                                                abs=1e-20)
+        coeffs = np.zeros((o.param_dim, config.basis.n))
+        assert cost(o, coeffs, config, data) == pytest.approx(0.0,
+                                                              abs=1e-20)
 
     def test_invariant_to_u_max_when_control_off(self, quad1_problem):
         o, data = quad1_problem
         costs = []
         for u_max in (1.0, 5.0, 50.0):
             config = quad_config(u_max=u_max)
-            coeffs = zero_coefficients(1, config.basis, u_max)
-            costs.append(cost(o, coeffs.c, config, data))
+            costs.append(cost(o, np.zeros((1, 2)), config, data))
         assert costs[0] == costs[1] == costs[2]
 
 
@@ -73,8 +70,7 @@ def quad_trajectory(o, data, eps):
     """The flow from theta0 = 1 under a fixed control on a 10-step grid;
     grad J~0 = theta stays away from zero along it."""
     config = quad_config(steps=10, eps=eps)
-    coeffs = ControlCoefficients([[0.5, -0.3]], config.basis, config.u_max)
-    return forward(o, coeffs.c, config, data)
+    return forward(o, np.array([[0.5, -0.3]]), config, data)
 
 
 class TestCoefficientGradient:
@@ -97,22 +93,20 @@ class TestCoefficientGradient:
         o, data = quad1_problem
         config = quad_config(steps=400, n=2)
         rng = np.random.default_rng(1)
-        coeffs = project_admissible(
-            ControlCoefficients(rng.uniform(-0.5, 0.5, (1, 2)),
-                                config.basis, config.u_max),
-            config.projection_grid)
+        coeffs = project_admissible(rng.uniform(-0.5, 0.5, (1, 2)),
+                                    config.basis, config.u_max,
+                                    config.projection_grid)
         _, _, grad = sweep(o, coeffs, config, data)
         fd = fd_gradient(
             lambda cv: cost(o, cv.reshape(1, 2), config, data),
-            coeffs.c.ravel(), 1e-5).reshape(1, 2)
+            coeffs.ravel(), 1e-5).reshape(1, 2)
         assert np.max(np.abs(-grad - fd)) / np.max(np.abs(fd)) <= 1e-5
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_matches_per_state_loop_bitwise(self, family):
         o, config, data = sweep_problem(family)
-        coeffs = ControlCoefficients(
-            np.random.default_rng(9).uniform(-1.0, 1.0, (o.param_dim, 3)),
-            config.basis, 5.0)
+        coeffs = np.random.default_rng(9).uniform(-1.0, 1.0,
+                                                  (o.param_dim, 3))
         traj, adj, g = sweep(o, coeffs, config, data)
 
         # Simpson over the half steps i, at the times i*(h/2)
@@ -186,7 +180,7 @@ class TestSweep:
         monkeypatch.setattr(model, "loss_plan", counted)
         o, config, data = sweep_problem(family)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs.c, config, data)
+        traj = forward(o, coeffs, config, data)
         assert len(grads) == 16 * config.steps + 1
         grads.clear()
         backward(o, traj, data.z_val)
@@ -210,7 +204,7 @@ class TestSweep:
         monkeypatch.setattr(dynamics, "adjoint_rhs", counted_rhs)
         o, config, data = sweep_problem(family)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs.c, config, data)
+        traj = forward(o, coeffs, config, data)
         assert hessians == []
         backward(o, traj, data.z_val)
         m = config.steps
@@ -251,7 +245,7 @@ class TestSweep:
         plans.clear()
         backward(o, traj, data.z_val)
         assert rows == plans == []
-        cost(o, np.stack([coeffs.c] * 3), config, data)
+        cost(o, np.stack([coeffs] * 3), config, data)
         assert rows == [8 * m + 1]
 
 
@@ -270,7 +264,7 @@ class TestSweeps:
                                                   n_basis=3))
         ps = probes(o, config, 4)
         serial = [sweep(o, c, config, data)[1:] for c in ps[:3]]
-        traj = forward(o, np.stack([c.c for c in ps]), config, data)
+        traj = forward(o, ps, config, data)
         for b in (1, 3):
             adj, gs = backward(o, replace(
                 traj, theta_fine=traj.theta_fine[:, :b],
@@ -288,13 +282,13 @@ class TestSweeps:
         # configs/linear.json: a nan or inf in a stack's last member ran
         # into the flow and ended as DivergenceError at t=0.00125
         o, config, data = linear_json_problem()
-        cs = np.stack([c.c for c in probes(o, config, b)])
+        cs = probes(o, config, b)
         cs[-1, 0, 0] = bad
         for run in (cost, forward):
             with pytest.raises(ValueError, match="C has non-finite entries"):
                 run(o, cs, config, data)
         with pytest.raises(ValueError, match="C has non-finite entries"):
-            ControlCoefficients(cs[-1], config.basis, config.u_max)
+            forward(o, cs[-1], config, data)
 
     def test_cost_of_one_c_is_a_float_of_a_stack_an_array(self):
         # configs/linear.json at the probes: one (p, n) C gives a float,
@@ -302,7 +296,7 @@ class TestSweeps:
         # an array of its members' own costs, and any other shape is
         # refused, naming it
         o, config, data = linear_json_problem()
-        cs = np.stack([c.c for c in probes(o, config, 3)])
+        cs = probes(o, config, 3)
         p, n = cs.shape[1:]
         j = cost(o, cs[0], config, data)
         assert type(j) is float
@@ -328,7 +322,7 @@ def linear_json_problem():
 
 def one_step(o, coeffs, config, data):
     """One solver iteration from coeffs: (new coefficients, its record)."""
-    report = solve(o, replace(config, c0=coeffs.c, max_iters=1), data)
+    report = solve(o, replace(config, c0=coeffs, max_iters=1), data)
     return report.final_coeffs, report.iterations[0]
 
 
@@ -339,9 +333,9 @@ class TestStep:
         o = ModelOracle("linear_features", 1)
         data = ProblemData(z1, zd, zv)
         config = replace(quad_config(steps=50), theta0=np.zeros(1))
-        coeffs = zero_coefficients(1, config.basis, config.u_max)
+        coeffs = np.zeros((1, 2))
         new, rec = one_step(o, coeffs, config, data)
-        np.testing.assert_array_equal(new.c, coeffs.c)
+        np.testing.assert_array_equal(new, coeffs)
         assert rec.grad_norm == 0.0
 
     def test_backtracking_never_increases_cost(self):
@@ -351,19 +345,17 @@ class TestStep:
                               u_max=5.0)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            coeffs = project_admissible(
-                ControlCoefficients(rng.uniform(-1, 1, (o.param_dim, 3)),
-                                    config.basis, config.u_max),
-                config.projection_grid)
-            j0 = cost(o, coeffs.c, config, data)
+            coeffs = project_admissible(rng.uniform(-1, 1, (o.param_dim, 3)),
+                                        config.basis, config.u_max,
+                                        config.projection_grid)
+            j0 = cost(o, coeffs, config, data)
             new, rec = one_step(o, coeffs, config, data)
-            assert cost(o, new.c, config, data) <= j0
+            assert cost(o, new, config, data) <= j0
 
     def test_projection_triggers_only_beyond_bound(self, quad1_problem):
         o, data = quad1_problem
         config = quad_config(steps=50, u_max=1e6, gamma0=1.0)
-        coeffs = zero_coefficients(1, config.basis, config.u_max)
-        _, rec = one_step(o, coeffs, config, data)
+        _, rec = one_step(o, np.zeros((1, 2)), config, data)
         assert not rec.projected
 
 
@@ -384,8 +376,7 @@ class TestSolve:
         config = quad_config(steps=200, n=2, eps=0.1, u_max=5.0,
                              max_iters=30)
         report = solve(o, config, data)
-        coeffs0 = zero_coefficients(1, config.basis, config.u_max)
-        j_null = cost(o, coeffs0.c, config, data)
+        j_null = cost(o, np.zeros((1, 2)), config, data)
         assert report.iterations[0].grad_norm > config.eps_tol
         assert report.final_cost < j_null
 
@@ -402,8 +393,7 @@ class TestSolve:
         # the line search must halve a divergent step rather than abort
         o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
-        j_null = cost(o, zero_coefficients(1, config.basis, config.u_max).c,
-                      config, data)
+        j_null = cost(o, np.zeros((1, config.basis.n)), config, data)
         assert np.isfinite(report.final_cost)
         assert report.final_cost <= j_null
         assert 0.0 < report.iterations[0].gamma < config.gamma0
@@ -422,7 +412,8 @@ class TestSolve:
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=0.05, max_iters=10, gamma0=1.0)
         report = solve(o, config, data)
-        gmax = control_grid_max(report.final_coeffs, config.projection_grid)
+        gmax = control_grid_max(report.final_coeffs, config.basis,
+                                config.projection_grid)
         assert np.all(gmax <= config.u_max * (1 + 1e-12))
 
     def test_identical_runs_are_bitwise_equal(self):
@@ -438,8 +429,8 @@ class TestSolve:
         o, data = quad1_problem
         config = quad_config(steps=100, max_iters=5)
         report = solve(o, config, data)
-        traj = integrate_forward(o, config.theta0, report.final_coeffs.c,
-                                 report.final_coeffs.basis, config.eps,
+        traj = integrate_forward(o, config.theta0, report.final_coeffs,
+                                 config.basis, config.eps,
                                  data.z_train, data.z_dith, config.grid)
         np.testing.assert_array_equal(report.theta_star, traj.theta_final)
 
@@ -461,9 +452,9 @@ class TestNonFiniteData:
         coeffs = config.initial_coefficients(o.param_dim)
         theta0 = np.zeros(o.param_dim)
         with pytest.raises(ValueError, match="train dataset"):
-            integrate_forward(o, theta0, coeffs.c, coeffs.basis, config.eps,
+            integrate_forward(o, theta0, coeffs, config.basis, config.eps,
                               spoiled(data.z_train), data.z_dith, config.grid)
-        traj = integrate_forward(o, theta0, coeffs.c, coeffs.basis,
+        traj = integrate_forward(o, theta0, coeffs, config.basis,
                                  config.eps, data.z_train, data.z_dith,
                                  config.grid)
         with pytest.raises(ValueError, match="validation dataset"):
@@ -491,10 +482,10 @@ class TestDitheredInputs:
         theta0 = np.zeros(o.param_dim)
         match = "dithered dataset's inputs differ"
         with pytest.raises(ValueError, match=match):
-            integrate_forward(o, theta0, coeffs.c, coeffs.basis, config.eps,
+            integrate_forward(o, theta0, coeffs, config.basis, config.eps,
                               data.z_train, other, config.grid)
         with pytest.raises(ValueError, match=match):
-            integrate_forward(o, theta0, coeffs.c[None], config.basis,
+            integrate_forward(o, theta0, coeffs[None], config.basis,
                               config.eps, data.z_train, other, config.grid)
         with pytest.raises(ValueError, match=match):
             solve(o, config, replace(data, z_dith=other))
@@ -523,7 +514,7 @@ def test_one_forward_entry_per_pass(forward_calls):
     # forward and cost each integrate once, a stack included, and so does
     # the coefficient check: its probes and their flows are one stack
     o, config, data = sweep_problem("linear")
-    cs = np.stack([c.c for c in probes(o, config, 3)])
+    cs = probes(o, config, 3)
     for run, c in ((forward, cs[0]), (forward, cs), (cost, cs[0]),
                    (cost, cs)):
         forward_calls[0] = 0
@@ -547,7 +538,7 @@ def armijo_trials(report, config):
 
 def assert_final_state_is_fresh(o, config, data, report):
     traj = integrate_forward(o, config.initial_theta(o.param_dim),
-                             report.final_coeffs.c, report.final_coeffs.basis,
+                             report.final_coeffs, config.basis,
                              config.eps, data.z_train, data.z_dith,
                              config.grid)
     np.testing.assert_array_equal(report.theta_star, traj.theta_final)
@@ -627,3 +618,33 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"c0 has {rows} rows, "
                                              f"expected 2"):
             config.initial_coefficients(2)
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_c0_of_other_column_count_rejected(self, cols):
+        config = quad_config(p=2, c0=np.zeros((2, cols)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"c0 has shape (2, {cols}), expected (2, 2)")):
+            config.initial_coefficients(2)
+
+    def test_c0_of_three_axes_rejected(self):
+        # p = n = 2: a (2, 2, 2) c0 has p rows and n columns, but is no C
+        config = quad_config(p=2, c0=np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=re.escape(
+                "c0 has shape (2, 2, 2), expected (2, 2)")):
+            config.initial_coefficients(2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_c0_with_non_finite_entry_rejected(self, bad):
+        config = quad_config(c0=[[0.0, bad]])
+        with pytest.raises(ValueError, match="c0: C has non-finite"):
+            config.initial_coefficients(1)
+
+    def test_initial_coefficients_are_a_copy_of_c0(self):
+        c0 = np.array([[0.5, -0.25]])
+        config = quad_config(c0=c0)
+        c = config.initial_coefficients(1)
+        c0[0, 0] = 3.0
+        np.testing.assert_array_equal(c, [[0.5, -0.25]])
+        c[0, 1] = 2.0
+        np.testing.assert_array_equal(config.initial_coefficients(1),
+                                      [[3.0, -0.25]])

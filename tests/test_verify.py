@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
-from sgaflow.basis import BasisSpec, ControlCoefficients, project_admissible
+from sgaflow.basis import BasisSpec, project_admissible
 from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
 from sgaflow.sga import SolverConfig, backward, cost, forward, sweep
@@ -106,9 +106,8 @@ class TestCheckCoefficientGradient:
         o, config, data = mlp_check_problem(seed, steps, n_basis)
         c0 = np.random.default_rng(0).uniform(-0.5, 0.5,
                                               (o.param_dim, n_basis))
-        coeffs = project_admissible(
-            ControlCoefficients(c0, config.basis, config.u_max),
-            config.projection_grid)
+        coeffs = project_admissible(c0, config.basis, config.u_max,
+                                    config.projection_grid)
 
         def zero_rows(cfg):
             _, _, g = sweep(o, coeffs, cfg, data)
@@ -133,14 +132,13 @@ class TestCheckCoefficientGradient:
         p, n = o.param_dim, config.basis.n
         serial = []
         for probe in range(n_probes):
-            coeffs = project_admissible(
-                ControlCoefficients(rng.uniform(-0.5, 0.5, (p, n)),
-                                    config.basis, config.u_max),
-                config.projection_grid)
+            coeffs = project_admissible(rng.uniform(-0.5, 0.5, (p, n)),
+                                        config.basis, config.u_max,
+                                        config.projection_grid)
             _, _, grad = sweep(o, coeffs, config, data)
             d = directions.standard_normal((k, p, n))
             d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
-            js = cost(o, coeffs.c + fd_step * np.concatenate([d, -d]),
+            js = cost(o, coeffs + fd_step * np.concatenate([d, -d]),
                       config, data)
             fd = (js[:k] - js[k:]) / (2.0 * fd_step)
             analytic = -np.einsum("ij,kij->k", grad, d)
@@ -280,7 +278,7 @@ class TestCheckRk4Order:
         seen = []
 
         def recorded(oracle, coeffs, cfg, *args):
-            seen.append((coeffs.c, replace(cfg, steps=config.steps)))
+            seen.append((coeffs, replace(cfg, steps=config.steps)))
             return sweep(oracle, coeffs, cfg, *args)
 
         def stacked(oracle, traj, *args):
@@ -292,7 +290,7 @@ class TestCheckRk4Order:
         monkeypatch.setattr(verify, "backward", stacked)
         check_rk4_order(o, config, data)
         assert len(seen) == 5
-        first = verify.probes(o, config, 1)[0].c
+        first = verify.probes(o, config, 1)[0]
         assert np.any(first != 0.0)
         for c, cfg in seen:
             np.testing.assert_array_equal(c, first)
