@@ -16,24 +16,26 @@ under its own control u_b = C_b Psi(t), and each RK4 stage makes one oracle
 call for the whole stack.  C is a plain float array whose shape and finiteness
 this pass checks; the null control is a zero C.  The backward pass takes
 either Trajectory, K and p gaining the stack's axis, each member bit for bit
-its own flow's.  A pass checks a grid step's rows at its end, for a state norm
-beyond DIVERGENCE_BOUND or a nan or inf costate, and names the first bad row
-and member; the substeps past it run with overflow warnings off.
+its own flow's.  A pass checks a grid step's rows once, after its substeps,
+for a state norm beyond DIVERGENCE_BOUND or a nan or inf costate, and names
+the first bad row and member; the substeps past it run with overflow warnings
+off.  Step fractions, 2 and eps enter the substeps as 0-d float64 arrays made
+once per pass, which skip a Python float's conversion and keep its bits.
 
-The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8, and
-forms u = C @ psi one grid step at a time, in one product for the step's
-nine stage times at its start.  The training and dithered sets share x, so
-the pass builds one loss plan on their targets (model.flow_plan) for
-forward_rhs, the forward stage's right-hand side, and a stage takes both
-gradients in one grads call.  The trajectory keeps what the pass ran on
-(C, eps, the flow plan and the Psi table) and the first stage's grad J~0 at
-each of its 4M+1 states, so the backward pass takes nothing of its own but
-the validation set: u at forward state i is C @ psi[2i].  In the costate
-equation p' = K p, K = -(df/dtheta)^T is set by the forward state, its
-grad J~0 and u, so the backward pass forms K one grid step at a time, in
-one adjoint_matrix call on the step's four states, and an adjoint stage is
-one product K p.  Neither pass keeps u or K beyond the grid step it is in.
-No stage checks its inputs or calls eval_basis or eval_control.
+The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8; a grid
+step forms u at its nine stage times in one product, then runs its four
+quarter steps.  The training and dithered sets share x, so the pass builds one
+loss plan on their targets (model.flow_plan) for forward_rhs, the forward
+stage's right-hand side, and a stage takes both gradients in one grads call.
+The trajectory keeps what the pass ran on (C, eps, the flow plan and the Psi
+table) and the first stage's grad J~0 at each of its 4M+1 states, so the
+backward pass takes nothing of its own but the validation set: u at forward
+state i is C @ psi[2i].  In the costate equation p' = K p, K = -(df/dtheta)^T
+is set by the forward state, its grad J~0 and u, so a backward grid step forms
+K in one adjoint_matrix call on its four states, then runs its two half steps;
+an adjoint stage is one product K p.  Neither pass keeps u or K beyond the
+grid step it is in.  No stage checks its inputs or calls eval_basis or
+eval_control.
 """
 
 from __future__ import annotations
@@ -192,8 +194,8 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
                       basis: BasisSpec, eps: float, z_train: Dataset,
                       z_dith: Dataset, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled flow from theta0 over the grid by RK4 on its
-    quarter steps, with Psi evaluated once at the stage times i*h/8 and u
-    formed at a grid step's nine stage times in one product at its start.
+    quarter steps, in a loop over grid steps, each forming u at its nine
+    stage times in one product and running its four quarter steps on it.
 
     c is one (p, n) matrix or a (B, p, n) stack, member b running under
     u = c[b] Psi(t); theta0 is broadcast to c.shape[:-1], the shape of the
@@ -219,25 +221,25 @@ def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
     out = np.empty((nsteps + 1,) + th.shape)
     gts = np.empty_like(out)
     out[0] = th
+    half, full, sixth, two, e = (np.array(x, dtype=float)
+                                 for x in (0.5 * h, h, h / 6.0, 2.0, eps))
     with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
-        for k in range(nsteps):
-            if k % 4 == 0:  # a grid step starts: u at its nine stage times
-                us = list(_controls(c, psi[2 * k:2 * k + 9]))  # row views
-            u1, u2, u4 = us[2 * (k % 4):2 * (k % 4) + 3]
-            k1, gts[k] = forward_rhs(plan, th, u1, eps)
-            k2 = forward_rhs(plan, th + 0.5 * h * k1, u2, eps)[0]
-            k3 = forward_rhs(plan, th + 0.5 * h * k2, u2, eps)[0]
-            k4 = forward_rhs(plan, th + h * k3, u4, eps)[0]
-            th = np.add(th, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                        out=out[k + 1])
-            if k % 4 == 3:  # a grid step ends: the guard over its four rows
-                rows = out[k - 2:k + 2].reshape(4, -1, th.shape[-1])
-                inside = np.vecdot(rows, rows) <= DIVERGENCE_BOUND ** 2
-                if not np.logical_and.reduce(inside, axis=None):
-                    i, b = divmod(int(np.argmin(inside)), inside.shape[1])
-                    nrm = float(np.linalg.norm(rows[i, b]))
-                    raise DivergenceError((k - 2 + i) * h,
-                                          inf if np.isnan(nrm) else nrm)
+        for s in range(0, nsteps, 4):  # a grid step: u at its stage times
+            u = _controls(c, psi[2 * s:2 * s + 9])
+            for k, u1, u2, u4 in zip(range(s, s + 4), u[::2], u[1::2], u[2::2]):
+                k1, gts[k] = forward_rhs(plan, th, u1, e)
+                k2 = forward_rhs(plan, th + half * k1, u2, e)[0]
+                k3 = forward_rhs(plan, th + half * k2, u2, e)[0]
+                k4 = forward_rhs(plan, th + full * k3, u4, e)[0]
+                th = np.add(th, sixth * (k1 + two * k2 + two * k3 + k4),
+                            out=out[k + 1])
+            rows = out[s + 1:s + 5].reshape(4, -1, th.shape[-1])
+            inside = np.vecdot(rows, rows) <= DIVERGENCE_BOUND ** 2
+            if not np.logical_and.reduce(inside, axis=None):
+                i, b = divmod(int(np.argmin(inside)), inside.shape[1])
+                nrm = float(np.linalg.norm(rows[i, b]))
+                raise DivergenceError((s + 1 + i) * h,
+                                      inf if np.isnan(nrm) else nrm)
     gts[nsteps] = plan.grads(th)[1]
     return Trajectory(grid, out, gts, c, eps, plan, psi)
 
@@ -267,9 +269,9 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     re-integration, interpolation, gradient call or Psi evaluation happens
     here.  K is formed once per forward state, for the two stages that read
     it (k2 and k3; k4 and the next step's k1), in one adjoint_matrix call
-    per grid step on its four states, and one more for the final state;
-    each K is bit for bit its own state's call.  NonFiniteCostateError at
-    the first half step whose costate is nan or inf.
+    per grid step on its four states before its two half steps, and one
+    more for the final state; each K is bit for bit its own state's call.
+    NonFiniteCostateError at the first half step whose costate is nan or inf.
     """
     M = traj.grid.steps
     hh = 0.5 * traj.grid.h
@@ -282,21 +284,24 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
     out = np.empty((2 * M + 1,) + traj.theta_final.shape)
     p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
     out[2 * M] = p
-    m4 = matrices(4 * M, 4 * M + 1)[0]
+    m1 = matrices(4 * M, 4 * M + 1)[0]
+    half, full, sixth, two = (np.array(x, dtype=float)
+                              for x in (0.5 * hh, hh, hh / 6.0, 2.0))
     with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
-        for j in range(2 * M, 0, -1):
-            if j % 2 == 0:  # a grid step starts: K at its other four states
-                ks = matrices(2 * j - 4, 2 * j)
-            m1, m2, m4 = m4, ks[(2 * j - 1) % 4], ks[(2 * j - 2) % 4]
-            k1 = adjoint_rhs(m1, p)
-            k2 = adjoint_rhs(m2, p - 0.5 * hh * k1)
-            k3 = adjoint_rhs(m2, p - 0.5 * hh * k2)
-            k4 = adjoint_rhs(m4, p - hh * k3)
-            p = np.subtract(p, (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                            out=out[j - 1])
-            if j % 2 == 1 and not np.isfinite(out[j - 1:j + 1]).all():
-                raise NonFiniteCostateError(  # its midpoint j came first
-                    (j - int(np.isfinite(out[j]).all())) * hh)
+        for j in range(2 * M, 0, -2):  # a grid step: K at its other states
+            ks = matrices(2 * j - 4, 2 * j)
+            for i, m2, m4 in zip((j - 1, j - 2), ks[3::-2], ks[2::-2]):
+                k1 = adjoint_rhs(m1, p)
+                k2 = adjoint_rhs(m2, p - half * k1)
+                k3 = adjoint_rhs(m2, p - half * k2)
+                k4 = adjoint_rhs(m4, p - full * k3)
+                p = np.subtract(p, sixth * (k1 + two * k2 + two * k3 + k4),
+                                out=out[i])
+                m1 = m4  # the next half step's k1 reads k4's K
+            finite = np.isfinite(out[j - 2:j])
+            if not np.logical_and.reduce(finite, axis=None):
+                raise NonFiniteCostateError(  # its midpoint j - 1 came first
+                    (j - 1 - int(finite[1].all())) * hh)
     return AdjointTrajectory(traj, out)
 
 

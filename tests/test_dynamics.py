@@ -161,15 +161,18 @@ class TestIntegrateForward:
                               z1, zd, grid)
         assert (exc.value.t, exc.value.norm) == (0.25 * grid.h, np.inf)
 
-    @pytest.mark.parametrize("us", [[20.0], [0.0, 20.0, 0.0],
-                                    [19.0, 0.0, 20.0]],
-                             ids=["one", "member-1", "row-before-member"])
-    def test_divergence_guard_reports_the_first_bad_quarter_step(self, us):
-        # theta' = -theta + 0.5 * theta^2 * u: u = 20 first passes the
-        # bound at quarter step 22, the midpoint of grid step 5 (rows 21 to
-        # 24), and u = 19 at row 24; the guard, run once per grid step,
-        # reports the row and member a guard after every quarter step
-        # reports, with no warning from the steps run past it
+    @pytest.mark.parametrize("us,row", [
+        ([20.0], 22), ([0.0, 20.0, 0.0], 22), ([19.0, 0.0, 20.0], 22),
+        ([21.0], 21), ([19.5], 23), ([19.0], 24)],
+        ids=["one", "member-1", "row-before-member", "row-21", "row-23",
+             "row-24"])
+    def test_divergence_guard_reports_the_first_bad_quarter_step(self, us,
+                                                                 row):
+        # theta' = -theta + 0.5 * theta^2 * u: u = 21, 20, 19.5 and 19 first
+        # pass the bound at quarter steps 21 to 24, the four rows of grid
+        # step 5; the guard, run once per grid step after its four quarter
+        # steps, reports the row and member a guard after every quarter
+        # step reports, with no warning from the steps run past it
         o, z1, zd, _ = quad_oracle()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         grid = TimeGrid(1.0, 50)
@@ -181,9 +184,17 @@ class TestIntegrateForward:
                               ProblemData(z1, zd, None), grid)
         with warnings_as_errors(), pytest.raises(DivergenceError) as got:
             integrate_forward(o, [1.0], c, basis, 0.5, z1, zd, grid)
-        assert want.value.t == 22 * (0.25 * grid.h)
+        assert want.value.t == row * (0.25 * grid.h)
         assert (got.value.t, got.value.norm) == (want.value.t,
                                                  want.value.norm)
+
+    def test_trajectory_keeps_the_callers_eps(self):
+        # the pass runs on a 0-d array of eps; the trajectory keeps eps
+        o, z1, zd, _ = quad_oracle()
+        eps = 0.3
+        traj = integrate_forward(o, [1.0], *zero_control(1), eps, z1, zd,
+                                 TimeGrid(1.0, 2))
+        assert traj.eps is eps and type(traj.eps) is float
 
     def test_nonfinite_theta0_rejected(self):
         o, z1, zd, _ = quad_oracle()
@@ -532,7 +543,7 @@ def per_stage_forward(o, theta0, c, basis, eps, data, grid):
 class TestGridStepBlocks:
     """Both passes form u, and the backward pass K, one grid step at a
     time; each must equal its per-stage or per-state product bit for
-    bit."""
+    bit, and so must both passes' rows."""
 
     @pytest.mark.parametrize("steps", [1, 7])
     @pytest.mark.parametrize("stack", [None, 3])
@@ -562,7 +573,9 @@ class TestGridStepBlocks:
             return blocks[-1][1]
 
         monkeypatch.setattr(dynamics, "adjoint_matrix", spy)
-        integrate_adjoint(o, traj, data.z_val)
+        adj = integrate_adjoint(o, traj, data.z_val)
+        np.testing.assert_array_equal(
+            adj.p_half, per_stage_adjoint(o, traj, c, basis, 0.3, data))
         # the blocks, last first, each in state order: one per grid step
         # and one for the final state
         assert len(blocks) == steps + 1
