@@ -11,8 +11,8 @@ import numpy as np
 from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
 from sgaflow.basis import BasisSpec
 from sgaflow.sga import SolverConfig
-from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
-                            check_rk4_order, verdict)
+from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
+                            check_dp_identity, check_rk4_order, verdict)
 
 
 def mlp_problem(seed: int = 61):
@@ -43,11 +43,12 @@ def main() -> int:
     config = SolverConfig(eps=0.1, steps=100,
                           basis=BasisSpec("legendre_shifted", 2, 1.0),
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
+    problem = CheckProblem(oracle, config, data)
     return verdict([
-        check_rk4_order(oracle, config, data),
-        check_coefficient_gradient(oracle, config, data),
+        check_coefficient_gradient(problem),
+        check_rk4_order(problem),
         check_dp_identity(oracle, config, data),
-        check_coefficient_gradient(*mlp_problem(), n_probes=1),
+        check_coefficient_gradient(CheckProblem(*mlp_problem()), n_probes=1),
     ])
 
 

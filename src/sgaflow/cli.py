@@ -24,8 +24,8 @@ from .dataset import Dataset, bootstrap, dither, load_csv, save_csv
 from .dynamics import integrate_adjoint
 from .model import ModelOracle, phi_value
 from .sga import ProblemData, SolverConfig, SolverReport, cost, forward, solve
-from .verify import (check_coefficient_gradient, check_dp_identity,
-                     check_rk4_order, verdict)
+from .verify import (CheckProblem, check_coefficient_gradient,
+                     check_dp_identity, check_rk4_order, verdict)
 
 
 class ConfigError(ValueError):
@@ -357,8 +357,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
-    reports = [check_coefficient_gradient(oracle, config, data),
-               check_rk4_order(oracle, config, data)]
+    problem = CheckProblem(oracle, config, data)
+    reports = [check_coefficient_gradient(problem), check_rk4_order(problem)]
     _write_json(out / "gradcheck.json", [r.to_dict() for r in reports])
     return verdict(reports, args.quiet)
 

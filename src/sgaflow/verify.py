@@ -7,7 +7,8 @@ levels are the constants below.  The checks run the solver's own
 forward/backward pair at one seeded (count, p, n) stack of controls
 (probes): the coefficient check as one sga.forward stack of the probes and
 their difference flows, swept back by sga.backward over the probes alone,
-the order check as sga.sweep at the first probe, so the control moves."""
+the order check as sga.sweep at the first probe, so the control moves;
+the two share the first probe's levels through a CheckProblem."""
 
 from __future__ import annotations
 
@@ -29,6 +30,19 @@ ORDER_LEVELS = (25, 50, 100, 200)   # order check's grids, each run at 2m too
 ORDER_TOL = 0.3                 # and its tolerance on |slope - 4|
 DP_STEP = 1e-3                  # value-function check's step in theta0
 DP_TOL = 0.05                   # and its tolerance
+
+
+@dataclass(frozen=True, eq=False)
+class CheckProblem:
+    """One problem the checks run on, and the first probe's final state
+    theta(T) and initial costate p(0), by step count, for each grid that a
+    check has integrated it on."""
+
+    oracle: ModelOracle
+    config: SolverConfig
+    data: ProblemData
+    levels: dict = field(default_factory=dict, init=False,
+                         repr=False)   # steps -> (theta(T), p(0))
 
 
 @dataclass
@@ -83,15 +97,17 @@ def probes(oracle: ModelOracle, config: SolverConfig,
                               config.projection_grid)
 
 
-def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
-                               data: ProblemData,
+def check_coefficient_gradient(problem: CheckProblem,
                                n_probes: int = 5) -> CheckReport:
     """Check dJ/dC = -G at the first n_probes >= 1 probes: along each of
     DIRECTIONS random unit directions D, -<G, D> against the central
     difference (J(C + hD) - J(C - hD)) / 2h, h = FD_STEP, to GRAD_TOL.  The
     probes and the 2 * DIRECTIONS flows of every probe are integrated
     forward as one stack, and swept back over the probes' members alone, so
-    the check's cost does not depend on the number of coefficients."""
+    the check's cost does not depend on the number of coefficients.  The
+    first probe's theta(T) and p(0) are kept in problem.levels under
+    config.steps, as copies, so the stack is freed when the check returns."""
+    oracle, config, data = problem.oracle, problem.config, problem.data
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     cs = probes(oracle, config, n_probes)
@@ -100,9 +116,11 @@ def check_coefficient_gradient(oracle: ModelOracle, config: SolverConfig,
     ds /= np.linalg.norm(ds, axis=(2, 3), keepdims=True)
     trials = cs[:, None] + FD_STEP * np.concatenate([ds, -ds], axis=1)
     traj = forward(oracle, np.concatenate([cs, *trials]), config, data)
-    _, grads = backward(oracle, replace(
+    adj, grads = backward(oracle, replace(
         traj, theta_fine=traj.theta_fine[:, :n_probes],
         gt_fine=traj.gt_fine[:, :n_probes], c=traj.c[:n_probes]), data.z_val)
+    problem.levels[config.steps] = (traj.theta_final[0].copy(),
+                                    adj.p_nodes[0, 0].copy())
     val = loss_plan(oracle, data.z_val)
     js = np.array([val.value(th) for th in traj.theta_final[n_probes:]])
     details = []
@@ -161,19 +179,28 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
     return CheckReport("dp_identity_t0", err, DP_TOL, details)
 
 
-def check_rk4_order(oracle: ModelOracle, config: SolverConfig,
-                    data: ProblemData) -> CheckReport:
+def check_rk4_order(problem: CheckProblem) -> CheckReport:
     """Fit the log-log slope of final-state and initial-costate error versus
     step size at the first probe, reading the error of level m's sweep (on
     config with m steps) as |x_m - x_2m| rather than against a finer
-    reference run; RK4 should give slope 4, to ORDER_TOL."""
-    c, level = probes(oracle, config, 1)[0], {}
-    for m in {*ORDER_LEVELS, *(2 * m for m in ORDER_LEVELS)}:
+    reference run; RK4 should give slope 4, to ORDER_TOL.  A level already
+    in problem.levels is read, not swept again.  Refuses exactly equal
+    solutions at two levels, as a still flow gives: 0 has no log."""
+    oracle, config, data = problem.oracle, problem.config, problem.data
+    c, level = probes(oracle, config, 1)[0], dict(problem.levels)
+    for m in {*ORDER_LEVELS, *(2 * m for m in ORDER_LEVELS)} - level.keys():
         traj, adj, _ = sweep(oracle, c, replace(config, steps=m), data)
         level[m] = traj.theta_final, adj.p_nodes[0]
     hs = [config.basis.t_final / m for m in ORDER_LEVELS]
     errs = [[np.linalg.norm(x - x2) for x, x2 in zip(level[m], level[2 * m])]
             for m in ORDER_LEVELS]   # (levels, 2): forward, adjoint
+    equal = next(((m, side) for m, pair in zip(ORDER_LEVELS, errs)
+                  for side, e in zip(("forward", "adjoint"), pair)
+                  if e == 0.0), None)
+    if equal:
+        m, side = equal
+        raise ValueError(f"rk4 order check: the {side} solutions at {m} and "
+                         f"{2 * m} steps are equal, so they give no order")
     slope_f, slope_b = map(float, np.polyfit(np.log(hs), np.log(errs), 1)[0])
     err = max(abs(slope_f - 4.0), abs(slope_b - 4.0))
     details = [{"forward_slope": slope_f, "adjoint_slope": slope_b,

@@ -16,7 +16,8 @@ from sgaflow.basis import BasisSpec, eval_control, project_admissible
 from sgaflow.dynamics import (TimeGrid, hamiltonian, integrate_adjoint,
                               integrate_forward)
 from sgaflow.sga import ProblemData, SolverConfig, cost, solve
-from sgaflow.verify import check_coefficient_gradient, check_dp_identity
+from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
+                            check_dp_identity)
 
 from conftest import mlp_check_problem, quadratic_datasets
 
@@ -99,12 +100,12 @@ def test_criterion_3_gradient_identity():
     lin_cfg = SolverConfig(eps=0.1, steps=400,
                            basis=BasisSpec("legendre_shifted", 4, 1.0),
                            u_max=5.0)
-    lin_rep = check_coefficient_gradient(lin, lin_cfg,
-                                         ProblemData(z1, zd, z2),
-                                         n_probes=2)
+    lin_rep = check_coefficient_gradient(
+        CheckProblem(lin, lin_cfg, ProblemData(z1, zd, z2)), n_probes=2)
     mlp, mlp_cfg, mlp_data = mlp_check_problem(seed=61, steps=200,
                                                n_basis=3)
-    mlp_rep = check_coefficient_gradient(mlp, mlp_cfg, mlp_data, n_probes=1)
+    mlp_rep = check_coefficient_gradient(CheckProblem(mlp, mlp_cfg, mlp_data),
+                                         n_probes=1)
     elapsed = time.time() - start
     report(3, "gradient identity",
            lin_rep.passed and mlp_rep.passed and elapsed < 30.0,

@@ -158,6 +158,16 @@ class TestSynth:
         assert cli.main(["synth", "--config", str(path), "--quiet"]) == 1
         assert f"error: {path} is not valid JSON" in capsys.readouterr().err
 
+    def test_csv_source_names_no_generator(self, tmp_path, capsys):
+        c = base_config()
+        c["data"]["source"] = {"kind": "csv",
+                               "path": str(write_quad_csv(tmp_path))}
+        out = tmp_path / "out.csv"
+        assert cli.main(["synth", "--config", str(write_config(tmp_path, c)),
+                         "--out", str(out)]) == 1
+        assert "names no generator" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_metrics_show_baseline_dominance(self, tmp_path):
@@ -383,6 +393,14 @@ class TestBaseline:
             outs.append(json.loads((out / "metrics.json").read_text()))
         assert outs[0]["cost_final"] == outs[1]["cost_final"]
 
+    def test_prints_the_null_control_cost(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert cli.main(["baseline", "--config",
+                         str(write_config(tmp_path, base_config())), "--out",
+                         str(out)]) == 0
+        j0 = json.loads((out / "metrics.json").read_text())["cost_final"]
+        assert capsys.readouterr().out == f"J[0]={j0:.6e}\n"
+
     def test_divergent_initial_state_reports_runtime_failure(self, tmp_path,
                                                              capsys,
                                                              monkeypatch):
@@ -418,6 +436,22 @@ class TestGradcheck:
         out = tmp_path / "out"
         assert cli.main(["gradcheck", "--config", str(cfg), "--out",
                          str(out), "--quiet"]) == 1
+
+    def test_flow_that_does_not_move_is_refused(self, tmp_path, capsys):
+        # zero targets and no dither from theta0 = 0: theta and p stay 0 at
+        # every level, where the order check took log(0) and wrote a NaN
+        c = base_config()
+        c["data"]["source"]["theta_scale"] = 0
+        c["data"]["noise_level"] = 0
+        out = tmp_path / "out"
+        with warnings_as_errors():
+            assert cli.main(["gradcheck", "--config",
+                             str(write_config(tmp_path, c)), "--out",
+                             str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: rk4 order check: the forward solutions at 25 "
+                       "and 50 steps are equal, so they give no order\n")
+        assert not out.exists()
 
 
 class TestDpcheck:

@@ -15,7 +15,8 @@ from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
                          forward, solve, sweep)
-from sgaflow.verify import check_coefficient_gradient, fd_gradient, probes
+from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
+                            fd_gradient, probes)
 
 from conftest import (linear_problem, mlp_check_problem, mlp_problem,
                       quadratic_datasets, warnings_as_errors)
@@ -521,7 +522,7 @@ def test_one_forward_entry_per_pass(forward_calls):
         run(o, c, config, data)
         assert forward_calls[0] == 1
     forward_calls[0] = 0
-    check_coefficient_gradient(o, config, data)
+    check_coefficient_gradient(CheckProblem(o, config, data))
     assert forward_calls[0] == 1
 
 

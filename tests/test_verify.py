@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +10,11 @@ from sgaflow.basis import BasisSpec, project_admissible
 from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
 from sgaflow.sga import SolverConfig, backward, cost, forward, sweep
-from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
-                            check_rk4_order, fd_gradient)
+from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
+                            check_dp_identity, check_rk4_order, fd_gradient)
 
-from conftest import linear_problem, mlp_check_problem, quadratic_datasets
+from conftest import (linear_problem, mlp_check_problem, quadratic_datasets,
+                      warnings_as_errors)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,12 +64,14 @@ class TestCheckCoefficientGradient:
         config = SolverConfig(eps=0.1, steps=200,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0)
-        report = check_coefficient_gradient(o, config, data, n_probes=3)
+        report = check_coefficient_gradient(CheckProblem(o, config, data),
+                                            n_probes=3)
         assert report.passed, report.to_dict()
 
     def test_mlp_family_passes(self):
         o, config, data = mlp_check_problem(seed=51, steps=100, n_basis=2)
-        report = check_coefficient_gradient(o, config, data, n_probes=1)
+        report = check_coefficient_gradient(CheckProblem(o, config, data),
+                                            n_probes=1)
         assert report.passed, report.to_dict()
 
     @pytest.mark.parametrize("problem", ["linear", "mlp"])
@@ -94,7 +97,8 @@ class TestCheckCoefficientGradient:
             return adj, grads
 
         monkeypatch.setattr(verify, "backward", corrupted)
-        report = check_coefficient_gradient(o, config, data, n_probes=1)
+        report = check_coefficient_gradient(CheckProblem(o, config, data),
+                                            n_probes=1)
         assert not report.passed, report.to_dict()
 
     @pytest.mark.parametrize("seed,steps,n_basis", [(61, 200, 3),
@@ -145,7 +149,7 @@ class TestCheckCoefficientGradient:
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
             serial.append({"probe": probe, "rel_err": float(
                 np.max(np.abs(analytic - fd)) / scale)})
-        report = check_coefficient_gradient(o, config, data,
+        report = check_coefficient_gradient(CheckProblem(o, config, data),
                                             n_probes=n_probes)
         assert report.details == serial
         assert report.max_rel_err == max(e["rel_err"] for e in serial)
@@ -165,7 +169,8 @@ class TestCheckCoefficientGradient:
         monkeypatch.setattr(verify, "forward", broken)
         with pytest.raises(ValueError, match="non-finite cost near the "
                                              "coefficients of probe 1"):
-            check_coefficient_gradient(o, config, data, n_probes=2)
+            check_coefficient_gradient(CheckProblem(o, config, data),
+                                       n_probes=2)
 
     def test_one_forward_and_one_backward_integration(self, monkeypatch):
         # configs/linear.json: the probes and their 2 * DIRECTIONS flows
@@ -187,7 +192,8 @@ class TestCheckCoefficientGradient:
         for n_probes in (1, 3):
             fwd.clear()
             bwd.clear()
-            check_coefficient_gradient(o, config, data, n_probes=n_probes)
+            check_coefficient_gradient(CheckProblem(o, config, data),
+                                       n_probes=n_probes)
             assert fwd == [(n_probes * (1 + 2 * verify.DIRECTIONS), p, n)]
             assert bwd == [(n_probes, p, n)]
 
@@ -203,11 +209,13 @@ class TestCheckCoefficientGradient:
         monkeypatch.setattr(sga, "integrate_forward", never)
         with pytest.raises(ValueError, match=f"n_probes must be >= 1, got "
                                              f"{n_probes}"):
-            check_coefficient_gradient(o, config, data, n_probes=n_probes)
+            check_coefficient_gradient(CheckProblem(o, config, data),
+                                       n_probes=n_probes)
 
     def test_eps_zero_both_sides_vanish(self):
         o, config, data = quad_setup(eps=0.0, steps=50)
-        report = check_coefficient_gradient(o, config, data, n_probes=1)
+        report = check_coefficient_gradient(CheckProblem(o, config, data),
+                                            n_probes=1)
         assert report.max_rel_err <= 1e-8, report.to_dict()
 
 
@@ -248,7 +256,7 @@ class TestCheckDpIdentity:
 class TestCheckRk4Order:
     def test_quadratic_slope_near_four(self):
         o, config, data = quad_setup(steps=100)
-        report = check_rk4_order(o, config, data)
+        report = check_rk4_order(CheckProblem(o, config, data))
         assert report.passed
         d = report.details[0]
         assert 3.7 <= d["forward_slope"] <= 4.3
@@ -258,7 +266,7 @@ class TestCheckRk4Order:
         # configs/linear.json, as `sgaflow gradcheck` checks it: an O(h^2)
         # term added to every final state must read as slope 2 and fail
         o, config, data = linear_json_problem()
-        assert check_rk4_order(o, config, data).passed
+        assert check_rk4_order(CheckProblem(o, config, data)).passed
 
         def second_order(*args):
             traj = integrate_forward(*args)
@@ -267,7 +275,7 @@ class TestCheckRk4Order:
             return replace(traj, theta_fine=fine)
 
         monkeypatch.setattr(sga, "integrate_forward", second_order)
-        report = check_rk4_order(o, config, data)
+        report = check_rk4_order(CheckProblem(o, config, data))
         assert not report.passed
         assert abs(report.details[0]["forward_slope"] - 2.0) <= 0.1
 
@@ -288,7 +296,7 @@ class TestCheckRk4Order:
 
         monkeypatch.setattr(verify, "sweep", recorded)
         monkeypatch.setattr(verify, "backward", stacked)
-        check_rk4_order(o, config, data)
+        check_rk4_order(CheckProblem(o, config, data))
         assert len(seen) == 5
         first = verify.probes(o, config, 1)[0]
         assert np.any(first != 0.0)
@@ -296,9 +304,94 @@ class TestCheckRk4Order:
             np.testing.assert_array_equal(c, first)
             assert cfg == config
         seen.clear()
-        check_coefficient_gradient(o, config, data, n_probes=1)
+        check_coefficient_gradient(CheckProblem(o, config, data), n_probes=1)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], first)
+
+    @pytest.mark.parametrize("problem", ["linear", "mlp"])
+    def test_shared_problem_reads_the_coefficient_checks_level_bitwise(
+            self, monkeypatch, problem):
+        # configs/linear.json and criterion 3's mlp problem, each at 200
+        # steps, an order level: after the coefficient check the order check
+        # sweeps the four other levels, and its report equals a standalone
+        # one's bit for bit
+        o, config, data = (linear_json_problem() if problem == "linear"
+                           else mlp_check_problem(seed=61, steps=200,
+                                                  n_basis=3))
+        steps = []
+
+        def counted(oracle, coeffs, cfg, *args):
+            steps.append(cfg.steps)
+            return sweep(oracle, coeffs, cfg, *args)
+
+        monkeypatch.setattr(verify, "sweep", counted)
+        alone = check_rk4_order(CheckProblem(o, config, data))
+        assert sorted(steps) == [25, 50, 100, 200, 400]
+        shared = CheckProblem(o, config, data)
+        check_coefficient_gradient(shared, n_probes=1)
+        # copies, not views that would keep the coefficient check's stack
+        theta_t, p_0 = shared.levels[200]
+        assert theta_t.base is None and p_0.base is None
+        traj, adj, _ = sweep(o, verify.probes(o, config, 1)[0], config, data)
+        np.testing.assert_array_equal(theta_t, traj.theta_final)
+        np.testing.assert_array_equal(p_0, adj.p_nodes[0])
+        steps.clear()
+        assert check_rk4_order(shared) == alone
+        assert sorted(steps) == [25, 50, 100, 400]
+
+    def test_steps_off_the_levels_sweep_all_five(self, monkeypatch):
+        # a coefficient check at 30 steps keeps a level the order check
+        # does not read
+        o, config, data = quad_setup(steps=30)
+        problem, steps = CheckProblem(o, config, data), []
+
+        def counted(oracle, coeffs, cfg, *args):
+            steps.append(cfg.steps)
+            return sweep(oracle, coeffs, cfg, *args)
+
+        monkeypatch.setattr(verify, "sweep", counted)
+        check_coefficient_gradient(problem, n_probes=1)
+        assert list(problem.levels) == [30]
+        report = check_rk4_order(problem)
+        assert sorted(steps) == [25, 50, 100, 200, 400]
+        assert report == check_rk4_order(CheckProblem(o, config, data))
+
+    def test_problem_levels_are_no_argument_and_the_record_compares(self):
+        # levels integrated under another problem cannot be passed in, and
+        # filled records compare and hash by identity, not by their arrays
+        o, config, data = quad_setup(steps=30)
+        with pytest.raises(TypeError):
+            CheckProblem(o, config, data, levels={})
+        problem, other = CheckProblem(o, config, data), CheckProblem(o, config,
+                                                                     data)
+        for record in (problem, other):
+            check_coefficient_gradient(record, n_probes=1)
+        assert problem == problem and problem != other
+        assert hash(problem) != hash(other)
+        with pytest.raises(FrozenInstanceError):
+            problem.config = replace(config, steps=25)
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    def test_equal_levels_refused_naming_pair_and_side(self, monkeypatch,
+                                                        side):
+        # a flow or costate that does not move has an error of 0 at every
+        # level, whose log was -inf and whose slope was NaN
+        o, config, data = quad_setup(steps=20)
+
+        def still(oracle, coeffs, cfg, *args):
+            traj, adj, g = sweep(oracle, coeffs, cfg, *args)
+            if side == "forward":
+                traj = replace(traj,
+                               theta_fine=np.zeros_like(traj.theta_fine))
+            else:
+                adj = replace(adj, p_half=np.zeros_like(adj.p_half))
+            return traj, adj, g
+
+        monkeypatch.setattr(verify, "sweep", still)
+        with warnings_as_errors(), pytest.raises(
+                ValueError, match=f"the {side} solutions at 25 and 50 steps "
+                                  f"are equal"):
+            check_rk4_order(CheckProblem(o, config, data))
 
     def test_forward_midpoint_control_at_step_start_fails(self, monkeypatch):
         # configs/linear.json: the forward pass's k2 taken under the step's
@@ -314,7 +407,7 @@ class TestCheckRk4Order:
             return forward_rhs(plan, theta, u1[0] if i == 1 else u, eps)
 
         monkeypatch.setattr(dynamics, "forward_rhs", k2_under_u1)
-        report = check_rk4_order(o, config, data)
+        report = check_rk4_order(CheckProblem(o, config, data))
         assert not report.passed, report.to_dict()
         assert abs(report.details[0]["forward_slope"] - 1.0) <= 0.1
 
@@ -331,7 +424,7 @@ class TestCheckRk4Order:
             return k[[1, 1, 3, 3]] if len(theta) == 4 else k
 
         monkeypatch.setattr(dynamics, "adjoint_matrix", m4_at_midpoint)
-        report = check_rk4_order(o, config, data)
+        report = check_rk4_order(CheckProblem(o, config, data))
         assert not report.passed, report.to_dict()
         assert abs(report.details[0]["forward_slope"] - 4.0) <= 0.3
         assert abs(report.details[0]["adjoint_slope"] - 1.0) <= 0.1
