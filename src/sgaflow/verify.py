@@ -1,14 +1,15 @@
 """Independent numerical oracles: dJ/dC = -G against central differences
 of J along random directions in C-space (a Taylor test), the RK4 order of
 the forward and backward integrations read off successive grid levels, and
-the value-function/costate identity at initial time, whose value gradient
-fd_gradient takes entry by entry.  A check's steps, seeds, tolerances and
-levels are the constants below.  The checks run the solver's own
-forward/backward pair at one seeded (count, p, n) stack of controls
-(probes): the coefficient check as one sga.forward stack of the probes and
-their difference flows, swept back by sga.backward over the probes alone,
-the order check as sga.sweep at the first probe, so the control moves;
-the two share the first probe's levels through a CheckProblem."""
+the value-function/costate identity p(0) = -grad V(theta0) against central
+differences of V along orthonormal directions in theta0.  A check's steps,
+seeds, tolerances and levels are the constants below.  The first two
+checks run the solver's own forward/backward pair at one seeded
+(count, p, n) stack of controls (probes): the coefficient check as one
+sga.forward stack of the probes and their difference flows, swept back by
+sga.backward over the probes alone, the order check as sga.sweep at the
+first probe, so the control moves; the two share the first probe's levels
+through a CheckProblem."""
 
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from .sga import (ProblemData, SolverConfig, backward, cost, forward, solve,
                   sweep)
 
 PROBE_SEED = 0                  # seed of the stream of probe controls
-DIRECTION_SEED = (0, 1)         # seed of the gradient check's directions,
-DIRECTIONS = 4                  # their number per probe,
-FD_STEP = 1e-4                  # its difference step in C
+DIRECTION_SEED = (0, 1)         # seed of the directions in C and theta0
+DIRECTIONS = 4                  # and their number, per probe and at most p
+FD_STEP = 1e-4                  # gradient check's difference step in C
 GRAD_TOL = 1e-6                 # and its tolerance
 ORDER_LEVELS = (25, 50, 100, 200)   # order check's grids, each run at 2m too
 ORDER_TOL = 0.3                 # and its tolerance on |slope - 4|
@@ -69,23 +70,6 @@ def verdict(reports: list, quiet: bool = False) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    x = np.asarray(x, dtype=float).ravel()
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = step
-        fp = f(x + e)
-        fm = f(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite function value near component {i}")
-        g[i] = (fp - fm) / (2.0 * step)
-    return g
-
-
 def probes(oracle: ModelOracle, config: SolverConfig,
            count: int) -> np.ndarray:
     """The first count controls the checks run at, as a (count, p, n) stack:
@@ -106,7 +90,9 @@ def check_coefficient_gradient(problem: CheckProblem,
     forward as one stack, and swept back over the probes' members alone, so
     the check's cost does not depend on the number of coefficients.  The
     first probe's theta(T) and p(0) are kept in problem.levels under
-    config.steps, as copies, so the stack is freed when the check returns."""
+    config.steps, as copies, so the stack is freed when the check returns.
+    Refuses a probe whose slopes and differences are all exactly 0, as a
+    control without effect gives: it would pass testing nothing."""
     oracle, config, data = problem.oracle, problem.config, problem.data
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
@@ -131,6 +117,10 @@ def check_coefficient_gradient(problem: CheckProblem,
                              f"probe {probe}")
         a = -np.einsum("ij,kij->k", grad, d)
         fd = (j[0] - j[1]) / (2.0 * FD_STEP)
+        if not (np.any(a) or np.any(fd)):
+            raise ValueError(f"coefficient gradient check: G and the cost "
+                             f"differences at probe {probe} are all 0, so "
+                             f"they test nothing")
         scale = max(np.max(np.abs(a)), np.max(np.abs(fd)), 1e-12)
         err = float(np.max(np.abs(a - fd)) / scale)
         details.append({"probe": probe, "rel_err": err})
@@ -141,36 +131,36 @@ def check_coefficient_gradient(problem: CheckProblem,
 def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
                       data: ProblemData) -> CheckReport:
     """Check that the costate at t=0 equals minus the value-function
-    gradient, to DP_TOL.
-
-    The value function is probed by re-solving the control problem from
-    perturbed initial states theta0 +/- DP_STEP*e_i; the frozen-control
-    variant (control fixed at the base optimizer) is reported alongside.
-    """
+    gradient, to DP_TOL: along each of k = min(p, DIRECTIONS) orthonormal
+    directions D, the columns of the QR factor of a (p, k) Gaussian drawn
+    from DIRECTION_SEED, -<p(0), D> against the central difference
+    (V(theta0 + hD) - V(theta0 - hD)) / 2h, h = DP_STEP, with V the final
+    cost of the control problem re-solved from each perturbed theta0.  The
+    frozen-control variant, V the cost under the base optimizer, is
+    reported alongside."""
     p = oracle.param_dim
-    if p > 3:
-        raise ValueError(f"p <= 3 required for the value-function probe, got {p}")
     base = solve(oracle, config, data)
     theta0 = config.initial_theta(p)
     p0 = sweep(oracle, base.final_coeffs, config, data)[1].p_nodes[0]
-
-    def v_reopt(th0):
-        return solve(oracle, replace(config, theta0=np.asarray(th0)),
-                     data).final_cost
-
-    def v_frozen(th0):
-        return cost(oracle, base.final_coeffs,
-                    replace(config, theta0=np.asarray(th0)), data)
-
-    grad_reopt = fd_gradient(v_reopt, theta0, DP_STEP)
-    grad_frozen = fd_gradient(v_frozen, theta0, DP_STEP)
-    scale = max(np.max(np.abs(p0)), np.max(np.abs(grad_reopt)), 1e-12)
-    err = float(np.max(np.abs(grad_reopt - (-p0))) / scale)
-    err_frozen = float(np.max(np.abs(grad_frozen - (-p0))) / scale)
+    k = min(p, DIRECTIONS)
+    rng = np.random.default_rng(DIRECTION_SEED)
+    ds = np.linalg.qr(rng.standard_normal((p, k)))[0].T   # (k, p)
+    starts = [replace(config, theta0=th)
+              for th in (*(theta0 + DP_STEP * ds), *(theta0 - DP_STEP * ds))]
+    v = np.array([[solve(oracle, s, data).final_cost for s in starts],
+                  [cost(oracle, base.final_coeffs, s, data) for s in starts]])
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite value function near theta0")
+    a = -ds @ p0
+    fd_reopt, fd_frozen = (v[:, :k] - v[:, k:]) / (2.0 * DP_STEP)
+    scale = max(np.max(np.abs(a)), np.max(np.abs(fd_reopt)), 1e-12)
+    err = float(np.max(np.abs(a - fd_reopt)) / scale)
+    err_frozen = float(np.max(np.abs(a - fd_frozen)) / scale)
     details = [{
         "costate_t0": p0.tolist(),
-        "value_grad_reoptimized": grad_reopt.tolist(),
-        "value_grad_frozen_control": grad_frozen.tolist(),
+        "costate_slopes": a.tolist(),
+        "value_slopes_reoptimized": fd_reopt.tolist(),
+        "value_slopes_frozen_control": fd_frozen.tolist(),
         "rel_err_reoptimized": err,
         "rel_err_frozen_control": err_frozen,
         "delta": DP_STEP,

@@ -54,6 +54,24 @@ def quad3():
     return ModelOracle("linear_features", 3), ProblemData(z1, zd, zv)
 
 
+def fd_gradient(f, x: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector, the
+    entry-by-entry oracle of an exact gradient."""
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    x = np.asarray(x, dtype=float).ravel()
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[i] = step
+        fp = f(x + e)
+        fm = f(x - e)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite function value near component {i}")
+        g[i] = (fp - fm) / (2.0 * step)
+    return g
+
+
 def fd_hvp(grad, theta, v, h):
     """The Hessian-vector product of grad's function at theta along v by a
     4th-order central difference of grad of step h, the independent oracle

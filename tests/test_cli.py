@@ -438,8 +438,10 @@ class TestGradcheck:
                          str(out), "--quiet"]) == 1
 
     def test_flow_that_does_not_move_is_refused(self, tmp_path, capsys):
-        # zero targets and no dither from theta0 = 0: theta and p stay 0 at
-        # every level, where the order check took log(0) and wrote a NaN
+        # zero targets and no dither from theta0 = 0: theta and p stay 0, so
+        # G and every difference of the coefficient check, which runs first,
+        # are 0 (a pass by the error's floor), and the order check took
+        # log(0) and wrote a NaN
         c = base_config()
         c["data"]["source"]["theta_scale"] = 0
         c["data"]["noise_level"] = 0
@@ -449,20 +451,23 @@ class TestGradcheck:
                              str(write_config(tmp_path, c)), "--out",
                              str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: rk4 order check: the forward solutions at 25 "
-                       "and 50 steps are equal, so they give no order\n")
+        assert err == ("error: coefficient gradient check: G and the cost "
+                       "differences at probe 0 are all 0, so they test "
+                       "nothing\n")
         assert not out.exists()
 
 
 class TestDpcheck:
-    def test_refuses_high_dimensional_model(self, tmp_path, capsys,
-                                            monkeypatch):
+    def test_high_dimensional_model_passes(self, tmp_path):
+        # a p = 17 tanh network, checked along DIRECTIONS directions
         cfg = write_config(tmp_path, base_config(
             model={"family": "mlp_tanh", "hidden": 4, "theta0": [0.1] * 17}))
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["dpcheck", "--config", str(cfg), "--quiet"]) == 1
-        assert "p <= 3" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        assert cli.main(["dpcheck", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+        report = json.loads((out / "dpcheck.json").read_text())
+        assert report["passed"]
+        assert len(report["details"][0]["costate_slopes"]) == 4
 
     def test_passes_on_small_quadratic(self, tmp_path):
         path = write_quad_csv(tmp_path)

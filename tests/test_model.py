@@ -4,10 +4,9 @@ import pytest
 from sgaflow import Dataset, ModelOracle
 from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
                            loss_value, phi_value)
-from sgaflow.verify import fd_gradient
 
-from conftest import (complex_step_hvp, fd_hvp, linear_problem, mlp_problem,
-                      quadratic_datasets)
+from conftest import (complex_step_hvp, fd_gradient, fd_hvp, linear_problem,
+                      mlp_problem, quadratic_datasets)
 
 
 def complex_step_gradient(oracle, theta, z, h=1e-30):

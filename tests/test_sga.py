@@ -15,11 +15,10 @@ from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
 from sgaflow.model import loss_gradient, phi_value
 from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
                          forward, solve, sweep)
-from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
-                            fd_gradient, probes)
+from sgaflow.verify import CheckProblem, check_coefficient_gradient, probes
 
-from conftest import (linear_problem, mlp_check_problem, mlp_problem,
-                      quadratic_datasets, warnings_as_errors)
+from conftest import (fd_gradient, linear_problem, mlp_check_problem,
+                      mlp_problem, quadratic_datasets, warnings_as_errors)
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,4 +1,5 @@
 import itertools
+import runpy
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -11,10 +12,10 @@ from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
 from sgaflow.sga import SolverConfig, backward, cost, forward, sweep
 from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
-                            check_dp_identity, check_rk4_order, fd_gradient)
+                            check_dp_identity, check_rk4_order)
 
-from conftest import (linear_problem, mlp_check_problem, quadratic_datasets,
-                      warnings_as_errors)
+from conftest import (fd_gradient, linear_problem, mlp_check_problem,
+                      quadratic_datasets, warnings_as_errors)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,10 +214,13 @@ class TestCheckCoefficientGradient:
                                        n_probes=n_probes)
 
     def test_eps_zero_both_sides_vanish(self):
+        # without eps the control has no effect: G and every difference are
+        # exactly 0, which the error's floor read as a pass
         o, config, data = quad_setup(eps=0.0, steps=50)
-        report = check_coefficient_gradient(CheckProblem(o, config, data),
-                                            n_probes=1)
-        assert report.max_rel_err <= 1e-8, report.to_dict()
+        with pytest.raises(ValueError, match="differences at probe 0 are "
+                                             "all 0"):
+            check_coefficient_gradient(CheckProblem(o, config, data),
+                                       n_probes=1)
 
 
 class TestCheckDpIdentity:
@@ -244,13 +248,49 @@ class TestCheckDpIdentity:
             1e-3, 1.0)
         assert large.max_rel_err > small.max_rel_err
 
-    def test_refuses_high_dimension(self):
+    def test_high_dimension_passes_along_four_directions(self):
         o, data = linear_problem(d=4, seed=52)
         config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
                               u_max=1.0)
-        with pytest.raises(ValueError, match="p <= 3"):
+        report = check_dp_identity(o, config, data)
+        assert report.passed, report.to_dict()
+        d = report.details[0]
+        for key in ("costate_slopes", "value_slopes_reoptimized",
+                    "value_slopes_frozen_control"):
+            assert len(d[key]) == 4
+
+    def test_non_finite_value_refused(self, monkeypatch):
+        o, config, data = quad_setup(steps=20, max_iters=1)
+        monkeypatch.setattr(verify, "cost", lambda *args: np.nan)
+        with pytest.raises(ValueError, match="non-finite value function "
+                                             "near theta0"):
             check_dp_identity(o, config, data)
+
+    @pytest.mark.parametrize("problem", ["quad", "mlp"])
+    def test_costate_matrix_without_eps_fails_frozen_half(self, monkeypatch,
+                                                          problem):
+        # the frozen-control half differences the cost the sweep
+        # differentiates, so K without its eps term must show there: on the
+        # p = 1 quad problem (1.7e-2 against 8.4e-9) and on
+        # scripts/run_verification.py's p = 13 tanh network (9.4e-3 against
+        # 1.0e-6), whose base solve is cut to 50 steps and 5 iterations
+        if problem == "quad":
+            o, config, data = quad_setup(steps=100, max_iters=30)
+        else:
+            o, config, data = runpy.run_path(
+                str(ROOT / "scripts" / "run_verification.py"))["mlp_problem"]()
+            config = replace(config, steps=50, max_iters=5)
+        real = dynamics.adjoint_matrix
+
+        def without_eps(plan, theta, gt, u, eps):
+            return real(plan, theta, gt, u, 0.0)
+
+        sound = check_dp_identity(o, config, data)
+        assert sound.details[0]["rel_err_frozen_control"] <= 1e-5
+        monkeypatch.setattr(dynamics, "adjoint_matrix", without_eps)
+        faulty = check_dp_identity(o, config, data)
+        assert faulty.details[0]["rel_err_frozen_control"] > 1e-4
 
 
 class TestCheckRk4Order:
