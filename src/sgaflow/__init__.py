@@ -8,8 +8,7 @@ from .basis import BasisSpec, eval_basis, eval_control
 from .dataset import Dataset, bootstrap, dither, load_csv
 from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, hamiltonian,
                        integrate_adjoint, integrate_forward)
-from .model import (ModelOracle, loss_gradient, loss_hvp, loss_value,
-                    phi_value)
+from .model import ModelOracle, loss_gradient, loss_hvp, loss_value
 from .sga import (ProblemData, SolverConfig, SolverReport, cost,
                   coefficient_gradient, solve)
 
@@ -18,7 +17,7 @@ __all__ = [
     "Dataset", "bootstrap", "dither", "load_csv",
     "AdjointTrajectory", "TimeGrid", "Trajectory", "hamiltonian",
     "integrate_adjoint", "integrate_forward",
-    "ModelOracle", "loss_gradient", "loss_hvp", "loss_value", "phi_value",
+    "ModelOracle", "loss_gradient", "loss_hvp", "loss_value",
     "ProblemData", "SolverConfig", "SolverReport", "cost",
     "coefficient_gradient", "solve",
 ]

@@ -21,7 +21,7 @@ class BasisSpec:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("basis size must be >= 1")
-        if self.t_final <= 0:
+        if not (0 < self.t_final < np.inf):
             raise ValueError("final time must be > 0")
 
 
@@ -78,7 +78,7 @@ def project_admissible(c: np.ndarray, basis: BasisSpec, u_max: float,
     Rows already within the bound are left untouched, so the projection is
     idempotent, and c itself is returned when no row is over.
     """
-    if u_max < 0:
+    if not (u_max >= 0):
         raise ValueError("u_max must be >= 0")
     gmax = control_grid_max(c, basis, n_grid)
     # slack keeps the projection idempotent under roundoff

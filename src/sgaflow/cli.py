@@ -22,7 +22,7 @@ from . import __version__
 from .basis import BasisSpec
 from .dataset import Dataset, bootstrap, dither, load_csv, save_csv
 from .dynamics import integrate_adjoint
-from .model import ModelOracle, phi_value
+from .model import ModelOracle, loss_value
 from .sga import ProblemData, SolverConfig, SolverReport, cost, forward, solve
 from .verify import (CheckProblem, check_coefficient_gradient,
                      check_dp_identity, check_rk4_order, verdict)
@@ -347,7 +347,7 @@ def cmd_baseline(args) -> int:
     cfg, data, oracle, config, out = _pipeline(args)
     c = np.zeros((oracle.param_dim, config.basis.n))
     traj = forward(oracle, c, config, data)
-    j0 = phi_value(oracle, traj.theta_final, data.z_val)
+    j0 = loss_value(oracle, traj.theta_final, data.z_val)
     report = SolverReport([], c, traj.theta_final, j0, "baseline")
     _emit_run(out, cfg, args.seed, report, j0, traj)
     if not args.quiet:

@@ -117,7 +117,7 @@ def dither(src: Dataset, c: float, seed: int) -> Dataset:
 
     Inputs x are untouched; only y receives i.i.d. N(0, sigma^2) noise.
     """
-    if c < 0:
+    if not (0 <= c < np.inf):
         raise ValueError("noise level must be >= 0")
     sigma = c * np.max(np.abs(src.y))
     rng = np.random.default_rng(seed)

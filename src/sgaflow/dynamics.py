@@ -78,7 +78,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_final <= 0:
+        if not (0 < self.t_final < np.inf):
             raise ValueError("final time must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")

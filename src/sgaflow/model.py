@@ -301,9 +301,3 @@ def loss_hvp(oracle: ModelOracle, theta: np.ndarray, z: Dataset,
     the linear family, the explicit Hessian's product for the mlp."""
     return (loss_plan(oracle, z).hessian(_params(oracle, np.ravel(theta)))
             @ _params(oracle, np.ravel(v)))
-
-
-def phi_value(oracle: ModelOracle, theta: np.ndarray, z_val: Dataset) -> float:
-    """Validation cost: mean squared error on the validation set."""
-    return loss_value(oracle, theta, z_val)
-

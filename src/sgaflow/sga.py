@@ -14,7 +14,8 @@ backtracks from a trial step whose flow diverges.
 Each iteration sweeps back, with backward, along the forward trajectory the
 solver holds: the first forward pass, then the accepted Armijo trial's,
 whose cost is the next j0.  So an iteration runs one forward integration per
-trial and one backward integration, and J is evaluated once per trajectory.
+trial and one backward integration, and J is read once per trajectory,
+through one validation plan per solve.
 C is a plain (p, n) float array at every layer, and a stack a (B, p, n) one:
 forward integrates either and backward sweeps back along either, so cost and
 the gradient check run a stack as one pass, each member bit for bit its own
@@ -31,7 +32,7 @@ from .basis import BasisSpec, control_grid_max, project_admissible
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
                        Trajectory, integrate_adjoint, integrate_forward)
-from .model import ModelOracle, loss_plan, phi_value
+from .model import ModelOracle, loss_plan
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
@@ -65,11 +66,11 @@ class SolverConfig:
             raise ValueError("steps must be >= 1")
         if not (0.0 < self.gamma0 <= 1.0):
             raise ValueError("gamma0 must lie in (0, 1]")
-        if self.eps_tol <= 0:
+        if not (self.eps_tol > 0):
             raise ValueError("eps_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.u_max < 0:
+        if not (self.u_max >= 0):
             raise ValueError("u_max must be >= 0")
 
     @property
@@ -112,9 +113,6 @@ class IterationRecord:
     gamma: float
     projected: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SolverReport:
@@ -130,7 +128,7 @@ class SolverReport:
 
     def to_dict(self) -> dict:
         return {
-            "iterations": [r.to_dict() for r in self.iterations],
+            "iterations": [asdict(r) for r in self.iterations],
             "final_coeffs": self.final_coeffs.tolist(),
             "theta_star": self.theta_star.tolist(),
             "final_cost": self.final_cost,
@@ -154,8 +152,8 @@ def cost(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
     """Validation cost at final time of the controlled flow under the (p, n)
     coefficient matrix c on config.basis, a float, or an array of the costs
     of the flows under each matrix of a (B, p, n) stack c, integrated as one
-    forward pass; each value is phi_value at its flow's final state bit for
-    bit."""
+    forward pass; each value is loss_value on data.z_val at its flow's final
+    state bit for bit."""
     val = loss_plan(oracle, data.z_val)
     theta = forward(oracle, c, config, data).theta_final
     if theta.ndim == 1:
@@ -198,43 +196,23 @@ def sweep(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
     return (traj, *backward(oracle, traj, data.z_val))
 
 
-def _apply_update(oracle, coeffs, config, data, grad, gnorm, j0, k):
-    """C <- project(C + gamma G) by Armijo backtracking from the cost j0,
-    gnorm being |G| > 0; returns (new C, record, (accepted trial's
-    trajectory, its cost) or None)."""
-    for q in range(MAX_BACKTRACKS + 1):
-        gamma = config.gamma0 * 0.5**q
-        cand = coeffs + gamma * grad
-        new = project_admissible(cand, config.basis, config.u_max,
-                                 config.projection_grid)
-        try:
-            traj = forward(oracle, new, config, data)
-        except DivergenceError:
-            continue  # a divergent trial is backtracked from
-        j_new = phi_value(oracle, traj.theta_final, data.z_val)
-        if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
-            return (new, IterationRecord(k, j0, gnorm, gamma, new is not cand),
-                    (traj, j_new))
-    return coeffs, IterationRecord(k, j0, gnorm, 0.0, False), None
-
-
 def solve(oracle: ModelOracle, config: SolverConfig,
           data: ProblemData) -> SolverReport:
     """Run the successive approximation loop to a stationary control.
 
-    Stops when the Frobenius norm of the coefficient gradient falls below
-    eps_tol, after max_iters iterations, or when the line search cannot
-    find a decreasing step.  Each iteration calls backward on the
-    trajectory it holds; the accepted Armijo trial's trajectory and cost
-    are the next iteration's, and give theta_star and final_cost, so
-    nothing is integrated forward after an update but its trials, and J is
-    evaluated once per integrated trajectory.
+    Each iteration calls backward on the trajectory it holds and steps
+    C <- project(C + gamma G), halving gamma from gamma0 until the Armijo
+    condition holds; the accepted trial's trajectory and cost are the next
+    iteration's, and give theta_star and final_cost.  Stops when the
+    Frobenius norm of G falls to eps_tol, after max_iters iterations, or
+    when no trial step decreases J.
     """
+    val = loss_plan(oracle, data.z_val)
     coeffs = config.initial_coefficients(oracle.param_dim)
     records: list[IterationRecord] = []
     stop_reason = "max_iters"
     traj = forward(oracle, coeffs, config, data)
-    j0 = phi_value(oracle, traj.theta_final, data.z_val)
+    j0 = val.value(traj.theta_final)
     for k in range(config.max_iters):
         _, grad = backward(oracle, traj, data.z_val)
         gnorm = float(np.linalg.norm(grad))
@@ -242,13 +220,24 @@ def solve(oracle: ModelOracle, config: SolverConfig,
             records.append(IterationRecord(k, j0, gnorm, 0.0, False))
             stop_reason = "tolerance"
             break
-        coeffs, rec, trial = _apply_update(oracle, coeffs, config, data,
-                                           grad, gnorm, j0, k)
-        records.append(rec)
-        if rec.gamma == 0.0:
+        for q in range(MAX_BACKTRACKS + 1):
+            gamma = config.gamma0 * 0.5**q
+            cand = coeffs + gamma * grad
+            new = project_admissible(cand, config.basis, config.u_max,
+                                     config.projection_grid)
+            try:
+                trial = forward(oracle, new, config, data)
+            except DivergenceError:
+                continue  # a divergent trial is backtracked from
+            j_new = val.value(trial.theta_final)
+            if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
+                break
+        else:
             # coeffs did not change, so the trajectory still holds
+            records.append(IterationRecord(k, j0, gnorm, 0.0, False))
             stop_reason = "line_search_failure"
             break
-        traj, j0 = trial
+        records.append(IterationRecord(k, j0, gnorm, gamma, new is not cand))
+        coeffs, traj, j0 = new, trial, j_new
     return SolverReport(records, coeffs, traj.theta_final.copy(), j0,
                         stop_reason)

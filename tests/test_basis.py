@@ -90,12 +90,25 @@ class TestEvalBasis:
         with pytest.raises(ValueError):
             BasisSpec("fourier", 2, -1.0)
 
+    @pytest.mark.parametrize("t_final", [np.nan, np.inf])
+    def test_non_finite_final_time_rejected(self, t_final):
+        # a nan or inf T made Psi nan or 0 at every time
+        with pytest.raises(ValueError, match="final time must be > 0"):
+            BasisSpec("fourier", 2, t_final)
+
 
 class TestControlCoefficients:
     def test_negative_bound_rejected(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError, match="u_max must be >= 0"):
             project_admissible(np.zeros((1, 2)), basis, -1e-9, 2010)
+
+    @pytest.mark.parametrize("c", [np.zeros((1, 2)), np.ones((3, 1, 2))])
+    def test_nan_bound_rejected(self, c):
+        # no gmax > nan holds, so a nan bound let every C through
+        basis = BasisSpec("legendre_shifted", 2, 1.0)
+        with pytest.raises(ValueError, match="u_max must be >= 0"):
+            project_admissible(c, basis, np.nan, 2010)
 
 
 class TestEvalControl:

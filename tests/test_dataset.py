@@ -135,6 +135,14 @@ class TestDither:
         with pytest.raises(ValueError):
             dither(src, -0.01, seed=0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_noise_level_rejected(self, c):
+        # a nan or inf level made the targets nan or inf, refused only by a
+        # later plan's dataset check
+        src = Dataset([[1.0], [2.0]], [1.0, -3.0])
+        with pytest.raises(ValueError, match="noise level must be >= 0"):
+            dither(src, c, seed=0)
+
     def test_preserves_x_m_and_tags_dithered(self):
         rng = np.random.default_rng(3)
         src = Dataset(rng.standard_normal((7, 2)), rng.standard_normal(7))

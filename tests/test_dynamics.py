@@ -212,7 +212,10 @@ class TestIntegrateForward:
 
     @pytest.mark.parametrize("t_final,steps,match", [
         (0.0, 10, "final time must be > 0"), (-1.0, 10, "final time"),
-        (1.0, 0, "steps must be >= 1"), (1.0, -3, "steps")])
+        (1.0, 0, "steps must be >= 1"), (1.0, -3, "steps"),
+        # a nan or inf T made h and every node time nan or inf
+        (np.nan, 10, "final time must be > 0"),
+        (np.inf, 10, "final time must be > 0")])
     def test_grid_bounds(self, t_final, steps, match):
         with pytest.raises(ValueError, match=match):
             TimeGrid(t_final, steps)

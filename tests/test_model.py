@@ -3,7 +3,7 @@ import pytest
 
 from sgaflow import Dataset, ModelOracle
 from sgaflow.model import (flow_plan, loss_gradient, loss_hvp, loss_plan,
-                           loss_value, phi_value)
+                           loss_value)
 
 from conftest import (complex_step_hvp, fd_gradient, fd_hvp, linear_problem,
                       mlp_problem, quadratic_datasets)
@@ -337,17 +337,11 @@ class TestLossHvp:
 
 
 class TestPhi:
-    def test_equals_training_loss_on_same_data(self):
-        o, data = linear_problem()
-        theta = np.random.default_rng(7).standard_normal(o.param_dim)
-        assert phi_value(o, theta, data.z_train) == loss_value(
-            o, theta, data.z_train)
-
     def test_gradient_matches_finite_differences(self):
         # grad Phi, the costate's final value, is loss_gradient on z_val
         o, data = linear_problem()
         theta = np.random.default_rng(8).standard_normal(o.param_dim)
-        fd = fd_gradient(lambda t: phi_value(o, t, data.z_val), theta, 1e-6)
+        fd = fd_gradient(lambda t: loss_value(o, t, data.z_val), theta, 1e-6)
         g = loss_gradient(o, theta, data.z_val)
         assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) <= 1e-6
 
@@ -356,7 +350,7 @@ class TestPhi:
         theta = np.random.default_rng(9).standard_normal(o.param_dim)
         zv = Dataset(data.z_val.x, o.predict(theta, data.z_val.x),
                      "validation")
-        assert phi_value(o, theta, zv) == pytest.approx(0.0, abs=1e-28)
+        assert loss_value(o, theta, zv) == pytest.approx(0.0, abs=1e-28)
         np.testing.assert_allclose(loss_gradient(o, theta, zv),
                                    np.zeros(o.param_dim), atol=1e-13)
 

@@ -12,7 +12,7 @@ from sgaflow.basis import (BasisSpec, control_grid_max, eval_basis_grid,
 from sgaflow import model
 from sgaflow.dynamics import (AdjointTrajectory, integrate_adjoint,
                               integrate_forward)
-from sgaflow.model import loss_gradient, phi_value
+from sgaflow.model import loss_gradient, loss_value
 from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
                          forward, solve, sweep)
 from sgaflow.verify import CheckProblem, check_coefficient_gradient, probes
@@ -292,16 +292,16 @@ class TestSweeps:
 
     def test_cost_of_one_c_is_a_float_of_a_stack_an_array(self):
         # configs/linear.json at the probes: one (p, n) C gives a float,
-        # phi_value at forward's final state bit for bit, a (B, p, n) stack
-        # an array of its members' own costs, and any other shape is
-        # refused, naming it
+        # loss_value on z_val at forward's final state bit for bit, a
+        # (B, p, n) stack an array of its members' own costs, and any other
+        # shape is refused, naming it
         o, config, data = linear_json_problem()
         cs = probes(o, config, 3)
         p, n = cs.shape[1:]
         j = cost(o, cs[0], config, data)
         assert type(j) is float
-        assert j == phi_value(o, forward(o, cs[0], config, data).theta_final,
-                              data.z_val)
+        assert j == loss_value(o, forward(o, cs[0], config, data).theta_final,
+                               data.z_val)
         js = cost(o, cs, config, data)
         assert isinstance(js, np.ndarray) and js.shape == (3,)
         assert js.tolist() == [cost(o, c, config, data) for c in cs]
@@ -542,7 +542,7 @@ def assert_final_state_is_fresh(o, config, data, report):
                              config.eps, data.z_train, data.z_dith,
                              config.grid)
     np.testing.assert_array_equal(report.theta_star, traj.theta_final)
-    assert report.final_cost == phi_value(o, traj.theta_final, data.z_val)
+    assert report.final_cost == loss_value(o, traj.theta_final, data.z_val)
 
 
 def divergent_trial_problem():
@@ -587,6 +587,51 @@ class TestForwardReuse:
         assert_final_state_is_fresh(o, config, data, report)
 
 
+class TestArmijoExits:
+    """The line search's exits on divergent_trial_problem: a trial accepted
+    after backtracks, and every trial diverging or rejected."""
+
+    def test_only_trial_diverges(self, forward_calls, monkeypatch):
+        # with no backtrack the one trial, the full step, diverges: C stays
+        # zero and J the null control's
+        monkeypatch.setattr(sga, "MAX_BACKTRACKS", 0)
+        o, config, data = divergent_trial_problem()
+        report = solve(o, config, data)
+        assert report.stop_reason == "line_search_failure"
+        assert len(report.iterations) == 1
+        rec = report.iterations[0]
+        assert (rec.gamma, rec.projected) == (0.0, False)
+        np.testing.assert_array_equal(report.final_coeffs,
+                                      np.zeros((1, config.basis.n)))
+        assert report.final_cost == rec.cost == 2474.054662890339
+        assert forward_calls == [2, 1]
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_search_fails_after_two_accepted_steps(self):
+        o, config, data = divergent_trial_problem()
+        report = solve(o, config, data)
+        assert report.stop_reason == "line_search_failure"
+        assert [(r.k, r.gamma, r.projected) for r in report.iterations] == [
+            (0, 0.0625, False), (1, 0.001953125, False), (2, 0.0, False)]
+        costs = [r.cost for r in report.iterations]
+        assert costs[0] > costs[1] > costs[2] == report.final_cost
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_one_validation_plan_per_solve(self, monkeypatch):
+        # the 26 trials' costs and the first one all read one plan
+        built = []
+
+        def counted(oracle, z, orig=sga.loss_plan):
+            built.append(z.tag)
+            return orig(oracle, z)
+
+        monkeypatch.setattr(sga, "loss_plan", counted)
+        o, config, data = divergent_trial_problem()
+        report = solve(o, config, data)
+        assert armijo_trials(report, config) == 26
+        assert built == ["validation"]
+
+
 class TestSolverConfig:
     def test_invalid_values_rejected(self):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
@@ -605,7 +650,11 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kw,match", [
         ({"max_iters": 0}, "max_iters must be >= 1"),
-        ({"u_max": -1.0}, "u_max must be >= 0")])
+        ({"u_max": -1.0}, "u_max must be >= 0"),
+        # a nan u_max dropped the box constraint (no gmax > nan holds), and
+        # a nan eps_tol the tolerance stop
+        ({"u_max": np.nan}, "u_max must be >= 0"),
+        ({"eps_tol": np.nan}, "eps_tol must be > 0")])
     def test_counts_and_bound_rejected(self, kw, match):
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError, match=match):
