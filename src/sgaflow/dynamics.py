@@ -258,10 +258,11 @@ def adjoint_rhs(k: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.matvec(k, p)
 
 
-def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
-                      z_val: Dataset) -> AdjointTrajectory:
+def integrate_adjoint(oracle: ModelOracle, traj: Trajectory, z_val: Dataset,
+                      val: LossPlan | None = None) -> AdjointTrajectory:
     """Integrate the costate along traj backward from
-    p(T) = -grad Phi(theta(T)), Phi the loss on z_val.
+    p(T) = -grad Phi(theta(T)), Phi the loss on z_val, read through val, a
+    caller's loss_plan of z_val, if given.
 
     RK4 on half steps; the stage states are the forward trajectory's exact
     quarter-step values, and grad J~0, u = c @ psi[2i], eps and the flow
@@ -282,7 +283,8 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory,
         return adjoint_matrix(traj.plan, fine[a:b], gt[a:b], u, traj.eps)
 
     out = np.empty((2 * M + 1,) + traj.theta_final.shape)
-    p = -loss_gradient(oracle, traj.theta_final, z_val)  # -grad Phi
+    p = -(loss_gradient(oracle, traj.theta_final, z_val) if val is None
+          else val.grad(traj.theta_final))  # -grad Phi
     out[2 * M] = p
     m1 = matrices(4 * M, 4 * M + 1)[0]
     half, full, sixth, two = (np.array(x, dtype=float)

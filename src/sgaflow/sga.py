@@ -14,8 +14,10 @@ backtracks from a trial step whose flow diverges.
 Each iteration sweeps back, with backward, along the forward trajectory the
 solver holds: the first forward pass, then the accepted Armijo trial's,
 whose cost is the next j0.  So an iteration runs one forward integration per
-trial and one backward integration, and J is read once per trajectory,
-through one validation plan per solve.
+trial and one backward integration, and J and p(T) read one validation plan
+per solve.  C is the same control on every time grid, so solve iterates on
+a coarser grid while its G stands for the fine one's, and answers on the
+fine grid: nested iteration, the coarse half of MG/OPT (Nash, 2000).
 C is a plain (p, n) float array at every layer, and a stack a (B, p, n) one:
 forward integrates either and backward sweeps back along either, so cost and
 the gradient check run a stack as one pass, each member bit for bit its own
@@ -24,18 +26,20 @@ flow's; sweep is forward and backward under one C.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .basis import BasisSpec, control_grid_max, project_admissible
 from .dataset import Dataset
-from .dynamics import (AdjointTrajectory, DivergenceError, TimeGrid,
-                       Trajectory, integrate_adjoint, integrate_forward)
-from .model import ModelOracle, loss_plan
+from .dynamics import (AdjointTrajectory, DivergenceError,
+                       NonFiniteCostateError, TimeGrid, Trajectory,
+                       integrate_adjoint, integrate_forward)
+from .model import LossPlan, ModelOracle, loss_plan
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
+GRAD_TOL = 1e-6  # relative error of a level's G in solve, of G in gradcheck
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,7 @@ class IterationRecord:
     grad_norm: float
     gamma: float
     projected: bool
+    steps: int   # the grid the iteration's sweep and trials ran on
 
 
 @dataclass
@@ -121,13 +126,14 @@ class SolverReport:
     theta_star: np.ndarray
     final_cost: float
     stop_reason: str  # 'tolerance' | 'max_iters' | 'line_search_failure'
+    grid_gap: list[float] | None = None   # see solve
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "tolerance"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "iterations": [asdict(r) for r in self.iterations],
             "final_coeffs": self.final_coeffs.tolist(),
             "theta_star": self.theta_star.tolist(),
@@ -135,6 +141,12 @@ class SolverReport:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
         }
+        if self.grid_gap is None:  # one grid: every record's is config's
+            for r in out["iterations"]:
+                del r["steps"]
+        else:
+            out["grid_gap"] = self.grid_gap
+        return out
 
 
 def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
@@ -180,11 +192,13 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
     return (np.moveaxis(f, 0, -1) * ((grid.h / 6.0) * w)) @ traj.psi[::4]
 
 
-def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset):
+def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset,
+             val: LossPlan | None = None):
     """The costate sweep along the forward trajectory traj, one flow or a
-    stack, on the validation set z_val, and the G it gives: (adjoint, G),
-    each member of a stack bit for bit its own flow's."""
-    adj = integrate_adjoint(oracle, traj, z_val)
+    stack, on the validation set z_val (through its plan val, if given),
+    and the G it gives: (adjoint, G), each member of a stack bit for bit
+    its own flow's."""
+    adj = integrate_adjoint(oracle, traj, z_val, val)
     return adj, coefficient_gradient(adj)
 
 
@@ -203,41 +217,70 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     Each iteration calls backward on the trajectory it holds and steps
     C <- project(C + gamma G), halving gamma from gamma0 until the Armijo
     condition holds; the accepted trial's trajectory and cost are the next
-    iteration's, and give theta_star and final_cost.  Stops when the
-    Frobenius norm of G falls to eps_tol, after max_iters iterations, or
-    when no trial step decreases J.
+    iteration's.  Stops when the Frobenius norm of G falls to eps_tol, after
+    max_iters iterations, or when no trial step decreases J.
+
+    It iterates on the coarsest of steps/2, /4 and /8 (exact divisors, in
+    turn, to the first that fails) whose flow under C0 is finite and whose G
+    there is the fine grid's to GRAD_TOL, and moves to the fine grid, at its
+    C, when the level's G reaches eps_tol or its search fails (the iteration
+    runs again there) or an accepted decrease is within grid_gap[0].  The
+    stops, theta_star, final_cost and record 0's cost are the fine grid's,
+    each record names its grid's steps, and grid_gap is |J_level - J_fine|
+    at C0 and where the level was left (None when no level qualified).
     """
     val = loss_plan(oracle, data.z_val)
     coeffs = config.initial_coefficients(oracle.param_dim)
-    records: list[IterationRecord] = []
-    stop_reason = "max_iters"
     traj = forward(oracle, coeffs, config, data)
-    j0 = val.value(traj.theta_final)
-    for k in range(config.max_iters):
-        _, grad = backward(oracle, traj, data.z_val)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= config.eps_tol:
-            records.append(IterationRecord(k, j0, gnorm, 0.0, False))
-            stop_reason = "tolerance"
+    j_null = val.value(traj.theta_final)
+    _, g0 = backward(oracle, traj, data.z_val, val)
+    level, j0, grad = config, j_null, g0
+    for m in (config.steps // d for d in (2, 4, 8) if config.steps % d == 0):
+        grid = replace(config, steps=m)
+        try:
+            t = forward(oracle, coeffs, grid, data)
+            _, g = backward(oracle, t, data.z_val, val)
+        except (DivergenceError, NonFiniteCostateError):
             break
-        for q in range(MAX_BACKTRACKS + 1):
-            gamma = config.gamma0 * 0.5**q
-            cand = coeffs + gamma * grad
-            new = project_admissible(cand, config.basis, config.u_max,
-                                     config.projection_grid)
-            try:
-                trial = forward(oracle, new, config, data)
-            except DivergenceError:
-                continue  # a divergent trial is backtracked from
-            j_new = val.value(trial.theta_final)
-            if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
+        if not np.linalg.norm(g - g0) <= GRAD_TOL * np.linalg.norm(g0):
+            break
+        level, traj, j0, grad = grid, t, val.value(t.theta_final), g
+    stop, gaps = None, None if level is config else [abs(j0 - j_null)]
+    records: list[IterationRecord] = []
+    for grid in (level, config)[level is config:]:  # the level, then fine
+        if grid is config and gaps:  # the hand-over, at the C solve holds
+            traj = forward(oracle, coeffs, config, data)
+            j_level, j0, grad = j0, val.value(traj.theta_final), None
+            gaps.append(abs(j_level - j0))
+        while len(records) < config.max_iters:
+            if grad is None:
+                _, grad = backward(oracle, traj, data.z_val, val)
+            gnorm = float(np.linalg.norm(grad))
+            stop = "tolerance" if gnorm <= config.eps_tol else None
+            for q in range(0 if stop else MAX_BACKTRACKS + 1):
+                gamma = config.gamma0 * 0.5**q
+                cand = coeffs + gamma * grad
+                new = project_admissible(cand, config.basis, config.u_max,
+                                         config.projection_grid)
+                try:
+                    trial = forward(oracle, new, grid, data)
+                except DivergenceError:
+                    continue  # a divergent trial is backtracked from
+                j_new = val.value(trial.theta_final)
+                if j_new <= j0 - ARMIJO_C * gamma * gnorm * gnorm:
+                    break
+            else:
+                stop = stop or "line_search_failure"
+            if stop and grid is not config:
+                break  # the iteration runs again on the fine grid
+            records.append(IterationRecord(
+                len(records), j0 if records else j_null, gnorm,
+                0.0 if stop else gamma, not stop and new is not cand,
+                grid.steps))
+            if stop:  # coeffs did not change, so the trajectory still holds
                 break
-        else:
-            # coeffs did not change, so the trajectory still holds
-            records.append(IterationRecord(k, j0, gnorm, 0.0, False))
-            stop_reason = "line_search_failure"
-            break
-        records.append(IterationRecord(k, j0, gnorm, gamma, new is not cand))
-        coeffs, traj, j0 = new, trial, j_new
+            coeffs, traj, grad, j0, drop = new, trial, None, j_new, j0 - j_new
+            if grid is not config and drop <= gaps[0]:
+                break
     return SolverReport(records, coeffs, traj.theta_final.copy(), j0,
-                        stop_reason)
+                        stop or "max_iters", gaps)

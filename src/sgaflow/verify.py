@@ -19,14 +19,13 @@ import numpy as np
 
 from .basis import project_admissible
 from .model import ModelOracle, loss_plan
-from .sga import (ProblemData, SolverConfig, backward, cost, forward, solve,
-                  sweep)
+from .sga import (GRAD_TOL, ProblemData, SolverConfig, backward, cost,
+                  forward, solve, sweep)
 
 PROBE_SEED = 0                  # seed of the stream of probe controls
 DIRECTION_SEED = (0, 1)         # seed of the directions in C and theta0
 DIRECTIONS = 4                  # and their number, per probe and at most p
-FD_STEP = 1e-4                  # gradient check's difference step in C
-GRAD_TOL = 1e-6                 # and its tolerance
+FD_STEP = 1e-4                  # gradient check's step in C, to GRAD_TOL
 ORDER_LEVELS = (25, 50, 100, 200)   # order check's grids, each run at 2m too
 ORDER_TOL = 0.3                 # and its tolerance on |slope - 4|
 DP_STEP = 1e-3                  # value-function check's step in theta0

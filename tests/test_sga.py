@@ -312,12 +312,16 @@ class TestSweeps:
             cost(o, bad, config, data)
 
 
-def linear_json_problem():
-    """configs/linear.json, as `sgaflow run` solves it."""
-    cfg = cli.load_config(ROOT / "configs" / "linear.json")
+def config_problem(cfg):
+    """The config dict cfg, as `sgaflow run` solves it."""
     data = cli.build_data(cfg["data"])
     return (cli.build_oracle(cfg["model"], data.z_train.d),
             cli.build_solver_config(cfg), data)
+
+
+def linear_json_problem():
+    """configs/linear.json, as `sgaflow run` solves it."""
+    return config_problem(cli.load_config(ROOT / "configs" / "linear.json"))
 
 
 def one_step(o, coeffs, config, data):
@@ -563,8 +567,12 @@ class TestForwardReuse:
         report = solve(o, config, data)
         assert report.stop_reason == "max_iters"
         assert all(rec.gamma == config.gamma0 for rec in report.iterations)
-        assert forward_calls == [1 + len(report.iterations),
-                                 len(report.iterations)]
+        # the 25-step level: the fine flow at C0 and the probes at 50 and 25
+        # steps, forward and back, a trial per iteration, whose first reads
+        # the probe's G, and the fine forward pass that scores C*
+        n = len(report.iterations)
+        assert [rec.steps for rec in report.iterations] == [25] * n
+        assert forward_calls == [1 + 2 + n + 1, 1 + 2 + n - 1]
         assert_final_state_is_fresh(o, config, data, report)
 
     def test_one_forward_integration_per_trial_with_backtracks(
@@ -572,8 +580,11 @@ class TestForwardReuse:
         o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
         assert report.iterations[0].gamma < config.gamma0
-        assert forward_calls == [1 + armijo_trials(report, config),
-                                 len(report.iterations)]
+        # the 25-step probe, forward and back, fails, so the fine grid runs
+        # every iteration, the first reading the fine G at C0 from the probe
+        assert report.grid_gap is None
+        assert forward_calls == [1 + 1 + armijo_trials(report, config),
+                                 1 + 1 + len(report.iterations) - 1]
 
     def test_line_search_failure_keeps_the_sweeps_trajectory(
             self, quad1_problem, forward_calls, monkeypatch):
@@ -583,7 +594,12 @@ class TestForwardReuse:
         report = solve(o, config, data)
         assert report.stop_reason == "line_search_failure"
         assert len(report.iterations) == 1
-        assert forward_calls == [1 + sga.MAX_BACKTRACKS + 1, 1]
+        assert report.iterations[0].steps == config.steps
+        # the fine flow at C0 and the probes at 50 and 25 steps, forward and
+        # back; the 25-step level's search fails and hands over to the fine
+        # grid, whose flow and G at C0 run again before its search fails
+        trials = sga.MAX_BACKTRACKS + 1
+        assert forward_calls == [1 + 2 + trials + 1 + trials, 1 + 2 + 1]
         assert_final_state_is_fresh(o, config, data, report)
 
 
@@ -604,7 +620,9 @@ class TestArmijoExits:
         np.testing.assert_array_equal(report.final_coeffs,
                                       np.zeros((1, config.basis.n)))
         assert report.final_cost == rec.cost == 2474.054662890339
-        assert forward_calls == [2, 1]
+        # the fine flow at C0, the 25-step probe (which fails) and the trial;
+        # the fine G at C0 is the probe's
+        assert forward_calls == [1 + 1 + 1, 1 + 1]
         assert_final_state_is_fresh(o, config, data, report)
 
     def test_search_fails_after_two_accepted_steps(self):
@@ -629,6 +647,113 @@ class TestArmijoExits:
         o, config, data = divergent_trial_problem()
         report = solve(o, config, data)
         assert armijo_trials(report, config) == 26
+        assert built == ["validation"]
+
+
+class TestNestedGrids:
+    """solve's level: the coarsest of steps/2, /4 and /8 whose G at C0
+    matches the fine grid's to GRAD_TOL, and its hand-over to the fine
+    grid."""
+
+    @pytest.mark.parametrize("path, steps", [
+        ("configs/linear.json", 50), ("perfbench/configs/mlp.json", 100)])
+    def test_shipped_configs_choose_their_level(self, path, steps):
+        o, config, data = config_problem(cli.load_config(ROOT / path))
+        report = solve(o, replace(config, max_iters=2), data)
+        assert report.stop_reason == "max_iters"
+        assert [r.steps for r in report.iterations] == [steps, steps]
+        assert report.iterations[0].cost == cost(
+            o, config.initial_coefficients(o.param_dim), config, data)
+        assert all(0.0 <= gap < 1e-10 for gap in report.grid_gap)
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_p24_degree_3_linear_config_chooses_none(self):
+        # its G at 100 steps is off from the fine G by about 8e-5
+        cfg = cli.load_config(ROOT / "configs" / "linear.json")
+        cfg["data"]["source"]["d"] = 8
+        cfg["model"]["degree"] = 3
+        o, config, data = config_problem(cfg)
+        assert o.param_dim == 24
+        report = solve(o, replace(config, max_iters=2), data)
+        assert report.grid_gap is None
+        assert [r.steps for r in report.iterations] == [200, 200]
+        assert "grid_gap" not in report.to_dict()
+        assert "steps" not in report.to_dict()["iterations"][0]
+
+    def test_steps_without_exact_divisor_chooses_none(self, quad1_problem,
+                                                      forward_calls):
+        # no probe runs: the counts are those of a solve on one grid
+        o, data = quad1_problem
+        config = quad_config(steps=5, max_iters=3)
+        report = solve(o, config, data)
+        n = len(report.iterations)
+        assert (report.stop_reason, n, report.grid_gap) == ("max_iters", 3,
+                                                            None)
+        assert [r.steps for r in report.iterations] == [5] * n
+        assert forward_calls == [1 + n, n]
+
+    def test_level_whose_flow_diverges_does_not_qualify(self,
+                                                        forward_calls):
+        # J0 = 30 theta^2: RK4's quarter steps are stable at 8 steps, not
+        # at 4, where the flow under C0 = 0 leaves the bound at t = 0.875
+        x, y = np.array([[np.sqrt(30.0)]]), np.zeros(1)
+        data = ProblemData(*(Dataset(x, y, tag) for tag in
+                             ("train", "dithered", "validation")))
+        o = ModelOracle("linear_features", 1)
+        config = quad_config(steps=8, max_iters=2)
+        with pytest.raises(dynamics.DivergenceError):
+            forward(o, np.zeros((1, 2)), replace(config, steps=4), data)
+        forward_calls[:] = [0, 0]
+        with warnings_as_errors():
+            report = solve(o, config, data)
+        assert report.grid_gap is None
+        assert [r.steps for r in report.iterations] == [8]
+        # the fine flow and G at C0, the 4-step probe, which raises, and the
+        # fine grid's search
+        assert forward_calls == [1 + 1 + sga.MAX_BACKTRACKS + 1, 1]
+
+    def test_level_search_failure_hands_over(self, forward_calls):
+        # at 100 steps the 50-step level accepts two steps and its third
+        # search fails: the fine grid runs iteration 2 again and fails too
+        o, config, data = divergent_trial_problem()
+        config = replace(config, steps=100)
+        report = solve(o, config, data)
+        assert report.stop_reason == "line_search_failure"
+        assert [(r.k, r.steps, r.gamma) for r in report.iterations] == [
+            (0, 50, 0.0625), (1, 50, 0.001953125), (2, 100, 0.0)]
+        # the fine flow at C0 and the probes at 50 and 25 steps, forward and
+        # back; 5 + 10 + 11 trials on the level, each iteration's G but the
+        # first swept; the fine flow and G at C2, and its 11 trials
+        assert forward_calls == [1 + 2 + 5 + 10 + 11 + 1 + 11, 1 + 2 + 2 + 1]
+        assert len(report.grid_gap) == 2
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_decrease_within_the_gap_hands_over(self, quad1_problem):
+        # a step of gamma0 = 1e-8 lowers J by about 8e-13, inside the
+        # 1.1e-11 gap of the 25-step level at C0
+        o, data = quad1_problem
+        config = quad_config(steps=100, max_iters=3, gamma0=1e-8)
+        report = solve(o, config, data)
+        assert report.stop_reason == "max_iters"
+        assert [r.steps for r in report.iterations] == [25, 100, 100]
+        assert report.iterations[0].cost - report.iterations[1].cost < (
+            report.grid_gap[0])
+        assert_final_state_is_fresh(o, config, data, report)
+
+    def test_one_validation_plan_over_probes_and_sweeps(self, monkeypatch):
+        # every p(T) = -grad Phi, the probes' and the iterations', and every
+        # J read solve's plan: no sweep builds its own
+        built = []
+
+        def counted(oracle, z, orig=model.loss_plan):
+            built.append(z.tag)
+            return orig(oracle, z)
+
+        monkeypatch.setattr(model, "loss_plan", counted)
+        monkeypatch.setattr(sga, "loss_plan", counted)
+        o, config, data = linear_json_problem()
+        report = solve(o, config, data)
+        assert len(report.iterations) == config.max_iters
         assert built == ["validation"]
 
 
