@@ -17,7 +17,8 @@ whose cost is the next j0.  So an iteration runs one forward integration per
 trial and one backward integration, and J and p(T) read one validation plan
 per solve.  C is the same control on every time grid, so solve iterates on
 a coarser grid while its G stands for the fine one's, and answers on the
-fine grid: nested iteration, the coarse half of MG/OPT (Nash, 2000).
+fine grid: nested iteration, the coarse half of MG/OPT (Nash, 2000).  Its G
+is summed by a rule exact to degree 7: a level's G is off by RK4's error.
 C is a plain (p, n) float array at every layer, and a stack a (B, p, n) one:
 forward integrates either and backward sweeps back along either, so cost and
 the gradient check run a stack as one pass, each member bit for bit its own
@@ -27,6 +28,7 @@ flow's; sweep is forward and backward under one C.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .model import LossPlan, ModelOracle, loss_plan
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
 GRAD_TOL = 1e-6  # relative error of a level's G in solve, of G in gradcheck
+GREGORY = (1 / 12, 1 / 24, 19 / 720, 3 / 160, 863 / 60480, 275 / 24192)
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,25 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
     (B, p, n) for a stacked one, integrated on its time grid.
 
     Satisfies dJ/dC = -G, so +G is the ascent (cost-descent) direction.
-    Composite Simpson over the half-step rows of the integrand eps * p * D,
-    with p from the backward sweep and eps, D = (grad J~0)^2 and Psi (every
-    fourth row of its table) from the forward trajectory: one product with
-    the weights h/6 * [1, 4, 2, 4, ..., 2, 4, 1].
+    Gregory's end-corrected trapezoid rule (Fornberg, SIAM Rev. 63, 2021)
+    over the n = 2M half-step intervals of the integrand eps * p * D, with p
+    from the backward sweep and eps, D = (grad J~0)^2 and Psi (every fourth
+    row of its table) from the forward trajectory: one product with the
+    trapezoid's weights less the corrections GREGORY[k-1] * C(k, j) * (-1)^j
+    at j = 0..k from each end, k = 1..min(6, n); exact for polynomials of
+    degree 7 when n >= 6, and Simpson's rule when n = 2.
     """
     grid, traj = adj.grid, adj.traj
-    w = np.full(2 * grid.steps + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+    n = 2 * grid.steps
+    corr = np.zeros(n + 1)
+    for k, gk in enumerate(GREGORY[:n], 1):
+        corr[:k + 1] += [gk * comb(k, j) * (-1) ** j for j in range(k + 1)]
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    w -= corr + corr[::-1]   # added in one order at both ends: symmetric
     g = traj.gt_fine[::2]
     f = traj.eps * adj.p_half * (g * g)
-    return (np.moveaxis(f, 0, -1) * ((grid.h / 6.0) * w)) @ traj.psi[::4]
+    return (np.moveaxis(f, 0, -1) * ((grid.h / 2.0) * w)) @ traj.psi[::4]
 
 
 def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset,
@@ -220,37 +230,39 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     iteration's.  Stops when the Frobenius norm of G falls to eps_tol, after
     max_iters iterations, or when no trial step decreases J.
 
-    It iterates on the coarsest of steps/2, /4 and /8 (exact divisors, in
-    turn, to the first that fails) whose flow under C0 is finite and whose G
-    there is the fine grid's to GRAD_TOL, and moves to the fine grid, at its
-    C, when the level's G reaches eps_tol or its search fails (the iteration
-    runs again there) or an accepted decrease is within grid_gap[0].  The
-    stops, theta_star, final_cost and record 0's cost are the fine grid's,
-    each record names its grid's steps, and grid_gap is |J_level - J_fine|
-    at C0 and where the level was left (None when no level qualified).
+    It iterates on the coarsest of steps/8, /4 and /2 (exact divisors,
+    probed coarsest first, to the first that qualifies) whose flow under C0
+    is finite and whose G there is the fine grid's to GRAD_TOL, and moves to
+    the fine grid, at its C, when the level's G reaches eps_tol or its
+    search fails (the iteration runs again there) or an accepted decrease
+    is within grid_gap[0]; at C0 the fine flow and G it began with hold.
+    The stops, theta_star, final_cost and record 0's cost are the fine
+    grid's, each record names its grid's steps, and grid_gap holds
+    |J_level - J_fine| at C0 and where the level was left, or is None.
     """
     val = loss_plan(oracle, data.z_val)
     coeffs = config.initial_coefficients(oracle.param_dim)
-    traj = forward(oracle, coeffs, config, data)
+    fine = traj = forward(oracle, coeffs, config, data)
     j_null = val.value(traj.theta_final)
     _, g0 = backward(oracle, traj, data.z_val, val)
     level, j0, grad = config, j_null, g0
-    for m in (config.steps // d for d in (2, 4, 8) if config.steps % d == 0):
+    for m in (config.steps // d for d in (8, 4, 2) if config.steps % d == 0):
         grid = replace(config, steps=m)
         try:
             t = forward(oracle, coeffs, grid, data)
             _, g = backward(oracle, t, data.z_val, val)
         except (DivergenceError, NonFiniteCostateError):
+            continue
+        if np.linalg.norm(g - g0) <= GRAD_TOL * np.linalg.norm(g0):
+            level, traj, j0, grad = grid, t, val.value(t.theta_final), g
             break
-        if not np.linalg.norm(g - g0) <= GRAD_TOL * np.linalg.norm(g0):
-            break
-        level, traj, j0, grad = grid, t, val.value(t.theta_final), g
     stop, gaps = None, None if level is config else [abs(j0 - j_null)]
     records: list[IterationRecord] = []
     for grid in (level, config)[level is config:]:  # the level, then fine
         if grid is config and gaps:  # the hand-over, at the C solve holds
-            traj = forward(oracle, coeffs, config, data)
-            j_level, j0, grad = j0, val.value(traj.theta_final), None
+            traj, grad = ((forward(oracle, coeffs, config, data), None)
+                          if records else (fine, g0))  # at C0: solve's first
+            j_level, j0 = j0, val.value(traj.theta_final)
             gaps.append(abs(j_level - j0))
         while len(records) < config.max_iters:
             if grad is None:

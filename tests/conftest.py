@@ -1,10 +1,11 @@
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, dither
+from sgaflow import Dataset, ModelOracle, ProblemData, bootstrap, cli, dither
 from sgaflow.basis import BasisSpec
 from sgaflow.sga import SolverConfig
 
@@ -122,3 +123,13 @@ def mlp_check_problem(seed, steps, n_basis):
                           basis=BasisSpec("legendre_shifted", n_basis, 1.0),
                           u_max=5.0, theta0=theta0)
     return o, config, data
+
+
+def p24_linear_cfg() -> dict:
+    """configs/linear.json with source d = 8 and model degree 3, so p = 24:
+    the one shipped-size linear problem whose solve moves J by much."""
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "linear.json")
+    cfg["data"]["source"]["d"] = 8
+    cfg["model"]["degree"] = 3
+    return cfg

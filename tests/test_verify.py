@@ -15,7 +15,7 @@ from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
                             check_dp_identity, check_rk4_order)
 
 from conftest import (fd_gradient, linear_problem, mlp_check_problem,
-                      quadratic_datasets, warnings_as_errors)
+                      p24_linear_cfg, quadratic_datasets, warnings_as_errors)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,9 +29,10 @@ def quad_setup(p=1, steps=100, n=2, eps=0.1, u_max=5.0, **kw):
             ProblemData(z1, zd, zv))
 
 
-def linear_json_problem():
-    """configs/linear.json, as `sgaflow gradcheck` checks it."""
-    cfg = cli.load_config(ROOT / "configs" / "linear.json")
+def linear_json_problem(cfg=None):
+    """configs/linear.json, or the config dict cfg, as `sgaflow gradcheck`
+    checks it."""
+    cfg = cfg or cli.load_config(ROOT / "configs" / "linear.json")
     data = cli.build_data(cfg["data"])
     return (cli.build_oracle(cfg["model"], data.z_train.d),
             cli.build_solver_config(cfg), data)
@@ -67,6 +68,14 @@ class TestCheckCoefficientGradient:
                               u_max=5.0)
         report = check_coefficient_gradient(CheckProblem(o, config, data),
                                             n_probes=3)
+        assert report.passed, report.to_dict()
+
+    def test_p24_degree_3_linear_config_passes(self):
+        # at the config's 200 steps: 3.6e-7, where Simpson's rule for G read
+        # 1.18e-5
+        o, config, data = linear_json_problem(p24_linear_cfg())
+        assert (o.param_dim, config.steps) == (24, 200)
+        report = check_coefficient_gradient(CheckProblem(o, config, data))
         assert report.passed, report.to_dict()
 
     def test_mlp_family_passes(self):
