@@ -9,7 +9,7 @@ from .dataset import Dataset, bootstrap, dither, load_csv
 from .dynamics import (AdjointTrajectory, TimeGrid, Trajectory, hamiltonian,
                        integrate_adjoint, integrate_forward)
 from .model import ModelOracle, loss_gradient, loss_hvp, loss_value
-from .sga import (ProblemData, SolverConfig, SolverReport, cost,
+from .sga import (Problem, ProblemData, SolverConfig, SolverReport, cost,
                   coefficient_gradient, solve)
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "AdjointTrajectory", "TimeGrid", "Trajectory", "hamiltonian",
     "integrate_adjoint", "integrate_forward",
     "ModelOracle", "loss_gradient", "loss_hvp", "loss_value",
-    "ProblemData", "SolverConfig", "SolverReport", "cost",
+    "Problem", "ProblemData", "SolverConfig", "SolverReport", "cost",
     "coefficient_gradient", "solve",
 ]

@@ -25,16 +25,11 @@ class BasisSpec:
             raise ValueError("final time must be > 0")
 
 
-def _check_time(basis: BasisSpec, t: float) -> None:
-    # slack for the last stage time (8M)*(h/8) rounding past T
-    tol = 1e-12 * max(1.0, basis.t_final)
-    if t < -tol or t > basis.t_final + tol:
-        raise ValueError(f"t={t} outside [0, {basis.t_final}]")
-
-
 def eval_basis(basis: BasisSpec, t: float) -> np.ndarray:
     """Evaluate Psi(t), the vector of n basis functions at time t."""
-    _check_time(basis, t)
+    tol = 1e-12 * max(1.0, basis.t_final)   # slack for a t rounded past T
+    if t < -tol or t > basis.t_final + tol:
+        raise ValueError(f"t={t} outside [0, {basis.t_final}]")
     return eval_basis_grid(basis, np.array([t]))[0]
 
 

@@ -22,10 +22,11 @@ from . import __version__
 from .basis import BasisSpec
 from .dataset import Dataset, bootstrap, dither, load_csv, save_csv
 from .dynamics import integrate_adjoint
-from .model import ModelOracle, loss_value
-from .sga import ProblemData, SolverConfig, SolverReport, cost, forward, solve
-from .verify import (CheckProblem, check_coefficient_gradient,
-                     check_dp_identity, check_rk4_order, verdict)
+from .model import ModelOracle
+from .sga import (Problem, ProblemData, SolverConfig, SolverReport, cost,
+                  forward, solve)
+from .verify import (check_coefficient_gradient, check_dp_identity,
+                     check_rk4_order, verdict)
 
 
 class ConfigError(ValueError):
@@ -316,25 +317,25 @@ def cmd_synth(args) -> int:
 
 
 def _pipeline(args):
+    """(config dict, its Problem, output directory) of a command's args."""
     cfg = load_config(args.config)
     root = _reader(cfg, "")
     data = build_data(root("data"), args.seed)
-    oracle = build_oracle(root("model"), data.z_train.d)
-    config = build_solver_config(cfg)
-    return (cfg, data, oracle, config,
-            Path(args.out or _section(cfg, "output")("dir")))
+    problem = Problem(build_oracle(root("model"), data.z_train.d),
+                      build_solver_config(cfg), data)
+    return cfg, problem, Path(args.out or _section(cfg, "output")("dir"))
 
 
 def cmd_run(args) -> int:
-    cfg, data, oracle, config, out = _pipeline(args)
-    p = oracle.param_dim
-    report = solve(oracle, config, data)
+    cfg, problem, out = _pipeline(args)
+    report = solve(problem)
     # from the zero initial control, the first iteration's cost is the null
     # control's, computed the same way
-    null_cost = (report.iterations[0].cost if config.c0 is None else
-                 cost(oracle, np.zeros((p, config.basis.n)), config, data))
-    traj = forward(oracle, report.final_coeffs, config, data)
-    adj = integrate_adjoint(oracle, traj, data.z_val)
+    null_cost = (report.iterations[0].cost if problem.config.c0 is None else
+                 cost(problem, np.zeros(report.final_coeffs.shape)))
+    traj = forward(problem, report.final_coeffs)
+    adj = integrate_adjoint(problem.oracle, traj, problem.data.z_val,
+                            problem.val)
     _emit_run(out, cfg, args.seed, report, null_cost, traj, adj)
     if not args.quiet:
         print(f"J[0]={null_cost:.6e}  J[u*]={report.final_cost:.6e}  "
@@ -344,10 +345,10 @@ def cmd_run(args) -> int:
 
 def cmd_baseline(args) -> int:
     """The null control as a zero-iteration run."""
-    cfg, data, oracle, config, out = _pipeline(args)
-    c = np.zeros((oracle.param_dim, config.basis.n))
-    traj = forward(oracle, c, config, data)
-    j0 = loss_value(oracle, traj.theta_final, data.z_val)
+    cfg, problem, out = _pipeline(args)
+    c = np.zeros((problem.oracle.param_dim, problem.config.basis.n))
+    traj = forward(problem, c)
+    j0 = problem.val.value(traj.theta_final)
     report = SolverReport([], c, traj.theta_final, j0, "baseline")
     _emit_run(out, cfg, args.seed, report, j0, traj)
     if not args.quiet:
@@ -356,16 +357,15 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg, data, oracle, config, out = _pipeline(args)
-    problem = CheckProblem(oracle, config, data)
+    cfg, problem, out = _pipeline(args)
     reports = [check_coefficient_gradient(problem), check_rk4_order(problem)]
     _write_json(out / "gradcheck.json", [r.to_dict() for r in reports])
     return verdict(reports, args.quiet)
 
 
 def cmd_dpcheck(args) -> int:
-    cfg, data, oracle, config, out = _pipeline(args)
-    report = check_dp_identity(oracle, config, data)
+    cfg, problem, out = _pipeline(args)
+    report = check_dp_identity(problem)
     _write_json(out / "dpcheck.json", report.to_dict())
     return verdict([report], args.quiet)
 

@@ -24,9 +24,10 @@ once per pass, which skip a Python float's conversion and keep its bits.
 
 The forward pass evaluates Psi once, at its 8M+1 stage times i*h/8; a grid
 step forms u at its nine stage times in one product, then runs its four
-quarter steps.  The training and dithered sets share x, so the pass builds one
-loss plan on their targets (model.flow_plan) for forward_rhs, the forward
-stage's right-hand side, and a stage takes both gradients in one grads call.
+quarter steps.  The training and dithered sets share x, so the pass takes one
+loss plan on their targets (model.flow_plan, which sga.Problem builds once per
+problem) for forward_rhs, the forward stage's right-hand side, and a stage
+takes both gradients in one grads call; it builds no plan.
 The trajectory keeps what the pass ran on (C, eps, the flow plan and the Psi
 table) and the first stage's grad J~0 at each of its 4M+1 states, so the
 backward pass takes nothing of its own but the validation set: u at forward
@@ -45,7 +46,7 @@ from math import inf
 
 import numpy as np
 
-from .basis import BasisSpec, _check_time, eval_basis_grid
+from .basis import BasisSpec, eval_basis_grid
 from .dataset import Dataset
 from .model import LossPlan, ModelOracle, flow_plan, loss_gradient
 
@@ -178,46 +179,42 @@ def forward_rhs(plan: LossPlan, theta: np.ndarray, u: np.ndarray,
     return eps * (gt * gt) * u - g, gt
 
 
-def _state(oracle: ModelOracle, theta) -> np.ndarray:
-    """theta as a finite (p,) state; ValueError otherwise."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != oracle.param_dim:
-        raise ValueError(
-            f"theta has dim {theta.shape[0]}, oracle expects {oracle.param_dim}"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    return theta
+def _vector(name: str, a, dim: int) -> np.ndarray:
+    """a as a finite (dim,) float vector; ValueError naming it otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (dim,):
+        raise ValueError(f"{name} has shape {a.shape}, expected ({dim},)")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
 
 
-def integrate_forward(oracle: ModelOracle, theta0: np.ndarray, c: np.ndarray,
-                      basis: BasisSpec, eps: float, z_train: Dataset,
-                      z_dith: Dataset, grid: TimeGrid) -> Trajectory:
-    """Integrate the controlled flow from theta0 over the grid by RK4 on its
+def integrate_forward(plan: LossPlan, theta0: np.ndarray, c: np.ndarray,
+                      basis: BasisSpec, eps: float, steps: int) -> Trajectory:
+    """Integrate the controlled flow of the flow plan plan from the (p,)
+    state theta0 over steps grid steps of [0, basis.t_final] by RK4 on their
     quarter steps, in a loop over grid steps, each forming u at its nine
     stage times in one product and running its four quarter steps on it.
 
     c is one (p, n) matrix or a (B, p, n) stack, member b running under
-    u = c[b] Psi(t); theta0 is broadcast to c.shape[:-1], the shape of the
-    Trajectory's rows, whose grad J~0 is taken at each step's first stage.
-    ValueError unless c is such a finite matrix or stack, or if the grid
-    lies beyond the basis's range; DivergenceError at the first quarter
-    step (and member) whose state leaves DIVERGENCE_BOUND.
+    u = c[b] Psi(t); theta0, finite (sga.Problem checks it), is broadcast to
+    c.shape[:-1], the shape of the Trajectory's rows, whose grad J~0 is
+    taken at each step's first stage.  ValueError unless c is such a finite
+    matrix or stack; DivergenceError at the first quarter step (and member)
+    whose state leaves DIVERGENCE_BOUND.
     """
     c = np.asarray(c, dtype=float)
-    p = oracle.param_dim
+    p = theta0.shape[-1]
     if c.ndim not in (2, 3) or c.shape[-2:] != (p, basis.n):
         raise ValueError(f"C has shape {c.shape}, expected ({p}, {basis.n}) "
                          f"or a (B, {p}, {basis.n}) stack")
     if not np.all(np.isfinite(c)):
         raise ValueError("C has non-finite entries")
-    th = np.broadcast_to(_state(oracle, theta0), c.shape[:-1])
+    th = np.broadcast_to(theta0, c.shape[:-1])
+    grid = TimeGrid(basis.t_final, steps)
     h = 0.25 * grid.h
     nsteps = 4 * grid.steps
-    ts = np.arange(2 * nsteps + 1) * (grid.h / 8)
-    _check_time(basis, ts[-1])
-    psi = eval_basis_grid(basis, ts)
-    plan = flow_plan(oracle, z_train, z_dith)
+    psi = eval_basis_grid(basis, np.arange(2 * nsteps + 1) * (grid.h / 8))
     out = np.empty((nsteps + 1,) + th.shape)
     gts = np.empty_like(out)
     out[0] = th
@@ -310,15 +307,9 @@ def integrate_adjoint(oracle: ModelOracle, traj: Trajectory, z_val: Dataset,
 def hamiltonian(oracle: ModelOracle, theta: np.ndarray, p: np.ndarray,
                 u: np.ndarray, eps: float, z_train: Dataset,
                 z_dith: Dataset) -> float:
-    """Control Hamiltonian: <p, f(theta, u)>.  ValueError unless p and u
-    are finite (p,) vectors, naming the one that is not."""
-    dim = oracle.param_dim
-    p, u = (np.asarray(a, dtype=float) for a in (p, u))
-    for name, a in (("p", p), ("u", u)):
-        if a.shape != (dim,):
-            raise ValueError(f"{name} has shape {a.shape}, expected ({dim},)")
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} has non-finite entries")
-    f, _ = forward_rhs(flow_plan(oracle, z_train, z_dith),
-                       _state(oracle, theta), u, eps)
+    """Control Hamiltonian: <p, f(theta, u)>.  ValueError unless theta, p
+    and u are finite (p,) vectors, naming the one that is not."""
+    theta, p, u = (_vector(name, a, oracle.param_dim) for name, a in
+                   (("theta", theta), ("p", p), ("u", u)))
+    f, _ = forward_rhs(flow_plan(oracle, z_train, z_dith), theta, u, eps)
     return float(p @ f)

@@ -14,20 +14,23 @@ backtracks from a trial step whose flow diverges.
 Each iteration sweeps back, with backward, along the forward trajectory the
 solver holds: the first forward pass, then the accepted Armijo trial's,
 whose cost is the next j0.  So an iteration runs one forward integration per
-trial and one backward integration, and J and p(T) read one validation plan
-per solve.  C is the same control on every time grid, so solve iterates on
+trial and one backward integration, and J and p(T) read the problem's one
+validation plan.  C is the same control on every time grid, so solve iterates on
 a coarser grid while its G stands for the fine one's, and answers on the
 fine grid: nested iteration, the coarse half of MG/OPT (Nash, 2000).  Its G
 is summed by a rule exact to degree 7: a level's G is off by RK4's error.
 C is a plain (p, n) float array at every layer, and a stack a (B, p, n) one:
 forward integrates either and backward sweeps back along either, so cost and
 the gradient check run a stack as one pass, each member bit for bit its own
-flow's; sweep is forward and backward under one C.
+flow's; sweep is forward and backward under one C.  Every pass takes one
+Problem, the (oracle, config, data) triple with theta0 checked and the flow
+and validation plans built once; forward hands integrate_forward the plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 from math import comb
 
 import numpy as np
@@ -35,9 +38,9 @@ import numpy as np
 from .basis import BasisSpec, control_grid_max, project_admissible
 from .dataset import Dataset
 from .dynamics import (AdjointTrajectory, DivergenceError,
-                       NonFiniteCostateError, TimeGrid, Trajectory,
+                       NonFiniteCostateError, Trajectory, _vector,
                        integrate_adjoint, integrate_forward)
-from .model import LossPlan, ModelOracle, loss_plan
+from .model import LossPlan, ModelOracle, flow_plan, loss_plan
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 10
@@ -81,17 +84,12 @@ class SolverConfig:
             raise ValueError("u_max must be >= 0")
 
     @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.basis.t_final, self.steps)
-
-    @property
     def projection_grid(self) -> int:
         return 10 * (self.steps + 1)
 
     def initial_theta(self, p: int) -> np.ndarray:
-        if self.theta0 is None:
-            return np.zeros(p)
-        return np.asarray(self.theta0, dtype=float).ravel()
+        theta0 = np.zeros(p) if self.theta0 is None else self.theta0
+        return np.array(theta0, dtype=float).ravel()   # a copy
 
     def initial_coefficients(self, p: int) -> np.ndarray:
         """The (p, n) C a solve starts from: 0, or c0 checked and projected."""
@@ -110,6 +108,30 @@ class SolverConfig:
                              "control overflows float64")
         return project_admissible(c, self.basis, self.u_max,
                                   self.projection_grid)
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One control problem and what every pass over it reads, built once:
+    config.initial_theta as a finite (p,) theta0, the flow plan of the
+    training and dithered sets and the validation plan (ValueError naming
+    the cause otherwise).  levels holds the checks' first probe's theta(T)
+    and p(0) by step count.  A record compares and hashes by identity."""
+
+    oracle: ModelOracle
+    config: SolverConfig
+    data: ProblemData
+    theta0: np.ndarray = field(init=False, repr=False)
+    flow: LossPlan = field(init=False, repr=False)
+    val: LossPlan = field(init=False, repr=False)
+    levels: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        o, data, p = self.oracle, self.data, self.oracle.param_dim
+        put("theta0", _vector("theta0", self.config.initial_theta(p), p))
+        put("flow", flow_plan(o, data.z_train, data.z_dith))
+        put("val", loss_plan(o, data.z_val))
 
 
 @dataclass
@@ -152,28 +174,27 @@ class SolverReport:
         return out
 
 
-def forward(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
-            data: ProblemData) -> Trajectory:
-    """The controlled flow from config.initial_theta under the (p, n)
-    coefficient matrix c on config.basis, or the flows under each matrix
-    of a (B, p, n) stack c."""
-    return integrate_forward(oracle, config.initial_theta(oracle.param_dim),
-                             c, config.basis, config.eps, data.z_train,
-                             data.z_dith, config.grid)
+def forward(problem: Problem, c: np.ndarray,
+            steps: int | None = None) -> Trajectory:
+    """The controlled flow of problem from its theta0 under the (p, n)
+    coefficient matrix c on config.basis, or the flows under each matrix of
+    a (B, p, n) stack c, on steps grid steps (config.steps if None)."""
+    config = problem.config
+    return integrate_forward(problem.flow, problem.theta0, c, config.basis,
+                             config.eps,
+                             config.steps if steps is None else steps)
 
 
-def cost(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
-         data: ProblemData) -> float | np.ndarray:
+def cost(problem: Problem, c: np.ndarray) -> float | np.ndarray:
     """Validation cost at final time of the controlled flow under the (p, n)
     coefficient matrix c on config.basis, a float, or an array of the costs
     of the flows under each matrix of a (B, p, n) stack c, integrated as one
     forward pass; each value is loss_value on data.z_val at its flow's final
     state bit for bit."""
-    val = loss_plan(oracle, data.z_val)
-    theta = forward(oracle, c, config, data).theta_final
+    theta = forward(problem, c).theta_final
     if theta.ndim == 1:
-        return val.value(theta)
-    return np.array([val.value(th) for th in theta])
+        return problem.val.value(theta)
+    return np.array([problem.val.value(th) for th in theta])
 
 
 def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
@@ -190,38 +211,44 @@ def coefficient_gradient(adj: AdjointTrajectory) -> np.ndarray:
     degree 7 when n >= 6, and Simpson's rule when n = 2.
     """
     grid, traj = adj.grid, adj.traj
-    n = 2 * grid.steps
+    g = traj.gt_fine[::2]
+    f = traj.eps * adj.p_half * (g * g)
+    w = (grid.h / 2.0) * _gregory(2 * grid.steps)
+    return (np.moveaxis(f, 0, -1) * w) @ traj.psi[::4]
+
+
+@cache
+def _gregory(n: int) -> np.ndarray:
+    """The rule's read-only weights over n unit intervals, built once per n."""
     corr = np.zeros(n + 1)
     for k, gk in enumerate(GREGORY[:n], 1):
         corr[:k + 1] += [gk * comb(k, j) * (-1) ** j for j in range(k + 1)]
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
     w -= corr + corr[::-1]   # added in one order at both ends: symmetric
-    g = traj.gt_fine[::2]
-    f = traj.eps * adj.p_half * (g * g)
-    return (np.moveaxis(f, 0, -1) * ((grid.h / 2.0) * w)) @ traj.psi[::4]
+    w.flags.writeable = False
+    return w
 
 
-def backward(oracle: ModelOracle, traj: Trajectory, z_val: Dataset,
-             val: LossPlan | None = None):
-    """The costate sweep along the forward trajectory traj, one flow or a
-    stack, on the validation set z_val (through its plan val, if given),
-    and the G it gives: (adjoint, G), each member of a stack bit for bit
-    its own flow's."""
-    adj = integrate_adjoint(oracle, traj, z_val, val)
+def backward(problem: Problem, traj: Trajectory):
+    """The costate sweep along problem's forward trajectory traj, one flow
+    or a stack, from its validation plan, and the G it gives: (adjoint, G),
+    each member of a stack bit for bit its own flow's."""
+    adj = integrate_adjoint(problem.oracle, traj, problem.data.z_val,
+                            problem.val)
     return adj, coefficient_gradient(adj)
 
 
 def sweep(oracle: ModelOracle, c: np.ndarray, config: SolverConfig,
           data: ProblemData):
-    """One forward/backward pass under the (p, n) C c; returns (trajectory,
-    adjoint, G)."""
-    traj = forward(oracle, c, config, data)
-    return (traj, *backward(oracle, traj, data.z_val))
+    """One forward/backward pass under the (p, n) C c on the Problem of
+    (oracle, config, data); returns (trajectory, adjoint, G)."""
+    problem = Problem(oracle, config, data)
+    traj = forward(problem, c)
+    return (traj, *backward(problem, traj))
 
 
-def solve(oracle: ModelOracle, config: SolverConfig,
-          data: ProblemData) -> SolverReport:
+def solve(problem: Problem) -> SolverReport:
     """Run the successive approximation loop to a stationary control.
 
     Each iteration calls backward on the trajectory it holds and steps
@@ -240,33 +267,32 @@ def solve(oracle: ModelOracle, config: SolverConfig,
     grid's, each record names its grid's steps, and grid_gap holds
     |J_level - J_fine| at C0 and where the level was left, or is None.
     """
-    val = loss_plan(oracle, data.z_val)
-    coeffs = config.initial_coefficients(oracle.param_dim)
-    fine = traj = forward(oracle, coeffs, config, data)
+    config, val = problem.config, problem.val
+    coeffs = config.initial_coefficients(problem.oracle.param_dim)
+    fine = traj = forward(problem, coeffs)
     j_null = val.value(traj.theta_final)
-    _, g0 = backward(oracle, traj, data.z_val, val)
-    level, j0, grad = config, j_null, g0
+    _, g0 = backward(problem, traj)
+    level, j0, grad = config.steps, j_null, g0
     for m in (config.steps // d for d in (8, 4, 2) if config.steps % d == 0):
-        grid = replace(config, steps=m)
         try:
-            t = forward(oracle, coeffs, grid, data)
-            _, g = backward(oracle, t, data.z_val, val)
+            t = forward(problem, coeffs, m)
+            _, g = backward(problem, t)
         except (DivergenceError, NonFiniteCostateError):
             continue
         if np.linalg.norm(g - g0) <= GRAD_TOL * np.linalg.norm(g0):
-            level, traj, j0, grad = grid, t, val.value(t.theta_final), g
+            level, traj, j0, grad = m, t, val.value(t.theta_final), g
             break
-    stop, gaps = None, None if level is config else [abs(j0 - j_null)]
+    stop, gaps = None, None if level == config.steps else [abs(j0 - j_null)]
     records: list[IterationRecord] = []
-    for grid in (level, config)[level is config:]:  # the level, then fine
-        if grid is config and gaps:  # the hand-over, at the C solve holds
-            traj, grad = ((forward(oracle, coeffs, config, data), None)
+    for steps in (level, config.steps)[level == config.steps:]:  # level, fine
+        if steps == config.steps and gaps:  # the hand-over, at solve's C
+            traj, grad = ((forward(problem, coeffs), None)
                           if records else (fine, g0))  # at C0: solve's first
             j_level, j0 = j0, val.value(traj.theta_final)
             gaps.append(abs(j_level - j0))
         while len(records) < config.max_iters:
             if grad is None:
-                _, grad = backward(oracle, traj, data.z_val, val)
+                _, grad = backward(problem, traj)
             gnorm = float(np.linalg.norm(grad))
             stop = "tolerance" if gnorm <= config.eps_tol else None
             for q in range(0 if stop else MAX_BACKTRACKS + 1):
@@ -275,7 +301,7 @@ def solve(oracle: ModelOracle, config: SolverConfig,
                 new = project_admissible(cand, config.basis, config.u_max,
                                          config.projection_grid)
                 try:
-                    trial = forward(oracle, new, grid, data)
+                    trial = forward(problem, new, steps)
                 except DivergenceError:
                     continue  # a divergent trial is backtracked from
                 j_new = val.value(trial.theta_final)
@@ -283,16 +309,15 @@ def solve(oracle: ModelOracle, config: SolverConfig,
                     break
             else:
                 stop = stop or "line_search_failure"
-            if stop and grid is not config:
+            if stop and steps != config.steps:
                 break  # the iteration runs again on the fine grid
             records.append(IterationRecord(
                 len(records), j0 if records else j_null, gnorm,
-                0.0 if stop else gamma, not stop and new is not cand,
-                grid.steps))
+                0.0 if stop else gamma, not stop and new is not cand, steps))
             if stop:  # coeffs did not change, so the trajectory still holds
                 break
             coeffs, traj, grad, j0, drop = new, trial, None, j_new, j0 - j_new
-            if grid is not config and drop <= gaps[0]:
+            if steps != config.steps and drop <= gaps[0]:
                 break
     return SolverReport(records, coeffs, traj.theta_final.copy(), j0,
                         stop or "max_iters", gaps)

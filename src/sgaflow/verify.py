@@ -7,9 +7,10 @@ seeds, tolerances and levels are the constants below.  The first two
 checks run the solver's own forward/backward pair at one seeded
 (count, p, n) stack of controls (probes): the coefficient check as one
 sga.forward stack of the probes and their difference flows, swept back by
-sga.backward over the probes alone, the order check as sga.sweep at the
-first probe, so the control moves; the two share the first probe's levels
-through a CheckProblem."""
+sga.backward over the probes alone, the order check as sga.forward and
+sga.backward at the first probe on each level's grid, so the control moves.
+Every check takes an sga.Problem, whose plans its passes share; the first
+two also share the first probe's levels through it."""
 
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .basis import project_admissible
-from .model import ModelOracle, loss_plan
-from .sga import (GRAD_TOL, ProblemData, SolverConfig, backward, cost,
-                  forward, solve, sweep)
+from .model import ModelOracle
+from .sga import (GRAD_TOL, Problem, SolverConfig, backward, cost, forward,
+                  solve)
 
 PROBE_SEED = 0                  # seed of the stream of probe controls
 DIRECTION_SEED = (0, 1)         # seed of the directions in C and theta0
@@ -30,19 +31,6 @@ ORDER_LEVELS = (25, 50, 100, 200)   # order check's grids, each run at 2m too
 ORDER_TOL = 0.3                 # and its tolerance on |slope - 4|
 DP_STEP = 1e-3                  # value-function check's step in theta0
 DP_TOL = 0.05                   # and its tolerance
-
-
-@dataclass(frozen=True, eq=False)
-class CheckProblem:
-    """One problem the checks run on, and the first probe's final state
-    theta(T) and initial costate p(0), by step count, for each grid that a
-    check has integrated it on."""
-
-    oracle: ModelOracle
-    config: SolverConfig
-    data: ProblemData
-    levels: dict = field(default_factory=dict, init=False,
-                         repr=False)   # steps -> (theta(T), p(0))
 
 
 @dataclass
@@ -80,7 +68,7 @@ def probes(oracle: ModelOracle, config: SolverConfig,
                               config.projection_grid)
 
 
-def check_coefficient_gradient(problem: CheckProblem,
+def check_coefficient_gradient(problem: Problem,
                                n_probes: int = 5) -> CheckReport:
     """Check dJ/dC = -G at the first n_probes >= 1 probes: along each of
     DIRECTIONS random unit directions D, -<G, D> against the central
@@ -92,22 +80,22 @@ def check_coefficient_gradient(problem: CheckProblem,
     config.steps, as copies, so the stack is freed when the check returns.
     Refuses a probe whose slopes and differences are all exactly 0, as a
     control without effect gives: it would pass testing nothing."""
-    oracle, config, data = problem.oracle, problem.config, problem.data
+    config = problem.config
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    cs = probes(oracle, config, n_probes)
+    cs = probes(problem.oracle, config, n_probes)
     ds = np.random.default_rng(DIRECTION_SEED).standard_normal(
         (n_probes, DIRECTIONS) + cs.shape[1:])
     ds /= np.linalg.norm(ds, axis=(2, 3), keepdims=True)
     trials = cs[:, None] + FD_STEP * np.concatenate([ds, -ds], axis=1)
-    traj = forward(oracle, np.concatenate([cs, *trials]), config, data)
-    adj, grads = backward(oracle, replace(
+    traj = forward(problem, np.concatenate([cs, *trials]))
+    adj, grads = backward(problem, replace(
         traj, theta_fine=traj.theta_fine[:, :n_probes],
-        gt_fine=traj.gt_fine[:, :n_probes], c=traj.c[:n_probes]), data.z_val)
+        gt_fine=traj.gt_fine[:, :n_probes], c=traj.c[:n_probes]))
     problem.levels[config.steps] = (traj.theta_final[0].copy(),
                                     adj.p_nodes[0, 0].copy())
-    val = loss_plan(oracle, data.z_val)
-    js = np.array([val.value(th) for th in traj.theta_final[n_probes:]])
+    js = np.array([problem.val.value(th)
+                   for th in traj.theta_final[n_probes:]])
     details = []
     for probe, (grad, d, j) in enumerate(
             zip(grads, ds, js.reshape(n_probes, 2, DIRECTIONS))):
@@ -127,8 +115,7 @@ def check_coefficient_gradient(problem: CheckProblem,
     return CheckReport("coefficient_gradient_vs_fd", worst, GRAD_TOL, details)
 
 
-def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
-                      data: ProblemData) -> CheckReport:
+def check_dp_identity(problem: Problem) -> CheckReport:
     """Check that the costate at t=0 equals minus the value-function
     gradient, to DP_TOL: along each of k = min(p, DIRECTIONS) orthonormal
     directions D, the columns of the QR factor of a (p, k) Gaussian drawn
@@ -137,17 +124,16 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
     cost of the control problem re-solved from each perturbed theta0.  The
     frozen-control variant, V the cost under the base optimizer, is
     reported alongside."""
-    p = oracle.param_dim
-    base = solve(oracle, config, data)
-    theta0 = config.initial_theta(p)
-    p0 = sweep(oracle, base.final_coeffs, config, data)[1].p_nodes[0]
+    theta0, p = problem.theta0, problem.oracle.param_dim
+    base = solve(problem)
+    p0 = backward(problem, forward(problem, base.final_coeffs))[0].p_nodes[0]
     k = min(p, DIRECTIONS)
     rng = np.random.default_rng(DIRECTION_SEED)
     ds = np.linalg.qr(rng.standard_normal((p, k)))[0].T   # (k, p)
-    starts = [replace(config, theta0=th)
+    starts = [replace(problem, config=replace(problem.config, theta0=th))
               for th in (*(theta0 + DP_STEP * ds), *(theta0 - DP_STEP * ds))]
-    v = np.array([[solve(oracle, s, data).final_cost for s in starts],
-                  [cost(oracle, base.final_coeffs, s, data) for s in starts]])
+    v = np.array([[solve(s).final_cost for s in starts],
+                  [cost(s, base.final_coeffs) for s in starts]])
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite value function near theta0")
     a = -ds @ p0
@@ -168,19 +154,20 @@ def check_dp_identity(oracle: ModelOracle, config: SolverConfig,
     return CheckReport("dp_identity_t0", err, DP_TOL, details)
 
 
-def check_rk4_order(problem: CheckProblem) -> CheckReport:
+def check_rk4_order(problem: Problem) -> CheckReport:
     """Fit the log-log slope of final-state and initial-costate error versus
-    step size at the first probe, reading the error of level m's sweep (on
-    config with m steps) as |x_m - x_2m| rather than against a finer
-    reference run; RK4 should give slope 4, to ORDER_TOL.  A level already
-    in problem.levels is read, not swept again.  Refuses exactly equal
-    solutions at two levels, as a still flow gives: 0 has no log."""
-    oracle, config, data = problem.oracle, problem.config, problem.data
-    c, level = probes(oracle, config, 1)[0], dict(problem.levels)
+    step size at the first probe, reading the error of level m's forward
+    and backward pass (on m grid steps) as |x_m - x_2m| rather than against
+    a finer reference run; RK4 should give slope 4, to ORDER_TOL.  A level
+    already in problem.levels is read, not integrated again.  Refuses
+    exactly equal solutions at two levels, as a still flow gives: 0 has no
+    log."""
+    c = probes(problem.oracle, problem.config, 1)[0]
+    level = dict(problem.levels)
     for m in {*ORDER_LEVELS, *(2 * m for m in ORDER_LEVELS)} - level.keys():
-        traj, adj, _ = sweep(oracle, c, replace(config, steps=m), data)
-        level[m] = traj.theta_final, adj.p_nodes[0]
-    hs = [config.basis.t_final / m for m in ORDER_LEVELS]
+        traj = forward(problem, c, m)
+        level[m] = traj.theta_final, backward(problem, traj)[0].p_nodes[0]
+    hs = [problem.config.basis.t_final / m for m in ORDER_LEVELS]
     errs = [[np.linalg.norm(x - x2) for x, x2 in zip(level[m], level[2 * m])]
             for m in ORDER_LEVELS]   # (levels, 2): forward, adjoint
     equal = next(((m, side) for m, pair in zip(ORDER_LEVELS, errs)

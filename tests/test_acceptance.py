@@ -13,11 +13,11 @@ import pytest
 import sgaflow as sf
 from sgaflow import cli
 from sgaflow.basis import BasisSpec, eval_control, project_admissible
-from sgaflow.dynamics import (TimeGrid, hamiltonian, integrate_adjoint,
-                              integrate_forward)
-from sgaflow.sga import ProblemData, SolverConfig, cost, solve
-from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
-                            check_dp_identity)
+from sgaflow.dynamics import hamiltonian, integrate_adjoint, integrate_forward
+from sgaflow.model import flow_plan
+from sgaflow.sga import (Problem, ProblemData, SolverConfig, cost, forward,
+                         solve)
+from sgaflow.verify import check_coefficient_gradient, check_dp_identity
 
 from conftest import mlp_check_problem, quadratic_datasets
 
@@ -47,16 +47,16 @@ def descent_run():
     config = SolverConfig(eps=0.1, steps=200,
                           basis=BasisSpec("legendre_shifted", 4, 1.0),
                           u_max=5.0, max_iters=30)
-    return oracle, config, data, solve(oracle, config, data)
+    problem = Problem(oracle, config, data)
+    return problem, solve(problem)
 
 
 def test_criterion_1_closed_form_flow():
     start = time.time()
     oracle, data = quad_problem()
-    grid = TimeGrid(1.0, 100)
     basis = BasisSpec("legendre_shifted", 2, 1.0)
-    traj = integrate_forward(oracle, [1.0], np.zeros((1, 2)), basis, 0.1,
-                             data.z_train, data.z_dith, grid)
+    traj = integrate_forward(flow_plan(oracle, data.z_train, data.z_dith),
+                             np.ones(1), np.zeros((1, 2)), basis, 0.1, 100)
     adj = integrate_adjoint(oracle, traj, data.z_val)
     err_f = abs(traj.theta_final[0] - np.exp(-1.0))
     err_b = abs(adj.p_nodes[0][0] + np.exp(-2.0))
@@ -69,11 +69,12 @@ def test_criterion_1_closed_form_flow():
 def test_criterion_2_rk4_order():
     start = time.time()
     oracle, data = quad_problem()
+    plan = flow_plan(oracle, data.z_train, data.z_dith)
     basis = BasisSpec("legendre_shifted", 2, 1.0)
     hs, ef, eb = [], [], []
     for m in (25, 50, 100, 200):
-        traj = integrate_forward(oracle, [1.0], np.zeros((1, 2)), basis, 0.0,
-                                 data.z_train, data.z_dith, TimeGrid(1.0, m))
+        traj = integrate_forward(plan, np.ones(1), np.zeros((1, 2)), basis,
+                                 0.0, m)
         adj = integrate_adjoint(oracle, traj, data.z_val)
         hs.append(1.0 / m)
         ef.append(abs(traj.theta_final[0] - np.exp(-1.0)))
@@ -101,11 +102,10 @@ def test_criterion_3_gradient_identity():
                            basis=BasisSpec("legendre_shifted", 4, 1.0),
                            u_max=5.0)
     lin_rep = check_coefficient_gradient(
-        CheckProblem(lin, lin_cfg, ProblemData(z1, zd, z2)), n_probes=2)
-    mlp, mlp_cfg, mlp_data = mlp_check_problem(seed=61, steps=200,
-                                               n_basis=3)
-    mlp_rep = check_coefficient_gradient(CheckProblem(mlp, mlp_cfg, mlp_data),
-                                         n_probes=1)
+        Problem(lin, lin_cfg, ProblemData(z1, zd, z2)), n_probes=2)
+    mlp_rep = check_coefficient_gradient(
+        Problem(*mlp_check_problem(seed=61, steps=200, n_basis=3)),
+        n_probes=1)
     elapsed = time.time() - start
     report(3, "gradient identity",
            lin_rep.passed and mlp_rep.passed and elapsed < 30.0,
@@ -115,8 +115,9 @@ def test_criterion_3_gradient_identity():
 
 def test_criterion_4_monotone_descent(descent_run):
     start = time.time()
-    oracle, config, data, rep = descent_run
-    j_null = cost(oracle, np.zeros((2, config.basis.n)), config, data)
+    problem, rep = descent_run
+    config = problem.config
+    j_null = cost(problem, np.zeros((2, config.basis.n)))
     costs = [r.cost for r in rep.iterations]
     monotone = all(b <= a for a, b in zip(costs, costs[1:]))
     dominated = rep.final_cost <= j_null
@@ -132,16 +133,16 @@ def test_criterion_4_monotone_descent(descent_run):
 def test_criterion_5_eps_scaling():
     start = time.time()
     oracle, data = quad_problem()
+    plan = flow_plan(oracle, data.z_train, data.z_dith)
     basis = BasisSpec("legendre_shifted", 3, 1.0)
     rng = np.random.default_rng(2)
     coeffs = project_admissible(rng.uniform(-1, 1, (1, 3)), basis, 5.0, 2010)
-    grid = TimeGrid(1.0, 100)
-    base = integrate_forward(oracle, [1.0], coeffs, basis, 0.0,
-                             data.z_train, data.z_dith, grid).theta_final
+    base = integrate_forward(plan, np.ones(1), coeffs, basis, 0.0,
+                             100).theta_final
     epss = [1e-1, 1e-2, 1e-3, 1e-4]
     diffs = [np.linalg.norm(
-        integrate_forward(oracle, [1.0], coeffs, basis, e,
-                          data.z_train, data.z_dith, grid).theta_final - base)
+        integrate_forward(plan, np.ones(1), coeffs, basis, e,
+                          100).theta_final - base)
         for e in epss]
     slope = np.polyfit(np.log(epss), np.log(diffs), 1)[0]
     elapsed = time.time() - start
@@ -156,13 +157,13 @@ def test_criterion_6_dp_identity():
     basis = BasisSpec("legendre_shifted", 2, 1.0)
     config = SolverConfig(eps=0.1, steps=100, basis=basis,
                           u_max=5.0, theta0=np.array([1.0]), max_iters=30)
-    reopt = check_dp_identity(oracle, config, data)
-    null = check_dp_identity(oracle,
-                             SolverConfig(eps=0.1, steps=100,
-                                          basis=basis, u_max=0.0,
-                                          theta0=np.array([1.0]),
-                                          max_iters=3),
-                             data)
+    reopt = check_dp_identity(Problem(oracle, config, data))
+    null = check_dp_identity(Problem(oracle,
+                                     SolverConfig(eps=0.1, steps=100,
+                                                  basis=basis, u_max=0.0,
+                                                  theta0=np.array([1.0]),
+                                                  max_iters=3),
+                                     data))
     elapsed = time.time() - start
     report(6, "DP identity at t=0",
            reopt.max_rel_err <= 0.05 and null.max_rel_err <= 1e-4
@@ -172,13 +173,11 @@ def test_criterion_6_dp_identity():
 
 
 def test_criterion_7_pmp_dominance(descent_run):
-    oracle, config, data, rep = descent_run
-    traj = integrate_forward(oracle, config.initial_theta(2),
-                             rep.final_coeffs, config.basis,
-                             config.eps, data.z_train, data.z_dith,
-                             config.grid)
+    problem, rep = descent_run
+    oracle, config, data = problem.oracle, problem.config, problem.data
+    traj = forward(problem, rep.final_coeffs)
     adj = integrate_adjoint(oracle, traj, data.z_val)
-    nodes = config.grid.nodes
+    nodes = traj.grid.nodes
     dominant = 0
     for k, t in enumerate(nodes):
         theta = traj.theta_nodes[k]

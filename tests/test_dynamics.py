@@ -22,6 +22,17 @@ def quad_oracle(p=1):
     return ModelOracle("linear_features", p), z1, zd, zv
 
 
+def quad_plan(p=1):
+    """The flow plan of quad_oracle's training and dithered sets."""
+    o, z1, zd, _ = quad_oracle(p)
+    return flow_plan(o, z1, zd)
+
+
+def data_plan(o, data):
+    """The flow plan of data's training and dithered sets."""
+    return flow_plan(o, data.z_train, data.z_dith)
+
+
 class TestForwardRhs:
     def test_scalar_footnote_formula(self):
         # J0 = 0.5*theta^2 on both sets: f = -1 + 0.1 * 1^2 * 1 = -0.9
@@ -59,34 +70,29 @@ class TestForwardRhs:
 
 class TestIntegrateForward:
     def test_exponential_decay_closed_form(self):
-        o, z1, zd, _ = quad_oracle()
-        grid = TimeGrid(1.0, 100)
-        traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
-                                 grid)
+        traj = integrate_forward(quad_plan(), np.ones(1), *zero_control(1),
+                                 0.0, 100)
         assert traj.theta_final[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_small_eps_continuity(self):
-        o, z1, zd, _ = quad_oracle()
-        grid = TimeGrid(1.0, 100)
+        plan = quad_plan()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         coeffs = np.array([[1.0, 0.5]])
-        a = integrate_forward(o, [1.0], coeffs, basis, 0.0, z1, zd, grid)
-        b = integrate_forward(o, [1.0], coeffs, basis, 1e-9, z1, zd, grid)
+        a = integrate_forward(plan, np.ones(1), coeffs, basis, 0.0, 100)
+        b = integrate_forward(plan, np.ones(1), coeffs, basis, 1e-9, 100)
         assert np.max(np.abs(a.theta_nodes - b.theta_nodes)) <= 1e-7
 
     def test_richardson_ratio_is_fourth_order(self):
-        o, z1, zd, _ = quad_oracle()
         exact = np.exp(-1.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
-                                     TimeGrid(1.0, m))
+            traj = integrate_forward(quad_plan(), np.ones(1),
+                                     *zero_control(1), 0.0, m)
             errs.append(abs(traj.theta_final[0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_null_control_independent_of_eps_c_and_dither(self):
         o, data = linear_problem()
-        grid = TimeGrid(1.0, 50)
         basis = BasisSpec("legendre_shifted", 3, 1.0)
         theta0 = np.zeros(o.param_dim)
         runs = []
@@ -94,26 +100,25 @@ class TestIntegrateForward:
                         (0.5, Dataset(data.z_train.x, data.z_train.y + 1.0,
                                       "dithered"))):
             coeffs = np.zeros((o.param_dim, 3))
-            runs.append(integrate_forward(o, theta0, coeffs, basis,
-                                          eps, data.z_train, zd, grid))
+            runs.append(integrate_forward(flow_plan(o, data.z_train, zd),
+                                          theta0, coeffs, basis, eps, 50))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].theta_nodes,
                                           other.theta_nodes)
 
     def test_eps_perturbation_scaling_is_linear(self):
         o, data = linear_problem(seed=6)
-        grid = TimeGrid(1.0, 100)
+        plan = data_plan(o, data)
         basis = BasisSpec("legendre_shifted", 3, 1.0)
         rng = np.random.default_rng(2)
         coeffs = 0.3 * rng.standard_normal((o.param_dim, 3))
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        base = integrate_forward(o, theta0, coeffs, basis, 0.0,
-                                 data.z_train, data.z_dith, grid).theta_final
+        base = integrate_forward(plan, theta0, coeffs, basis, 0.0,
+                                 100).theta_final
         epss = [1e-1, 1e-2, 1e-3, 1e-4]
         diffs = [np.linalg.norm(
-            integrate_forward(o, theta0, coeffs, basis, e,
-                              data.z_train, data.z_dith, grid).theta_final
-            - base)
+            integrate_forward(plan, theta0, coeffs, basis, e,
+                              100).theta_final - base)
             for e in epss]
         slope = np.polyfit(np.log(epss), np.log(diffs), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -121,12 +126,11 @@ class TestIntegrateForward:
     def test_divergence_guard_reports_time(self):
         # theta' = -theta + 0.5 * theta^2 * u with u = 20 blows up at
         # t = ln(10/9); the guard stops it within one quarter step
-        o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 50)
         with pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], np.array([[20.0, 0.0]]),
-                              BasisSpec("legendre_shifted", 2, 1.0), 0.5, z1,
-                              zd, grid)
+            integrate_forward(quad_plan(), np.ones(1), np.array([[20.0, 0.0]]),
+                              BasisSpec("legendre_shifted", 2, 1.0), 0.5,
+                              grid.steps)
         assert abs(exc.value.t - np.log(10.0 / 9.0)) <= 0.25 * grid.h
         assert exc.value.norm > dynamics.DIVERGENCE_BOUND
 
@@ -135,15 +139,15 @@ class TestIntegrateForward:
         # u = 1e300 overflows the first quarter step's stages, so theta
         # becomes nan there, which compares False against any bound; in a
         # stack, the other members stay finite
-        o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 50)
         cs = np.zeros((3, 1, 2))
         cs[1, 0, 0] = 1e300
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], cs if stacked else cs[1],
+            integrate_forward(quad_plan(), np.ones(1),
+                              cs if stacked else cs[1],
                               BasisSpec("legendre_shifted", 2, 1.0), 0.5,
-                              z1, zd, grid)
+                              grid.steps)
         assert exc.value.t == 0.25 * grid.h
         assert exc.value.norm == np.inf
 
@@ -151,14 +155,14 @@ class TestIntegrateForward:
     def test_nan_state_warns_nothing(self, stacked):
         # the same overflow, with no errstate of the caller's: the guard
         # still reports it, and no warning escapes the integration
-        o, z1, zd, _ = quad_oracle()
         grid = TimeGrid(1.0, 50)
         cs = np.zeros((3, 1, 2))
         cs[1, 0, 0] = 1e300
         with warnings_as_errors(), pytest.raises(DivergenceError) as exc:
-            integrate_forward(o, [1.0], cs if stacked else cs[1],
+            integrate_forward(quad_plan(), np.ones(1),
+                              cs if stacked else cs[1],
                               BasisSpec("legendre_shifted", 2, 1.0), 0.5,
-                              z1, zd, grid)
+                              grid.steps)
         assert (exc.value.t, exc.value.norm) == (0.25 * grid.h, np.inf)
 
     @pytest.mark.parametrize("us,row", [
@@ -183,32 +187,18 @@ class TestIntegrateForward:
             per_stage_forward(o, [1.0], c, basis, 0.5,
                               ProblemData(z1, zd, None), grid)
         with warnings_as_errors(), pytest.raises(DivergenceError) as got:
-            integrate_forward(o, [1.0], c, basis, 0.5, z1, zd, grid)
+            integrate_forward(flow_plan(o, z1, zd), np.ones(1), c, basis, 0.5,
+                              grid.steps)
         assert want.value.t == row * (0.25 * grid.h)
         assert (got.value.t, got.value.norm) == (want.value.t,
                                                  want.value.norm)
 
     def test_trajectory_keeps_the_callers_eps(self):
         # the pass runs on a 0-d array of eps; the trajectory keeps eps
-        o, z1, zd, _ = quad_oracle()
         eps = 0.3
-        traj = integrate_forward(o, [1.0], *zero_control(1), eps, z1, zd,
-                                 TimeGrid(1.0, 2))
+        traj = integrate_forward(quad_plan(), np.ones(1), *zero_control(1),
+                                 eps, 2)
         assert traj.eps is eps and type(traj.eps) is float
-
-    def test_nonfinite_theta0_rejected(self):
-        o, z1, zd, _ = quad_oracle()
-        with pytest.raises(ValueError):
-            integrate_forward(o, [np.nan], *zero_control(1), 0.0, z1, zd,
-                              TimeGrid(1.0, 10))
-
-    @pytest.mark.parametrize("theta0", [[], [1.0, 2.0]])
-    def test_theta0_of_other_dimension_rejected(self, theta0):
-        o, z1, zd, _ = quad_oracle()
-        with pytest.raises(ValueError, match="theta has dim .*, oracle "
-                                             "expects 1"):
-            integrate_forward(o, theta0, *zero_control(1), 0.0, z1, zd,
-                              TimeGrid(1.0, 10))
 
     @pytest.mark.parametrize("t_final,steps,match", [
         (0.0, 10, "final time must be > 0"), (-1.0, 10, "final time"),
@@ -228,10 +218,10 @@ class TestIntegrateForward:
         else:
             o, data = mlp_problem(d=2, seed=24)
         coeffs = rng.uniform(-1.0, 1.0, (o.param_dim, 3))
-        traj = integrate_forward(o, 0.5 * rng.standard_normal(o.param_dim),
+        traj = integrate_forward(data_plan(o, data),
+                                 0.5 * rng.standard_normal(o.param_dim),
                                  coeffs, BasisSpec("legendre_shifted", 3, 1.0),
-                                 0.3, data.z_train,
-                                 data.z_dith, TimeGrid(1.0, 20))
+                                 0.3, 20)
         assert traj.gt_fine.shape == (81, o.param_dim)
         # the final state's row included
         for theta, gt in zip(traj.theta_fine, traj.gt_fine):
@@ -256,15 +246,14 @@ class TestFinalStates:
         # moves under the flow
         theta0 = 0.5 * rng.standard_normal(p)
         basis = BasisSpec(kind, 3, 1.0)
-        grid = TimeGrid(1.0, 20)
+        plan = data_plan(o, data)
         cs = rng.uniform(-2.0, 2.0, (5, p, 3))
-        finals = integrate_forward(o, theta0, cs, basis, 0.3, data.z_train,
-                                   data.z_dith, grid).theta_final
+        finals = integrate_forward(plan, theta0, cs, basis, 0.3,
+                                   20).theta_final
         assert finals.shape == (5, p)
         for b in range(5):
-            single = integrate_forward(o, theta0, cs[b], basis, 0.3,
-                                       data.z_train, data.z_dith,
-                                       grid).theta_final
+            single = integrate_forward(plan, theta0, cs[b], basis, 0.3,
+                                       20).theta_final
             err = np.max(np.abs(finals[b] - single))
             assert err <= 1e-13 * np.max(np.abs(single))
         assert np.all(finals != theta0)
@@ -272,53 +261,37 @@ class TestFinalStates:
         assert np.all(np.abs(np.diff(finals, axis=0)) > 0)
 
     def test_one_divergent_member_raises_its_own_error(self):
-        o, z1, zd, _ = quad_oracle()
+        plan, theta0 = quad_plan(), np.ones(1)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        grid = TimeGrid(1.0, 50)
         # theta' = -theta + 0.5 * theta^2 * u with u = 20 blows up; u = 0
         # decays
         cs = np.zeros((3, 1, 2))
         cs[1, 0, 0] = 20.0
         with pytest.raises(DivergenceError) as alone:
-            integrate_forward(o, [1.0], cs[1], basis, 0.5, z1, zd, grid)
+            integrate_forward(plan, theta0, cs[1], basis, 0.5, 50)
         with pytest.raises(DivergenceError) as batch:
-            integrate_forward(o, [1.0], cs, basis, 0.5, z1, zd, grid)
+            integrate_forward(plan, theta0, cs, basis, 0.5, 50)
         assert batch.value.t > 0.0
         assert (batch.value.t, batch.value.norm) == (alone.value.t,
                                                      alone.value.norm)
-        finals = integrate_forward(o, [1.0], cs[[0, 2]], basis, 0.5, z1, zd,
-                                   grid).theta_final
+        finals = integrate_forward(plan, theta0, cs[[0, 2]], basis, 0.5,
+                                   50).theta_final
         assert np.all(np.isfinite(finals))
 
     def test_stack_shape_checked(self):
-        o, z1, zd, _ = quad_oracle()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError, match=r"C has shape \(2, 1, 3\)"):
-            integrate_forward(o, [1.0], np.zeros((2, 1, 3)), basis, 0.1, z1,
-                              zd, TimeGrid(1.0, 10))
+            integrate_forward(quad_plan(), np.ones(1), np.zeros((2, 1, 3)),
+                              basis, 0.1, 10)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 1, 1, 2)], ids=["1-D", "4-D"])
     def test_c_of_other_rank_rejected(self, shape):
         # one (p, n) C or a (B, p, n) stack: a 1-D C is not read as a row,
         # nor a 4-D one as a stack of stacks
-        o, z1, zd, _ = quad_oracle()
         basis = BasisSpec("legendre_shifted", 2, 1.0)
         with pytest.raises(ValueError, match=r"C has shape \("):
-            integrate_forward(o, [1.0], np.zeros(shape), basis, 0.1, z1, zd,
-                              TimeGrid(1.0, 10))
-
-    def test_grid_beyond_basis_range_rejected(self):
-        # the Legendre basis is defined on [0, 1]; a grid to t=2 must not
-        # extrapolate it
-        o, z1, zd, _ = quad_oracle()
-        basis = BasisSpec("legendre_shifted", 2, 1.0)
-        grid = TimeGrid(2.0, 10)
-        with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], np.zeros((1, 2)), basis, 0.1, z1, zd,
-                              grid)
-        with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], np.zeros((2, 1, 2)), basis, 0.1, z1,
-                              zd, grid)
+            integrate_forward(quad_plan(), np.ones(1), np.zeros(shape), basis,
+                              0.1, 10)
 
 
 class TestAdjointRhs:
@@ -435,8 +408,8 @@ class TestIntegrateAdjoint:
         basis = BasisSpec(kind, 3, 1.0)
         coeffs = rng.uniform(-1.0, 1.0, (o.param_dim, 3))
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        traj = integrate_forward(o, theta0, coeffs, basis, 0.3,
-                                 data.z_train, data.z_dith, TimeGrid(1.0, 20))
+        traj = integrate_forward(data_plan(o, data), theta0, coeffs, basis,
+                                 0.3, 20)
         adj = integrate_adjoint(o, traj, data.z_val)
         np.testing.assert_array_equal(
             adj.p_half, per_stage_adjoint(o, traj, coeffs, basis, 0.3, data))
@@ -453,9 +426,8 @@ class TestIntegrateAdjoint:
         z1, zd = Dataset(x, [0.0], "train"), Dataset(x, [0.0], "dithered")
         zv = Dataset([[1.0]], [1.0], "validation")
         o = ModelOracle("linear_features", 1)
-        grid = TimeGrid(1.0, 10)
-        traj = integrate_forward(o, [0.0], *zero_control(1), 0.1, z1, zd,
-                                 grid)
+        traj = integrate_forward(flow_plan(o, z1, zd), np.zeros(1),
+                                 *zero_control(1), 0.1, 10)
         with (pytest.raises(NonFiniteCostateError) as exc,
               np.errstate(over="ignore", invalid="ignore")):
             integrate_adjoint(o, traj, zv)
@@ -475,19 +447,17 @@ class TestIntegrateAdjoint:
         z1, zd = Dataset(x, [0.0], "train"), Dataset(x, [0.0], "dithered")
         zv = Dataset([[1.0]], [1.0], "validation")
         o = ModelOracle("linear_features", 1)
-        grid = TimeGrid(1.0, 10)
-        traj = integrate_forward(o, [0.0], *zero_control(1), 0.1, z1, zd,
-                                 grid)
+        traj = integrate_forward(flow_plan(o, z1, zd), np.zeros(1),
+                                 *zero_control(1), 0.1, 10)
         with warnings_as_errors(), \
                 pytest.raises(NonFiniteCostateError) as exc:
             integrate_adjoint(o, traj, zv)
-        assert exc.value.t == row * (0.5 * grid.h)
+        assert exc.value.t == row * (0.5 * traj.grid.h)
 
     def test_closed_form_adjoint(self):
         o, z1, zd, zv = quad_oracle()
-        grid = TimeGrid(1.0, 200)
-        traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
-                                 grid)
+        traj = integrate_forward(flow_plan(o, z1, zd), np.ones(1),
+                                 *zero_control(1), 0.0, 200)
         adj = integrate_adjoint(o, traj, zv)
         assert adj.p_nodes[-1][0] == pytest.approx(-np.exp(-1.0), abs=1e-9)
         assert adj.p_nodes[0][0] == pytest.approx(-np.exp(-2.0), abs=1e-8)
@@ -496,10 +466,8 @@ class TestIntegrateAdjoint:
         o, data = linear_problem()
         rng = np.random.default_rng(5)
         theta0 = rng.standard_normal(o.param_dim)
-        grid = TimeGrid(1.0, 50)
         null = zero_control(o.param_dim)
-        traj = integrate_forward(o, theta0, *null, 0.0, data.z_train,
-                                 data.z_dith, grid)
+        traj = integrate_forward(data_plan(o, data), theta0, *null, 0.0, 50)
         zv = Dataset(data.z_val.x, o.predict(traj.theta_final, data.z_val.x),
                      "validation")
         adj = integrate_adjoint(o, traj, zv)
@@ -510,8 +478,8 @@ class TestIntegrateAdjoint:
         exact = -np.exp(-2.0)
         errs = []
         for m in (25, 50):
-            traj = integrate_forward(o, [1.0], *zero_control(1), 0.0, z1, zd,
-                                     TimeGrid(1.0, m))
+            traj = integrate_forward(flow_plan(o, z1, zd), np.ones(1),
+                                     *zero_control(1), 0.0, m)
             adj = integrate_adjoint(o, traj, zv)
             errs.append(abs(adj.p_nodes[0][0] - exact))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
@@ -562,10 +530,10 @@ class TestGridStepBlocks:
         shape = (o.param_dim, 3) if stack is None else (stack, o.param_dim, 3)
         c = rng.uniform(-1.0, 1.0, shape)
         theta0 = 0.5 * rng.standard_normal(o.param_dim)
-        grid = TimeGrid(1.0, steps)
-        traj = integrate_forward(o, theta0, c, basis, 0.3, data.z_train,
-                                 data.z_dith, grid)
-        fine, gts = per_stage_forward(o, theta0, c, basis, 0.3, data, grid)
+        traj = integrate_forward(data_plan(o, data), theta0, c, basis, 0.3,
+                                 steps)
+        fine, gts = per_stage_forward(o, theta0, c, basis, 0.3, data,
+                                      TimeGrid(1.0, steps))
         np.testing.assert_array_equal(traj.theta_fine, fine)
         np.testing.assert_array_equal(traj.gt_fine, gts)
 
@@ -592,7 +560,10 @@ class TestGridStepBlocks:
 
 class TestPlans:
     @pytest.mark.parametrize("steps", [3, 40])
-    def test_each_plan_built_once_per_integration(self, steps, monkeypatch):
+    def test_integrations_build_no_plan(self, steps, monkeypatch):
+        # the forward pass runs on the flow plan it is given, which the
+        # trajectory keeps for the backward pass; only a validation plan
+        # the caller does not give is built, once per backward pass
         built = []
 
         def counted_flow(o, z1, zd):
@@ -606,21 +577,18 @@ class TestPlans:
         monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
         monkeypatch.setattr(model, "loss_plan", counted)
         o, data = linear_problem()
+        plan = data_plan(o, data)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        grid = TimeGrid(1.0, steps)
-        traj = integrate_forward(o, np.zeros(o.param_dim),
-                                 np.ones((o.param_dim, 2)), basis, 0.1,
-                                 data.z_train, data.z_dith, grid)
-        assert built == [("train", "dithered")]
-        built.clear()
-        # the backward pass runs on the trajectory's flow plan
+        theta0 = np.zeros(o.param_dim)
+        traj = integrate_forward(plan, theta0, np.ones((o.param_dim, 2)),
+                                 basis, 0.1, steps)
+        integrate_forward(plan, theta0, np.ones((3, o.param_dim, 2)), basis,
+                          0.1, steps)
+        assert traj.plan is plan
+        integrate_adjoint(o, traj, data.z_val, loss_plan(o, data.z_val))
+        assert built == []
         integrate_adjoint(o, traj, data.z_val)
         assert built == ["validation"]
-        built.clear()
-        integrate_forward(o, np.zeros(o.param_dim),
-                          np.ones((3, o.param_dim, 2)), basis, 0.1,
-                          data.z_train, data.z_dith, grid)
-        assert built == [("train", "dithered")]
 
 
 class TestControlRows:
@@ -630,16 +598,14 @@ class TestControlRows:
         # and the batched forward pass take a C, the backward pass reads
         # the trajectory's
         o, data = linear_problem(d=2)
+        plan = data_plan(o, data)
         basis = BasisSpec("legendre_shifted", 2, 1.0)
-        grid = TimeGrid(1.0, 10)
         bad = np.ones((rows, 2))
         with pytest.raises(ValueError, match=rf"C has shape \({rows}, 2\)"):
-            integrate_forward(o, np.zeros(2), bad, basis, 0.1,
-                              data.z_train, data.z_dith, grid)
+            integrate_forward(plan, np.zeros(2), bad, basis, 0.1, 10)
         with pytest.raises(ValueError,
                            match=rf"C has shape \(1, {rows}, 2\)"):
-            integrate_forward(o, np.zeros(2), bad[None], basis, 0.1,
-                              data.z_train, data.z_dith, grid)
+            integrate_forward(plan, np.zeros(2), bad[None], basis, 0.1, 10)
 
 
 class TestStagePsi:
@@ -650,21 +616,13 @@ class TestStagePsi:
         # the forward pass's one table, at the stage times i*(h/8), holds
         # Psi at the backward pass's times i*(h/4) in its even rows and at
         # G's times i*(h/2) in every fourth row, bit for bit
-        o, z1, zd, _ = quad_oracle()
         basis = BasisSpec(kind, 5, t_final)
-        grid = TimeGrid(t_final, steps)
-        psi = integrate_forward(o, [1.0], np.zeros((1, 5)), basis, 0.1, z1,
-                                zd, grid).psi
+        h = TimeGrid(t_final, steps).h
+        psi = integrate_forward(quad_plan(), np.ones(1), np.zeros((1, 5)),
+                                basis, 0.1, steps).psi
         for per_step, rows in ((8, psi), (4, psi[::2]), (2, psi[::4])):
-            ts = np.arange(per_step * steps + 1) * (grid.h / per_step)
+            ts = np.arange(per_step * steps + 1) * (h / per_step)
             np.testing.assert_array_equal(rows, eval_basis_grid(basis, ts))
-
-    def test_grid_beyond_basis_range_rejected(self):
-        o, z1, zd, _ = quad_oracle()
-        with pytest.raises(ValueError, match="outside"):
-            integrate_forward(o, [1.0], np.zeros((1, 2)),
-                              BasisSpec("legendre_shifted", 2, 1.0), 0.1, z1,
-                              zd, TimeGrid(1.0 + 1e-9, 10))
 
 
 class TestTrajectoryShape:
@@ -673,9 +631,8 @@ class TestTrajectoryShape:
     def test_row_count_checked_and_views_read_only(self, cls, rows, view):
         # for M = 10: 4M+1 quarter-step states and grad J~0 rows and 8M+1
         # rows of Psi at the stage times, or 2M+1 half-step costates
-        o, z1, zd, _ = quad_oracle(2)
-        traj = integrate_forward(o, np.ones(2), *zero_control(2), 0.1, z1, zd,
-                                 TimeGrid(1.0, 10))
+        traj = integrate_forward(quad_plan(2), np.ones(2), *zero_control(2),
+                                 0.1, 10)
         assert traj.psi.shape == (81, 1)
         assert not traj.psi.flags.writeable
         if cls is Trajectory:

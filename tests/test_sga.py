@@ -12,10 +12,10 @@ from sgaflow.basis import (BasisSpec, control_grid_max, eval_basis_grid,
 from sgaflow import model
 from sgaflow.dynamics import (AdjointTrajectory, TimeGrid, Trajectory,
                               integrate_adjoint, integrate_forward)
-from sgaflow.model import loss_gradient, loss_value
-from sgaflow.sga import (SolverConfig, backward, coefficient_gradient, cost,
-                         forward, solve, sweep)
-from sgaflow.verify import CheckProblem, check_coefficient_gradient, probes
+from sgaflow.model import flow_plan, loss_gradient, loss_value
+from sgaflow.sga import (Problem, SolverConfig, backward, coefficient_gradient,
+                         cost, forward, solve, sweep)
+from sgaflow.verify import check_coefficient_gradient, probes
 
 from conftest import (fd_gradient, linear_problem, mlp_check_problem,
                       mlp_problem, p24_linear_cfg, quadratic_datasets,
@@ -40,7 +40,7 @@ class TestCost:
     def test_closed_form_null_control(self, quad1_problem):
         o, data = quad1_problem
         config = quad_config(steps=100)
-        j = cost(o, np.zeros((1, 2)), config, data)
+        j = cost(Problem(o, config, data), np.zeros((1, 2)))
         assert j == pytest.approx(0.5 * np.exp(-2.0), abs=1e-8)
 
     def test_fixed_point_at_joint_optimum(self):
@@ -55,23 +55,23 @@ class TestCost:
                            refit(data.z_val, "validation"))
         config = replace(quad_config(), theta0=theta_fit)
         coeffs = np.zeros((o.param_dim, config.basis.n))
-        assert cost(o, coeffs, config, data) == pytest.approx(0.0,
-                                                              abs=1e-20)
+        assert cost(Problem(o, config, data), coeffs) == pytest.approx(
+            0.0, abs=1e-20)
 
     def test_invariant_to_u_max_when_control_off(self, quad1_problem):
         o, data = quad1_problem
         costs = []
         for u_max in (1.0, 5.0, 50.0):
             config = quad_config(u_max=u_max)
-            costs.append(cost(o, np.zeros((1, 2)), config, data))
+            costs.append(cost(Problem(o, config, data), np.zeros((1, 2))))
         assert costs[0] == costs[1] == costs[2]
 
 
 def quad_trajectory(o, data, eps):
     """The flow from theta0 = 1 under a fixed control on a 10-step grid;
     grad J~0 = theta stays away from zero along it."""
-    config = quad_config(steps=10, eps=eps)
-    return forward(o, np.array([[0.5, -0.3]]), config, data)
+    return forward(Problem(o, quad_config(steps=10, eps=eps), data),
+                   np.array([[0.5, -0.3]]))
 
 
 class TestCoefficientGradient:
@@ -98,9 +98,9 @@ class TestCoefficientGradient:
                                     config.basis, config.u_max,
                                     config.projection_grid)
         _, _, grad = sweep(o, coeffs, config, data)
-        fd = fd_gradient(
-            lambda cv: cost(o, cv.reshape(1, 2), config, data),
-            coeffs.ravel(), 1e-5).reshape(1, 2)
+        problem = Problem(o, config, data)
+        fd = fd_gradient(lambda cv: cost(problem, cv.reshape(1, 2)),
+                         coeffs.ravel(), 1e-5).reshape(1, 2)
         assert np.max(np.abs(-grad - fd)) / np.max(np.abs(fd)) <= 1e-5
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
@@ -112,7 +112,7 @@ class TestCoefficientGradient:
 
         # the rule's weights over the half steps i, at the times i*(h/2),
         # each state's integrand and Psi formed on its own
-        grid = config.grid
+        grid = traj.grid
         rows = 2 * grid.steps + 1
         f = np.empty((rows, o.param_dim))
         for i in range(rows):
@@ -149,6 +149,14 @@ class TestCoefficientGradient:
             assert w.min() >= 0.19
             np.testing.assert_allclose(w[7:-7], 1.0, rtol=1e-14)
 
+    def test_weights_built_once_per_step_count_read_only(self):
+        # G at 40 steps reads the 81 weights built at its first call, and a
+        # weight cannot be changed under a later G
+        w = sga._gregory(80)
+        assert sga._gregory(80) is w and w.shape == (81,)
+        assert not w.flags.writeable
+        np.testing.assert_array_equal(rule_weights(40), (0.5 / 40) * w)
+
     def test_one_step_is_simpsons_rule(self):
         h = 1.7
         np.testing.assert_allclose(rule_weights(1, h),
@@ -183,7 +191,7 @@ def sweep_problem(family):
 
 
 def count_flow_plans(monkeypatch):
-    """Patch dynamics.flow_plan so that every plan it builds records the
+    """Patch sga.flow_plan so that every plan a Problem builds records the
     states of its grads and hessians calls; returns the two lists."""
     calls = {"grads": [], "hessians": []}
 
@@ -199,10 +207,10 @@ def count_flow_plans(monkeypatch):
             calls["hessians"].append(theta)
             return self.plan.hessians(theta)
 
-    def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
+    def counted_flow(oracle, z1, zd, orig=sga.flow_plan):
         return Counted(orig(oracle, z1, zd))
 
-    monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
+    monkeypatch.setattr(sga, "flow_plan", counted_flow)
     return calls["grads"], calls["hessians"]
 
 
@@ -213,7 +221,8 @@ class TestSweep:
         # the forward pass takes grad J~0 at every RK4 stage and keeps the
         # first stage's at each of the 4M+1 states (one more call at the
         # final state); the backward pass along that trajectory reads it
-        # there, and builds no dithered loss plan and makes no gradient call
+        # there, and builds no loss plan and makes no gradient call: p(T)
+        # = -grad Phi reads the problem's validation plan
         built = []
         grads, _ = count_flow_plans(monkeypatch)
 
@@ -223,13 +232,14 @@ class TestSweep:
 
         monkeypatch.setattr(model, "loss_plan", counted)
         o, config, data = sweep_problem(family)
+        problem = Problem(o, config, data)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs, config, data)
+        traj = forward(problem, coeffs)
         assert len(grads) == 16 * config.steps + 1
         grads.clear()
-        backward(o, traj, data.z_val)
+        backward(problem, traj)
         assert grads == []
-        assert built == ["validation"]   # p(T) = -grad Phi
+        assert built == []
 
     @pytest.mark.parametrize("family", ["linear", "mlp"])
     def test_forms_costate_matrix_once_per_forward_state(self, family,
@@ -247,10 +257,11 @@ class TestSweep:
 
         monkeypatch.setattr(dynamics, "adjoint_rhs", counted_rhs)
         o, config, data = sweep_problem(family)
+        problem = Problem(o, config, data)
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = forward(o, coeffs, config, data)
+        traj = forward(problem, coeffs)
         assert hessians == []
-        backward(o, traj, data.z_val)
+        backward(problem, traj)
         m = config.steps
         assert len(hessians) <= m + 1
         # the blocks, last first, each in state order: read back to front,
@@ -265,32 +276,35 @@ class TestSweep:
 
 
     def test_evaluates_psi_once_per_stage_time(self, monkeypatch):
-        # the forward pass reads Psi at the 8M+1 times i*h/8 and builds one
-        # flow plan; the backward pass and G read both off its trajectory
+        # the forward pass reads Psi at the 8M+1 times i*h/8 and runs on
+        # the flow plan its problem built once; the backward pass and G
+        # read both off its trajectory
         rows, plans = [], []
 
         def counted(basis, ts, orig=dynamics.eval_basis_grid):
             rows.append(len(ts))
             return orig(basis, ts)
 
-        def counted_flow(oracle, z1, zd, orig=dynamics.flow_plan):
+        def counted_flow(oracle, z1, zd, orig=sga.flow_plan):
             plans.append((z1.tag, zd.tag))
             return orig(oracle, z1, zd)
 
         monkeypatch.setattr(dynamics, "eval_basis_grid", counted)
-        monkeypatch.setattr(dynamics, "flow_plan", counted_flow)
+        monkeypatch.setattr(sga, "flow_plan", counted_flow)
         o, config, data = sweep_problem("linear")
+        problem = Problem(o, config, data)
+        assert plans == [("train", "dithered")]
+        plans.clear()
         coeffs = config.initial_coefficients(o.param_dim)
-        traj = sweep(o, coeffs, config, data)[0]
+        traj = forward(problem, coeffs)
         m = config.steps
         assert rows == [8 * m + 1]
-        assert plans == [("train", "dithered")]
         rows.clear()
-        plans.clear()
-        backward(o, traj, data.z_val)
-        assert rows == plans == []
-        cost(o, np.stack([coeffs] * 3), config, data)
+        backward(problem, traj)
+        assert rows == []
+        cost(problem, np.stack([coeffs] * 3))
         assert rows == [8 * m + 1]
+        assert plans == []
 
 
 class TestSweeps:
@@ -308,11 +322,12 @@ class TestSweeps:
                                                   n_basis=3))
         ps = probes(o, config, 4)
         serial = [sweep(o, c, config, data)[1:] for c in ps[:3]]
-        traj = forward(o, ps, config, data)
+        problem = Problem(o, config, data)
+        traj = forward(problem, ps)
         for b in (1, 3):
-            adj, gs = backward(o, replace(
+            adj, gs = backward(problem, replace(
                 traj, theta_fine=traj.theta_fine[:, :b],
-                gt_fine=traj.gt_fine[:, :b], c=traj.c[:b]), data.z_val)
+                gt_fine=traj.gt_fine[:, :b], c=traj.c[:b]))
             assert gs.shape == (b, o.param_dim, config.basis.n)
             assert adj.p_half.shape[1] == b
             for i, (want_adj, want_g) in enumerate(serial[:b]):
@@ -326,13 +341,14 @@ class TestSweeps:
         # configs/linear.json: a nan or inf in a stack's last member ran
         # into the flow and ended as DivergenceError at t=0.00125
         o, config, data = linear_json_problem()
+        problem = Problem(o, config, data)
         cs = probes(o, config, b)
         cs[-1, 0, 0] = bad
         for run in (cost, forward):
             with pytest.raises(ValueError, match="C has non-finite entries"):
-                run(o, cs, config, data)
+                run(problem, cs)
         with pytest.raises(ValueError, match="C has non-finite entries"):
-            forward(o, cs[-1], config, data)
+            forward(problem, cs[-1])
 
     def test_cost_of_one_c_is_a_float_of_a_stack_an_array(self):
         # configs/linear.json at the probes: one (p, n) C gives a float,
@@ -340,20 +356,21 @@ class TestSweeps:
         # (B, p, n) stack an array of its members' own costs, and any other
         # shape is refused, naming it
         o, config, data = linear_json_problem()
+        problem = Problem(o, config, data)
         cs = probes(o, config, 3)
         p, n = cs.shape[1:]
-        j = cost(o, cs[0], config, data)
+        j = cost(problem, cs[0])
         assert type(j) is float
-        assert j == loss_value(o, forward(o, cs[0], config, data).theta_final,
+        assert j == loss_value(o, forward(problem, cs[0]).theta_final,
                                data.z_val)
-        js = cost(o, cs, config, data)
+        js = cost(problem, cs)
         assert isinstance(js, np.ndarray) and js.shape == (3,)
-        assert js.tolist() == [cost(o, c, config, data) for c in cs]
+        assert js.tolist() == [cost(problem, c) for c in cs]
         bad = cs[None]
         msg = re.escape(f"C has shape {bad.shape}, expected ({p}, {n}) or a "
                         f"(B, {p}, {n}) stack")
         with pytest.raises(ValueError, match=msg):
-            cost(o, bad, config, data)
+            cost(problem, bad)
 
 
 def config_problem(cfg):
@@ -370,7 +387,7 @@ def linear_json_problem():
 
 def one_step(o, coeffs, config, data):
     """One solver iteration from coeffs: (new coefficients, its record)."""
-    report = solve(o, replace(config, c0=coeffs, max_iters=1), data)
+    report = solve(Problem(o, replace(config, c0=coeffs, max_iters=1), data))
     return report.final_coeffs, report.iterations[0]
 
 
@@ -391,14 +408,15 @@ class TestStep:
         config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0)
+        problem = Problem(o, config, data)
         rng = np.random.default_rng(2)
         for _ in range(3):
             coeffs = project_admissible(rng.uniform(-1, 1, (o.param_dim, 3)),
                                         config.basis, config.u_max,
                                         config.projection_grid)
-            j0 = cost(o, coeffs, config, data)
+            j0 = cost(problem, coeffs)
             new, rec = one_step(o, coeffs, config, data)
-            assert cost(o, new, config, data) <= j0
+            assert cost(problem, new) <= j0
 
     def test_projection_triggers_only_beyond_bound(self, quad1_problem):
         o, data = quad1_problem
@@ -413,7 +431,7 @@ class TestSolve:
         o = ModelOracle("linear_features", 1)
         data = ProblemData(z1, zd, zv)
         config = replace(quad_config(steps=50), theta0=np.zeros(1))
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.converged
         assert report.stop_reason == "tolerance"
         assert len(report.iterations) == 1
@@ -423,8 +441,8 @@ class TestSolve:
         o, data = quad1_problem
         config = quad_config(steps=200, n=2, eps=0.1, u_max=5.0,
                              max_iters=30)
-        report = solve(o, config, data)
-        j_null = cost(o, np.zeros((1, 2)), config, data)
+        report = solve(Problem(o, config, data))
+        j_null = cost(Problem(o, config, data), np.zeros((1, 2)))
         assert report.iterations[0].grad_norm > config.eps_tol
         assert report.final_cost < j_null
 
@@ -433,15 +451,15 @@ class TestSolve:
         config = SolverConfig(eps=0.1, steps=100,
                               basis=BasisSpec("legendre_shifted", 4, 1.0),
                               u_max=5.0, max_iters=15)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         costs = [r.cost for r in report.iterations]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_divergent_trial_step_backtracks(self):
         # the line search must halve a divergent step rather than abort
         o, config, data = divergent_trial_problem()
-        report = solve(o, config, data)
-        j_null = cost(o, np.zeros((1, config.basis.n)), config, data)
+        report = solve(Problem(o, config, data))
+        j_null = cost(Problem(o, config, data), np.zeros((1, config.basis.n)))
         assert np.isfinite(report.final_cost)
         assert report.final_cost <= j_null
         assert 0.0 < report.iterations[0].gamma < config.gamma0
@@ -451,7 +469,7 @@ class TestSolve:
         # the guard stops it; no overflow there may reach the caller
         o, config, data = divergent_trial_problem()
         with warnings_as_errors():
-            report = solve(o, config, data)
+            report = solve(Problem(o, config, data))
         assert 0.0 < report.iterations[0].gamma < config.gamma0
 
     def test_every_iterate_admissible(self):
@@ -459,7 +477,7 @@ class TestSolve:
         config = SolverConfig(eps=0.5, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=0.05, max_iters=10, gamma0=1.0)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         gmax = control_grid_max(report.final_coeffs, config.basis,
                                 config.projection_grid)
         assert np.all(gmax <= config.u_max * (1 + 1e-12))
@@ -469,17 +487,15 @@ class TestSolve:
         config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0, max_iters=5)
-        a = solve(o, config, data)
-        b = solve(o, config, data)
+        a = solve(Problem(o, config, data))
+        b = solve(Problem(o, config, data))
         assert pickle.dumps(a.to_dict()) == pickle.dumps(b.to_dict())
 
     def test_theta_star_matches_final_forward_pass(self, quad1_problem):
         o, data = quad1_problem
-        config = quad_config(steps=100, max_iters=5)
-        report = solve(o, config, data)
-        traj = integrate_forward(o, config.theta0, report.final_coeffs,
-                                 config.basis, config.eps,
-                                 data.z_train, data.z_dith, config.grid)
+        problem = Problem(o, quad_config(steps=100, max_iters=5), data)
+        report = solve(problem)
+        traj = forward(problem, report.final_coeffs)
         np.testing.assert_array_equal(report.theta_star, traj.theta_final)
 
 
@@ -487,6 +503,8 @@ class TestNonFiniteData:
     @pytest.mark.parametrize("where", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_integrations_and_solve_reject_it(self, where, bad):
+        # the problem refuses it at construction, before any integration
+        # or solve; an adjoint given no validation plan checks its set
         o, data = linear_problem(seed=33)
         config = SolverConfig(eps=0.1, steps=10,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
@@ -497,24 +515,22 @@ class TestNonFiniteData:
             (x if where == "x" else y)[0, ...] = bad
             return Dataset(x, y, z.tag)
 
-        coeffs = config.initial_coefficients(o.param_dim)
-        theta0 = np.zeros(o.param_dim)
-        with pytest.raises(ValueError, match="train dataset"):
-            integrate_forward(o, theta0, coeffs, config.basis, config.eps,
-                              spoiled(data.z_train), data.z_dith, config.grid)
-        traj = integrate_forward(o, theta0, coeffs, config.basis,
-                                 config.eps, data.z_train, data.z_dith,
-                                 config.grid)
+        for name in ("z_train", "z_dith", "z_val"):
+            with pytest.raises(ValueError, match=getattr(data, name).tag
+                               + " dataset holds nan or inf"):
+                Problem(o, config, replace(data, **{
+                    name: spoiled(getattr(data, name))}))
+        traj = forward(Problem(o, config, data),
+                       config.initial_coefficients(o.param_dim))
         with pytest.raises(ValueError, match="validation dataset"):
             integrate_adjoint(o, traj, spoiled(data.z_val))
-        with pytest.raises(ValueError, match="dithered dataset"):
-            solve(o, config, replace(data, z_dith=spoiled(data.z_dith)))
 
 
 class TestDitheredInputs:
     @pytest.mark.parametrize("change", ["value", "rows"])
     def test_integrations_and_solve_reject_other_inputs(self, change):
-        # the dithered set must hold the training inputs, perturbed targets
+        # the dithered set must hold the training inputs, perturbed targets;
+        # the problem refuses other inputs before any integration or solve
         o, data = linear_problem(seed=34)
         config = SolverConfig(eps=0.1, steps=10,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
@@ -526,17 +542,9 @@ class TestDitheredInputs:
             other = Dataset(x, zd.y, "dithered")
         else:
             other = Dataset(zd.x[1:], zd.y[1:], "dithered")
-        coeffs = config.initial_coefficients(o.param_dim)
-        theta0 = np.zeros(o.param_dim)
-        match = "dithered dataset's inputs differ"
-        with pytest.raises(ValueError, match=match):
-            integrate_forward(o, theta0, coeffs, config.basis, config.eps,
-                              data.z_train, other, config.grid)
-        with pytest.raises(ValueError, match=match):
-            integrate_forward(o, theta0, coeffs[None], config.basis,
-                              config.eps, data.z_train, other, config.grid)
-        with pytest.raises(ValueError, match=match):
-            solve(o, config, replace(data, z_dith=other))
+        with pytest.raises(ValueError, match="dithered dataset's inputs "
+                                             "differ"):
+            Problem(o, config, replace(data, z_dith=other))
 
 
 @pytest.fixture
@@ -562,14 +570,15 @@ def test_one_forward_entry_per_pass(forward_calls):
     # forward and cost each integrate once, a stack included, and so does
     # the coefficient check: its probes and their flows are one stack
     o, config, data = sweep_problem("linear")
+    problem = Problem(o, config, data)
     cs = probes(o, config, 3)
     for run, c in ((forward, cs[0]), (forward, cs), (cost, cs[0]),
                    (cost, cs)):
         forward_calls[0] = 0
-        run(o, c, config, data)
+        run(problem, c)
         assert forward_calls[0] == 1
     forward_calls[0] = 0
-    check_coefficient_gradient(CheckProblem(o, config, data))
+    check_coefficient_gradient(problem)
     assert forward_calls[0] == 1
 
 
@@ -585,10 +594,10 @@ def armijo_trials(report, config):
 
 
 def assert_final_state_is_fresh(o, config, data, report):
-    traj = integrate_forward(o, config.initial_theta(o.param_dim),
+    traj = integrate_forward(flow_plan(o, data.z_train, data.z_dith),
+                             config.initial_theta(o.param_dim),
                              report.final_coeffs, config.basis,
-                             config.eps, data.z_train, data.z_dith,
-                             config.grid)
+                             config.eps, config.steps)
     np.testing.assert_array_equal(report.theta_star, traj.theta_final)
     assert report.final_cost == loss_value(o, traj.theta_final, data.z_val)
 
@@ -608,7 +617,7 @@ class TestForwardReuse:
             self, quad1_problem, forward_calls):
         o, data = quad1_problem
         config = quad_config(steps=100, max_iters=5)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "max_iters"
         assert all(rec.gamma == config.gamma0 for rec in report.iterations)
         # the 25-step level, probed first: the fine flow at C0 and the
@@ -622,7 +631,7 @@ class TestForwardReuse:
     def test_one_forward_integration_per_trial_with_backtracks(
             self, forward_calls):
         o, config, data = divergent_trial_problem()
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.iterations[0].gamma < config.gamma0
         # the fine flow at C0 and the 25-step probe, which qualifies, forward
         # and back; on the level, the recorded trials of iterations 0 and 1
@@ -639,7 +648,7 @@ class TestForwardReuse:
         o, data = quad1_problem
         monkeypatch.setattr(sga, "ARMIJO_C", 1e30)
         config = quad_config(steps=100, max_iters=5)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "line_search_failure"
         assert len(report.iterations) == 1
         assert report.iterations[0].steps == config.steps
@@ -660,7 +669,7 @@ class TestArmijoExits:
         # zero and J the null control's
         monkeypatch.setattr(sga, "MAX_BACKTRACKS", 0)
         o, config, data = divergent_trial_problem()
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "line_search_failure"
         assert len(report.iterations) == 1
         rec = report.iterations[0]
@@ -676,7 +685,7 @@ class TestArmijoExits:
 
     def test_search_fails_after_two_accepted_steps(self):
         o, config, data = divergent_trial_problem()
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "line_search_failure"
         assert [(r.k, r.gamma, r.projected) for r in report.iterations] == [
             (0, 0.0625, False), (1, 0.001953125, False), (2, 0.0, False)]
@@ -694,7 +703,7 @@ class TestArmijoExits:
 
         monkeypatch.setattr(sga, "loss_plan", counted)
         o, config, data = divergent_trial_problem()
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert armijo_trials(report, config) == 26
         assert built == ["validation"]
 
@@ -708,11 +717,11 @@ class TestNestedGrids:
         ("configs/linear.json", 25), ("perfbench/configs/mlp.json", 25)])
     def test_shipped_configs_choose_their_level(self, path, steps):
         o, config, data = config_problem(cli.load_config(ROOT / path))
-        report = solve(o, replace(config, max_iters=2), data)
+        report = solve(Problem(o, replace(config, max_iters=2), data))
         assert report.stop_reason == "max_iters"
         assert [r.steps for r in report.iterations] == [steps, steps]
         assert report.iterations[0].cost == cost(
-            o, config.initial_coefficients(o.param_dim), config, data)
+            Problem(o, config, data), config.initial_coefficients(o.param_dim))
         assert all(0.0 <= gap < 1e-10 for gap in report.grid_gap)
         assert_final_state_is_fresh(o, config, data, report)
 
@@ -724,7 +733,7 @@ class TestNestedGrids:
         # reads 3.437e-11 (linear) and 6.776e-11 (MLP) against 3.444e-11
         # and 6.780e-11 at C0
         o, config, data = config_problem(cli.load_config(ROOT / path))
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "max_iters"
         assert [r.steps for r in report.iterations] == [25] * config.max_iters
         assert 0.0 < report.grid_gap[1] <= 2.0 * report.grid_gap[0]
@@ -734,7 +743,7 @@ class TestNestedGrids:
         # 50 and 100 steps
         o, config, data = config_problem(p24_linear_cfg())
         assert o.param_dim == 24
-        report = solve(o, replace(config, max_iters=2), data)
+        report = solve(Problem(o, replace(config, max_iters=2), data))
         assert report.grid_gap is None
         assert [r.steps for r in report.iterations] == [200, 200]
         assert "grid_gap" not in report.to_dict()
@@ -745,7 +754,7 @@ class TestNestedGrids:
         # no probe runs: the counts are those of a solve on one grid
         o, data = quad1_problem
         config = quad_config(steps=5, max_iters=3)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         n = len(report.iterations)
         assert (report.stop_reason, n, report.grid_gap) == ("max_iters", 3,
                                                             None)
@@ -761,13 +770,13 @@ class TestNestedGrids:
                              ("train", "dithered", "validation")))
         o = ModelOracle("linear_features", 1)
         config = quad_config(steps=8, max_iters=2)
+        problem = Problem(o, config, data)
         for steps in (1, 2, 4):
             with pytest.raises(dynamics.DivergenceError):
-                forward(o, np.zeros((1, 2)), replace(config, steps=steps),
-                        data)
+                forward(problem, np.zeros((1, 2)), steps)
         forward_calls[:] = [0, 0]
         with warnings_as_errors():
-            report = solve(o, config, data)
+            report = solve(problem)
         assert report.grid_gap is None
         assert [r.steps for r in report.iterations] == [8]
         # the fine flow and G at C0, the 1-, 2- and 4-step probes, each of
@@ -779,7 +788,7 @@ class TestNestedGrids:
         # search fails: the fine grid runs iteration 2 again and fails too
         o, config, data = divergent_trial_problem()
         config = replace(config, steps=100)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "line_search_failure"
         assert [(r.k, r.steps, r.gamma) for r in report.iterations] == [
             (0, 25, 0.0625), (1, 25, 0.001953125), (2, 100, 0.0)]
@@ -796,7 +805,7 @@ class TestNestedGrids:
         # 1.1e-11 gap of the 25-step level at C0
         o, data = quad1_problem
         config = quad_config(steps=100, max_iters=3, gamma0=1e-8)
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert report.stop_reason == "max_iters"
         assert [r.steps for r in report.iterations] == [25, 100, 100]
         assert report.iterations[0].cost - report.iterations[1].cost < (
@@ -815,9 +824,67 @@ class TestNestedGrids:
         monkeypatch.setattr(model, "loss_plan", counted)
         monkeypatch.setattr(sga, "loss_plan", counted)
         o, config, data = linear_json_problem()
-        report = solve(o, config, data)
+        report = solve(Problem(o, config, data))
         assert len(report.iterations) == config.max_iters
         assert built == ["validation"]
+
+
+class TestProblem:
+    """The record every pass reads: its inputs refused at construction (a
+    dataset with nan or inf in TestNonFiniteData, a dithered set with other
+    inputs in TestDitheredInputs), and its plans built once there."""
+
+    def test_nonfinite_theta0_rejected(self, quad1_problem):
+        o, data = quad1_problem
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta0 has non-finite "
+                                                 "entries"):
+                Problem(o, replace(quad_config(), theta0=[bad]), data)
+
+    @pytest.mark.parametrize("theta0", [[], [1.0, 2.0]])
+    def test_theta0_of_other_dimension_rejected(self, quad1_problem, theta0):
+        o, data = quad1_problem
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta0 has shape ({len(theta0)},), expected (1,)")):
+            Problem(o, replace(quad_config(), theta0=theta0), data)
+
+    @pytest.mark.parametrize("name", ["z_train", "z_dith", "z_val"])
+    def test_dataset_of_other_dimension_rejected(self, quad1_problem, name):
+        o, data = quad1_problem
+        z = getattr(data, name)
+        with pytest.raises(ValueError, match="dataset has d=2, oracle "
+                                             "expects input_dim=1"):
+            Problem(o, quad_config(), replace(data, **{
+                name: Dataset(np.hstack([z.x, z.x]), z.y, z.tag)}))
+
+    @pytest.mark.parametrize("run", ["solve", "run", "gradcheck"])
+    def test_plans_built_once(self, run, monkeypatch, tmp_path):
+        # configs/linear.json: one flow plan and one validation plan over a
+        # whole solve, over `sgaflow run` with its post-solve passes, and
+        # over `sgaflow gradcheck`, whose two checks share one problem
+        built = []
+
+        def counted_flow(oracle, z1, zd, orig=model.flow_plan):
+            built.append((z1.tag, zd.tag))
+            return orig(oracle, z1, zd)
+
+        def counted(oracle, z, orig=model.loss_plan):
+            built.append(z.tag)
+            return orig(oracle, z)
+
+        for mod in (model, dynamics, sga):
+            for name, spy in (("flow_plan", counted_flow),
+                              ("loss_plan", counted)):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, spy)
+        if run == "solve":
+            report = solve(Problem(*linear_json_problem()))
+            assert len(report.iterations) == 30
+        else:
+            assert cli.main([run, "--config", str(ROOT / "configs" /
+                                                  "linear.json"),
+                             "--out", str(tmp_path), "--quiet"]) == 0
+        assert built == [("train", "dithered"), "validation"]
 
 
 class TestSolverConfig:

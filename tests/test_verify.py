@@ -10,9 +10,10 @@ from sgaflow import ModelOracle, ProblemData, cli, dynamics, sga, verify
 from sgaflow.basis import BasisSpec, project_admissible
 from sgaflow.dynamics import (adjoint_matrix, forward_rhs, integrate_adjoint,
                               integrate_forward)
-from sgaflow.sga import SolverConfig, backward, cost, forward, sweep
-from sgaflow.verify import (CheckProblem, check_coefficient_gradient,
-                            check_dp_identity, check_rk4_order)
+from sgaflow.sga import (Problem, SolverConfig, backward, cost, forward,
+                         sweep)
+from sgaflow.verify import (check_coefficient_gradient, check_dp_identity,
+                            check_rk4_order)
 
 from conftest import (fd_gradient, linear_problem, mlp_check_problem,
                       p24_linear_cfg, quadratic_datasets, warnings_as_errors)
@@ -36,6 +37,20 @@ def linear_json_problem(cfg=None):
     data = cli.build_data(cfg["data"])
     return (cli.build_oracle(cfg["model"], data.z_train.d),
             cli.build_solver_config(cfg), data)
+
+
+def count_levels(monkeypatch):
+    """Patch verify.forward to record the steps of every pass on a grid of
+    the order check's own; returns the list."""
+    steps = []
+
+    def counted(problem, c, m=None):
+        if m is not None:
+            steps.append(m)
+        return forward(problem, c, m)
+
+    monkeypatch.setattr(verify, "forward", counted)
+    return steps
 
 
 class TestFdGradient:
@@ -66,7 +81,7 @@ class TestCheckCoefficientGradient:
         config = SolverConfig(eps=0.1, steps=200,
                               basis=BasisSpec("legendre_shifted", 3, 1.0),
                               u_max=5.0)
-        report = check_coefficient_gradient(CheckProblem(o, config, data),
+        report = check_coefficient_gradient(Problem(o, config, data),
                                             n_probes=3)
         assert report.passed, report.to_dict()
 
@@ -75,12 +90,12 @@ class TestCheckCoefficientGradient:
         # 1.18e-5
         o, config, data = linear_json_problem(p24_linear_cfg())
         assert (o.param_dim, config.steps) == (24, 200)
-        report = check_coefficient_gradient(CheckProblem(o, config, data))
+        report = check_coefficient_gradient(Problem(o, config, data))
         assert report.passed, report.to_dict()
 
     def test_mlp_family_passes(self):
         o, config, data = mlp_check_problem(seed=51, steps=100, n_basis=2)
-        report = check_coefficient_gradient(CheckProblem(o, config, data),
+        report = check_coefficient_gradient(Problem(o, config, data),
                                             n_probes=1)
         assert report.passed, report.to_dict()
 
@@ -107,7 +122,7 @@ class TestCheckCoefficientGradient:
             return adj, grads
 
         monkeypatch.setattr(verify, "backward", corrupted)
-        report = check_coefficient_gradient(CheckProblem(o, config, data),
+        report = check_coefficient_gradient(Problem(o, config, data),
                                             n_probes=1)
         assert not report.passed, report.to_dict()
 
@@ -144,6 +159,7 @@ class TestCheckCoefficientGradient:
         rng = np.random.default_rng(0)
         directions = np.random.default_rng([0, 1])
         p, n = o.param_dim, config.basis.n
+        record = Problem(o, config, data)
         serial = []
         for probe in range(n_probes):
             coeffs = project_admissible(rng.uniform(-0.5, 0.5, (p, n)),
@@ -152,15 +168,13 @@ class TestCheckCoefficientGradient:
             _, _, grad = sweep(o, coeffs, config, data)
             d = directions.standard_normal((k, p, n))
             d /= np.linalg.norm(d, axis=(1, 2), keepdims=True)
-            js = cost(o, coeffs + fd_step * np.concatenate([d, -d]),
-                      config, data)
+            js = cost(record, coeffs + fd_step * np.concatenate([d, -d]))
             fd = (js[:k] - js[k:]) / (2.0 * fd_step)
             analytic = -np.einsum("ij,kij->k", grad, d)
             scale = max(np.max(np.abs(analytic)), np.max(np.abs(fd)), 1e-12)
             serial.append({"probe": probe, "rel_err": float(
                 np.max(np.abs(analytic - fd)) / scale)})
-        report = check_coefficient_gradient(CheckProblem(o, config, data),
-                                            n_probes=n_probes)
+        report = check_coefficient_gradient(record, n_probes=n_probes)
         assert report.details == serial
         assert report.max_rel_err == max(e["rel_err"] for e in serial)
 
@@ -179,7 +193,7 @@ class TestCheckCoefficientGradient:
         monkeypatch.setattr(verify, "forward", broken)
         with pytest.raises(ValueError, match="non-finite cost near the "
                                              "coefficients of probe 1"):
-            check_coefficient_gradient(CheckProblem(o, config, data),
+            check_coefficient_gradient(Problem(o, config, data),
                                        n_probes=2)
 
     def test_one_forward_and_one_backward_integration(self, monkeypatch):
@@ -188,9 +202,9 @@ class TestCheckCoefficientGradient:
         o, config, data = linear_json_problem()
         fwd, bwd = [], []
 
-        def counted_forward(oracle, theta0, c, *args):
+        def counted_forward(plan, theta0, c, *args):
             fwd.append(c.shape)
-            return integrate_forward(oracle, theta0, c, *args)
+            return integrate_forward(plan, theta0, c, *args)
 
         def counted_adjoint(oracle, traj, *args):
             bwd.append(traj.c.shape)
@@ -202,7 +216,7 @@ class TestCheckCoefficientGradient:
         for n_probes in (1, 3):
             fwd.clear()
             bwd.clear()
-            check_coefficient_gradient(CheckProblem(o, config, data),
+            check_coefficient_gradient(Problem(o, config, data),
                                        n_probes=n_probes)
             assert fwd == [(n_probes * (1 + 2 * verify.DIRECTIONS), p, n)]
             assert bwd == [(n_probes, p, n)]
@@ -219,7 +233,7 @@ class TestCheckCoefficientGradient:
         monkeypatch.setattr(sga, "integrate_forward", never)
         with pytest.raises(ValueError, match=f"n_probes must be >= 1, got "
                                              f"{n_probes}"):
-            check_coefficient_gradient(CheckProblem(o, config, data),
+            check_coefficient_gradient(Problem(o, config, data),
                                        n_probes=n_probes)
 
     def test_eps_zero_both_sides_vanish(self):
@@ -228,14 +242,14 @@ class TestCheckCoefficientGradient:
         o, config, data = quad_setup(eps=0.0, steps=50)
         with pytest.raises(ValueError, match="differences at probe 0 are "
                                              "all 0"):
-            check_coefficient_gradient(CheckProblem(o, config, data),
+            check_coefficient_gradient(Problem(o, config, data),
                                        n_probes=1)
 
 
 class TestCheckDpIdentity:
     def test_quadratic_reoptimized(self):
         o, config, data = quad_setup(steps=100, max_iters=30)
-        report = check_dp_identity(o, config, data)
+        report = check_dp_identity(Problem(o, config, data))
         assert report.passed, report.to_dict()
         # the frozen-control variant differences the same J the sweep
         # differentiates, so it resolves the costate far below tol (8.4e-9);
@@ -244,15 +258,15 @@ class TestCheckDpIdentity:
 
     def test_null_control_reduction_is_tight(self):
         o, config, data = quad_setup(steps=100, u_max=0.0, max_iters=3)
-        report = check_dp_identity(o, config, data)
+        report = check_dp_identity(Problem(o, config, data))
         assert report.max_rel_err <= 1e-4, report.to_dict()
 
     def test_large_probe_step_degrades(self, monkeypatch):
         # far outside the linearization regime the identity visibly breaks
         o, config, data = quad_setup(steps=100, max_iters=10)
-        small = check_dp_identity(o, config, data)
+        small = check_dp_identity(Problem(o, config, data))
         monkeypatch.setattr(verify, "DP_STEP", 1.0)
-        large = check_dp_identity(o, config, data)
+        large = check_dp_identity(Problem(o, config, data))
         assert (small.details[0]["delta"], large.details[0]["delta"]) == (
             1e-3, 1.0)
         assert large.max_rel_err > small.max_rel_err
@@ -262,7 +276,7 @@ class TestCheckDpIdentity:
         config = SolverConfig(eps=0.1, steps=50,
                               basis=BasisSpec("legendre_shifted", 2, 1.0),
                               u_max=1.0)
-        report = check_dp_identity(o, config, data)
+        report = check_dp_identity(Problem(o, config, data))
         assert report.passed, report.to_dict()
         d = report.details[0]
         for key in ("costate_slopes", "value_slopes_reoptimized",
@@ -274,7 +288,7 @@ class TestCheckDpIdentity:
         monkeypatch.setattr(verify, "cost", lambda *args: np.nan)
         with pytest.raises(ValueError, match="non-finite value function "
                                              "near theta0"):
-            check_dp_identity(o, config, data)
+            check_dp_identity(Problem(o, config, data))
 
     @pytest.mark.parametrize("problem", ["quad", "mlp"])
     def test_costate_matrix_without_eps_fails_frozen_half(self, monkeypatch,
@@ -295,17 +309,17 @@ class TestCheckDpIdentity:
         def without_eps(plan, theta, gt, u, eps):
             return real(plan, theta, gt, u, 0.0)
 
-        sound = check_dp_identity(o, config, data)
+        sound = check_dp_identity(Problem(o, config, data))
         assert sound.details[0]["rel_err_frozen_control"] <= 1e-5
         monkeypatch.setattr(dynamics, "adjoint_matrix", without_eps)
-        faulty = check_dp_identity(o, config, data)
+        faulty = check_dp_identity(Problem(o, config, data))
         assert faulty.details[0]["rel_err_frozen_control"] > 1e-4
 
 
 class TestCheckRk4Order:
     def test_quadratic_slope_near_four(self):
         o, config, data = quad_setup(steps=100)
-        report = check_rk4_order(CheckProblem(o, config, data))
+        report = check_rk4_order(Problem(o, config, data))
         assert report.passed
         d = report.details[0]
         assert 3.7 <= d["forward_slope"] <= 4.3
@@ -315,7 +329,7 @@ class TestCheckRk4Order:
         # configs/linear.json, as `sgaflow gradcheck` checks it: an O(h^2)
         # term added to every final state must read as slope 2 and fail
         o, config, data = linear_json_problem()
-        assert check_rk4_order(CheckProblem(o, config, data)).passed
+        assert check_rk4_order(Problem(o, config, data)).passed
 
         def second_order(*args):
             traj = integrate_forward(*args)
@@ -324,59 +338,53 @@ class TestCheckRk4Order:
             return replace(traj, theta_fine=fine)
 
         monkeypatch.setattr(sga, "integrate_forward", second_order)
-        report = check_rk4_order(CheckProblem(o, config, data))
+        report = check_rk4_order(Problem(o, config, data))
         assert not report.passed
         assert abs(report.details[0]["forward_slope"] - 2.0) <= 0.1
 
     def test_runs_the_solvers_sweep_at_the_first_probe(self, monkeypatch):
-        # configs/linear.json: every level is a sweep at the coefficient
-        # check's first probe, on the config with that level's steps
+        # configs/linear.json: every level is a forward and a backward pass
+        # of the solver at the coefficient check's first probe, on that
+        # level's grid
         o, config, data = linear_json_problem()
-        seen = []
+        fwd, bwd = [], []
 
-        def recorded(oracle, coeffs, cfg, *args):
-            seen.append((coeffs, replace(cfg, steps=config.steps)))
-            return sweep(oracle, coeffs, cfg, *args)
+        def recorded(problem, coeffs, steps=None):
+            fwd.append((coeffs, steps))
+            return forward(problem, coeffs, steps)
 
-        def stacked(oracle, traj, *args):
-            assert len(traj.c) == 1   # the coefficient check's one probe
-            seen.append(traj.c[0])
-            return backward(oracle, traj, *args)
+        def swept(problem, traj):
+            bwd.append(traj.c)
+            return backward(problem, traj)
 
-        monkeypatch.setattr(verify, "sweep", recorded)
-        monkeypatch.setattr(verify, "backward", stacked)
-        check_rk4_order(CheckProblem(o, config, data))
-        assert len(seen) == 5
+        monkeypatch.setattr(verify, "forward", recorded)
+        monkeypatch.setattr(verify, "backward", swept)
+        check_rk4_order(Problem(o, config, data))
+        assert sorted(m for _, m in fwd) == [25, 50, 100, 200, 400]
         first = verify.probes(o, config, 1)[0]
         assert np.any(first != 0.0)
-        for c, cfg in seen:
+        assert len(bwd) == 5
+        for c in [c for c, _ in fwd] + bwd:
             np.testing.assert_array_equal(c, first)
-            assert cfg == config
-        seen.clear()
-        check_coefficient_gradient(CheckProblem(o, config, data), n_probes=1)
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], first)
+        bwd.clear()
+        check_coefficient_gradient(Problem(o, config, data), n_probes=1)
+        assert len(bwd) == 1 and len(bwd[0]) == 1   # its one probe
+        np.testing.assert_array_equal(bwd[0][0], first)
 
     @pytest.mark.parametrize("problem", ["linear", "mlp"])
     def test_shared_problem_reads_the_coefficient_checks_level_bitwise(
             self, monkeypatch, problem):
         # configs/linear.json and criterion 3's mlp problem, each at 200
         # steps, an order level: after the coefficient check the order check
-        # sweeps the four other levels, and its report equals a standalone
-        # one's bit for bit
+        # integrates the four other levels, and its report equals a
+        # standalone one's bit for bit
         o, config, data = (linear_json_problem() if problem == "linear"
                            else mlp_check_problem(seed=61, steps=200,
                                                   n_basis=3))
-        steps = []
-
-        def counted(oracle, coeffs, cfg, *args):
-            steps.append(cfg.steps)
-            return sweep(oracle, coeffs, cfg, *args)
-
-        monkeypatch.setattr(verify, "sweep", counted)
-        alone = check_rk4_order(CheckProblem(o, config, data))
+        steps = count_levels(monkeypatch)
+        alone = check_rk4_order(Problem(o, config, data))
         assert sorted(steps) == [25, 50, 100, 200, 400]
-        shared = CheckProblem(o, config, data)
+        shared = Problem(o, config, data)
         check_coefficient_gradient(shared, n_probes=1)
         # copies, not views that would keep the coefficient check's stack
         theta_t, p_0 = shared.levels[200]
@@ -392,27 +400,22 @@ class TestCheckRk4Order:
         # a coefficient check at 30 steps keeps a level the order check
         # does not read
         o, config, data = quad_setup(steps=30)
-        problem, steps = CheckProblem(o, config, data), []
-
-        def counted(oracle, coeffs, cfg, *args):
-            steps.append(cfg.steps)
-            return sweep(oracle, coeffs, cfg, *args)
-
-        monkeypatch.setattr(verify, "sweep", counted)
+        problem, steps = Problem(o, config, data), count_levels(monkeypatch)
         check_coefficient_gradient(problem, n_probes=1)
         assert list(problem.levels) == [30]
         report = check_rk4_order(problem)
         assert sorted(steps) == [25, 50, 100, 200, 400]
-        assert report == check_rk4_order(CheckProblem(o, config, data))
+        assert report == check_rk4_order(Problem(o, config, data))
 
     def test_problem_levels_are_no_argument_and_the_record_compares(self):
-        # levels integrated under another problem cannot be passed in, and
-        # filled records compare and hash by identity, not by their arrays
+        # levels integrated, or plans built, under another problem cannot
+        # be passed in, and filled records compare and hash by identity,
+        # not by their arrays
         o, config, data = quad_setup(steps=30)
-        with pytest.raises(TypeError):
-            CheckProblem(o, config, data, levels={})
-        problem, other = CheckProblem(o, config, data), CheckProblem(o, config,
-                                                                     data)
+        for name in ("levels", "theta0", "flow", "val"):
+            with pytest.raises(TypeError):
+                Problem(o, config, data, **{name: None})
+        problem, other = Problem(o, config, data), Problem(o, config, data)
         for record in (problem, other):
             check_coefficient_gradient(record, n_probes=1)
         assert problem == problem and problem != other
@@ -427,20 +430,22 @@ class TestCheckRk4Order:
         # level, whose log was -inf and whose slope was NaN
         o, config, data = quad_setup(steps=20)
 
-        def still(oracle, coeffs, cfg, *args):
-            traj, adj, g = sweep(oracle, coeffs, cfg, *args)
-            if side == "forward":
-                traj = replace(traj,
-                               theta_fine=np.zeros_like(traj.theta_fine))
-            else:
-                adj = replace(adj, p_half=np.zeros_like(adj.p_half))
-            return traj, adj, g
+        def still_flow(*args):
+            traj = forward(*args)
+            return replace(traj, theta_fine=np.zeros_like(traj.theta_fine))
 
-        monkeypatch.setattr(verify, "sweep", still)
+        def still_costate(*args):
+            adj, g = backward(*args)
+            return replace(adj, p_half=np.zeros_like(adj.p_half)), g
+
+        if side == "forward":
+            monkeypatch.setattr(verify, "forward", still_flow)
+        else:
+            monkeypatch.setattr(verify, "backward", still_costate)
         with warnings_as_errors(), pytest.raises(
                 ValueError, match=f"the {side} solutions at 25 and 50 steps "
                                   f"are equal"):
-            check_rk4_order(CheckProblem(o, config, data))
+            check_rk4_order(Problem(o, config, data))
 
     def test_forward_midpoint_control_at_step_start_fails(self, monkeypatch):
         # configs/linear.json: the forward pass's k2 taken under the step's
@@ -456,7 +461,7 @@ class TestCheckRk4Order:
             return forward_rhs(plan, theta, u1[0] if i == 1 else u, eps)
 
         monkeypatch.setattr(dynamics, "forward_rhs", k2_under_u1)
-        report = check_rk4_order(CheckProblem(o, config, data))
+        report = check_rk4_order(Problem(o, config, data))
         assert not report.passed, report.to_dict()
         assert abs(report.details[0]["forward_slope"] - 1.0) <= 0.1
 
@@ -473,7 +478,7 @@ class TestCheckRk4Order:
             return k[[1, 1, 3, 3]] if len(theta) == 4 else k
 
         monkeypatch.setattr(dynamics, "adjoint_matrix", m4_at_midpoint)
-        report = check_rk4_order(CheckProblem(o, config, data))
+        report = check_rk4_order(Problem(o, config, data))
         assert not report.passed, report.to_dict()
         assert abs(report.details[0]["forward_slope"] - 4.0) <= 0.3
         assert abs(report.details[0]["adjoint_slope"] - 1.0) <= 0.1
